@@ -45,8 +45,10 @@ import (
 const reportSchema = "lamabench/v2"
 
 // jsonReport is the machine-readable output of a lamabench run (-json).
-// The schema is stable: fields are only ever added, never renamed or
-// removed, so CI trend tooling can rely on it across versions.
+// The schema is stable: fields are only ever added, never renamed, so CI
+// trend tooling can rely on it across versions. The one removal, the
+// "serve" rows of the retired -serve harness, is ignored when an archived
+// document carrying them is parsed.
 type jsonReport struct {
 	Schema string `json:"schema"` // "lamabench/v2"
 	// GoVersion, GitRevision, and NumCPU identify the build and host the
@@ -64,11 +66,6 @@ type jsonReport struct {
 	// NetCost holds the network-aware placement scaling series (-net), one
 	// row per np scale point; added additively, v2-compatible.
 	NetCost []exper.NetCostRow `json:"netcost,omitempty"`
-	// Serve holds the closed-loop serving benchmark rows (-serve), one per
-	// load phase (cold, cached); added additively, v2-compatible. The same
-	// phases also appear as SERVE-* experiment rows so lamatrace diff
-	// gates their throughput like any experiment's.
-	Serve []jsonServeRow `json:"serve,omitempty"`
 	// Lint is the static-analysis provenance of the run (added in v2
 	// additively): which lamavet suite version the numbers were taken
 	// under and whether the tree was clean when they were.
@@ -181,12 +178,6 @@ func run(args []string, out io.Writer) error {
 	netNPs := fs.String("net-np", "4096,16384,65536,102400", "comma-separated rank counts for the -net series")
 	netRefine := fs.Bool("net-refine", true, "include the delta-J swap refinement pass in the -net series")
 	lintMode := fs.String("lint", "unchecked", `static-analysis provenance recorded in -json: "run" executes the lamavet suite over ./..., "clean"/"dirty" record a CI-supplied verdict, "unchecked" records that no verdict was taken`)
-	serve := fs.Bool("serve", false, "closed-loop serving benchmark against the in-process placement engine instead of the experiments")
-	serveNodes := fs.Int("serve-nodes", 256, "cluster size for -serve")
-	serveNP := fs.Int("serve-np", 4096, "ranks per placement request for -serve")
-	serveCold := fs.Int("serve-cold", 64, "cold (cache-bypassing) requests for -serve")
-	serveCached := fs.Int("serve-cached", 5000, "cached requests for -serve")
-	serveClients := fs.Int("serve-clients", 0, "concurrent closed-loop clients for -serve (0 = GOMAXPROCS)")
 	obsFlags := obs.RegisterFlags(fs)
 	version := obs.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -220,26 +211,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	started := time.Now()
-
-	if *serve {
-		rows, exps, t, err := serveBench(*serveNodes, *serveNP, *serveCold, *serveCached, *serveClients, o)
-		if err != nil {
-			return err
-		}
-		report.Serve = rows
-		report.Experiments = exps
-		fmt.Fprintln(out, t.String())
-		report.TotalSeconds = time.Since(started).Seconds()
-		if err := writeJSON(*jsonPath, &report); err != nil {
-			return err
-		}
-		if err := closeObs(); err != nil {
-			return err
-		}
-		return obsFlags.WriteReport(o.Report("lamabench", map[string]any{
-			"serve": true, "serveNodes": *serveNodes, "serveNP": *serveNP,
-		}))
-	}
 
 	if *netSpec != "" {
 		nps, err := parseNPs(*netNPs)

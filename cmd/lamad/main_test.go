@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"lama/internal/engine"
@@ -212,5 +215,65 @@ func TestLamadVersionFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "lamad go") {
 		t.Fatalf("version output = %q", buf.String())
+	}
+}
+
+// TestLamadDrainsInFlightOnShutdown holds a placement request in the
+// handler until shutdown has begun, then lets it finish: the caller must
+// still get its full 200 reply, and the server must then stop cleanly.
+func TestLamadDrainsInFlightOnShutdown(t *testing.T) {
+	_, handler, err := buildDaemon("smoke=4xnehalem-ep", "", engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, draining := make(chan struct{}), make(chan struct{})
+	srv, err := newHTTPServer("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(started)
+		<-draining
+		handler.ServeHTTP(w, r)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.srv.RegisterOnShutdown(func() { close(draining) })
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- srv.serveUntil(stop) }()
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post("http://"+srv.addr+"/v1/place", "application/json",
+			strings.NewReader(`{"cluster":"smoke","np":32}`))
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		got <- reply{resp.StatusCode, body, err}
+	}()
+	<-started
+	stop <- syscall.SIGTERM
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("in-flight request dropped by shutdown: %v", r.err)
+	}
+	if r.status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.status, r.body)
+	}
+	var out engine.PlaceResponseJSON
+	if err := json.Unmarshal(r.body, &out); err != nil {
+		t.Fatalf("truncated reply: %v", err)
+	}
+	if out.NP != 32 || len(out.Placements) != 32 {
+		t.Fatalf("reply np=%d placements=%d, want 32", out.NP, len(out.Placements))
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }

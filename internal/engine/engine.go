@@ -16,7 +16,7 @@
 // request, the engine returns the same placement — it is in lamavet's
 // deterministic package set. Nothing in this package reads a clock or
 // random source; latency accounting lives in the callers (place.Run
-// metrics, the lamad HTTP layer, lamabench -serve).
+// metrics, the lamad HTTP layer, the bench/lamaload benchmark).
 package engine
 
 import (

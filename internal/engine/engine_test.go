@@ -15,7 +15,7 @@ import (
 	_ "lama/internal/place/all"
 )
 
-func nehalemSnap(t *testing.T, nodes int) *Snapshot {
+func nehalemSnap(t testing.TB, nodes int) *Snapshot {
 	t.Helper()
 	sp, ok := hw.Preset("nehalem-ep")
 	if !ok {

@@ -6,20 +6,37 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"lama/internal/core"
 )
 
 // The lamad wire API. Every payload is JSON; errors come back as
 // {"error": "..."} with a meaningful status: 400 for malformed requests,
-// 404 for unknown clusters, 409 for stale epoch pins, 503 when admission
-// control sheds the request.
+// 404 for unknown clusters, 409 for stale epoch pins, 413 for bodies over
+// maxBodyBytes, 503 when admission control sheds the request.
 //
 //	POST /v1/place                     place a job (body: Request)
 //	GET  /v1/clusters                  list clusters with epochs
 //	POST /v1/clusters/{id}/events      apply a mutation (body: Event)
 
-// PlacementJSON is one rank assignment on the wire.
+// maxBodyBytes caps a request body. Real requests are under 200 B; the
+// cap keeps a hostile client from streaming an unbounded body into the
+// decoder.
+const maxBodyBytes = 1 << 20
+
+// maxPooledReply is the largest reply buffer returned to replyBufs. A
+// max-np reply runs to tens of MB; pooling it would pin that memory for
+// the life of the process.
+const maxPooledReply = 1 << 20
+
+// replyBufs recycles /v1/place reply buffers across requests.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// PlacementJSON is one rank assignment on the wire. /v1/place replies are
+// written by appendPlaceResponse, not through this type; it documents the
+// wire form and is what clients decode into.
 type PlacementJSON struct {
 	Rank     int    `json:"rank"`
 	Node     int    `json:"node"`
@@ -68,6 +85,8 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) // best effort: client may be gone
 }
 
+// writeJSON serves the small, cold replies (cluster listing, event acks)
+// through encoding/json; only /v1/place has its own encoder.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v) // best effort: client may be gone
@@ -88,10 +107,25 @@ func statusFor(err error) int {
 	}
 }
 
+// decodeBody decodes a size-capped JSON request body into v. On failure
+// it has already answered: 413 past maxBodyBytes, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, fmt.Errorf("engine: bad %s body: %v", what, err))
+	return false
+}
+
 func (e *Engine) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("engine: bad request body: %v", err))
+	if !decodeBody(w, r, "request", &req) {
 		return
 	}
 	if req.NP <= 0 {
@@ -103,21 +137,78 @@ func (e *Engine) handlePlace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	out := PlaceResponseJSON{
-		Cluster:    req.Cluster,
-		Epoch:      resp.Epoch,
-		Cached:     resp.Cached,
-		NP:         resp.Map.NumRanks(),
-		Sweeps:     resp.Map.Sweeps,
-		Placements: make([]PlacementJSON, 0, resp.Map.NumRanks()),
+	bp := replyBufs.Get().(*[]byte)
+	buf := appendPlaceResponse((*bp)[:0], req.Cluster, resp.Epoch, resp.Cached, resp.Map)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf) // best effort: client may be gone
+	if cap(buf) <= maxPooledReply {
+		*bp = buf
+		replyBufs.Put(bp)
 	}
-	for i := range resp.Map.Placements {
-		p := &resp.Map.Placements[i]
-		out.Placements = append(out.Placements, PlacementJSON{
-			Rank: p.Rank, Node: p.Node, NodeName: p.NodeName, PUs: p.PUs,
-		})
+}
+
+// appendPlaceResponse appends the wire form of a served placement to dst.
+// The bytes are exactly what json.Encoder writes for the equivalent
+// PlaceResponseJSON (field order, null for nil PUs, HTML-safe string
+// escaping, trailing newline), written straight from the map without a
+// copy or reflection. FuzzPlaceReply holds the two byte-equal.
+func appendPlaceResponse(dst []byte, cluster string, epoch uint64, cached bool, m *core.Map) []byte {
+	dst = append(dst, `{"cluster":`...)
+	dst = appendJSONString(dst, cluster)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, epoch, 10)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, cached)
+	dst = append(dst, `,"np":`...)
+	dst = strconv.AppendInt(dst, int64(m.NumRanks()), 10)
+	dst = append(dst, `,"sweeps":`...)
+	dst = strconv.AppendInt(dst, int64(m.Sweeps), 10)
+	dst = append(dst, `,"placements":[`...)
+	for i := range m.Placements {
+		p := &m.Placements[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"rank":`...)
+		dst = strconv.AppendInt(dst, int64(p.Rank), 10)
+		dst = append(dst, `,"node":`...)
+		dst = strconv.AppendInt(dst, int64(p.Node), 10)
+		dst = append(dst, `,"node_name":`...)
+		dst = appendJSONString(dst, p.NodeName)
+		dst = append(dst, `,"pus":`...)
+		if p.PUs == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+			for j, pu := range p.PUs {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendInt(dst, int64(pu), 10)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, '}')
 	}
-	writeJSON(w, out)
+	return append(dst, "]}\n"...)
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII other than
+// `"\<>&` needs no escaping and is copied; any other string goes through
+// json.Marshal, so control bytes, invalid UTF-8 and U+2028/U+2029 are
+// escaped exactly as encoding/json escapes them.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func (e *Engine) handleClusters(w http.ResponseWriter, _ *http.Request) {
@@ -141,8 +232,7 @@ func (e *Engine) handleClusters(w http.ResponseWriter, _ *http.Request) {
 func (e *Engine) handleEvent(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("id")
 	var ev Event
-	if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("engine: bad event body: %v", err))
+	if !decodeBody(w, r, "event", &ev) {
 		return
 	}
 	epoch, purged, err := e.ApplyEvent(name, &ev)

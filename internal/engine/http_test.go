@@ -1,0 +1,228 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"lama/internal/core"
+)
+
+// raceEnabled is set by race_test.go under -race, where sync.Pool drops a
+// random quarter of Puts and reply buffers are regrown at random.
+var raceEnabled bool
+
+// wireResponse is the oracle for appendPlaceResponse: the served map as a
+// PlaceResponseJSON, with a non-nil Placements slice, for encoding/json
+// to write.
+func wireResponse(cluster string, epoch uint64, cached bool, m *core.Map) PlaceResponseJSON {
+	out := PlaceResponseJSON{
+		Cluster:    cluster,
+		Epoch:      epoch,
+		Cached:     cached,
+		NP:         m.NumRanks(),
+		Sweeps:     m.Sweeps,
+		Placements: make([]PlacementJSON, 0, m.NumRanks()),
+	}
+	for i := range m.Placements {
+		p := &m.Placements[i]
+		out.Placements = append(out.Placements, PlacementJSON{
+			Rank: p.Rank, Node: p.Node, NodeName: p.NodeName, PUs: p.PUs,
+		})
+	}
+	return out
+}
+
+// encodeOracle is what json.Encoder writes for v.
+func encodeOracle(t testing.TB, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// TestHTTPServedEqualsComputed drives POST /v1/place over a real HTTP
+// connection and requires every reply to equal a fresh in-process
+// (*Engine).Place of the same request on the same engine, to carry an
+// exact Content-Length, and to repeat byte for byte from the cache apart
+// from "cached":true.
+func TestHTTPServedEqualsComputed(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name  string
+		event *Event // applied before the request
+		req   Request
+	}{
+		{name: "default-lama", req: Request{Cluster: "test", NP: 40}},
+		{name: "layout-ncsbh", req: Request{Cluster: "test", NP: 40, Layout: "ncsbh"}},
+		{name: "layout-scbnh", req: Request{Cluster: "test", NP: 40, Layout: "scbnh"}},
+		{name: "pes-per-proc", req: Request{Cluster: "test", NP: 24, Layout: "csbn", PEsPerProc: 2}},
+		{name: "oversubscribe", req: Request{Cluster: "test", NP: 100, Oversubscribe: true}},
+		{name: "by-node-ring", req: Request{Cluster: "test", NP: 32, Policy: "by-node", Pattern: "ring"}},
+		{name: "after-fail-node", event: &Event{Type: "fail-node", Node: 1}, req: Request{Cluster: "test", NP: 40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.event != nil {
+				if _, _, err := e.ApplyEvent("test", tc.event); err != nil {
+					t.Fatal(err)
+				}
+			}
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, first := post(t, ts.URL+"/v1/place", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, first)
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(first)) {
+				t.Fatalf("Content-Length %q, body %d bytes", cl, len(first))
+			}
+			var got PlaceResponseJSON
+			if err := json.Unmarshal(first, &got); err != nil {
+				t.Fatal(err)
+			}
+
+			fresh := tc.req
+			fresh.NoCache = true
+			r, err := e.Place(context.Background(), &fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wireResponse(tc.req.Cluster, r.Epoch, false, r.Map)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("served %+v\ncomputed %+v", got, want)
+			}
+			if oracle := encodeOracle(t, want); !bytes.Equal(first, oracle) {
+				t.Fatalf("served bytes differ from encoding/json:\n%s\n%s", first, oracle)
+			}
+			if tc.event != nil && got.Epoch != 2 {
+				t.Fatalf("epoch %d after fail-node, want 2", got.Epoch)
+			}
+
+			_, second := post(t, ts.URL+"/v1/place", body)
+			if want := bytes.Replace(first, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(second, want) {
+				t.Fatalf("repeat reply differs beyond \"cached\":\n%s\n%s", first, second)
+			}
+		})
+	}
+}
+
+// TestHTTPOversizedBody413 sends bodies past maxBodyBytes to both POST
+// endpoints.
+func TestHTTPOversizedBody413(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	huge := `{"cluster":"` + strings.Repeat("a", maxBodyBytes) + `","np":4}`
+	for _, path := range []string{"/v1/place", "/v1/clusters/test/events"} {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(huge)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %.200s", path, w.Code, w.Body.Bytes())
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so measuring the
+// handler does not measure a recorder's growing body buffer.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(status int)      { d.status = status }
+
+// serveCachedPlace returns a function that serves one cached np-rank
+// placement of the "big" cluster through the handler.
+func serveCachedPlace(tb testing.TB, np int) func() {
+	tb.Helper()
+	e := New(Config{})
+	if err := e.Register("big", nehalemSnap(tb, 256)); err != nil {
+		tb.Fatal(err)
+	}
+	body := []byte(fmt.Sprintf(`{"cluster":"big","np":%d}`, np))
+	serve := func() {
+		w := &discardWriter{h: http.Header{}}
+		e.handlePlace(w, httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body)))
+		if w.status != 0 && w.status != http.StatusOK {
+			tb.Fatalf("np=%d: status %d", np, w.status)
+		}
+	}
+	serve() // fill the cache and the reply pool
+	return serve
+}
+
+// TestPlaceReplyAllocsFlatInNP pins the cached reply path: serving 4096
+// ranks allocates no more objects, and barely more bytes, than serving
+// 64. The reply is written from the cached map into a pooled buffer, so
+// nothing on the path is O(np).
+func TestPlaceReplyAllocsFlatInNP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	measure := func(np int) (allocs, bytesPerOp float64) {
+		serve := serveCachedPlace(t, np)
+		allocs = testing.AllocsPerRun(50, serve)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(64)
+	bigAllocs, bigBytes := measure(4096)
+	t.Logf("np=64: %.1f allocs, %.0f B; np=4096: %.1f allocs, %.0f B", smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if bigAllocs > smallAllocs+2 {
+		t.Errorf("allocs/op: np=4096 %.1f vs np=64 %.1f", bigAllocs, smallAllocs)
+	}
+	if bigBytes > smallBytes+4096 {
+		t.Errorf("bytes/op: np=4096 %.0f vs np=64 %.0f", bigBytes, smallBytes)
+	}
+}
+
+// BenchmarkPlaceReplyCached serves a cached 4096-rank placement (a
+// ~240 KB reply) through the /v1/place handler.
+func BenchmarkPlaceReplyCached(b *testing.B) {
+	serve := serveCachedPlace(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
