@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"lama"
+	"lama/internal/cluster"
 	"lama/internal/core"
 	"lama/internal/exper"
+	"lama/internal/hw"
 	"lama/internal/obs"
 	"lama/internal/permute"
 )
@@ -137,6 +139,34 @@ func BenchmarkMapObsEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mapper.Map(1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMapAfterSwap4096 measures what one cluster event costs a pooled
+// mapper: each iteration re-points the mapper at the other of two
+// copy-on-write sibling snapshots of a 4096-node cluster, which differ in
+// one node's availability, and maps 16 ranks.
+func BenchmarkMapAfterSwap4096(b *testing.B) {
+	s1 := cluster.SnapshotOf(benchCluster(b, 4096))
+	s2, changed := s1.FailPUs(0, hw.NewCPUSet(0))
+	if changed == 0 {
+		b.Fatal("FailPUs changed nothing")
+	}
+	siblings := [2]*cluster.Snapshot{s1, s2}
+	mapper, err := lama.NewMapper(s1.Cluster(), lama.MustParseLayout("csbnh"), lama.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := mapper.Map(16); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mapper.Cluster = siblings[(i+1)%2].Cluster()
+		if _, err := mapper.Map(16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,13 +19,14 @@ import (
 // which is small) are cloned; every untouched *Node — and therefore its
 // *hw.Topology pointer — is shared with the parent snapshot.
 //
-// Pointer sharing is the point. The mapping engine's view cache
-// (internal/core/dense.go) is keyed by topology identity, so a mapper that
-// is handed a sibling snapshot re-resolves only the touched node's view and
-// reuses every other node's cached view as-is, instead of rebuilding the
-// whole maximal tree because a generation counter ticked. The shared
-// pruned shape (keyed by ShapeSig, which availability mutations never
-// change) is reused even for the touched node.
+// Pointer sharing is the point. A mapper's dense maximal tree
+// (internal/core/dense.go) records each node's topology pointer and
+// generation, so a mapper handed a sibling snapshot refreshes its tree in
+// place: every node whose pointer and generation still match keeps its
+// view untouched, and only the touched or appended nodes are resolved
+// through the view cache. The shared pruned shape (keyed by ShapeSig,
+// which availability mutations never change) is reused even for the
+// touched node.
 //
 // Each derived snapshot carries an epoch, one greater than its parent's.
 // Epochs order the snapshots of one logical cluster and key placement

@@ -250,9 +250,11 @@ func viewFor(t *hw.Topology, levels []hw.Level, sig string) *nodeView {
 // denseTree is the engine's maximal tree (paper §IV-B): one pruned view
 // per cluster node plus the per-depth maximum widths that drive iteration,
 // and a dense global leaf numbering (node n's leaf l has global ID
-// leafBase[n]+l) for index-addressed claim counting.
+// leafBase[n]+l) for index-addressed claim counting. A tree belongs to one
+// Mapper and is brought up to date in place by refresh.
 type denseTree struct {
 	levels      []hw.Level
+	sig         string // levelsSig(levels), the view-cache key part
 	views       []*nodeView
 	widths      []int
 	leafBase    []int32
@@ -261,33 +263,58 @@ type denseTree struct {
 	topos       []*hw.Topology // per node: topology identity the view was built from
 }
 
-// newDenseTree assembles the maximal tree for a cluster's per-node
-// topologies, reusing cached shapes and views where valid.
-func newDenseTree(c *cluster.Cluster, levels []hw.Level) *denseTree {
-	sig := levelsSig(levels)
+// refresh brings the tree up to date with a cluster's per-node topologies
+// for the given intra-node levels; a zero denseTree is an empty tree, so a
+// first build is a refresh that keeps nothing. A node keeps its view when
+// its topology identity and generation are what the tree recorded — under
+// copy-on-write snapshots that is every node a swap did not touch — and
+// only changed or appended nodes go through viewFor. Leaf numbering and
+// widths are recomputed over all nodes; the per-node arrays are reused
+// when their capacity allows.
+func (dt *denseTree) refresh(c *cluster.Cluster, levels []hw.Level) {
 	n := c.NumNodes()
-	dt := &denseTree{
-		levels:   levels,
-		views:    make([]*nodeView, n),
-		widths:   make([]int, len(levels)),
-		leafBase: make([]int32, n),
-		gens:     make([]uint64, n),
-		topos:    make([]*hw.Topology, n),
+	keep := min(len(dt.views), n)
+	if !levelsEqual(dt.levels, levels) {
+		dt.levels, dt.sig = levels, levelsSig(levels)
+		keep = 0
 	}
+	if n < len(dt.views) {
+		// Release the dropped nodes' views and topologies.
+		clear(dt.views[n:])
+		clear(dt.topos[n:])
+	}
+	dt.views = resized(dt.views, n)
+	dt.gens = resized(dt.gens, n)
+	dt.topos = resized(dt.topos, n)
+	dt.leafBase = resized(dt.leafBase, n)
+	dt.widths = resized(dt.widths, len(levels))
+	clear(dt.widths)
+	dt.totalLeaves = 0
 	for i, node := range c.Nodes {
-		v := viewFor(node.Topo, levels, sig)
-		dt.views[i] = v
-		dt.gens[i] = v.gen
-		dt.topos[i] = node.Topo
+		if i >= keep || node.Topo != dt.topos[i] || node.Topo.Generation() != dt.gens[i] {
+			v := viewFor(node.Topo, levels, dt.sig)
+			dt.views[i], dt.gens[i], dt.topos[i] = v, v.gen, node.Topo
+		}
+		shape := dt.views[i].shape
 		dt.leafBase[i] = int32(dt.totalLeaves)
-		dt.totalLeaves += v.shape.numLeaves
-		for d, w := range v.shape.widths {
+		dt.totalLeaves += shape.numLeaves
+		for d, w := range shape.widths {
 			if w > dt.widths[d] {
 				dt.widths[d] = w
 			}
 		}
 	}
-	return dt
+}
+
+// resized returns s with length n, keeping its first min(len(s), n)
+// elements and reusing its backing array when the capacity is enough.
+func resized[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	grown := make([]T, n)
+	copy(grown, s)
+	return grown
 }
 
 // freshFor reports whether every view still matches its topology — same

@@ -132,19 +132,16 @@ func (m *Mapper) ensure(np int) (*runState, error) {
 		return nil, fmt.Errorf("core: non-positive process count %d", np)
 	}
 	r := m.state
-	rebuilt := false
+	reorder := false
 	if r == nil || !levelsEqual(r.layoutLevels, m.Layout.Levels()) || !r.tree.freshFor(m.Cluster) {
-		var err error
-		if r, err = m.buildState(); err != nil {
-			return nil, err
-		}
+		r, reorder = m.buildState(r)
 		m.state = r
-		rebuilt = true
 	}
 	// The visiting orders derive from the widths and the options. The
-	// default sequential orders are cached with the tree; custom IterOrder
-	// functions are re-queried every run (they may close over state).
-	if rebuilt || r.ordersCustom || m.Opts.IterOrder != nil {
+	// default sequential orders are cached with the tree and recomputed
+	// only when a width changes; custom IterOrder functions are re-queried
+	// every run (they may close over state).
+	if reorder || r.ordersCustom || m.Opts.IterOrder != nil {
 		r.ordersCustom = m.Opts.IterOrder != nil
 		for i, l := range r.iterLevels {
 			perm, err := validOrder(m.Opts.orderFor(l), r.widths[i])
@@ -167,50 +164,69 @@ func (m *Mapper) ensure(np int) (*runState, error) {
 	return r, nil
 }
 
-// buildState constructs fresh state: the dense maximal tree (through the
-// shape and view caches) and the index-addressed scratch arrays. The two
-// one-off phases are observable as spans: "prune" covers the pruned dense
-// tree (shape + views, possibly cache hits), "build-shape" the
-// index-addressed iteration state derived from it.
+// buildState brings the reusable state up to date with the current
+// cluster and layout, starting from prev (nil on a mapper's first run):
+// it refreshes prev's dense maximal tree in place (through the shape and
+// view caches, for the nodes that changed), rebuilds the layout-derived
+// iteration arrays when the layout changed, and reuses the claim arrays.
+// It reports whether any iteration width changed, which invalidates the
+// cached visiting orders. The two one-off phases are observable as spans:
+// "prune" covers the dense tree refresh, "build-shape" the index-addressed
+// iteration state derived from it.
 //
-//lama:coldpath one-off state construction, runs once per (cluster, layout), not per Map call
-func (m *Mapper) buildState() (*runState, error) {
+//lama:coldpath one-off state construction, runs once per (cluster, layout) change, not per Map call
+func (m *Mapper) buildState(prev *runState) (*runState, bool) {
 	o := m.Opts.Obs
 	intra := m.Layout.IntraNode()
+	tree := &denseTree{}
+	if prev != nil {
+		tree = prev.tree
+	}
 	endPrune := o.StartSpan(obs.SpanPrune)
-	tree := newDenseTree(m.Cluster, intra)
+	tree.refresh(m.Cluster, intra)
 	endPrune()
 	endBuild := o.StartSpan(obs.SpanBuildShape)
 	defer endBuild()
-	r := &runState{
-		layoutLevels: append([]hw.Level(nil), m.Layout.Levels()...),
-		iterLevels:   m.Layout.Levels(),
-		tree:         tree,
-		machineIdx:   -1,
-	}
-	n := len(r.iterLevels)
-	r.widths = make([]int, n)
-	r.orders = make([][]int, n)
-	r.canonPos = make([]int, n)
-	r.coords = make([]int, n)
-	r.canonCoords = make([]int, len(intra))
-	for i, l := range r.iterLevels {
-		if l == hw.LevelMachine {
-			r.machineIdx = i
+	r, reorder := prev, false
+	if r == nil || !levelsEqual(r.layoutLevels, m.Layout.Levels()) {
+		r = &runState{
+			layoutLevels: append([]hw.Level(nil), m.Layout.Levels()...),
+			iterLevels:   m.Layout.Levels(),
+			machineIdx:   -1,
+		}
+		n := len(r.iterLevels)
+		r.widths = make([]int, n)
+		r.orders = make([][]int, n)
+		r.canonPos = make([]int, n)
+		r.coords = make([]int, n)
+		r.canonCoords = make([]int, len(intra))
+		for i, l := range r.iterLevels {
 			r.canonPos[i] = -1
-			r.widths[i] = m.Cluster.NumNodes()
-		} else {
+			if l == hw.LevelMachine {
+				r.machineIdx = i
+				continue
+			}
 			for p, il := range intra {
 				if il == l {
 					r.canonPos[i] = p
 				}
 			}
-			r.widths[i] = r.tree.widths[r.canonPos[i]]
+		}
+		reorder = true
+	}
+	r.tree = tree
+	for i, p := range r.canonPos {
+		w := m.Cluster.NumNodes()
+		if p >= 0 {
+			w = tree.widths[p]
+		}
+		if w != r.widths[i] {
+			r.widths[i], reorder = w, true
 		}
 	}
-	r.claims = make([]int32, r.tree.totalLeaves)
-	r.nodeCount = make([]int32, m.Cluster.NumNodes())
-	return r, nil
+	r.claims = resized(r.claims, tree.totalLeaves)
+	r.nodeCount = resized(r.nodeCount, m.Cluster.NumNodes())
+	return r, reorder
 }
 
 // resetRun prepares the per-run fields: zeroed claim counters, per-run

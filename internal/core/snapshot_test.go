@@ -27,12 +27,14 @@ func TestSnapshotTwinsKeepCachedShapeAndViews(t *testing.T) {
 	layout := MustParseLayout("csbnh")
 	intra := layout.IntraNode()
 
-	t1 := newDenseTree(s1.Cluster(), intra)
+	t1 := &denseTree{}
+	t1.refresh(s1.Cluster(), intra)
 	s2, ok := s1.FailNode(2)
 	if !ok {
 		t.Fatal("FailNode failed")
 	}
-	t2 := newDenseTree(s2.Cluster(), intra)
+	t2 := &denseTree{}
+	t2.refresh(s2.Cluster(), intra)
 
 	for i := 0; i < 4; i++ {
 		if i == 2 {

@@ -9,8 +9,11 @@
 // caller" model into "immutable snapshots + many concurrent callers":
 // requests never observe a half-applied mutation (they hold a snapshot
 // pointer for their whole run), and mutation events mint a new snapshot
-// via copy-on-write, so the dense-tree view caches in internal/core are
-// reused for every untouched node.
+// via copy-on-write. A pooled mapper re-pointed at the new snapshot
+// refreshes its dense tree in place: it keeps the pruned view of every
+// node whose topology the event did not touch and builds views only for
+// the touched or appended nodes, so an event costs each mapper one O(n)
+// identity walk rather than a rebuild.
 //
 // Determinism contract: given the same snapshot epoch and the same
 // request, the engine returns the same placement — it is in lamavet's
@@ -121,7 +124,8 @@ func (ce *clusterEntry) current() *Snapshot {
 // worker is one pool slot: reusable Mapper state keyed by (cluster,
 // layout). A mapper is re-pointed at each request's snapshot cluster;
 // core's dense-tree freshness check (topology identity + generation)
-// revalidates it, rebuilding only the views a copy-on-write swap touched.
+// revalidates it, and a stale tree is refreshed in place, resolving views
+// only for the nodes whose topology identity or generation changed.
 type worker struct {
 	mappers map[string]*core.Mapper
 }
@@ -358,8 +362,8 @@ func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Requ
 	if policy == "lama" {
 		// The fast path: per-worker Mapper reuse. The request's snapshot
 		// may differ from the one the cached mapper last saw; the dense
-		// tree's identity+generation freshness check rebuilds exactly the
-		// views the copy-on-write swap touched.
+		// tree's identity+generation check finds it stale and the refresh
+		// resolves views only for the nodes the copy-on-write swap touched.
 		layout, err := core.ParseLayout(layoutText)
 		if err != nil {
 			return nil, err
