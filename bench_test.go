@@ -204,19 +204,22 @@ func BenchmarkRemapSurvivors(b *testing.B) {
 func BenchmarkSweepLayouts120(b *testing.B) {
 	c := benchCluster(b, 8)
 	letters := "nbsch"
-	var layouts []lama.Layout
+	policy, _ := lama.LookupPolicy("lama")
+	var jobs []lama.PlaceJob
 	permute.Each(len(letters), func(perm []int) bool {
 		s := make([]byte, len(perm))
 		for i, p := range perm {
 			s[i] = letters[p]
 		}
-		layouts = append(layouts, lama.MustParseLayout(string(s)))
+		jobs = append(jobs, lama.PlaceJob{Policy: policy, Req: &lama.PlaceRequest{
+			Cluster: c, NP: 64, Layout: lama.MustParseLayout(string(s)),
+		}})
 		return true
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lama.SweepLayouts(context.Background(), c, layouts, 64, lama.Options{}, 0); err != nil {
+		if _, err := lama.PlaceSweep(context.Background(), jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,7 +177,7 @@ func TestObsVocabDeadEntries(t *testing.T) {
 	for _, e := range []obs.VocabEntry{
 		{Source: obs.SrcMap, Name: obs.EvDone},
 		{Source: obs.SrcMap, Name: obs.EvStall},
-		{Source: obs.SrcSweep, Name: obs.EvLayout},
+		{Source: obs.SrcSweep, Name: obs.EvJob},
 	} {
 		if has(e.Source, e.Name) {
 			t.Errorf("entry (%s, %s) emitted by the fixture but reported dead", e.Source, e.Name)

@@ -9,7 +9,7 @@ import "lama/internal/obs"
 // report.
 func registered(o *obs.Observer) {
 	o.Emit(obs.SrcMap, obs.EvDone, 0, obs.F("ranks", 8))
-	o.Emit(obs.SrcSweep, obs.EvLayout, 1)
+	o.Emit(obs.SrcSweep, obs.EvJob, 1)
 }
 
 // localConst re-derives a registered pair through local constants, which

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -195,62 +194,6 @@ func TestViewInvalidatedByFailure(t *testing.T) {
 	}
 	if err := after.Validate(c); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSweepLayoutsMatchesSerial: the parallel sweep returns, in layout
-// order, exactly what a serial per-layout run of the reference produces.
-func TestSweepLayoutsMatchesSerial(t *testing.T) {
-	sp, ok := hw.Preset("nehalem-ep")
-	if !ok {
-		t.Fatal("preset missing")
-	}
-	c := cluster.Homogeneous(4, sp)
-	texts := []string{"scbnh", "ncsbh", "csbnh", "hnbcs", "bnsch", "nbsNL3L2L1ch", "shcbn", "cnbsh"}
-	layouts := make([]Layout, len(texts))
-	for i, s := range texts {
-		layouts[i] = MustParseLayout(s)
-	}
-	for _, workers := range []int{1, 3, 0} {
-		maps, err := SweepLayouts(context.Background(), c, layouts, 48, Options{}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(maps) != len(layouts) {
-			t.Fatalf("got %d maps", len(maps))
-		}
-		for i, got := range maps {
-			ref, err := NewMapper(c, layouts[i], Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.MapReference(48)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePlans(got, want) {
-				t.Fatalf("workers=%d: layout %s diverged from serial reference", workers, texts[i])
-			}
-		}
-	}
-}
-
-// TestSweepLayoutsError: a failing layout aborts the sweep with an error
-// naming it; a layout without the node level is rejected.
-func TestSweepLayoutsError(t *testing.T) {
-	sp, ok := hw.Preset("nehalem-ep")
-	if !ok {
-		t.Fatal("preset missing")
-	}
-	c := cluster.Homogeneous(2, sp)
-	layouts := []Layout{MustParseLayout("scbnh"), MustParseLayout("scbh")}
-	if _, err := SweepLayouts(context.Background(), c, layouts, 8, Options{}, 2); err == nil {
-		t.Fatal("node-less layout accepted")
-	}
-	// An unmappable rank count fails with the mapper's error.
-	big := c.TotalUsablePUs() + 1
-	if _, err := SweepLayouts(context.Background(), c, []Layout{MustParseLayout("scbnh")}, big, Options{}, 2); !errors.Is(err, ErrOversubscribe) {
-		t.Fatalf("err = %v, want ErrOversubscribe", err)
 	}
 }
 

@@ -39,7 +39,8 @@ func PlacedRanks() int64 { return placedRanks.Load() }
 // mutating availability (SetAvailable, Restrict, Offline, FailNode,
 // FailPUs) between calls is safe and picked up automatically. Because of
 // that reusable state a Mapper must NOT be used from multiple goroutines
-// at once; create one Mapper per goroutine (as SweepLayouts does).
+// at once; create one Mapper per goroutine (as place.SweepEach does for
+// each pool worker).
 type Mapper struct {
 	Cluster *cluster.Cluster
 	Layout  Layout
@@ -54,10 +55,19 @@ func NewMapper(c *cluster.Cluster, layout Layout, opts Options) (*Mapper, error)
 	if c == nil || c.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty cluster")
 	}
-	if !layout.Contains(hw.LevelMachine) {
-		return nil, fmt.Errorf("core: layout %q must include the node level 'n'", layout)
+	if err := checkLayout(layout); err != nil {
+		return nil, err
 	}
 	return &Mapper{Cluster: c, Layout: layout, Opts: opts}, nil
+}
+
+// checkLayout rejects a layout without the node level: every rank must be
+// assigned to a node.
+func checkLayout(layout Layout) error {
+	if !layout.Contains(hw.LevelMachine) {
+		return fmt.Errorf("core: layout %q must include the node level 'n'", layout)
+	}
+	return nil
 }
 
 // capState tracks one ALPS-style per-resource cap during a run: rank
@@ -126,7 +136,9 @@ func levelsEqual(a, b []hw.Level) bool {
 
 // ensure revalidates (or builds) the mapper's reusable state for the
 // current layout, options, and topology generations, then resets the
-// per-run fields for a run of np ranks.
+// per-run fields for a run of np ranks. The layout is checked whenever the
+// state is rebuilt, which every layout change forces, so a Mapper literal
+// with a node-less layout fails like NewMapper does.
 func (m *Mapper) ensure(np int) (*runState, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("core: non-positive process count %d", np)
@@ -134,6 +146,9 @@ func (m *Mapper) ensure(np int) (*runState, error) {
 	r := m.state
 	reorder := false
 	if r == nil || !levelsEqual(r.layoutLevels, m.Layout.Levels()) || !r.tree.freshFor(m.Cluster) {
+		if err := checkLayout(m.Layout); err != nil {
+			return nil, err
+		}
 		r, reorder = m.buildState(r)
 		m.state = r
 	}

@@ -48,6 +48,9 @@ func (m *Mapper) newRefRun(np int) (*refRun, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("core: non-positive process count %d", np)
 	}
+	if err := checkLayout(m.Layout); err != nil {
+		return nil, err
+	}
 	intra := m.Layout.IntraNode()
 	topos := make([]*hw.Topology, m.Cluster.NumNodes())
 	for i, n := range m.Cluster.Nodes {

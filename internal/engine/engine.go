@@ -122,12 +122,41 @@ func (ce *clusterEntry) current() *Snapshot {
 }
 
 // worker is one pool slot: reusable Mapper state keyed by (cluster,
-// layout). A mapper is re-pointed at each request's snapshot cluster;
-// core's dense-tree freshness check (topology identity + generation)
-// revalidates it, and a stale tree is refreshed in place, resolving views
-// only for the nodes whose topology identity or generation changed.
+// layout), handed to the policy as place.Request.Mapper. The lama policy
+// re-points a mapper at each request's snapshot cluster; core's dense-tree
+// freshness check (topology identity + generation) revalidates it, and a
+// stale tree is refreshed in place, resolving views only for the nodes
+// whose topology identity or generation changed. Other policies ignore
+// the mapper. The map holds at most maxWorkerMappers entries.
 type worker struct {
 	mappers map[string]*core.Mapper
+}
+
+// maxWorkerMappers caps a worker's mapper map. Its keys come from request
+// input and a mapper over a 4096-node cluster holds about 0.4 MB, so the
+// map is cleared when full rather than left to grow with every distinct
+// layout a client sends. Clearing, not evicting, keeps map iteration out
+// of this deterministic package; a cleared mapper's next request rebuilds
+// it, which changes no output.
+const maxWorkerMappers = 16
+
+// mapper returns the worker's mapper for a cluster and layout text.
+func (w *worker) mapper(cluster, layout string) *core.Mapper {
+	if layout == "" {
+		// The lama default: share its mapper, since an idle duplicate
+		// would pin the snapshot it last mapped on.
+		layout = "csbnh"
+	}
+	key := cluster + "\x00" + layout
+	mp := w.mappers[key]
+	if mp == nil {
+		if len(w.mappers) >= maxWorkerMappers {
+			clear(w.mappers)
+		}
+		mp = &core.Mapper{}
+		w.mappers[key] = mp
+	}
+	return mp
 }
 
 // Engine serves placement requests against registered cluster snapshots.
@@ -345,43 +374,20 @@ func (e *Engine) shedReq(req *Request, why string) error {
 	return fmt.Errorf("%w (%s)", ErrOverloaded, why)
 }
 
-// place runs the actual mapping on a pool worker.
+// place runs the actual mapping on a pool worker, through the policy
+// registry, with the worker's mapper for the request's cluster and layout.
 func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Request) (*core.Map, error) {
-	opts := core.Options{
-		Oversubscribe: req.Oversubscribe,
-		PEsPerProc:    req.PEsPerProc,
-	}
 	policy := req.Policy
 	if policy == "" {
 		policy = "lama"
 	}
-	layoutText := req.Layout
-	if layoutText == "" {
-		layoutText = "csbnh"
-	}
-	if policy == "lama" {
-		// The fast path: per-worker Mapper reuse. The request's snapshot
-		// may differ from the one the cached mapper last saw; the dense
-		// tree's identity+generation check finds it stale and the refresh
-		// resolves views only for the nodes the copy-on-write swap touched.
-		layout, err := core.ParseLayout(layoutText)
-		if err != nil {
-			return nil, err
-		}
-		mk := req.Cluster + "\x00" + layoutText
-		mp := w.mappers[mk]
-		if mp == nil {
-			mp = &core.Mapper{Layout: layout}
-			w.mappers[mk] = mp
-		}
-		mp.Cluster = snap.Clu.Cluster()
-		mp.Opts = opts
-		return mp.MapContext(ctx, req.NP)
-	}
 	preq := &place.Request{
 		Cluster: snap.Clu.Cluster(),
 		NP:      req.NP,
-		Opts:    opts,
+		Opts: core.Options{
+			Oversubscribe: req.Oversubscribe,
+			PEsPerProc:    req.PEsPerProc,
+		},
 	}
 	if req.Layout != "" {
 		layout, err := core.ParseLayout(req.Layout)
@@ -401,5 +407,6 @@ func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Requ
 		}
 		preq.Traffic = gen(req.NP, bytes)
 	}
+	preq.Mapper = w.mapper(req.Cluster, req.Layout)
 	return place.Place(ctx, policy, preq)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"lama/internal/core"
 	"lama/internal/hw"
 	"lama/internal/obs"
+	"lama/internal/permute"
 
 	_ "lama/internal/place/all"
 )
@@ -104,6 +106,58 @@ func TestEngineUnknownClusterAndPolicyAndPattern(t *testing.T) {
 	}
 	if _, err := e.Place(context.Background(), &Request{Cluster: "test", NP: 4, Policy: "treematch", Pattern: "no-such"}); err == nil {
 		t.Fatal("unknown pattern accepted")
+	}
+}
+
+// TestEngineRejectsNodelessLayout: a layout without the node level cannot
+// assign ranks to nodes, so the engine refuses it under every spelling of
+// the lama policy rather than stacking every rank on node 0.
+func TestEngineRejectsNodelessLayout(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	for _, policy := range []string{"", "lama"} {
+		if r, err := e.Place(context.Background(), &Request{Cluster: "test", NP: 8, Policy: policy, Layout: "csbh"}); err == nil {
+			t.Fatalf("policy %q: node-less layout placed %d ranks", policy, r.Map.NumRanks())
+		}
+	}
+}
+
+// TestEngineMapperCapBounded sends three times as many distinct layouts
+// as a worker keeps mappers for, twice over, through one worker. The
+// worker's mapper map must stay within its cap, and every reply must equal
+// MapReference.
+func TestEngineMapperCapBounded(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 1})
+	snap := e.Snapshot("test").Clu.Cluster()
+	var layouts []string
+	permute.Each(5, func(perm []int) bool {
+		s := make([]byte, len(perm))
+		for i, p := range perm {
+			s[i] = "nbsch"[p]
+		}
+		layouts = append(layouts, string(s))
+		return len(layouts) < 3*maxWorkerMappers
+	})
+	for round := 0; round < 2; round++ {
+		for _, layout := range layouts {
+			r, err := e.Place(context.Background(), &Request{Cluster: "test", NP: 24, Layout: layout, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &core.Mapper{Cluster: snap, Layout: core.MustParseLayout(layout)}
+			want, err := ref.MapReference(24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Map, want) {
+				t.Fatalf("round %d layout %s: reply differs from MapReference", round, layout)
+			}
+			w := <-e.workers
+			n := len(w.mappers)
+			e.workers <- w
+			if n > maxWorkerMappers {
+				t.Fatalf("round %d layout %s: worker holds %d mappers, cap %d", round, layout, n, maxWorkerMappers)
+			}
+		}
 	}
 }
 

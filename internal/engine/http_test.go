@@ -138,6 +138,19 @@ func TestHTTPServedEqualsComputed(t *testing.T) {
 	}
 }
 
+// TestHTTPNodelessLayout400: a layout without the node level is a
+// malformed request.
+func TestHTTPNodelessLayout400(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/place", strings.NewReader(`{"cluster":"test","np":8,"layout":"csbh"}`)))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.Bytes())
+	}
+}
+
 // TestHTTPOversizedBody413 sends bodies past maxBodyBytes to both POST
 // endpoints.
 func TestHTTPOversizedBody413(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"lama/internal/hw"
 	"lama/internal/metrics"
 	"lama/internal/permute"
+	"lama/internal/place"
 )
 
 func init() {
@@ -124,8 +125,9 @@ func runE3(Options) ([]*metrics.Table, error) {
 // placements the layout space reaches on a reference cluster. The paper
 // claims 362,880 permutations; without Full a deterministic 1-in-72 sample
 // (5,040 layouts) is checked. The mapping runs stream through the parallel
-// sweep engine (core.SweepEach) — the maps are reduced to placement
-// signatures on the fly rather than held in memory.
+// sweep engine as "lama" jobs (place.SweepEach, one reused Mapper per
+// worker) — the maps are reduced to placement signatures on the fly rather
+// than held in memory.
 func runE4(o Options) ([]*metrics.Table, error) {
 	sp, _ := hw.Preset("nehalem-ep")
 	c := cluster.Homogeneous(2, sp)
@@ -165,7 +167,7 @@ func runE4(o Options) ([]*metrics.Table, error) {
 	checked := len(layouts)
 	var mu sync.Mutex
 	distinct := map[string]bool{}
-	err := core.SweepEach(context.Background(), c, layouts, np, core.Options{Obs: o.Obs}, 0, func(i int, m *core.Map) error {
+	err := place.SweepEach(context.Background(), lamaJobs(c, layouts, np, o.Obs), 0, func(i int, m *core.Map) error {
 		if m.NumRanks() != np {
 			return fmt.Errorf("exper: layout %q placed %d of %d ranks", layouts[i], m.NumRanks(), np)
 		}

@@ -13,6 +13,7 @@ import (
 	"lama/internal/obs"
 	"lama/internal/parallel"
 	"lama/internal/permute"
+	"lama/internal/place"
 	"lama/internal/torus"
 )
 
@@ -35,9 +36,22 @@ func evalLayout(c *cluster.Cluster, mo *netsim.Model, layout string, np int,
 	return mo.Evaluate(c, m, tm)
 }
 
+// lamaJobs builds one "lama" sweep job per layout, all mapping np ranks
+// onto c.
+func lamaJobs(c *cluster.Cluster, layouts []core.Layout, np int, ob *obs.Observer) []place.Job {
+	lama, _ := place.Lookup("lama") // registered by place itself
+	reqs := make([]place.Request, len(layouts))
+	jobs := make([]place.Job, len(layouts))
+	for i, l := range layouts {
+		reqs[i] = place.Request{Cluster: c, NP: np, Layout: l, Opts: core.Options{Obs: ob}}
+		jobs[i] = place.Job{Policy: lama, Req: &reqs[i]}
+	}
+	return jobs
+}
+
 // sweepLayouts evaluates every layout concurrently, returning per-layout
 // reports in layout order. Mapping goes through the parallel sweep engine
-// (core.SweepLayouts, with per-worker mapper reuse); the network
+// (place.Sweep over "lama" jobs, with per-worker mapper reuse); the network
 // evaluations then fan out over the resulting maps.
 func sweepLayouts(c *cluster.Cluster, mo *netsim.Model, layouts []string, np int,
 	tm *commpat.Matrix, ob *obs.Observer) ([]*netsim.Report, error) {
@@ -48,7 +62,7 @@ func sweepLayouts(c *cluster.Cluster, mo *netsim.Model, layouts []string, np int
 			return nil, err
 		}
 	}
-	maps, err := core.SweepLayouts(context.Background(), c, parsed, np, core.Options{Obs: ob}, 0)
+	maps, err := place.Sweep(context.Background(), lamaJobs(c, parsed, np, ob), 0)
 	if err != nil {
 		return nil, err
 	}

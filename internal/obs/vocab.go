@@ -19,8 +19,8 @@ import "sort"
 const (
 	// SrcMap is the mapping engine (core.Mapper and the place.Run wrapper).
 	SrcMap = "map"
-	// SrcSweep is the layout / policy sweep drivers (core.SweepLayouts,
-	// place.Sweep).
+	// SrcSweep is the sweep driver (place.Sweep), which runs layout sweeps
+	// as "lama" jobs and cross-policy sweeps alike.
 	SrcSweep = "sweep"
 	// SrcPipeline is the composable post-pass pipeline (place.Pipeline).
 	SrcPipeline = "pipeline"
@@ -51,10 +51,7 @@ const (
 	EvVisit = "visit"
 	// EvStart opens a unit of work (a sweep, a supervised run).
 	EvStart = "start"
-	// EvLayout and EvLayoutFailed report one layout of a layout sweep.
-	EvLayout       = "layout"
-	EvLayoutFailed = "layout-failed"
-	// EvJob and EvJobFailed report one job of a cross-policy sweep.
+	// EvJob and EvJobFailed report one job of a sweep.
 	EvJob       = "job"
 	EvJobFailed = "job-failed"
 	// EvStage reports one completed pipeline post-pass stage.
@@ -148,8 +145,6 @@ var vocab = []VocabEntry{
 	{SrcMap, EvVisit},
 
 	{SrcSweep, EvStart},
-	{SrcSweep, EvLayout},
-	{SrcSweep, EvLayoutFailed},
 	{SrcSweep, EvJob},
 	{SrcSweep, EvJobFailed},
 	{SrcSweep, EvDone},

@@ -12,6 +12,9 @@ import (
 // an import cycle.
 type lamaPolicy struct{}
 
+// defaultLayout is the Level-1 by-slot pattern of the paper's §V.
+var defaultLayout = core.MustParseLayout("csbnh")
+
 // Name returns "lama".
 func (lamaPolicy) Name() string { return "lama" }
 
@@ -20,18 +23,18 @@ func (lamaPolicy) Name() string { return "lama" }
 // must not wrap it a second time.
 func (lamaPolicy) SelfObserving() {}
 
-// Place maps via the LAMA using req.Layout (default "csbnh", the Level-1
-// by-slot pattern) and the full option set.
+// Place maps via the LAMA using req.Layout (default "csbnh") and the full
+// option set, on req.Mapper when the caller keeps one.
 func (lamaPolicy) Place(ctx context.Context, req *Request) (*core.Map, error) {
-	layout := req.Layout
-	if len(layout.Levels()) == 0 {
-		layout = core.MustParseLayout("csbnh")
+	mp := req.Mapper
+	if mp == nil {
+		mp = &core.Mapper{}
 	}
-	mapper, err := core.NewMapper(req.Cluster, layout, req.Opts)
-	if err != nil {
-		return nil, err
+	mp.Cluster, mp.Layout, mp.Opts = req.Cluster, req.Layout, req.Opts
+	if len(mp.Layout.Levels()) == 0 {
+		mp.Layout = defaultLayout
 	}
-	return mapper.MapContext(ctx, req.NP)
+	return mp.MapContext(ctx, req.NP)
 }
 
 func init() { Register(lamaPolicy{}) }

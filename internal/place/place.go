@@ -73,6 +73,12 @@ type Request struct {
 	// Opts are the mapping options: oversubscription, PEs per process,
 	// per-resource caps, and the Observer every pipeline stage reports to.
 	Opts core.Options
+	// Mapper is caller-owned LAMA state to reuse across runs ("lama"
+	// policy): the policy re-points it at Cluster, Layout and Opts, so a
+	// Mapper kept across requests keeps its pruned views and scratch
+	// arrays. Nil means a fresh Mapper per run. The output is the same
+	// either way. Like any Mapper it must not run two requests at once.
+	Mapper *core.Mapper
 }
 
 // Validate checks the fields every policy requires.

@@ -17,14 +17,22 @@ type Job struct {
 }
 
 // Sweep runs every job across a bounded worker pool (workers <= 0 means
-// GOMAXPROCS) — the policy-generic form of core.SweepLayouts, with the
-// same first-error-cancel machinery. The returned maps are in job order
-// regardless of completion order.
+// GOMAXPROCS). The returned maps are in job order regardless of completion
+// order; the first error (by lowest job index) aborts the sweep. The
+// context cancels it at job boundaries: queued jobs are skipped and the
+// context's error is returned.
 //
-// The sweep-level observer is taken from the first job carrying one; like
-// core.SweepEach, the per-job requests run with their event sink stripped
-// (metrics and spans still flow) so per-map "map/done" events give way to
-// the sweep's own "sweep"/"job" progress events.
+// Each pool worker keeps one core.Mapper and sets it as Request.Mapper on
+// every job it runs, so a layout sweep of "lama" jobs over one cluster
+// rebuilds only the per-layout iteration state, not the pruned views. The
+// caller's own Request.Mapper is ignored.
+//
+// The sweep-level observer is taken from the first job carrying one; the
+// per-job requests run with their event sink stripped (metrics and spans
+// still flow) so per-map "map/done" events give way to the sweep's own
+// "sweep"/"job" progress events. Collecting every map costs memory
+// proportional to the jobs' total rank count; for very large sweeps (all
+// 9! full layouts) use SweepEach and reduce on the fly.
 func Sweep(ctx context.Context, jobs []Job, workers int) ([]*core.Map, error) {
 	out := make([]*core.Map, len(jobs))
 	err := SweepEach(ctx, jobs, workers, func(i int, m *core.Map) error {
@@ -61,26 +69,26 @@ func SweepEach(ctx context.Context, jobs []Job, workers int, visit func(i int, m
 		o.Emit(obs.SrcSweep, obs.EvStart, obs.NoStep,
 			obs.F("jobs", len(jobs)), obs.F("workers", workers))
 	}
-	err := parallel.ForEachWorker(len(jobs), workers, func(_, i int) error {
+	mappers := make([]core.Mapper, workers)
+	err := parallel.ForEachWorker(len(jobs), workers, func(w, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		job := jobs[i]
-		req := job.Req
+		req := *job.Req
+		req.Mapper = &mappers[w]
 		if jo := req.Opts.Obs; jo.Enabled() {
-			// Copy the request with the sink stripped so per-map events
-			// don't drown the trace; metrics and spans still flow.
+			// Strip the sink so per-map events don't drown the trace;
+			// metrics and spans still flow.
 			stripped := *jo
 			stripped.Sink = nil
-			r := *req
-			r.Opts.Obs = &stripped
-			req = &r
+			req.Opts.Obs = &stripped
 		}
 		var jobStart time.Time
 		if o.Enabled() {
 			jobStart = time.Now() //lama:nondet-ok latency observability only, never reaches mapping output
 		}
-		m, err := Run(ctx, job.Policy, req)
+		m, err := Run(ctx, job.Policy, &req)
 		if err != nil {
 			if o.Enabled() {
 				o.Emit(obs.SrcSweep, obs.EvJobFailed, obs.NoStep,

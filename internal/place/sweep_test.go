@@ -1,0 +1,135 @@
+package place_test
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"lama/internal/cluster"
+	"lama/internal/core"
+	"lama/internal/hw"
+	"lama/internal/place"
+)
+
+// lamaJobs builds one "lama" job per layout text, each mapping np ranks.
+func lamaJobs(t *testing.T, c *cluster.Cluster, np int, texts ...string) []place.Job {
+	t.Helper()
+	lama, ok := place.Lookup("lama")
+	if !ok {
+		t.Fatal("lama policy not registered")
+	}
+	jobs := make([]place.Job, len(texts))
+	for i, s := range texts {
+		jobs[i] = place.Job{Policy: lama, Req: &place.Request{Cluster: c, NP: np, Layout: core.MustParseLayout(s)}}
+	}
+	return jobs
+}
+
+// TestSweepLayoutsMatchesSerial: a layout sweep of "lama" jobs, whose pool
+// workers each reuse one Mapper across layouts, returns in layout order
+// exactly what a serial run of the reference produces.
+func TestSweepLayoutsMatchesSerial(t *testing.T) {
+	c := nehalemCluster(t, 4)
+	texts := []string{"scbnh", "ncsbh", "csbnh", "hnbcs", "bnsch", "nbsNL3L2L1ch", "shcbn", "cnbsh"}
+	jobs := lamaJobs(t, c, 48, texts...)
+	for _, workers := range []int{1, 3, 0} {
+		maps, err := place.Sweep(context.Background(), jobs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(maps) != len(jobs) {
+			t.Fatalf("got %d maps", len(maps))
+		}
+		for i, got := range maps {
+			ref := &core.Mapper{Cluster: c, Layout: jobs[i].Req.Layout}
+			want, err := ref.MapReference(48)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: layout %s diverged from serial reference", workers, texts[i])
+			}
+		}
+	}
+}
+
+// TestSweepLayoutsError: a layout without the node level is rejected even
+// on a worker's reused Mapper, and an unmappable rank count fails with the
+// mapper's error.
+func TestSweepLayoutsError(t *testing.T) {
+	c := nehalemCluster(t, 2)
+	if _, err := place.Sweep(context.Background(), lamaJobs(t, c, 8, "scbnh", "scbh"), 2); err == nil {
+		t.Fatal("node-less layout accepted")
+	}
+	big := c.TotalUsablePUs() + 1
+	if _, err := place.Sweep(context.Background(), lamaJobs(t, c, big, "scbnh"), 2); !errors.Is(err, core.ErrOversubscribe) {
+		t.Fatalf("err = %v, want ErrOversubscribe", err)
+	}
+}
+
+// TestSweepCanceled: a canceled context skips every queued job and returns
+// the context's error.
+func TestSweepCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := place.Sweep(ctx, lamaJobs(t, nehalemCluster(t, 2), 4, "csbnh", "ncsbh"), 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRequestMapperChangesNothing places a chain of requests twice: once
+// through one Mapper carried in every Request, once with a fresh Mapper
+// per request. The chain switches clusters, layouts and options, fails a
+// node in place between steps, and passes the Mapper to a policy that
+// ignores it. Every pair of maps must be deeply equal.
+func TestRequestMapperChangesNothing(t *testing.T) {
+	fig2, ok := hw.Preset("fig2")
+	if !ok {
+		t.Fatal("fig2 preset missing")
+	}
+	nehSpec, _ := hw.Preset("nehalem-ep")
+	neh := cluster.Homogeneous(4, nehSpec)
+	other := cluster.Homogeneous(3, fig2)
+	mixed := cluster.FromSpecs(fig2, nehSpec)
+	steps := []struct {
+		c      *cluster.Cluster
+		layout string
+		np     int
+		opts   core.Options
+		policy string
+		fail   int // node of c to fail before the step, or -1
+	}{
+		{neh, "csbnh", 40, core.Options{}, "lama", -1},
+		{neh, "ncsbh", 40, core.Options{}, "lama", -1},
+		{other, "ncsbh", 20, core.Options{}, "lama", -1},
+		{neh, "csbn", 24, core.Options{PEsPerProc: 2}, "lama", -1},
+		{neh, "csbn", 24, core.Options{PEsPerProc: 2}, "lama", 1},
+		{mixed, "", 16, core.Options{}, "lama", -1},
+		{neh, "csbnh", 100, core.Options{Oversubscribe: true}, "lama", -1},
+		{neh, "csbnh", 16, core.Options{}, "by-node", -1},
+		{neh, "nbsNL3L2L1ch", 30, core.Options{}, "lama", -1},
+	}
+	shared := &core.Mapper{}
+	for i, s := range steps {
+		if s.fail >= 0 && !s.c.FailNode(s.fail) {
+			t.Fatalf("step %d: FailNode(%d) refused", i, s.fail)
+		}
+		req := place.Request{Cluster: s.c, NP: s.np, Opts: s.opts}
+		if s.layout != "" {
+			req.Layout = core.MustParseLayout(s.layout)
+		}
+		want, err := place.Place(context.Background(), s.policy, &req)
+		if err != nil {
+			t.Fatalf("step %d fresh: %v", i, err)
+		}
+		req.Mapper = shared
+		got, err := place.Place(context.Background(), s.policy, &req)
+		if err != nil {
+			t.Fatalf("step %d reused: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s %q np=%d): reused Mapper changed the map", i, s.policy, s.layout, s.np)
+		}
+	}
+}

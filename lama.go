@@ -162,12 +162,6 @@ func NewMapper(c *Cluster, l Layout, o Options) (*Mapper, error) {
 	return core.NewMapper(c, l, o)
 }
 
-// SweepLayouts maps np ranks with every layout concurrently (bounded
-// worker pool, per-worker mapper reuse); results are in layout order.
-func SweepLayouts(ctx context.Context, c *Cluster, layouts []Layout, np int, o Options, workers int) ([]*Map, error) {
-	return core.SweepLayouts(ctx, c, layouts, np, o, workers)
-}
-
 // PlacedRanks returns the process-wide count of rank placements planned so
 // far, for throughput (placements/sec) reporting.
 func PlacedRanks() int64 { return core.PlacedRanks() }
@@ -288,7 +282,8 @@ func Place(ctx context.Context, name string, req *PlaceRequest) (*Map, error) {
 }
 
 // PlaceSweep runs every job across a bounded worker pool; results are in
-// job order (the policy-generic form of SweepLayouts).
+// job order. Each worker reuses one Mapper across its "lama" jobs, so a
+// layout sweep is a list of "lama" jobs that differ only in Layout.
 func PlaceSweep(ctx context.Context, jobs []PlaceJob, workers int) ([]*Map, error) {
 	return place.Sweep(ctx, jobs, workers)
 }
