@@ -32,7 +32,6 @@ import (
 	"lama/internal/cluster"
 	"lama/internal/engine"
 	"lama/internal/hw"
-	"lama/internal/netsim"
 	"lama/internal/obs"
 
 	_ "lama/internal/place/all"
@@ -49,7 +48,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lamad", flag.ContinueOnError)
 	listen := fs.String("listen", ":8080", "host:port the daemon binds (port 0 picks a free one)")
 	clusters := fs.String("clusters", "default=4xnehalem-ep", "comma-separated name=<nodes>x<spec> cluster definitions")
-	netSpec := fs.String("net", "", "network model attached to every cluster: flat, fat-tree[:leaf], dragonfly[:group], torus[:XxYxZ]")
 	workers := fs.Int("workers", 0, "placement worker pool size (0 = 4)")
 	queue := fs.Int("queue", 0, "admission queue depth before requests are shed (0 = 4x workers)")
 	cacheSize := fs.Int("cache", 0, "placement cache entries, -1 disables (0 = 1024)")
@@ -62,7 +60,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	eng, handler, err := buildDaemon(*clusters, *netSpec, engine.Config{
+	eng, handler, err := buildDaemon(*clusters, engine.Config{
 		Workers: *workers, QueueDepth: *queue, CacheSize: *cacheSize,
 	})
 	if err != nil {
@@ -86,7 +84,7 @@ func run(args []string, out io.Writer) error {
 // placement /v1 API mounted next to the always-on telemetry plane (the
 // engine's counters, the event ring, and the pprof endpoints all share
 // the placement port).
-func buildDaemon(clusters, netSpec string, cfg engine.Config) (*engine.Engine, http.Handler, error) {
+func buildDaemon(clusters string, cfg engine.Config) (*engine.Engine, http.Handler, error) {
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg)
 	ring := obs.NewRingSink(obs.DefaultRingCapacity)
@@ -96,7 +94,7 @@ func buildDaemon(clusters, netSpec string, cfg engine.Config) (*engine.Engine, h
 
 	cfg.Obs = o
 	eng := engine.New(cfg)
-	if err := registerClusters(eng, clusters, netSpec); err != nil {
+	if err := registerClusters(eng, clusters); err != nil {
 		return nil, nil, err
 	}
 
@@ -109,8 +107,8 @@ func buildDaemon(clusters, netSpec string, cfg engine.Config) (*engine.Engine, h
 }
 
 // registerClusters parses "name=<nodes>x<spec>,..." and publishes each as
-// a snapshot, attaching -net distances sized to the cluster.
-func registerClusters(eng *engine.Engine, defs, netSpec string) error {
+// a snapshot.
+func registerClusters(eng *engine.Engine, defs string) error {
 	for _, def := range strings.Split(defs, ",") {
 		def = strings.TrimSpace(def)
 		if def == "" {
@@ -124,19 +122,7 @@ func registerClusters(eng *engine.Engine, defs, netSpec string) error {
 		if err != nil {
 			return fmt.Errorf("cluster %q: %v", name, err)
 		}
-		snap := &engine.Snapshot{Clu: cluster.SnapshotOf(c)}
-		if netSpec != "" {
-			net, err := netsim.ParseNetwork(netSpec, c.NumNodes())
-			if err != nil {
-				return fmt.Errorf("cluster %q: %v", name, err)
-			}
-			dist, err := netsim.NewDistances(net, c.NumNodes())
-			if err != nil {
-				return fmt.Errorf("cluster %q: %v", name, err)
-			}
-			snap.Net = dist
-		}
-		if err := eng.Register(name, snap); err != nil {
+		if err := eng.Register(name, &engine.Snapshot{Clu: cluster.SnapshotOf(c)}); err != nil {
 			return err
 		}
 	}

@@ -18,7 +18,7 @@ import (
 
 func testServer(t *testing.T) (*engine.Engine, *httptest.Server) {
 	t.Helper()
-	eng, handler, err := buildDaemon("smoke=4xnehalem-ep", "", engine.Config{
+	eng, handler, err := buildDaemon("smoke=4xnehalem-ep", engine.Config{
 		Workers: 4, QueueDepth: 256,
 	})
 	if err != nil {
@@ -199,12 +199,9 @@ func TestLamadErrorStatuses(t *testing.T) {
 
 func TestLamadBuildErrors(t *testing.T) {
 	for _, def := range []string{"noequals", "bad=3yfig2", "bad=0xfig2", ""} {
-		if _, _, err := buildDaemon(def, "", engine.Config{}); err == nil {
+		if _, _, err := buildDaemon(def, engine.Config{}); err == nil {
 			t.Errorf("buildDaemon(%q) accepted", def)
 		}
-	}
-	if _, _, err := buildDaemon("a=2xnehalem-ep", "no-such-net", engine.Config{}); err == nil {
-		t.Error("bad -net accepted")
 	}
 }
 
@@ -222,7 +219,7 @@ func TestLamadVersionFlag(t *testing.T) {
 // handler until shutdown has begun, then lets it finish: the caller must
 // still get its full 200 reply, and the server must then stop cleanly.
 func TestLamadDrainsInFlightOnShutdown(t *testing.T) {
-	_, handler, err := buildDaemon("smoke=4xnehalem-ep", "", engine.Config{})
+	_, handler, err := buildDaemon("smoke=4xnehalem-ep", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,6 +229,7 @@ var DeterministicPkgNames = map[string]bool{
 	"hw":         true,
 	"faultaware": true,
 	"netorder":   true,
+	"netsim":     true,
 	"commpat":    true,
 	"engine":     true,
 }

@@ -47,53 +47,17 @@ func Run(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 	if cfg.ComputeUs < 0 {
 		return nil, fmt.Errorf("appsim: negative compute time")
 	}
-	if tm.Ranks() != m.NumRanks() {
-		return nil, fmt.Errorf("appsim: traffic has %d ranks, map has %d", tm.Ranks(), m.NumRanks())
+	rep, err := model.Evaluate(c, m, tm)
+	if err != nil {
+		return nil, err
 	}
-
-	// Per-rank serialized communication time (sends plus receives).
-	perRank := make([]float64, m.NumRanks())
-	flows := map[[2]int]float64{}
-	var firstErr error
-	tm.Each(func(i, j int, bytes float64) {
-		cost, err := model.PairCost(c, m, i, j, bytes)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
+	// The busiest rank serializes its sends and receives; on networks that
+	// model links (torus) the most loaded link can bound the phase instead.
+	comm, bound := rep.MaxRankTime, "rank-comm"
+	if t3, ok := model.Net.(*netsim.Torus3D); ok && t3.BW > 0 {
+		if linkTime := rep.MaxLinkLoad / t3.BW; linkTime > comm {
+			comm, bound = linkTime, "link"
 		}
-		perRank[i] += cost
-		perRank[j] += cost
-		ni, nj := m.Placements[i].Node, m.Placements[j].Node
-		if ni != nj {
-			flows[[2]int{ni, nj}] += bytes
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	rankComm := 0.0
-	for _, t := range perRank {
-		if t > rankComm {
-			rankComm = t
-		}
-	}
-
-	// Link congestion bound (torus networks model individual links).
-	linkTime := 0.0
-	if t3, ok := model.Net.(*netsim.Torus3D); ok {
-		maxLoad, _ := t3.LinkLoads(flows)
-		if t3.BW > 0 {
-			linkTime = maxLoad / t3.BW
-		}
-	}
-
-	comm := rankComm
-	bound := "rank-comm"
-	if linkTime > comm {
-		comm = linkTime
-		bound = "link"
 	}
 	if cfg.ComputeUs > comm {
 		bound = "compute"

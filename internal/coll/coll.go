@@ -75,7 +75,10 @@ func Run(op Op, c *cluster.Cluster, m *core.Map, model *netsim.Model, bytes floa
 	if bytes < 0 {
 		return nil, fmt.Errorf("coll: negative message size")
 	}
-	sim := &roundSim{c: c, m: m, model: model}
+	sim, err := newRoundSim(c, m, model)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case Broadcast:
 		return sim.broadcast(bytes)
@@ -92,31 +95,39 @@ func Run(op Op, c *cluster.Cluster, m *core.Map, model *netsim.Model, bytes floa
 	}
 }
 
-// roundSim accumulates synchronized rounds of point-to-point exchanges.
+// roundSim accumulates synchronized rounds of point-to-point exchanges,
+// each priced by the model compiled once for the run.
 type roundSim struct {
-	c     *cluster.Cluster
-	m     *core.Map
-	model *netsim.Model
+	m        *core.Map
+	pr       *netsim.Pricing
+	node, pu []int32 // rank -> pricing endpoint
 
 	res Result
-	err error
+}
+
+func newRoundSim(c *cluster.Cluster, m *core.Map, model *netsim.Model) (*roundSim, error) {
+	pr, err := model.Pricing(c)
+	if err != nil {
+		return nil, err
+	}
+	node, pu, err := pr.Locate(m)
+	if err != nil {
+		return nil, err
+	}
+	return &roundSim{m: m, pr: pr, node: node, pu: pu}, nil
 }
 
 // round executes one synchronized round: pairs is a list of (src, dst,
 // bytes) exchanges that proceed in parallel; the round costs as much as
 // its slowest exchange.
 func (s *roundSim) round(pairs [][3]float64) {
-	if s.err != nil || len(pairs) == 0 {
+	if len(pairs) == 0 {
 		return
 	}
 	worst := 0.0
 	for _, p := range pairs {
-		cost, err := s.model.PairCost(s.c, s.m, int(p[0]), int(p[1]), p[2])
-		if err != nil {
-			s.err = err
-			return
-		}
-		if cost > worst {
+		a, b := int(p[0]), int(p[1])
+		if cost := s.pr.Edge(s.node[a], s.pu[a], s.node[b], s.pu[b], p[2]); cost > worst {
 			worst = cost
 		}
 		s.res.Messages++
@@ -125,13 +136,7 @@ func (s *roundSim) round(pairs [][3]float64) {
 	s.res.Rounds++
 }
 
-func (s *roundSim) finish() (*Result, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	r := s.res
-	return &r, nil
-}
+func (s *roundSim) finish() (*Result, error) { return &s.res, nil }
 
 // broadcast: binomial tree from rank 0; in round k, ranks < 2^k forward
 // to rank + 2^k.

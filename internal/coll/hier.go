@@ -45,7 +45,10 @@ func RunHierarchical(op Op, c *cluster.Cluster, m *core.Map, model *netsim.Model
 	}
 	sort.Ints(leaders)
 
-	sim := &roundSim{c: c, m: m, model: model}
+	sim, err := newRoundSim(c, m, model)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case Broadcast:
 		hierBroadcast(sim, leaders, local, bytes)

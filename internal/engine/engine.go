@@ -32,17 +32,14 @@ import (
 	"lama/internal/cluster"
 	"lama/internal/commpat"
 	"lama/internal/core"
-	"lama/internal/netsim"
 	"lama/internal/obs"
 	"lama/internal/place"
 )
 
-// Snapshot binds a cluster snapshot to its optional inter-node network
-// distances. Distances are availability-independent, so swaps triggered
-// by failure events carry them forward unchanged.
+// Snapshot is what the engine publishes for one registered cluster: the
+// immutable cluster snapshot placements are computed against.
 type Snapshot struct {
 	Clu *cluster.Snapshot
-	Net *netsim.Distances
 }
 
 // ErrOverloaded is returned when admission control refuses a request: the

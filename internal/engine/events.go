@@ -79,7 +79,7 @@ func (e *Engine) ApplyEvent(name string, ev *Event) (uint64, int, error) {
 	default:
 		return 0, 0, fmt.Errorf("engine: unknown event type %q", ev.Type)
 	}
-	purged, err := e.Swap(name, &Snapshot{Clu: next, Net: cur.Net})
+	purged, err := e.Swap(name, &Snapshot{Clu: next})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -86,7 +86,11 @@ func NetScale(netSpec string, nps []int, refine bool, o *obs.Observer) ([]NetCos
 		row := NetCostRow{Pattern: "ring", Network: net.Name(), NP: np, Nodes: nodes, NNZ: tm.NNZ()}
 
 		t0 := time.Now()
-		cost, err := netsim.NewCost(c, mo, tm, m)
+		pr, err := mo.Pricing(c)
+		if err != nil {
+			return nil, err
+		}
+		cost, err := netsim.NewCost(pr, tm, m)
 		if err != nil {
 			return nil, err
 		}

@@ -52,20 +52,7 @@ func Summarize(c *cluster.Cluster, m *core.Map) MapSummary {
 		}
 	}
 	s.SocketsUsed = len(sockets)
-
-	depthSum, pairs := 0, 0
-	for i := 1; i < m.NumRanks(); i++ {
-		a, b := &m.Placements[i-1], &m.Placements[i]
-		if a.Node != b.Node {
-			continue
-		}
-		level := c.Node(a.Node).Topo.CommonAncestorLevel(a.PU(), b.PU())
-		depthSum += level.Depth()
-		pairs++
-	}
-	if pairs > 0 {
-		s.AvgNeighborLevel = float64(depthSum) / float64(pairs)
-	}
+	s.AvgNeighborLevel = core.NeighborLocality(c, m)
 	return s
 }
 

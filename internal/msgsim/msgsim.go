@@ -79,6 +79,14 @@ func Run(c *cluster.Cluster, m *core.Map, model *netsim.Model, msgs []Message) (
 		return r
 	}
 
+	pr, err := model.Pricing(c)
+	if err != nil {
+		return nil, err
+	}
+	node, pu, err := pr.Locate(m)
+	if err != nil {
+		return nil, err
+	}
 	t3, isTorus := model.Net.(*netsim.Torus3D)
 	flows := make([]*flow, len(msgs))
 	for i, msg := range msgs {
@@ -91,23 +99,20 @@ func Run(c *cluster.Cluster, m *core.Map, model *netsim.Model, msgs []Message) (
 		if msg.Src == msg.Dst {
 			return nil, fmt.Errorf("msgsim: message %d is a self-send", i)
 		}
-		ps, pd := &m.Placements[msg.Src], &m.Placements[msg.Dst]
-		f := &flow{remaining: msg.Bytes}
-		if ps.Node == pd.Node {
-			level := c.Node(ps.Node).Topo.CommonAncestorLevel(ps.PU(), pd.PU())
-			f.startAt = model.Intra.Lat[level]
+		ns, nd := node[msg.Src], node[msg.Dst]
+		lat, bw, level := pr.Link(ns, pu[msg.Src], nd, pu[msg.Dst])
+		f := &flow{remaining: msg.Bytes, startAt: lat}
+		if ns == nd {
 			// One aggregate channel per (node, locality level): messages
 			// crossing the same fabric tier contend, tiers do not.
 			f.resources = append(f.resources,
-				getRes(fmt.Sprintf("fabric:%d:%d", ps.Node, level), model.Intra.BW[level]))
+				getRes(fmt.Sprintf("fabric:%d:%d", ns, level), bw))
 		} else {
-			bw := model.Net.Bandwidth(ps.Node, pd.Node)
-			f.startAt = model.Net.Latency(ps.Node, pd.Node)
 			f.resources = append(f.resources,
-				getRes(fmt.Sprintf("up:%d", ps.Node), bw),
-				getRes(fmt.Sprintf("down:%d", pd.Node), bw))
+				getRes(fmt.Sprintf("up:%d", ns), bw),
+				getRes(fmt.Sprintf("down:%d", nd), bw))
 			if isTorus {
-				for _, key := range t3.RouteKeys(ps.Node, pd.Node) {
+				for _, key := range t3.RouteKeys(int(ns), int(nd)) {
 					f.resources = append(f.resources, getRes("link:"+key, t3.BW))
 				}
 			}

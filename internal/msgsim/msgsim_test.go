@@ -29,6 +29,19 @@ func setup(t *testing.T, layout string, nodes, np int) (*cluster.Cluster, *core.
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// analytic prices one message with Model.Evaluate: the TotalTime of a
+// one-entry traffic matrix is that pair's latency + bytes/bandwidth.
+func analytic(t *testing.T, c *cluster.Cluster, m *core.Map, mo *netsim.Model, src, dst int, bytes float64) float64 {
+	t.Helper()
+	tm := commpat.NewMatrix(m.NumRanks())
+	tm.Add(src, dst, bytes)
+	rep, err := mo.Evaluate(c, m, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.TotalTime
+}
+
 func TestSingleMessageMatchesAnalytic(t *testing.T) {
 	c, m, mo := setup(t, "ncsbh", 2, 4)
 	// Rank 0 on node0, rank 1 on node1: one uncontended inter-node flow.
@@ -37,10 +50,7 @@ func TestSingleMessageMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mo.PairCost(c, m, 0, 1, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := analytic(t, c, m, mo, 0, 1, 1<<20)
 	if !approx(res.Makespan, want, 0.01) {
 		t.Fatalf("makespan = %v, analytic = %v", res.Makespan, want)
 	}
@@ -61,7 +71,7 @@ func TestContentionHalvesRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _ := mo.PairCost(c, m, 0, 1, 1<<20)
+	single := analytic(t, c, m, mo, 0, 1, 1<<20)
 	lat := mo.Net.Latency(0, 1)
 	wantShared := lat + 2*(single-lat)
 	if !approx(res.Makespan, wantShared, 1.0) {
@@ -80,7 +90,7 @@ func TestIndependentFlowsDoNotInterfere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _ := mo.PairCost(c, m, 0, 1, 1<<20)
+	single := analytic(t, c, m, mo, 0, 1, 1<<20)
 	if !approx(res.Makespan, single, 0.01) {
 		t.Fatalf("independent flows slowed down: %v vs %v", res.Makespan, single)
 	}
@@ -93,7 +103,7 @@ func TestIntraNodeUsesFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := mo.PairCost(c, m, 0, 1, 1<<20)
+	want := analytic(t, c, m, mo, 0, 1, 1<<20)
 	if !approx(res.Makespan, want, 0.01) {
 		t.Fatalf("intra = %v, want %v", res.Makespan, want)
 	}
@@ -145,7 +155,7 @@ func TestAnalyticUnderestimatesContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _ := mo.PairCost(c, m, 0, 8, 1<<20)
+	single := analytic(t, c, m, mo, 0, 8, 1<<20)
 	if res.Makespan < 10*single {
 		t.Fatalf("16-way contention should be ~16x single flow: %v vs %v",
 			res.Makespan, single)

@@ -2,8 +2,8 @@
 // which physical node hosts each mapped node-group so heavily
 // communicating groups land topologically near each other, then (see
 // refine.go) polishes rank placements with greedy pairwise swaps priced
-// by the O(degree) delta-J evaluator. Both passes run over the flat
-// netsim.Distances provider and the CSR traffic view, so they stay
+// by the O(degree) delta-J evaluator. Each pass compiles one flat
+// netsim.Pricing and runs over it and the CSR traffic view, so they stay
 // usable at 100k+ ranks where per-pair interface dispatch and dense
 // matrices are out of the question. They compose as place.Stage
 // post-passes with any registered policy — lama, treematch, torus, ... —
@@ -51,16 +51,15 @@ type Result struct {
 // so the permuted map is valid by construction. If the permutation does
 // not strictly improve J the input map is returned unchanged.
 func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Map) (*core.Map, *Result, error) {
-	cost, err := netsim.NewCost(c, mo, tm, m)
+	pr, err := mo.Pricing(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	cost, err := netsim.NewCost(pr, tm, m)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &Result{JBefore: cost.J(), JAfter: cost.J()}
-
-	dist, err := mo.Distances(c.NumNodes())
-	if err != nil {
-		return nil, nil, err
-	}
 
 	np := m.NumRanks()
 	ranksOn := make([]int, c.NumNodes())
@@ -124,7 +123,7 @@ func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.M
 			cst := 0.0
 			for k := g.off[ui]; k < g.off[ui+1]; k++ {
 				if pv := assign[g.peer[k]]; pv >= 0 {
-					cst += g.wgt[k] * float64(dist.Hops(p, pv))
+					cst += g.wgt[k] * float64(pr.Hops(p, pv))
 				}
 			}
 			if bestNode < 0 || cst < bestCost {
@@ -173,7 +172,7 @@ func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.M
 		return m, res, nil
 	}
 
-	after, err := netsim.NewCost(c, mo, tm, out)
+	after, err := netsim.NewCost(pr, tm, out)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -336,14 +335,11 @@ func nodeClassKey(nd *cluster.Node) string {
 }
 
 // Stage is the node-ordering post-pass (place.Stage). It requires the
-// request's Traffic matrix and a network model: Model when set,
-// otherwise one is built from Net with default intra-node parameters.
+// request's Traffic matrix and a network, priced with default intra-node
+// parameters.
 type Stage struct {
-	// Net is the inter-node network to order against (used when Model is
-	// nil).
+	// Net is the inter-node network to order against.
 	Net netsim.Network
-	// Model overrides the cost model entirely.
-	Model *netsim.Model
 	// OnResult, when set, receives the ordering outcome.
 	OnResult func(*Result)
 }
@@ -354,17 +350,13 @@ func (s *Stage) StageName() string { return obs.SpanNetOrder }
 // Apply runs the ordering pass and emits a "netsim"/"order" event with
 // the J before/after.
 func (s *Stage) Apply(_ context.Context, req *place.Request, m *core.Map) (*core.Map, error) {
-	mo := s.Model
-	if mo == nil {
-		if s.Net == nil {
-			return nil, fmt.Errorf("netorder: stage needs a network model")
-		}
-		mo = netsim.NewModel(s.Net)
+	if s.Net == nil {
+		return nil, fmt.Errorf("netorder: stage needs a network model")
 	}
 	if req.Traffic == nil {
 		return nil, fmt.Errorf("netorder: stage needs req.Traffic")
 	}
-	out, res, err := OrderNodes(req.Cluster, mo, req.Traffic.Sparse(), m)
+	out, res, err := OrderNodes(req.Cluster, netsim.NewModel(s.Net), req.Traffic.Sparse(), m)
 	if err != nil {
 		return nil, err
 	}

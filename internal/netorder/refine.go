@@ -51,7 +51,11 @@ func RefineMap(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Ma
 // must stay allocation-free). A canceled refinement returns the best map
 // found so far together with the cancellation error.
 func RefineMapContext(ctx context.Context, c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
-	cost, err := netsim.NewCost(c, mo, tm, m)
+	pr, err := mo.Pricing(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	cost, err := netsim.NewCost(pr, tm, m)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,10 +166,9 @@ func swapPlacements(m *core.Map, a, b int) {
 // Refine is the delta-J pairwise-swap refinement post-pass
 // (place.Stage). It composes after Stage (node ordering) or alone.
 type Refine struct {
-	// Net is the inter-node network (used when Model is nil).
+	// Net is the inter-node network, priced with default intra-node
+	// parameters.
 	Net netsim.Network
-	// Model overrides the cost model entirely.
-	Model *netsim.Model
 	// MaxSweeps bounds the refinement sweeps; <= 0 means
 	// DefaultMaxSweeps.
 	MaxSweeps int
@@ -179,17 +182,13 @@ func (s *Refine) StageName() string { return obs.SpanNetRefine }
 // Apply runs the refinement and emits a "netsim"/"refine" event with the
 // J before/after.
 func (s *Refine) Apply(ctx context.Context, req *place.Request, m *core.Map) (*core.Map, error) {
-	mo := s.Model
-	if mo == nil {
-		if s.Net == nil {
-			return nil, fmt.Errorf("netorder: refine stage needs a network model")
-		}
-		mo = netsim.NewModel(s.Net)
+	if s.Net == nil {
+		return nil, fmt.Errorf("netorder: refine stage needs a network model")
 	}
 	if req.Traffic == nil {
 		return nil, fmt.Errorf("netorder: refine stage needs req.Traffic")
 	}
-	out, res, err := RefineMapContext(ctx, req.Cluster, mo, req.Traffic.Sparse(), m, s.MaxSweeps)
+	out, res, err := RefineMapContext(ctx, req.Cluster, netsim.NewModel(s.Net), req.Traffic.Sparse(), m, s.MaxSweeps)
 	if err != nil {
 		return nil, err
 	}

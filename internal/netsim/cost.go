@@ -2,13 +2,9 @@ package netsim
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"lama/internal/cluster"
 	"lama/internal/commpat"
 	"lama/internal/core"
-	"lama/internal/hw"
 )
 
 // Cost is the incremental evaluator of the sparse communication
@@ -19,19 +15,19 @@ import (
 // DeltaMove then price a swap or move by re-costing only the edges
 // incident to the affected ranks, and ApplySwap/ApplyMove commit one.
 //
-// Intra-node costs come from per-shape LCA tables (uint8 level per PU
-// ordinal pair) and inter-node costs from the flat Distances provider, so
-// the steady-state methods never touch the topology tree or the Network
-// interface: they are allocation-free (//lama:hotpath, enforced by
-// lamavet, pinned by TestDeltaAllocationFree).
+// Every edge is priced by the shared Pricing (per-shape LCA tables
+// intra-node, the flat Distances inter-node), so the steady-state methods
+// never touch the topology tree or the Network interface: they are
+// allocation-free (//lama:hotpath, enforced by lamavet, pinned by
+// TestDeltaAllocationFree), and J equals Model.Evaluate's TotalTime.
 type Cost struct {
-	dist *Distances
-	csr  *commpat.CSR
+	pr  Pricing // held by value: one less pointer hop per priced edge
+	csr *commpat.CSR
 
 	// Per-rank placement state: flat int32 mirrors of core.Map.
 	node  []int32 // rank -> node index
 	puOS  []int32 // rank -> representative PU OS index
-	puIdx []int32 // rank -> dense PU ordinal in the node's LCA table
+	puIdx []int32 // rank -> dense PU ordinal in the node's LCA table (Pricing.Locate)
 
 	// Merged incident adjacency: every rank's communication partners in
 	// either direction, peers ascending, with outgoing (rank->peer) and
@@ -42,139 +38,33 @@ type Cost struct {
 	adjOut  []float64
 	adjIn   []float64
 
-	tabOf []int32 // node -> index into tabs
-	tabs  []*lcaTable
-
-	intraLat   [hw.NumLevels]float64
-	intraInvBW [hw.NumLevels]float64
-
 	j float64
 }
 
-// lcaTable is one node shape's PU-pair lowest-common-ancestor levels
-// precomputed into a flat table, so the hot evaluator never calls
-// Topology.CommonAncestorLevel (which allocates a map per call). Tables
-// are shared between nodes whose tree structure and PU OS numbering are
-// identical.
-type lcaTable struct {
-	n     int32
-	osIdx []int32 // PU OS index -> dense ordinal, -1 when absent
-	level []uint8 // ordinal pair i*n+j -> LCA level
-}
-
-//lama:hotpath
-func (t *lcaTable) lookup(os int) int32 {
-	if os < 0 || os >= len(t.osIdx) {
-		return -1
-	}
-	return t.osIdx[os]
-}
-
-// lcaKey identifies topologies whose LCA tables are interchangeable:
-// same tree structure (ShapeSig) and same PU OS numbering in tree order.
-func lcaKey(t *hw.Topology) string {
-	var sb strings.Builder
-	sb.WriteString(t.ShapeSig())
-	for _, pu := range t.Objects(hw.LevelPU) {
-		sb.WriteByte(':')
-		sb.WriteString(strconv.Itoa(pu.OS))
-	}
-	return sb.String()
-}
-
-// buildLCATable walks every PU pair's ancestor chains once; equivalent
-// to Topology.CommonAncestorLevel on each pair, table-ized.
-func buildLCATable(t *hw.Topology) *lcaTable {
-	pus := t.Objects(hw.LevelPU)
-	n := len(pus)
-	maxOS := 0
-	for _, pu := range pus {
-		if pu.OS > maxOS {
-			maxOS = pu.OS
-		}
-	}
-	tab := &lcaTable{n: int32(n), osIdx: make([]int32, maxOS+1), level: make([]uint8, n*n)}
-	for i := range tab.osIdx {
-		tab.osIdx[i] = -1
-	}
-	for i, pu := range pus {
-		tab.osIdx[pu.OS] = int32(i)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				tab.level[i*n+j] = uint8(hw.LevelPU)
-				continue
-			}
-			xa, xb := pus[i], pus[j]
-			for xa != xb {
-				if xa.Level >= xb.Level {
-					xa = xa.Parent
-				} else {
-					xb = xb.Parent
-				}
-			}
-			tab.level[i*n+j] = uint8(xa.Level)
-		}
-	}
-	return tab
-}
-
-// NewCost builds the evaluator for one cluster + model + traffic + map
-// and computes the initial J. Every rank must be placed on a known node
-// with a PU that exists there.
-func NewCost(c *cluster.Cluster, mo *Model, tm *commpat.CSR, m *core.Map) (*Cost, error) {
-	if c == nil || mo == nil || tm == nil || m == nil {
-		return nil, fmt.Errorf("netsim: cost needs a cluster, a model, traffic, and a map")
+// NewCost builds the evaluator for one compiled pricing + traffic + map
+// and computes the initial J. Every rank must be placed on a node of the
+// pricing's cluster, on a PU that exists there.
+func NewCost(pr *Pricing, tm *commpat.CSR, m *core.Map) (*Cost, error) {
+	if pr == nil || tm == nil || m == nil {
+		return nil, fmt.Errorf("netsim: cost needs a pricing, traffic, and a map")
 	}
 	np := m.NumRanks()
 	if tm.Ranks() != np {
 		return nil, fmt.Errorf("netsim: traffic has %d ranks, map has %d", tm.Ranks(), np)
 	}
-	dist, err := NewDistances(mo.Net, c.NumNodes())
+	node, puIdx, err := pr.Locate(m)
 	if err != nil {
 		return nil, err
 	}
-	cs := &Cost{dist: dist, csr: tm, intraLat: mo.Intra.Lat}
-	for l := range cs.intraInvBW {
-		if bw := mo.Intra.BW[l]; bw > 0 {
-			cs.intraInvBW[l] = 1 / bw
-		}
-	}
-
-	cs.tabOf = make([]int32, c.NumNodes())
-	keys := map[string]int32{}
-	for ni, nd := range c.Nodes {
-		key := lcaKey(nd.Topo)
-		id, ok := keys[key]
-		if !ok {
-			id = int32(len(cs.tabs))
-			cs.tabs = append(cs.tabs, buildLCATable(nd.Topo))
-			keys[key] = id
-		}
-		cs.tabOf[ni] = id
-	}
-
-	cs.node = make([]int32, np)
-	cs.puOS = make([]int32, np)
-	cs.puIdx = make([]int32, np)
-	for r := 0; r < np; r++ {
-		p := &m.Placements[r]
-		if p.Node < 0 || p.Node >= c.NumNodes() {
-			return nil, fmt.Errorf("netsim: rank %d on unknown node %d", r, p.Node)
-		}
-		os := p.PU()
-		idx := cs.tabs[cs.tabOf[p.Node]].lookup(os)
-		if idx < 0 {
-			return nil, fmt.Errorf("netsim: rank %d claims unknown PU %d on node %d", r, os, p.Node)
-		}
-		cs.node[r], cs.puOS[r], cs.puIdx[r] = int32(p.Node), int32(os), idx
+	cs := &Cost{pr: *pr, csr: tm, node: node, puIdx: puIdx, puOS: make([]int32, np)}
+	for r := range m.Placements {
+		cs.puOS[r] = int32(m.Placements[r].PU())
 	}
 
 	cs.buildAdjacency(tm, np)
 
 	tm.Each(func(i, j int, bytes float64) {
-		cs.j += cs.edgeCost(cs.node[i], cs.puIdx[i], cs.node[j], cs.puIdx[j], bytes)
+		cs.j += pr.Edge(cs.node[i], cs.puIdx[i], cs.node[j], cs.puIdx[j], bytes)
 	})
 	return cs, nil
 }
@@ -235,20 +125,6 @@ func (cs *Cost) buildAdjacency(tm *commpat.CSR, np int) {
 	cs.adjPeer, cs.adjOut, cs.adjIn = peer[:w], outv[:w], inv[:w]
 }
 
-// edgeCost prices one directed exchange between two placements given as
-// (node, PU ordinal) pairs.
-//
-//lama:hotpath
-func (cs *Cost) edgeCost(ni, pi, nj, pj int32, bytes float64) float64 {
-	if ni == nj {
-		tab := cs.tabs[cs.tabOf[ni]]
-		lvl := tab.level[pi*tab.n+pj]
-		return cs.intraLat[lvl] + bytes*cs.intraInvBW[lvl]
-	}
-	cl := cs.dist.Class(int(ni), int(nj))
-	return cs.dist.lat[cl] + bytes*cs.dist.invBW[cl]
-}
-
 // J returns the current objective value.
 func (cs *Cost) J() float64 { return cs.j }
 
@@ -293,19 +169,19 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 		if p == b32 {
 			// The a<->b edges keep both endpoints, exchanged.
 			if v := cs.adjOut[k]; v > 0 {
-				delta += cs.edgeCost(nb, pb, na, pa, v) - cs.edgeCost(na, pa, nb, pb, v)
+				delta += cs.pr.Edge(nb, pb, na, pa, v) - cs.pr.Edge(na, pa, nb, pb, v)
 			}
 			if v := cs.adjIn[k]; v > 0 {
-				delta += cs.edgeCost(na, pa, nb, pb, v) - cs.edgeCost(nb, pb, na, pa, v)
+				delta += cs.pr.Edge(na, pa, nb, pb, v) - cs.pr.Edge(nb, pb, na, pa, v)
 			}
 			continue
 		}
 		pn, pp := cs.node[p], cs.puIdx[p]
 		if v := cs.adjOut[k]; v > 0 {
-			delta += cs.edgeCost(nb, pb, pn, pp, v) - cs.edgeCost(na, pa, pn, pp, v)
+			delta += cs.pr.Edge(nb, pb, pn, pp, v) - cs.pr.Edge(na, pa, pn, pp, v)
 		}
 		if v := cs.adjIn[k]; v > 0 {
-			delta += cs.edgeCost(pn, pp, nb, pb, v) - cs.edgeCost(pn, pp, na, pa, v)
+			delta += cs.pr.Edge(pn, pp, nb, pb, v) - cs.pr.Edge(pn, pp, na, pa, v)
 		}
 	}
 	a32 := int32(a)
@@ -316,10 +192,10 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 		}
 		pn, pp := cs.node[p], cs.puIdx[p]
 		if v := cs.adjOut[k]; v > 0 {
-			delta += cs.edgeCost(na, pa, pn, pp, v) - cs.edgeCost(nb, pb, pn, pp, v)
+			delta += cs.pr.Edge(na, pa, pn, pp, v) - cs.pr.Edge(nb, pb, pn, pp, v)
 		}
 		if v := cs.adjIn[k]; v > 0 {
-			delta += cs.edgeCost(pn, pp, na, pa, v) - cs.edgeCost(pn, pp, nb, pb, v)
+			delta += cs.pr.Edge(pn, pp, na, pa, v) - cs.pr.Edge(pn, pp, nb, pb, v)
 		}
 	}
 	return delta
@@ -331,10 +207,7 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 //
 //lama:hotpath
 func (cs *Cost) DeltaMove(r, node, pu int) (float64, bool) {
-	if node < 0 || node >= len(cs.tabOf) {
-		return 0, false
-	}
-	idx := cs.tabs[cs.tabOf[node]].lookup(pu)
+	idx := cs.pr.ordinal(node, pu)
 	if idx < 0 {
 		return 0, false
 	}
@@ -348,10 +221,10 @@ func (cs *Cost) DeltaMove(r, node, pu int) (float64, bool) {
 		p := cs.adjPeer[k]
 		po, pi := cs.node[p], cs.puIdx[p]
 		if v := cs.adjOut[k]; v > 0 {
-			delta += cs.edgeCost(nn, pn, po, pi, v) - cs.edgeCost(nr, pr, po, pi, v)
+			delta += cs.pr.Edge(nn, pn, po, pi, v) - cs.pr.Edge(nr, pr, po, pi, v)
 		}
 		if v := cs.adjIn[k]; v > 0 {
-			delta += cs.edgeCost(po, pi, nn, pn, v) - cs.edgeCost(po, pi, nr, pr, v)
+			delta += cs.pr.Edge(po, pi, nn, pn, v) - cs.pr.Edge(po, pi, nr, pr, v)
 		}
 	}
 	return delta, true
@@ -380,7 +253,7 @@ func (cs *Cost) ApplyMove(r, node, pu int) (float64, bool) {
 	}
 	cs.node[r] = int32(node)
 	cs.puOS[r] = int32(pu)
-	cs.puIdx[r] = cs.tabs[cs.tabOf[node]].lookup(pu)
+	cs.puIdx[r] = cs.pr.ordinal(node, pu)
 	cs.j += d
 	return d, true
 }
@@ -390,7 +263,7 @@ func (cs *Cost) ApplyMove(r, node, pu int) (float64, bool) {
 func (cs *Cost) Recompute() float64 {
 	j := 0.0
 	cs.csr.Each(func(a, b int, bytes float64) {
-		j += cs.edgeCost(cs.node[a], cs.puIdx[a], cs.node[b], cs.puIdx[b], bytes)
+		j += cs.pr.Edge(cs.node[a], cs.puIdx[a], cs.node[b], cs.puIdx[b], bytes)
 	})
 	return j
 }

@@ -13,8 +13,9 @@ import (
 	"lama/internal/torus"
 )
 
-// relClose compares with relative tolerance: bytes*invBW vs bytes/BW
-// differ by ulps, and the differential tests sum many such terms.
+// relClose compares with relative tolerance: a J carried through many
+// applied deltas sums the same edges in a different order than a fresh
+// evaluation, so the two differ by ulps.
 func relClose(a, b, tol float64) bool {
 	d := math.Abs(a - b)
 	if d <= tol {
@@ -54,25 +55,30 @@ func testNetworks(t *testing.T, n int) map[string]Network {
 	}
 }
 
+// TestDistancesMatchNetworks holds the compiled inter-node half of
+// Pricing to its spec: every node pair's hops, and its Edge price, equal
+// what the virtual Network methods give, bit for bit.
 func TestDistancesMatchNetworks(t *testing.T) {
 	const n = 8
+	sp, _ := hw.Preset("fig2")
+	c := cluster.Homogeneous(n, sp)
 	for name, net := range testNetworks(t, n) {
-		d, err := NewDistances(net, n)
+		pr, err := NewModel(net).Pricing(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				if got, want := int(d.Hops(a, b)), net.Hops(a, b); got != want {
+				if got, want := int(pr.Hops(a, b)), net.Hops(a, b); got != want {
 					t.Fatalf("%s hops(%d,%d) = %d, want %d", name, a, b, got, want)
 				}
-				const bytes = 4096
-				want := net.Latency(a, b) + bytes/net.Bandwidth(a, b)
 				if a == b {
-					want = net.Latency(a, b) // self pairs carry no transfer cost
+					continue // same-node pairs are priced intra-node
 				}
-				if got := d.PairCost(a, b, bytes); !relClose(got, want, 1e-12) {
-					t.Fatalf("%s paircost(%d,%d) = %g, want %g", name, a, b, got, want)
+				const bytes = 12345 // not a power of two: see testTraffic
+				want := net.Latency(a, b) + bytes/net.Bandwidth(a, b)
+				if got := pr.Edge(int32(a), 0, int32(b), 0, bytes); got != want {
+					t.Fatalf("%s edge(%d,%d) = %g, want %g", name, a, b, got, want)
 				}
 			}
 		}
@@ -89,6 +95,15 @@ func TestDistancesRejectsHugeMatrixNet(t *testing.T) {
 	if _, err := NewDistances(mn, MaxPairNodes+1); err == nil {
 		t.Fatal("want error past MaxPairNodes")
 	}
+}
+
+func mustPricing(t testing.TB, mo *Model, c *cluster.Cluster) *Pricing {
+	t.Helper()
+	pr, err := mo.Pricing(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
 }
 
 // testClusters returns the placement substrates the differential tests
@@ -109,17 +124,23 @@ func testClusters(t *testing.T) map[string]*cluster.Cluster {
 	}
 }
 
+// testTraffic's volumes are deliberately not powers of two: for x = 2^k,
+// x*(1/bw) rounds to exactly x/bw, so such volumes cannot tell a pricing
+// that multiplies by a stored inverse from the spec's division.
 func testTraffic(np int) map[string]*commpat.CSR {
 	out := map[string]*commpat.CSR{
-		"alltoall": commpat.AllToAll(np, 512).Sparse(),
-		"random":   commpat.RandomPairs(np, 3*np, 2048, 42).Sparse(),
+		"alltoall": commpat.AllToAll(np, 12345).Sparse(),
+		"random":   commpat.RandomPairs(np, 3*np, 7777, 42).Sparse(),
 	}
 	for _, sp := range commpat.SparsePatterns() {
-		out[sp.Name] = sp.Gen(np, 1024)
+		out[sp.Name] = sp.Gen(np, 12345)
 	}
 	return out
 }
 
+// TestCostMatchesEvaluate pins the single pricing path: a fresh Cost and
+// Model.Evaluate sum the same Pricing edges in the same CSR order, so J
+// and TotalTime are equal exactly, not just within a tolerance.
 func TestCostMatchesEvaluate(t *testing.T) {
 	for cname, c := range testClusters(t) {
 		np := c.TotalSlots()
@@ -134,15 +155,15 @@ func TestCostMatchesEvaluate(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", cname, nname, pname, err)
 				}
-				cost, err := NewCost(c, mo, tm, m)
+				cost, err := NewCost(mustPricing(t, mo, c), tm, m)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", cname, nname, pname, err)
 				}
-				if !relClose(cost.J(), rep.TotalTime, 1e-9) {
+				if cost.J() != rep.TotalTime {
 					t.Fatalf("%s/%s/%s: J = %g, Evaluate = %g",
 						cname, nname, pname, cost.J(), rep.TotalTime)
 				}
-				if !relClose(cost.Recompute(), cost.J(), 1e-12) {
+				if cost.Recompute() != cost.J() {
 					t.Fatalf("%s/%s/%s: Recompute drifted", cname, nname, pname)
 				}
 			}
@@ -173,7 +194,7 @@ func TestDeltaSwapDifferential(t *testing.T) {
 		for nname, net := range testNetworks(t, c.NumNodes()) {
 			mo := NewModel(net)
 			for pname, tm := range testTraffic(np) {
-				cost, err := NewCost(c, mo, tm, m)
+				cost, err := NewCost(mustPricing(t, mo, c), tm, m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +234,7 @@ func TestDeltaMoveDifferential(t *testing.T) {
 		for nname, net := range testNetworks(t, c.NumNodes()) {
 			mo := NewModel(net)
 			tm := commpat.RandomPairs(np, 2*np, 1024, 5).Sparse()
-			cost, err := NewCost(c, mo, tm, m)
+			cost, err := NewCost(mustPricing(t, mo, c), tm, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +277,7 @@ func TestDeltaMoveRejectsUnknownPU(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
 	tm := commpat.Ring(12, 100).Sparse()
-	cost, err := NewCost(c, NewModel(NewFlat()), tm, m)
+	cost, err := NewCost(mustPricing(t, NewModel(NewFlat()), c), tm, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +293,7 @@ func TestDeltaSwapTrivial(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
 	tm := commpat.Ring(12, 100).Sparse()
-	cost, err := NewCost(c, NewModel(NewFlat()), tm, m)
+	cost, err := NewCost(mustPricing(t, NewModel(NewFlat()), c), tm, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +306,14 @@ func TestCostErrors(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
 	mo := NewModel(NewFlat())
-	if _, err := NewCost(c, mo, commpat.Ring(8, 1).Sparse(), m); err == nil ||
+	if _, err := NewCost(mustPricing(t, mo, c), commpat.Ring(8, 1).Sparse(), m); err == nil ||
 		!strings.Contains(err.Error(), "traffic has") {
 		t.Fatalf("rank mismatch: %v", err)
 	}
-	if _, err := NewCost(nil, mo, commpat.Ring(12, 1).Sparse(), m); err == nil {
+	if _, err := NewCost(nil, commpat.Ring(12, 1).Sparse(), m); err == nil {
+		t.Fatal("nil pricing accepted")
+	}
+	if _, err := mo.Pricing(nil); err == nil {
 		t.Fatal("nil cluster accepted")
 	}
 }
@@ -301,7 +325,7 @@ func TestDeltaAllocationFree(t *testing.T) {
 	np := 24
 	m := mapJob(t, c, "csbnh", np)
 	tm := commpat.RandomPairs(np, 3*np, 1024, 3).Sparse()
-	cost, err := NewCost(c, NewModel(NewFatTree(2)), tm, m)
+	cost, err := NewCost(mustPricing(t, NewModel(NewFatTree(2)), c), tm, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +370,11 @@ func BenchmarkDeltaSwap(b *testing.B) {
 	for _, np := range []int{1024, 8192, 65536} {
 		b.Run(itoa(np), func(b *testing.B) {
 			c, mo, tm, m := benchSetup(b, np)
-			cost, err := NewCost(c, mo, tm, m)
+			pr, err := mo.Pricing(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cost, err := NewCost(pr, tm, m)
 			if err != nil {
 				b.Fatal(err)
 			}

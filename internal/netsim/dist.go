@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Distances is the flat, cache-friendly inter-node distance provider: a
@@ -9,7 +10,10 @@ import (
 // classes and per-class cost arrays, in the style of core's prunedShape.
 // Hot placement loops ask for a pair's class with pure integer
 // arithmetic — no interface dispatch, no allocation — and index the
-// per-class latency / inverse-bandwidth / hop arrays directly.
+// per-class latency / bandwidth / hop arrays directly. The per-class
+// values are the exact Network.Latency and Network.Bandwidth results, so
+// a price computed from them equals the one the Network spec gives bit
+// for bit. Distances is the inter-node half of a Pricing.
 //
 // Class 0 is always the self pair (zero cost). The structured models map
 // to tiny class sets: Flat has {self, other}; FatTree and Dragonfly have
@@ -23,9 +27,9 @@ type Distances struct {
 	kind distKind
 
 	// Per-class cost tables, indexed by the value Class returns.
-	lat   []float64 // one-way latency, µs
-	invBW []float64 // µs per byte (1/bandwidth)
-	hops  []int32
+	lat  []float64 // one-way latency, µs
+	bw   []float64 // bytes/µs, exactly Network.Bandwidth; +Inf for self
+	hops []int32
 
 	part  []int32 // kindPartition: node -> partition id
 	coord []int32 // kindTorus: packed x,y,z per node
@@ -48,6 +52,10 @@ const (
 // dragonfly) must be used instead.
 const MaxPairNodes = 4096
 
+// selfBW is the self class's bandwidth: a node talking to itself moves
+// bytes for free, so bytes/selfBW is 0.
+var selfBW = math.Inf(1)
+
 // NewDistances precomputes the distance provider for numNodes nodes of
 // the given network. Structured models build in O(n); table-backed and
 // unknown models probe all n² pairs (and are rejected past MaxPairNodes).
@@ -63,7 +71,7 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 	case *Flat:
 		d.kind = distUniform
 		d.lat = []float64{0, nt.Lat}
-		d.invBW = []float64{0, 1 / nt.BW}
+		d.bw = []float64{selfBW, nt.BW}
 		d.hops = []int32{0, 1}
 	case *FatTree:
 		if nt.LeafSize <= 0 {
@@ -79,7 +87,7 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 			d.part[i] = int32(nt.leaf(i))
 		}
 		d.lat = []float64{0, 2 * nt.LinkLat, 4 * nt.LinkLat}
-		d.invBW = []float64{0, 1 / nt.BW, ov / nt.BW}
+		d.bw = []float64{selfBW, nt.BW, nt.BW / ov}
 		d.hops = []int32{0, 2, 4}
 	case *Dragonfly:
 		taper := nt.Taper
@@ -92,7 +100,7 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 			d.part[i] = int32(nt.group(i))
 		}
 		d.lat = []float64{0, nt.LocalLat, 2*nt.LocalLat + nt.GlobalLat}
-		d.invBW = []float64{0, 1 / nt.BW, taper / nt.BW}
+		d.bw = []float64{selfBW, nt.BW, nt.BW / taper}
 		d.hops = []int32{0, 1, 3}
 	case *Torus3D:
 		if err := nt.Dims.Validate(); err != nil {
@@ -109,14 +117,14 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 		}
 		maxHop := d.torusMaxHop()
 		d.lat = make([]float64, maxHop+1)
-		d.invBW = make([]float64, maxHop+1)
+		d.bw = make([]float64, maxHop+1)
 		d.hops = make([]int32, maxHop+1)
 		for h := 0; h <= maxHop; h++ {
 			d.lat[h] = float64(h) * nt.LinkLat
-			d.invBW[h] = 1 / nt.BW
+			d.bw[h] = nt.BW
 			d.hops[h] = int32(h)
 		}
-		d.invBW[0] = 0
+		d.bw[0] = selfBW
 	default:
 		// MatrixNet and anything else: probe every ordered pair and
 		// dedupe distinct cost triples into classes.
@@ -130,9 +138,9 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 			lat, bw float64
 			hops    int
 		}
-		classes := map[costKey]int32{{0, 0, 0}: 0}
+		classes := map[costKey]int32{}
 		d.lat = []float64{0}
-		d.invBW = []float64{0}
+		d.bw = []float64{selfBW}
 		d.hops = []int32{0}
 		for a := 0; a < numNodes; a++ {
 			for b := 0; b < numNodes; b++ {
@@ -149,7 +157,7 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 					cl = int32(len(d.lat))
 					classes[key] = cl
 					d.lat = append(d.lat, key.lat)
-					d.invBW = append(d.invBW, 1/key.bw)
+					d.bw = append(d.bw, key.bw)
 					d.hops = append(d.hops, int32(key.hops))
 				}
 				d.pair[a*numNodes+b] = cl
@@ -208,12 +216,6 @@ func axisDist32(a, b, size int32) int32 {
 	return diff
 }
 
-// NumNodes returns the node count the provider was built for.
-func (d *Distances) NumNodes() int { return d.n }
-
-// NumClasses returns the number of distance classes (including self).
-func (d *Distances) NumClasses() int { return len(d.lat) }
-
 // Class returns the distance class of a node pair. Class 0 is the self
 // pair. Out-of-range nodes panic (hot path; validate at build time).
 //
@@ -239,37 +241,7 @@ func (d *Distances) Class(a, b int) int32 {
 	}
 }
 
-// Lat returns a class's one-way latency in µs.
-//
-//lama:hotpath
-func (d *Distances) Lat(class int32) float64 { return d.lat[class] }
-
-// InvBW returns a class's inverse bandwidth in µs per byte.
-//
-//lama:hotpath
-func (d *Distances) InvBW(class int32) float64 { return d.invBW[class] }
-
-// HopsOf returns a class's link count.
-//
-//lama:hotpath
-func (d *Distances) HopsOf(class int32) int32 { return d.hops[class] }
-
 // Hops returns the link count between two nodes.
 //
 //lama:hotpath
 func (d *Distances) Hops(a, b int) int32 { return d.hops[d.Class(a, b)] }
-
-// PairCost returns latency + bytes·invBW for one inter-node exchange.
-//
-//lama:hotpath
-func (d *Distances) PairCost(a, b int, bytes float64) float64 {
-	cl := d.Class(a, b)
-	return d.lat[cl] + bytes*d.invBW[cl]
-}
-
-// Distances builds the flat distance provider for this model's network
-// over numNodes nodes. Construction is O(n) for the structured models;
-// see NewDistances for the table-backed fallback's bounds.
-func (mo *Model) Distances(numNodes int) (*Distances, error) {
-	return NewDistances(mo.Net, numNodes)
-}

@@ -72,20 +72,6 @@ type Report struct {
 	MeanLinkLoad float64
 }
 
-// PairCost returns the cost in µs of moving the given bytes between two
-// mapped ranks.
-func (mo *Model) PairCost(c *cluster.Cluster, m *core.Map, a, b int, bytes float64) (float64, error) {
-	if a < 0 || b < 0 || a >= m.NumRanks() || b >= m.NumRanks() {
-		return 0, fmt.Errorf("netsim: rank out of range (%d, %d)", a, b)
-	}
-	pa, pb := &m.Placements[a], &m.Placements[b]
-	if pa.Node != pb.Node {
-		return mo.Net.Latency(pa.Node, pb.Node) + bytes/mo.Net.Bandwidth(pa.Node, pb.Node), nil
-	}
-	level := c.Node(pa.Node).Topo.CommonAncestorLevel(pa.PU(), pb.PU())
-	return mo.Intra.Lat[level] + bytes/mo.Intra.BW[level], nil
-}
-
 // Evaluate computes the full report for a traffic matrix under a mapping.
 // The matrix rank count must match the map's. Evaluation runs over the
 // matrix's CSR view — nonzeros only — visiting the same pairs in the
@@ -99,39 +85,45 @@ func (mo *Model) Evaluate(c *cluster.Cluster, m *core.Map, tm *commpat.Matrix) (
 
 // EvaluateSparse computes the full report for CSR traffic under a
 // mapping — the scale path: at 100k+ ranks sparse traffic is the only
-// representable form. The traffic rank count must match the map's.
+// representable form. The traffic rank count must match the map's, and
+// every rank must sit on a cluster node, on a PU that node has. Pairs are
+// priced by the model's Pricing for c, the same edges Cost sums, so
+// TotalTime equals Cost.J exactly.
 func (mo *Model) EvaluateSparse(c *cluster.Cluster, m *core.Map, tm *commpat.CSR) (*Report, error) {
 	if tm.Ranks() != m.NumRanks() {
 		return nil, fmt.Errorf("netsim: traffic has %d ranks, map has %d", tm.Ranks(), m.NumRanks())
 	}
+	pr, err := mo.Pricing(c)
+	if err != nil {
+		return nil, err
+	}
+	node, pu, err := pr.Locate(m)
+	if err != nil {
+		return nil, err
+	}
+	t3, isTorus := mo.Net.(*Torus3D)
+	var flows map[[2]int]float64 // node pair -> bytes, for torus link loads
+	if isTorus {
+		flows = map[[2]int]float64{}
+	}
 	rep := &Report{}
 	perRank := make([]float64, m.NumRanks())
-	flows := map[[2]int]float64{} // node pair -> bytes (for congestion)
-	var firstErr error
 	tm.Each(func(i, j int, bytes float64) {
-		cost, err := mo.PairCost(c, m, i, j, bytes)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
+		ni, nj := node[i], node[j]
+		cost := pr.Edge(ni, pu[i], nj, pu[j], bytes)
 		rep.TotalTime += cost
 		perRank[i] += cost
 		perRank[j] += cost
-		ni, nj := m.Placements[i].Node, m.Placements[j].Node
 		if ni == nj {
 			rep.IntraBytes += bytes
-		} else {
-			rep.InterBytes += bytes
-			hops := float64(mo.Net.Hops(ni, nj))
-			rep.HopBytes += bytes * hops
-			flows[[2]int{ni, nj}] += bytes
+			return
+		}
+		rep.InterBytes += bytes
+		rep.HopBytes += bytes * float64(pr.Hops(int(ni), int(nj)))
+		if isTorus {
+			flows[[2]int{int(ni), int(nj)}] += bytes
 		}
 	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	for _, t := range perRank {
 		if t > rep.MaxRankTime {
 			rep.MaxRankTime = t
@@ -140,7 +132,7 @@ func (mo *Model) EvaluateSparse(c *cluster.Cluster, m *core.Map, tm *commpat.CSR
 	if rep.InterBytes > 0 {
 		rep.AvgHops = rep.HopBytes / rep.InterBytes
 	}
-	if t3, ok := mo.Net.(*Torus3D); ok {
+	if isTorus {
 		rep.MaxLinkLoad, rep.MeanLinkLoad = t3.LinkLoads(flows)
 	}
 	return rep, nil

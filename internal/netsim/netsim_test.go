@@ -123,6 +123,28 @@ func TestTorusLinkLoads(t *testing.T) {
 	}
 }
 
+// TestTorusLinkLoadsRepeatable: the loads are float sums, so they are
+// reproducible only if flows are visited in a fixed order; the same flows
+// must give bit-identical figures on every call.
+func TestTorusLinkLoadsRepeatable(t *testing.T) {
+	d := torus.Dims{X: 4, Y: 4, Z: 4}
+	tn := NewTorus3D(d)
+	flows := map[[2]int]float64{}
+	for a := 0; a < d.Size(); a++ {
+		for b := 0; b < d.Size(); b++ {
+			if a != b {
+				flows[[2]int{a, b}] = 1000 + 0.1*float64(a*d.Size()+b)
+			}
+		}
+	}
+	wantMax, wantMean := tn.LinkLoads(flows)
+	for i := 0; i < 50; i++ {
+		if mx, mn := tn.LinkLoads(flows); mx != wantMax || mn != wantMean {
+			t.Fatalf("call %d: (%v, %v), first call (%v, %v)", i, mx, mn, wantMax, wantMean)
+		}
+	}
+}
+
 func TestDefaultIntraMonotone(t *testing.T) {
 	p := DefaultIntra()
 	// Deeper LCA (closer PUs) must be at least as fast in both latency
@@ -140,31 +162,74 @@ func TestDefaultIntraMonotone(t *testing.T) {
 func TestPairCostLocality(t *testing.T) {
 	c := fig2Cluster(t, 2)
 	m := mapJob(t, c, "csbnh", 24) // pack
-	mo := NewModel(NewFlat())
-	// Ranks 0,1 share a... csbnh: rank0 PU0 (core0), rank1 PU2 (core1):
-	// same socket. Ranks 0 and 12 (h=1 pass): rank12 = PU1, same core.
-	sameCore, err := mo.PairCost(c, m, 0, 12, 1000)
+	pr := mustPricing(t, NewModel(NewFlat()), c)
+	node, pu, err := pr.Locate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSocket, err := mo.PairCost(c, m, 0, 1, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossSocket, err := mo.PairCost(c, m, 0, 3, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossNode, err := mo.PairCost(c, m, 0, 6, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cost := func(a, b int) float64 { return pr.Edge(node[a], pu[a], node[b], pu[b], 1000) }
+	// csbnh: rank 0 is PU0 (core 0) and rank 1 PU2 (core 1), the same
+	// socket; rank 12 (the h=1 pass) is PU1, the same core as rank 0.
+	sameCore, sameSocket, crossSocket, crossNode := cost(0, 12), cost(0, 1), cost(0, 3), cost(0, 6)
 	if !(sameCore < sameSocket && sameSocket < crossSocket && crossSocket < crossNode) {
 		t.Fatalf("locality ordering violated: %v %v %v %v",
 			sameCore, sameSocket, crossSocket, crossNode)
 	}
-	if _, err := mo.PairCost(c, m, 0, 99, 1); err == nil {
-		t.Fatal("rank bounds")
+}
+
+// TestLCATablesMatchTopology pins the only intra-node pricing: for every
+// PU pair of every node, the compiled level equals
+// Topology.CommonAncestorLevel, on homogeneous, heterogeneous and
+// partially failed topologies.
+func TestLCATablesMatchTopology(t *testing.T) {
+	fig2, _ := hw.Preset("fig2")
+	neh, _ := hw.Preset("nehalem-ep")
+	failed := cluster.Homogeneous(3, neh)
+	if failed.FailPUs(1, hw.NewCPUSet(0, 3, 5, 8)) == 0 {
+		t.Fatal("FailPUs changed nothing")
+	}
+	for name, c := range map[string]*cluster.Cluster{
+		"fig2":       cluster.Homogeneous(2, fig2),
+		"nehalem-ep": cluster.Homogeneous(2, neh),
+		"hetero":     cluster.FromSpecs(fig2, neh, fig2),
+		"failed-pus": failed,
+	} {
+		pr := mustPricing(t, NewModel(NewFlat()), c)
+		for ni, nd := range c.Nodes {
+			pus := nd.Topo.Objects(hw.LevelPU)
+			for _, a := range pus {
+				for _, b := range pus {
+					pa, pb := pr.ordinal(ni, a.OS), pr.ordinal(ni, b.OS)
+					if pa < 0 || pb < 0 {
+						t.Fatalf("%s node %d: PU %d or %d not in the table", name, ni, a.OS, b.OS)
+					}
+					_, _, got := pr.Link(int32(ni), pa, int32(ni), pb)
+					if want := nd.Topo.CommonAncestorLevel(a.OS, b.OS); got != want {
+						t.Fatalf("%s node %d PUs (%d,%d): level %s, want %s", name, ni, a.OS, b.OS, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateRejectsBadPlacement: a rank on a node the cluster lacks,
+// or on a PU its node lacks, is an error, not a panic.
+func TestEvaluateRejectsBadPlacement(t *testing.T) {
+	c := fig2Cluster(t, 2)
+	mo := NewModel(NewFlat())
+	tm := commpat.Ring(24, 1000)
+	for name, mutate := range map[string]func(*core.Placement){
+		"node past the end": func(p *core.Placement) { p.Node = 7 },
+		"negative node":     func(p *core.Placement) { p.Node = -1 },
+		"missing PU":        func(p *core.Placement) { p.PUs = []int{999} },
+		"no PU":             func(p *core.Placement) { p.PUs = nil },
+	} {
+		m := mapJob(t, c, "csbnh", 24)
+		mutate(&m.Placements[5])
+		if _, err := mo.Evaluate(c, m, tm); err == nil {
+			t.Errorf("%s: Evaluate accepted the placement", name)
+		}
 	}
 }
 

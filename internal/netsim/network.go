@@ -9,6 +9,7 @@ package netsim
 
 import (
 	"fmt"
+	"sort"
 
 	"lama/internal/torus"
 )
@@ -204,27 +205,48 @@ func (t *Torus3D) Route(a, b int) []link {
 // LinkLoads accumulates per-link byte loads for a set of node-to-node
 // flows under dimension-ordered routing and returns the maximum and mean
 // link load — the congestion measure used by the torus experiments.
+// Flows are routed in ascending node-pair order and loads summed in link
+// order, so the float sums, and hence the result, are the same on every
+// call.
 func (t *Torus3D) LinkLoads(flows map[[2]int]float64) (maxLoad, meanLoad float64) {
-	loads := map[link]float64{}
-	for pair, bytes := range flows {
+	pairs := make([][2]int, 0, len(flows))
+	for pair := range flows {
+		pairs = append(pairs, pair)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
+	var loads []float64 // (node, axis, direction) -> bytes
+	for _, pair := range pairs {
+		bytes := flows[pair]
 		if pair[0] == pair[1] || bytes <= 0 {
 			continue
 		}
 		for _, l := range t.Route(pair[0], pair[1]) {
-			loads[l] += bytes
+			k := (l.node*3+l.axis)*2 + (l.dir+1)/2
+			if k >= len(loads) {
+				loads = append(loads, make([]float64, k+1-len(loads))...)
+			}
+			loads[k] += bytes
 		}
 	}
-	if len(loads) == 0 {
+	total, used := 0.0, 0
+	for _, v := range loads {
+		if v > 0 {
+			total += v
+			used++
+			if v > maxLoad {
+				maxLoad = v
+			}
+		}
+	}
+	if used == 0 {
 		return 0, 0
 	}
-	total := 0.0
-	for _, v := range loads {
-		total += v
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
-	return maxLoad, total / float64(len(loads))
+	return maxLoad, total / float64(used)
 }
 
 // RouteKeys returns stable string identifiers for the links on the

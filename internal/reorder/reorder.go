@@ -49,11 +49,18 @@ func Optimize(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 		maxSweeps = np
 	}
 
-	// cost[i][j]: time for one byte... we need the full pair cost per
-	// (position, position). Positions are the fixed processor slots; a
-	// permutation assigns traffic endpoints to positions. Precompute
-	// per-position-pair unit costs: lat + bytes/bw is affine in bytes, so
-	// cost(bytes) = lat[p][q] + bytes*inv[p][q].
+	// Positions are the fixed processor slots; a permutation assigns
+	// traffic endpoints to positions. Precompute per-position-pair unit
+	// costs from the compiled pricing: lat + bytes/bw is affine in bytes,
+	// so cost(bytes) = lat[p][q] + bytes*inv[p][q].
+	pr, err := model.Pricing(c)
+	if err != nil {
+		return nil, err
+	}
+	node, pu, err := pr.Locate(m)
+	if err != nil {
+		return nil, err
+	}
 	lat := make([][]float64, np)
 	inv := make([][]float64, np)
 	for p := 0; p < np; p++ {
@@ -63,14 +70,8 @@ func Optimize(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 			if p == q {
 				continue
 			}
-			l, err := model.PairCost(c, m, p, q, 0)
-			if err != nil {
-				return nil, err
-			}
-			full, err := model.PairCost(c, m, p, q, 1e6)
-			if err != nil {
-				return nil, err
-			}
+			l := pr.Edge(node[p], pu[p], node[q], pu[q], 0)
+			full := pr.Edge(node[p], pu[p], node[q], pu[q], 1e6)
 			lat[p][q] = l
 			inv[p][q] = (full - l) / 1e6
 		}
