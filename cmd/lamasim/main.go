@@ -173,14 +173,11 @@ func run(args []string, out io.Writer) error {
 		}
 		*patternName = *trafficPath
 	} else {
-		for _, p := range commpat.Patterns() {
-			if p.Name == *patternName {
-				tm = p.Gen(*np, *bytesPer)
-			}
-		}
-		if tm == nil {
+		gen, ok := commpat.ByName(*patternName)
+		if !ok {
 			return fmt.Errorf("unknown pattern %q (see commpat.Patterns)", *patternName)
 		}
+		tm = gen(*np, *bytesPer)
 	}
 
 	strategies := []strategy{
@@ -198,7 +195,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *netRefine {
-		stm := tm.Sparse()
 		for i := range strategies {
 			s := strategies[i]
 			strategies[i] = strategy{s.name + "+net", func() (*core.Map, error) {
@@ -206,11 +202,11 @@ func run(args []string, out io.Writer) error {
 				if err != nil {
 					return nil, err
 				}
-				m, _, err = netorder.OrderNodes(c, model, stm, m)
+				m, _, err = netorder.OrderNodes(c, model, tm, m)
 				if err != nil {
 					return nil, err
 				}
-				m, _, err = netorder.RefineMap(c, model, stm, m, 0)
+				m, _, err = netorder.RefineMap(c, model, tm, m, 0)
 				return m, err
 			}}
 		}

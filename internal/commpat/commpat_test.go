@@ -1,57 +1,267 @@
 package commpat
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestMatrixBasics(t *testing.T) {
-	m := NewMatrix(4)
-	if m.Ranks() != 4 || m.Total() != 0 || m.Pairs() != 0 {
+	b := NewBuilder(4)
+	if m := b.Build(); m.Ranks() != 4 || m.Total() != 0 || m.NNZ() != 0 {
 		t.Fatal("empty matrix")
 	}
-	m.Add(0, 1, 100)
-	m.Add(0, 1, 50)
-	m.AddSym(2, 3, 10)
+	b.Add(0, 1, 100)
+	b.Add(0, 1, 50)
+	b.AddSym(2, 3, 10)
+	// Self and out-of-range traffic ignored.
+	b.Add(1, 1, 99)
+	b.Add(-1, 0, 99)
+	b.Add(0, 9, 99)
+	b.Add(0, 2, -5)
+	m := b.Build()
 	if m.Bytes(0, 1) != 150 || m.Bytes(1, 0) != 0 {
 		t.Fatal("Add wrong")
 	}
 	if m.Bytes(2, 3) != 10 || m.Bytes(3, 2) != 10 {
 		t.Fatal("AddSym wrong")
 	}
-	if m.Total() != 170 || m.Pairs() != 3 {
-		t.Fatalf("Total=%v Pairs=%v", m.Total(), m.Pairs())
-	}
-	// Self and out-of-range traffic ignored.
-	m.Add(1, 1, 99)
-	m.Add(-1, 0, 99)
-	m.Add(0, 9, 99)
-	m.Add(0, 2, -5)
-	if m.Total() != 170 {
-		t.Fatal("invalid Add mutated matrix")
+	if m.Total() != 170 || m.NNZ() != 3 {
+		t.Fatalf("Total=%v NNZ=%v", m.Total(), m.NNZ())
 	}
 	if m.Bytes(0, 0) != 0 || m.Bytes(-1, 2) != 0 || m.Bytes(0, 9) != 0 {
 		t.Fatal("Bytes bounds")
 	}
-	m.Scale(2)
-	if m.Total() != 340 {
-		t.Fatal("Scale wrong")
-	}
 	sum := 0.0
 	m.Each(func(i, j int, b float64) { sum += b })
-	if sum != 340 {
+	if sum != 170 {
 		t.Fatal("Each wrong")
+	}
+	cols, vals := m.Row(2)
+	if len(cols) != 1 || cols[0] != 3 || vals[0] != 10 {
+		t.Fatalf("Row(2) = %v %v", cols, vals)
 	}
 }
 
-func TestNewMatrixPanics(t *testing.T) {
+// TestBuilderMatchesMatrix feeds one Add/AddSym sequence, including
+// dropped calls (self pairs, out-of-range, non-positive volumes), a
+// repeated pair and an out-of-order row, and requires exactly the
+// surviving entries, row-major.
+func TestBuilderMatchesMatrix(t *testing.T) {
+	n := 10
+	b := NewBuilder(n)
+	b.Add(0, 1, 5)
+	b.Add(0, 1, 7)    // duplicate: merges
+	b.Add(1, 0, 2)    // reverse direction is distinct
+	b.Add(3, 3, 9)    // self: dropped
+	b.Add(-1, 2, 4)   // out of range: dropped
+	b.Add(2, n, 4)    // out of range: dropped
+	b.Add(4, 5, 0)    // non-positive: dropped
+	b.Add(4, 5, -3)   // non-positive: dropped
+	b.AddSym(8, 9, 6) // both directions
+	b.Add(9, 2, 1)    // row 9 again, lower column: Build must sort
+	var got []string
+	b.Build().Each(func(i, j int, bytes float64) { got = append(got, fmt.Sprintf("%d>%d:%g", i, j, bytes)) })
+	if want := "0>1:12 1>0:2 8>9:6 9>2:1 9>8:6"; strings.Join(got, " ") != want {
+		t.Fatalf("entries %v, want %s", got, want)
+	}
+}
+
+func TestBuilderReusable(t *testing.T) {
+	b := NewBuilder(4)
+	b.Add(0, 1, 1)
+	s1 := b.Build()
+	b.Add(1, 2, 1)
+	s2 := b.Build()
+	if s1.NNZ() != 1 || s2.NNZ() != 2 {
+		t.Fatalf("nnz %d then %d, want 1 then 2", s1.NNZ(), s2.NNZ())
+	}
+}
+
+func TestNewBuilderPanicsOnBadRanks(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	NewMatrix(0)
+	NewBuilder(0)
+}
+
+// TestSparseAccessors checks Bytes, Row and Total against a ring, whose
+// every row holds two entries.
+func TestSparseAccessors(t *testing.T) {
+	m := Ring(8, 100)
+	if m.Total() != 1600 {
+		t.Fatalf("total %g", m.Total())
+	}
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			want := 0.0
+			if j == (i+1)%8 || j == (i+7)%8 {
+				want = 100
+			}
+			if m.Bytes(i, j) != want {
+				t.Fatalf("bytes(%d,%d) = %g, want %g", i, j, m.Bytes(i, j), want)
+			}
+		}
+	}
+	if m.Bytes(-1, 0) != 0 || m.Bytes(0, 99) != 0 {
+		t.Fatal("out-of-range bytes should be 0")
+	}
+	cols, vals := m.Row(0)
+	if len(cols) != 2 || len(vals) != 2 || cols[0] != 1 || cols[1] != 7 {
+		t.Fatalf("row 0 = %v, want [1 7]", cols)
+	}
+}
+
+// sameTraffic asserts m holds exactly the traffic of the dense n×n
+// reference: Bytes agrees on every pair, zeros included, and Each and Row
+// yield the nonzero entries once each, rows ascending and columns
+// ascending within a row.
+func sameTraffic(t *testing.T, name string, dense [][]float64, m *Matrix) {
+	t.Helper()
+	n := len(dense)
+	if m.Ranks() != n {
+		t.Fatalf("%s: ranks %d, want %d", name, m.Ranks(), n)
+	}
+	type ent struct {
+		i, j int
+		b    float64
+	}
+	var want, got, rows []ent
+	total := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if m.Bytes(i, j) != dense[i][j] {
+				t.Fatalf("%s: bytes(%d,%d) = %g, want %g", name, i, j, m.Bytes(i, j), dense[i][j])
+			}
+			if dense[i][j] != 0 {
+				want = append(want, ent{i, j, dense[i][j]})
+				total += dense[i][j]
+			}
+		}
+		cols, vals := m.Row(i)
+		for k := range cols {
+			rows = append(rows, ent{i, int(cols[k]), vals[k]})
+		}
+	}
+	m.Each(func(i, j int, b float64) { got = append(got, ent{i, j, b}) })
+	if m.NNZ() != len(want) || len(got) != len(want) || len(rows) != len(want) {
+		t.Fatalf("%s: nnz %d, Each %d, Row %d entries; want %d", name, m.NNZ(), len(got), len(rows), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] || rows[k] != want[k] {
+			t.Fatalf("%s: entry %d: Each %+v, Row %+v, want %+v", name, k, got[k], rows[k], want[k])
+		}
+	}
+	if m.Total() != total {
+		t.Fatalf("%s: total %g, want %g", name, m.Total(), total)
+	}
+}
+
+// TestSparseMatchesMatrix checks every pattern's CSR storage against the
+// dense matrix its entries describe: each pair appears once, in row-major
+// order, and Bytes finds it (or 0) by its binary search.
+func TestSparseMatchesMatrix(t *testing.T) {
+	for _, p := range Patterns() {
+		for _, n := range []int{1, 2, 7, 16, 36} {
+			m := p.Gen(n, 1000)
+			dense := make([][]float64, n)
+			for i := range dense {
+				dense[i] = make([]float64, n)
+			}
+			m.Each(func(i, j int, b float64) { dense[i][j] += b })
+			sameTraffic(t, fmt.Sprintf("%s/%d", p.Name, n), dense, m)
+		}
+	}
+}
+
+// denseAdder accumulates traffic into an n×n array in call order, with
+// Builder.Add's drop rules: the reference the generators are held to.
+type denseAdder [][]float64
+
+func newDenseAdder(n int) denseAdder {
+	d := make(denseAdder, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	return d
+}
+
+func (d denseAdder) add(i, j int, bytes float64) {
+	if i < 0 || j < 0 || i >= len(d) || j >= len(d) || i == j || bytes <= 0 {
+		return
+	}
+	d[i][j] += bytes
+}
+
+// TestSparsePatternsMatchDense holds the generators that must scale to
+// 100k+ ranks (ring, the periodic stencils, gtc) to an independent dense
+// accumulate-in-call-order reference, entry for entry.
+func TestSparsePatternsMatchDense(t *testing.T) {
+	refs := map[string]func(d denseAdder, n int, bytes float64){
+		"ring": func(d denseAdder, n int, bytes float64) {
+			for i := 0; i < n; i++ {
+				d.add(i, (i+1)%n, bytes)
+				d.add(i, (i-1+n)%n, bytes)
+			}
+		},
+		"stencil2d": func(d denseAdder, n int, bytes float64) {
+			px, py := Grid2D(n)
+			for y := 0; y < py; y++ {
+				for x := 0; x < px; x++ {
+					me := y*px + x
+					d.add(me, y*px+(x+1)%px, bytes)
+					d.add(me, y*px+(x-1+px)%px, bytes)
+					d.add(me, ((y+1)%py)*px+x, bytes)
+					d.add(me, ((y-1+py)%py)*px+x, bytes)
+				}
+			}
+		},
+		"stencil3d": func(d denseAdder, n int, bytes float64) {
+			px, py, pz := Grid3D(n)
+			id := func(x, y, z int) int { return (z*py+y)*px + x }
+			for z := 0; z < pz; z++ {
+				for y := 0; y < py; y++ {
+					for x := 0; x < px; x++ {
+						me := id(x, y, z)
+						d.add(me, id((x+1)%px, y, z), bytes)
+						d.add(me, id((x-1+px)%px, y, z), bytes)
+						d.add(me, id(x, (y+1)%py, z), bytes)
+						d.add(me, id(x, (y-1+py)%py, z), bytes)
+						d.add(me, id(x, y, (z+1)%pz), bytes)
+						d.add(me, id(x, y, (z-1+pz)%pz), bytes)
+					}
+				}
+			}
+		},
+		"gtc": func(d denseAdder, n int, bytes float64) {
+			for i := 0; i < n; i++ {
+				d.add(i, (i+1)%n, bytes)
+				d.add(i, (i-1+n)%n, bytes)
+			}
+			for base := 0; base < n; base += 4 {
+				for i := base; i < base+4 && i < n; i++ {
+					for j := base; j < base+4 && j < n; j++ {
+						d.add(i, j, bytes/8)
+					}
+				}
+			}
+		},
+	}
+	for name, ref := range refs {
+		gen, ok := ByName(name)
+		if !ok {
+			t.Fatalf("pattern %q missing from the suite", name)
+		}
+		for _, n := range []int{2, 5, 16, 27, 64} {
+			d := newDenseAdder(n)
+			ref(d, n, 777)
+			sameTraffic(t, fmt.Sprintf("%s/%d", name, n), d, gen(n, 777))
+		}
+	}
 }
 
 func TestGrids(t *testing.T) {
@@ -79,8 +289,8 @@ func TestRing(t *testing.T) {
 			t.Fatalf("ring traffic wrong at %d", i)
 		}
 	}
-	if m.Pairs() != 10 {
-		t.Fatalf("pairs = %d", m.Pairs())
+	if m.NNZ() != 10 {
+		t.Fatalf("pairs = %d", m.NNZ())
 	}
 }
 
@@ -128,8 +338,18 @@ func TestStencil3DSymmetric(t *testing.T) {
 
 func TestAllToAll(t *testing.T) {
 	m := AllToAll(4, 2)
-	if m.Pairs() != 12 || m.Total() != 24 {
-		t.Fatalf("a2a pairs=%d total=%v", m.Pairs(), m.Total())
+	if m.NNZ() != 12 || m.Total() != 24 {
+		t.Fatalf("a2a pairs=%d total=%v", m.NNZ(), m.Total())
+	}
+}
+
+var benchSink *Matrix
+
+// BenchmarkAllToAll1024 times the densest standard pattern: 1024 ranks,
+// 1,047,552 pairs.
+func BenchmarkAllToAll1024(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchSink = AllToAll(1024, 1)
 	}
 }
 

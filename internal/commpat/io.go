@@ -12,18 +12,18 @@ import (
 //	<src> <dst> <bytes>
 //	...
 //
-// Lines starting with '#' are comments; duplicate edges accumulate. The
-// "ranks" header must come first so the matrix can be sized even when
-// high ranks have no traffic.
+// Lines starting with '#' are comments; duplicate edges accumulate in file
+// order. The "ranks" header must come first so the matrix can be sized
+// even when high ranks have no traffic.
 func ParseMatrix(text string) (*Matrix, error) {
-	var m *Matrix
+	var b *Builder
 	for lineNo, raw := range strings.Split(text, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		fields := strings.Fields(line)
-		if m == nil {
+		if b == nil {
 			if len(fields) != 2 || fields[0] != "ranks" {
 				return nil, fmt.Errorf("commpat:%d: first line must be \"ranks <N>\"", lineNo+1)
 			}
@@ -31,7 +31,7 @@ func ParseMatrix(text string) (*Matrix, error) {
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("commpat:%d: bad rank count %q", lineNo+1, fields[1])
 			}
-			m = NewMatrix(n)
+			b = NewBuilder(n)
 			continue
 		}
 		if len(fields) != 3 {
@@ -43,7 +43,7 @@ func ParseMatrix(text string) (*Matrix, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("commpat:%d: bad edge %q", lineNo+1, line)
 		}
-		if src < 0 || dst < 0 || src >= m.Ranks() || dst >= m.Ranks() {
+		if src < 0 || dst < 0 || src >= b.n || dst >= b.n {
 			return nil, fmt.Errorf("commpat:%d: rank out of range in %q", lineNo+1, line)
 		}
 		if src == dst {
@@ -52,12 +52,12 @@ func ParseMatrix(text string) (*Matrix, error) {
 		if bytes <= 0 {
 			return nil, fmt.Errorf("commpat:%d: non-positive bytes in %q", lineNo+1, line)
 		}
-		m.Add(src, dst, bytes)
+		b.Add(src, dst, bytes)
 	}
-	if m == nil {
+	if b == nil {
 		return nil, fmt.Errorf("commpat: empty matrix text")
 	}
-	return m, nil
+	return b.Build(), nil
 }
 
 // FormatMatrix renders a matrix in the ParseMatrix edge-list form, edges

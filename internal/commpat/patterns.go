@@ -4,27 +4,15 @@ import (
 	"math/rand"
 )
 
-// adder is the accumulation surface shared by the dense Matrix and the
-// sparse Builder: the pattern bodies below write through it, so every
-// pattern that exists in both forms is generated by one piece of code.
-type adder interface {
-	Add(i, j int, bytes float64)
-	AddSym(i, j int, bytes float64)
-}
-
 // Ring produces a 1-D periodic nearest-neighbor exchange: each rank sends
 // bytes to its two ring neighbors.
 func Ring(n int, bytes float64) *Matrix {
-	m := NewMatrix(n)
-	ringInto(m, n, bytes)
-	return m
-}
-
-func ringInto(a adder, n int, bytes float64) {
+	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
-		a.Add(i, (i+1)%n, bytes)
-		a.Add(i, (i-1+n)%n, bytes)
+		b.Add(i, (i+1)%n, bytes)
+		b.Add(i, (i-1+n)%n, bytes)
 	}
+	return b.Build()
 }
 
 // Grid2D chooses a near-square process grid px*py == n (px <= py).
@@ -65,12 +53,7 @@ func Grid3D(n int) (px, py, pz int) {
 // Stencil2D produces a 5-point 2-D stencil halo exchange over a px*py
 // grid (row-major rank order). Periodic selects torus boundaries.
 func Stencil2D(px, py int, bytes float64, periodic bool) *Matrix {
-	m := NewMatrix(px * py)
-	stencil2DInto(m, px, py, bytes, periodic)
-	return m
-}
-
-func stencil2DInto(a adder, px, py int, bytes float64, periodic bool) {
+	b := NewBuilder(px * py)
 	id := func(x, y int) int { return y*px + x }
 	for y := 0; y < py; y++ {
 		for x := 0; x < px; x++ {
@@ -81,21 +64,17 @@ func stencil2DInto(a adder, px, py int, bytes float64, periodic bool) {
 				} else if nx < 0 || ny < 0 || nx >= px || ny >= py {
 					continue
 				}
-				a.Add(id(x, y), id(nx, ny), bytes)
+				b.Add(id(x, y), id(nx, ny), bytes)
 			}
 		}
 	}
+	return b.Build()
 }
 
 // Stencil3D produces a 7-point 3-D stencil halo exchange over a px*py*pz
 // grid (x fastest).
 func Stencil3D(px, py, pz int, bytes float64, periodic bool) *Matrix {
-	m := NewMatrix(px * py * pz)
-	stencil3DInto(m, px, py, pz, bytes, periodic)
-	return m
-}
-
-func stencil3DInto(a adder, px, py, pz int, bytes float64, periodic bool) {
+	b := NewBuilder(px * py * pz)
 	id := func(x, y, z int) int { return (z*py+y)*px + x }
 	dirs := [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 	for z := 0; z < pz; z++ {
@@ -108,37 +87,39 @@ func stencil3DInto(a adder, px, py, pz int, bytes float64, periodic bool) {
 					} else if nx < 0 || ny < 0 || nz < 0 || nx >= px || ny >= py || nz >= pz {
 						continue
 					}
-					a.Add(id(x, y, z), id(nx, ny, nz), bytes)
+					b.Add(id(x, y, z), id(nx, ny, nz), bytes)
 				}
 			}
 		}
 	}
+	return b.Build()
 }
 
 // AllToAll produces uniform all-to-all traffic (every ordered pair
 // exchanges bytes), the worst case for any placement.
 func AllToAll(n int, bytes float64) *Matrix {
-	m := NewMatrix(n)
+	b := NewBuilder(n)
+	b.ent = make([]entry, 0, n*(n-1)) // exact: no growth copies at the densest pattern
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			m.Add(i, j, bytes)
+			b.Add(i, j, bytes)
 		}
 	}
-	return m
+	return b.Build()
 }
 
 // RandomPairs produces traffic between `pairs` random distinct rank pairs.
 func RandomPairs(n, pairs int, bytes float64, seed int64) *Matrix {
-	m := NewMatrix(n)
+	b := NewBuilder(n)
 	r := rand.New(rand.NewSource(seed))
 	for k := 0; k < pairs; k++ {
 		i, j := r.Intn(n), r.Intn(n)
 		if i == j {
 			j = (j + 1) % n
 		}
-		m.AddSym(i, j, bytes)
+		b.AddSym(i, j, bytes)
 	}
-	return m
+	return b.Build()
 }
 
 // GTC models the Gyrokinetic Toroidal Code's communication (paper §II,
@@ -147,33 +128,29 @@ func RandomPairs(n, pairs int, bytes float64, seed int64) *Matrix {
 // grid-reduction component within poloidal groups of size g (every rank
 // talks to the other members of its group at 1/8 the neighbor volume).
 func GTC(n int, bytes float64) *Matrix {
-	m := NewMatrix(n)
-	gtcInto(m, n, bytes)
-	return m
-}
-
-func gtcInto(a adder, n int, bytes float64) {
+	b := NewBuilder(n)
 	// Toroidal shifts dominate.
 	for i := 0; i < n; i++ {
-		a.Add(i, (i+1)%n, bytes)
-		a.Add(i, (i-1+n)%n, bytes)
+		b.Add(i, (i+1)%n, bytes)
+		b.Add(i, (i-1+n)%n, bytes)
 	}
 	// Poloidal reduction groups.
 	g := 4
 	for base := 0; base < n; base += g {
 		for i := base; i < base+g && i < n; i++ {
 			for j := base; j < base+g && j < n; j++ {
-				a.Add(i, j, bytes/8)
+				b.Add(i, j, bytes/8)
 			}
 		}
 	}
+	return b.Build()
 }
 
 // NASCG proxies the NAS CG benchmark: ranks form a 2-D grid; each rank
 // exchanges with its row partner(s) during the matrix-vector product and
 // with log-distance partners during the reductions.
 func NASCG(n int, bytes float64) *Matrix {
-	m := NewMatrix(n)
+	b := NewBuilder(n)
 	px, _ := Grid2D(n)
 	for i := 0; i < n; i++ {
 		// Transpose-style partner in the row.
@@ -181,17 +158,17 @@ func NASCG(n int, bytes float64) *Matrix {
 		col := i % px
 		partner := col*px + row // valid when grid is square; clamp otherwise
 		if partner < n && partner != i {
-			m.AddSym(i, partner, bytes)
+			b.AddSym(i, partner, bytes)
 		}
 		// Log-distance reduction partners within the row.
 		for d := 1; d < px; d *= 2 {
 			j := row*px + (col^d)%px
 			if j < n {
-				m.AddSym(i, j, bytes/2)
+				b.AddSym(i, j, bytes/2)
 			}
 		}
 	}
-	return m
+	return b.Build()
 }
 
 // NASMG proxies the NAS MG benchmark: a 3-D stencil whose halo exchanges
@@ -199,7 +176,7 @@ func NASCG(n int, bytes float64) *Matrix {
 // with geometrically decreasing volume.
 func NASMG(n int, bytes float64) *Matrix {
 	px, py, pz := Grid3D(n)
-	m := NewMatrix(n)
+	b := NewBuilder(n)
 	id := func(x, y, z int) int { return (z*py+y)*px + x }
 	for _, stride := range []int{1, 2, 4} {
 		vol := bytes / float64(stride)
@@ -212,13 +189,13 @@ func NASMG(n int, bytes float64) *Matrix {
 						{x, y, (z + stride) % pz}, {x, y, (z - stride + 8*pz) % pz},
 					}
 					for _, nb := range nbs {
-						m.Add(id(x, y, z), id(nb[0], nb[1], nb[2]), vol)
+						b.Add(id(x, y, z), id(nb[0], nb[1], nb[2]), vol)
 					}
 				}
 			}
 		}
 	}
-	return m
+	return b.Build()
 }
 
 // NASFT proxies the NAS FT benchmark: the distributed FFT's transpose is
@@ -231,19 +208,19 @@ func NASFT(n int, bytes float64) *Matrix {
 // sends to its +x and +y neighbors (directional, non-periodic).
 func NASLU(n int, bytes float64) *Matrix {
 	px, py := Grid2D(n)
-	m := NewMatrix(n)
+	b := NewBuilder(n)
 	id := func(x, y int) int { return y*px + x }
 	for y := 0; y < py; y++ {
 		for x := 0; x < px; x++ {
 			if x+1 < px {
-				m.Add(id(x, y), id(x+1, y), bytes)
+				b.Add(id(x, y), id(x+1, y), bytes)
 			}
 			if y+1 < py {
-				m.Add(id(x, y), id(x, y+1), bytes)
+				b.Add(id(x, y), id(x, y+1), bytes)
 			}
 		}
 	}
-	return m
+	return b.Build()
 }
 
 // Pattern is a named traffic generator with a fixed per-exchange volume,
@@ -281,49 +258,5 @@ func Patterns() []Pattern {
 		{"nas-mg", NASMG},
 		{"nas-ft", NASFT},
 		{"nas-lu", NASLU},
-	}
-}
-
-// SparsePattern pairs a name with a direct-CSR generator for the
-// patterns whose nonzero count is O(n) — the ones that exist at 100k+
-// ranks, where even allocating a dense matrix is impossible. Generators
-// share the pattern bodies with the dense suite (via adder), so
-// SparseByName(p)(n, b) equals ByName(p)(n, b).Sparse() entry for entry.
-type SparsePattern struct {
-	Name string
-	Gen  func(n int, bytes float64) *CSR
-}
-
-// SparseByName resolves one direct-CSR generator.
-func SparseByName(name string) (func(n int, bytes float64) *CSR, bool) {
-	for _, p := range SparsePatterns() {
-		if p.Name == name {
-			return p.Gen, true
-		}
-	}
-	return nil, false
-}
-
-// SparsePatterns returns the sparse-generator suite.
-func SparsePatterns() []SparsePattern {
-	return []SparsePattern{
-		{"ring", sparseGen(ringInto)},
-		{"stencil2d", sparseGen(func(a adder, n int, b float64) {
-			px, py := Grid2D(n)
-			stencil2DInto(a, px, py, b, true)
-		})},
-		{"stencil3d", sparseGen(func(a adder, n int, b float64) {
-			px, py, pz := Grid3D(n)
-			stencil3DInto(a, px, py, pz, b, true)
-		})},
-		{"gtc", sparseGen(gtcInto)},
-	}
-}
-
-func sparseGen(into func(a adder, n int, bytes float64)) func(n int, bytes float64) *CSR {
-	return func(n int, bytes float64) *CSR {
-		b := NewBuilder(n)
-		into(b, n, bytes)
-		return b.Build()
 	}
 }

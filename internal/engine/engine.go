@@ -52,6 +52,12 @@ var ErrOverloaded = errors.New("engine: overloaded, request shed")
 // already an order of magnitude past the largest MPI jobs in production).
 const MaxNP = 1 << 20
 
+// maxTrafficPairs bounds the traffic a request's pattern may generate:
+// np·(np−1) ordered pairs, the most any pattern has, at np = 4096. That is
+// a ~200 MB matrix at 12 bytes a pair. Traffic is generated only for a
+// place.TrafficAware policy, and only for a request within this bound.
+const maxTrafficPairs = 4096 * 4095
+
 // ErrUnknownCluster is returned for requests naming an unregistered
 // cluster.
 var ErrUnknownCluster = errors.New("engine: unknown cluster")
@@ -63,8 +69,8 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker; once the queue is
 	// full further requests are shed immediately. <= 0 means 4*Workers.
 	QueueDepth int
-	// CacheSize bounds the placement LRU (entries); <= 0 means 1024, < 0
-	// is treated as 0 (cache disabled is expressed by CacheSize == -1).
+	// CacheSize bounds the placement LRU (entries): 0 means 1024, and a
+	// negative size disables the cache.
 	CacheSize int
 	// Obs receives engine events (register, swap, shed) and the cache and
 	// admission counters. Nil disables instrumentation.
@@ -398,11 +404,22 @@ func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Requ
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown traffic pattern %q", req.Pattern)
 		}
-		bytes := req.Bytes
-		if bytes <= 0 {
-			bytes = 1 << 20
+		// Only a policy that reads traffic gets it, and only once np has
+		// passed the capacity check and the pair bound.
+		p, _ := place.Lookup(policy)
+		if _, reads := p.(place.TrafficAware); reads {
+			if usable := preq.Cluster.TotalUsablePUs(); req.NP > usable {
+				return nil, fmt.Errorf("engine: np %d exceeds the %d usable PUs a traffic-aware policy can place", req.NP, usable)
+			}
+			if req.NP*(req.NP-1) > maxTrafficPairs {
+				return nil, fmt.Errorf("engine: np %d is past the traffic bound of %d communicating pairs", req.NP, maxTrafficPairs)
+			}
+			bytes := req.Bytes
+			if bytes <= 0 {
+				bytes = 1 << 20
+			}
+			preq.Traffic = gen(req.NP, bytes)
 		}
-		preq.Traffic = gen(req.NP, bytes)
 	}
 	preq.Mapper = w.mapper(req.Cluster, req.Layout)
 	return place.Place(ctx, policy, preq)

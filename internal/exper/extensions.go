@@ -82,18 +82,18 @@ func runE12(o Options) ([]*metrics.Table, error) {
 // all-to-all internally, but group membership is a seeded shuffle of the
 // rank space, so no regular layout can align with it.
 func cliques(n, g int, bytes float64, seed int64) *commpat.Matrix {
-	m := commpat.NewMatrix(n)
+	b := commpat.NewBuilder(n)
 	perm := shuffled(n, seed)
 	for base := 0; base < n; base += g {
 		for i := base; i < base+g && i < n; i++ {
 			for j := base; j < base+g && j < n; j++ {
 				if i != j {
-					m.Add(perm[i], perm[j], bytes)
+					b.Add(perm[i], perm[j], bytes)
 				}
 			}
 		}
 	}
-	return m
+	return b.Build()
 }
 
 // shuffled returns a deterministic pseudo-random permutation of 0..n-1

@@ -30,7 +30,7 @@ type NetCostRow struct {
 	Nodes   int     `json:"nodes"`
 	NNZ     int     `json:"nnz"`
 	BuildUs float64 `json:"build_us"`
-	// FullEvalUs is one Model.EvaluateSparse pass — the O(nnz) cost a
+	// FullEvalUs is one Model.Evaluate pass — the O(nnz) cost a
 	// naive refiner would pay per candidate swap.
 	FullEvalUs float64 `json:"full_eval_us"`
 	OrderUs    float64 `json:"order_us"`
@@ -48,18 +48,12 @@ type NetCostRow struct {
 // a ring job cycled across np/16 nehalem-ep nodes (the worst case for
 // neighbor traffic), then times evaluator construction, one full
 // evaluation, the node-ordering pass, and delta-J refinement. The
-// traffic is generated directly in CSR form — at 100k ranks a dense
-// matrix cannot exist — and the mapping uses the scatter layout so the
-// passes have real work. Timings use the wall clock; placements and J
+// mapping uses the scatter layout so the passes have real work. Timings use the wall clock; placements and J
 // values are bit-reproducible run to run.
 func NetScale(netSpec string, nps []int, refine bool, o *obs.Observer) ([]NetCostRow, error) {
 	sp, ok := hw.Preset("nehalem-ep")
 	if !ok {
 		return nil, fmt.Errorf("exper: nehalem-ep preset missing")
-	}
-	gen, ok := commpat.SparseByName("ring")
-	if !ok {
-		return nil, fmt.Errorf("exper: ring sparse pattern missing")
 	}
 	var rows []NetCostRow
 	for _, np := range nps {
@@ -81,7 +75,7 @@ func NetScale(netSpec string, nps []int, refine bool, o *obs.Observer) ([]NetCos
 		if err != nil {
 			return nil, err
 		}
-		tm := gen(np, 4096)
+		tm := commpat.Ring(np, 4096)
 
 		row := NetCostRow{Pattern: "ring", Network: net.Name(), NP: np, Nodes: nodes, NNZ: tm.NNZ()}
 
@@ -98,7 +92,7 @@ func NetScale(netSpec string, nps []int, refine bool, o *obs.Observer) ([]NetCos
 		row.JBefore = cost.J()
 
 		t0 = time.Now()
-		if _, err := mo.EvaluateSparse(c, m, tm); err != nil {
+		if _, err := mo.Evaluate(c, m, tm); err != nil {
 			return nil, err
 		}
 		row.FullEvalUs = float64(time.Since(t0)) / float64(time.Microsecond)

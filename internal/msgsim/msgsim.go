@@ -17,7 +17,6 @@ package msgsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
@@ -259,17 +258,12 @@ func maxMinRates(flows []*flow, now float64) []float64 {
 	return rates
 }
 
-// FromMatrix converts a traffic matrix into the message list of one phase.
+// FromMatrix converts a traffic matrix into the message list of one
+// phase, in (src, dst) order — the order Each yields.
 func FromMatrix(tm *commpat.Matrix) []Message {
-	var msgs []Message
+	msgs := make([]Message, 0, tm.NNZ())
 	tm.Each(func(i, j int, bytes float64) {
 		msgs = append(msgs, Message{Src: i, Dst: j, Bytes: bytes})
-	})
-	sort.Slice(msgs, func(a, b int) bool {
-		if msgs[a].Src != msgs[b].Src {
-			return msgs[a].Src < msgs[b].Src
-		}
-		return msgs[a].Dst < msgs[b].Dst
 	})
 	return msgs
 }

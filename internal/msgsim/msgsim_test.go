@@ -33,9 +33,9 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // one-entry traffic matrix is that pair's latency + bytes/bandwidth.
 func analytic(t *testing.T, c *cluster.Cluster, m *core.Map, mo *netsim.Model, src, dst int, bytes float64) float64 {
 	t.Helper()
-	tm := commpat.NewMatrix(m.NumRanks())
-	tm.Add(src, dst, bytes)
-	rep, err := mo.Evaluate(c, m, tm)
+	b := commpat.NewBuilder(m.NumRanks())
+	b.Add(src, dst, bytes)
+	rep, err := mo.Evaluate(c, m, b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

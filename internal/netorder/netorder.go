@@ -3,7 +3,7 @@
 // communicating groups land topologically near each other, then (see
 // refine.go) polishes rank placements with greedy pairwise swaps priced
 // by the O(degree) delta-J evaluator. Each pass compiles one flat
-// netsim.Pricing and runs over it and the CSR traffic view, so they stay
+// netsim.Pricing and runs over it and the sparse traffic matrix, so they stay
 // usable at 100k+ ranks where per-pair interface dispatch and dense
 // matrices are out of the question. They compose as place.Stage
 // post-passes with any registered policy — lama, treematch, torus, ... —
@@ -50,7 +50,7 @@ type Result struct {
 // node with identical topology shape, PU numbering, and slot limits —
 // so the permuted map is valid by construction. If the permutation does
 // not strictly improve J the input map is returned unchanged.
-func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Map) (*core.Map, *Result, error) {
+func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map) (*core.Map, *Result, error) {
 	pr, err := mo.Pricing(c)
 	if err != nil {
 		return nil, nil, err
@@ -207,7 +207,7 @@ type nodeEdge struct {
 // directed rank entries collapse onto undirected node-pair weights via
 // an edge list sorted and merged in place (no map iteration — the graph
 // feeds deterministic ordering).
-func nodeGraph(cost *netsim.Cost, tm *commpat.CSR, used []int) *nodeAdj {
+func nodeGraph(cost *netsim.Cost, tm *commpat.Matrix, used []int) *nodeAdj {
 	nu := len(used)
 	uIdx := make(map[int]int32, nu)
 	for i, n := range used {
@@ -356,7 +356,7 @@ func (s *Stage) Apply(_ context.Context, req *place.Request, m *core.Map) (*core
 	if req.Traffic == nil {
 		return nil, fmt.Errorf("netorder: stage needs req.Traffic")
 	}
-	out, res, err := OrderNodes(req.Cluster, netsim.NewModel(s.Net), req.Traffic.Sparse(), m)
+	out, res, err := OrderNodes(req.Cluster, netsim.NewModel(s.Net), req.Traffic, m)
 	if err != nil {
 		return nil, err
 	}

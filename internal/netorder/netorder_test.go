@@ -53,9 +53,9 @@ func scatterMap(t *testing.T, c *cluster.Cluster, np int) *core.Map {
 	return m
 }
 
-func evalJ(t *testing.T, c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Map) float64 {
+func evalJ(t *testing.T, c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map) float64 {
 	t.Helper()
-	rep, err := mo.EvaluateSparse(c, m, tm)
+	rep, err := mo.Evaluate(c, m, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRefineImprovesScatteredRing(t *testing.T) {
 	np := 64
 	m := scatterMap(t, c, np)
 	mo := netsim.NewModel(netsim.NewFatTree(2))
-	tm := commpat.Ring(np, 4096).Sparse()
+	tm := commpat.Ring(np, 4096)
 
 	out, res, err := RefineMap(c, mo, tm, m, 0)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestRefineNoOpOnPackedRing(t *testing.T) {
 	np := 48
 	m := mapJob(t, c, np) // packed: ring neighbors already adjacent
 	mo := netsim.NewModel(netsim.NewFlat())
-	tm := commpat.Ring(np, 1024).Sparse()
+	tm := commpat.Ring(np, 1024)
 	out, res, err := RefineMap(c, mo, tm, m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestOrderNodesImprovesShuffledStencil(t *testing.T) {
 		}
 	}
 	mo := netsim.NewModel(netsim.NewFatTree(2))
-	tm := commpat.Ring(np, 8192).Sparse()
+	tm := commpat.Ring(np, 8192)
 
 	out, res, err := OrderNodes(c, mo, tm, m)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestOrderNodesRevertsWhenNoGain(t *testing.T) {
 	np := 48
 	m := mapJob(t, c, np) // already contiguous: ordering cannot help a flat net
 	mo := netsim.NewModel(netsim.NewFlat())
-	tm := commpat.Ring(np, 1024).Sparse()
+	tm := commpat.Ring(np, 1024)
 	out, res, err := OrderNodes(c, mo, tm, m)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDeterminism(t *testing.T) {
 	c := testCluster(t, 8)
 	np := 64
 	mo := netsim.NewModel(netsim.NewDragonfly(2))
-	tm := commpat.Ring(np, 4096).Sparse()
+	tm := commpat.Ring(np, 4096)
 
 	type outcome struct {
 		placements []core.Placement

@@ -42,7 +42,7 @@ type RefineResult struct {
 // is hit. Swapping placements wholesale is always valid — the two ranks
 // exchange complete processor claims — so no compatibility classes are
 // needed. The input map is returned unchanged when no swap helps.
-func RefineMap(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
+func RefineMap(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
 	return RefineMapContext(context.Background(), c, mo, tm, m, maxSweeps)
 }
 
@@ -50,7 +50,7 @@ func RefineMap(c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Ma
 // between refinement sweeps (never inside the per-rank delta loop, which
 // must stay allocation-free). A canceled refinement returns the best map
 // found so far together with the cancellation error.
-func RefineMapContext(ctx context.Context, c *cluster.Cluster, mo *netsim.Model, tm *commpat.CSR, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
+func RefineMapContext(ctx context.Context, c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
 	pr, err := mo.Pricing(c)
 	if err != nil {
 		return nil, nil, err
@@ -188,7 +188,7 @@ func (s *Refine) Apply(ctx context.Context, req *place.Request, m *core.Map) (*c
 	if req.Traffic == nil {
 		return nil, fmt.Errorf("netorder: refine stage needs req.Traffic")
 	}
-	out, res, err := RefineMapContext(ctx, req.Cluster, netsim.NewModel(s.Net), req.Traffic.Sparse(), m, s.MaxSweeps)
+	out, res, err := RefineMapContext(ctx, req.Cluster, netsim.NewModel(s.Net), req.Traffic, m, s.MaxSweeps)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // objective J(C,D,Π) — the same volume-weighted latency + bytes/bandwidth
 // sum Model.Evaluate reports as TotalTime — held as mutable flat state so
 // candidate placement changes are priced in O(degree) instead of O(nnz).
-// NewCost computes the full J once over the CSR traffic; DeltaSwap and
+// NewCost computes the full J once over the sparse traffic; DeltaSwap and
 // DeltaMove then price a swap or move by re-costing only the edges
 // incident to the affected ranks, and ApplySwap/ApplyMove commit one.
 //
@@ -21,8 +21,8 @@ import (
 // allocation-free (//lama:hotpath, enforced by lamavet, pinned by
 // TestDeltaAllocationFree), and J equals Model.Evaluate's TotalTime.
 type Cost struct {
-	pr  Pricing // held by value: one less pointer hop per priced edge
-	csr *commpat.CSR
+	pr Pricing // held by value: one less pointer hop per priced edge
+	tm *commpat.Matrix
 
 	// Per-rank placement state: flat int32 mirrors of core.Map.
 	node  []int32 // rank -> node index
@@ -44,7 +44,7 @@ type Cost struct {
 // NewCost builds the evaluator for one compiled pricing + traffic + map
 // and computes the initial J. Every rank must be placed on a node of the
 // pricing's cluster, on a PU that exists there.
-func NewCost(pr *Pricing, tm *commpat.CSR, m *core.Map) (*Cost, error) {
+func NewCost(pr *Pricing, tm *commpat.Matrix, m *core.Map) (*Cost, error) {
 	if pr == nil || tm == nil || m == nil {
 		return nil, fmt.Errorf("netsim: cost needs a pricing, traffic, and a map")
 	}
@@ -56,7 +56,7 @@ func NewCost(pr *Pricing, tm *commpat.CSR, m *core.Map) (*Cost, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &Cost{pr: *pr, csr: tm, node: node, puIdx: puIdx, puOS: make([]int32, np)}
+	cs := &Cost{pr: *pr, tm: tm, node: node, puIdx: puIdx, puOS: make([]int32, np)}
 	for r := range m.Placements {
 		cs.puOS[r] = int32(m.Placements[r].PU())
 	}
@@ -69,9 +69,9 @@ func NewCost(pr *Pricing, tm *commpat.CSR, m *core.Map) (*Cost, error) {
 	return cs, nil
 }
 
-// buildAdjacency merges each rank's outgoing and incoming CSR entries
+// buildAdjacency merges each rank's outgoing and incoming traffic entries
 // into one peer-sorted incident list.
-func (cs *Cost) buildAdjacency(tm *commpat.CSR, np int) {
+func (cs *Cost) buildAdjacency(tm *commpat.Matrix, np int) {
 	off := make([]int32, np+1)
 	tm.Each(func(i, j int, bytes float64) {
 		off[i+1]++
@@ -262,7 +262,7 @@ func (cs *Cost) ApplyMove(r, node, pu int) (float64, bool) {
 // — the drift guard the differential tests lean on.
 func (cs *Cost) Recompute() float64 {
 	j := 0.0
-	cs.csr.Each(func(a, b int, bytes float64) {
+	cs.tm.Each(func(a, b int, bytes float64) {
 		j += cs.pr.Edge(cs.node[a], cs.puIdx[a], cs.node[b], cs.puIdx[b], bytes)
 	})
 	return j

@@ -127,19 +127,18 @@ func testClusters(t *testing.T) map[string]*cluster.Cluster {
 // testTraffic's volumes are deliberately not powers of two: for x = 2^k,
 // x*(1/bw) rounds to exactly x/bw, so such volumes cannot tell a pricing
 // that multiplies by a stored inverse from the spec's division.
-func testTraffic(np int) map[string]*commpat.CSR {
-	out := map[string]*commpat.CSR{
-		"alltoall": commpat.AllToAll(np, 12345).Sparse(),
-		"random":   commpat.RandomPairs(np, 3*np, 7777, 42).Sparse(),
+func testTraffic(np int) map[string]*commpat.Matrix {
+	out := map[string]*commpat.Matrix{
+		"random": commpat.RandomPairs(np, 3*np, 7777, 42),
 	}
-	for _, sp := range commpat.SparsePatterns() {
-		out[sp.Name] = sp.Gen(np, 12345)
+	for _, p := range commpat.Patterns() {
+		out[p.Name] = p.Gen(np, 12345)
 	}
 	return out
 }
 
 // TestCostMatchesEvaluate pins the single pricing path: a fresh Cost and
-// Model.Evaluate sum the same Pricing edges in the same CSR order, so J
+// Model.Evaluate sum the same Pricing edges in the same Each order, so J
 // and TotalTime are equal exactly, not just within a tolerance.
 func TestCostMatchesEvaluate(t *testing.T) {
 	for cname, c := range testClusters(t) {
@@ -151,7 +150,7 @@ func TestCostMatchesEvaluate(t *testing.T) {
 		for nname, net := range testNetworks(t, c.NumNodes()) {
 			mo := NewModel(net)
 			for pname, tm := range testTraffic(np) {
-				rep, err := mo.EvaluateSparse(c, m, tm)
+				rep, err := mo.Evaluate(c, m, tm)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", cname, nname, pname, err)
 				}
@@ -207,7 +206,7 @@ func TestDeltaSwapDifferential(t *testing.T) {
 						t.Fatalf("ApplySwap delta mismatch")
 					}
 					swapMapPlacements(oracle, a, b)
-					rep, err := mo.EvaluateSparse(c, oracle, tm)
+					rep, err := mo.Evaluate(c, oracle, tm)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -233,7 +232,7 @@ func TestDeltaMoveDifferential(t *testing.T) {
 		m := mapJob(t, c, "csbnh", np)
 		for nname, net := range testNetworks(t, c.NumNodes()) {
 			mo := NewModel(net)
-			tm := commpat.RandomPairs(np, 2*np, 1024, 5).Sparse()
+			tm := commpat.RandomPairs(np, 2*np, 1024, 5)
 			cost, err := NewCost(mustPricing(t, mo, c), tm, m)
 			if err != nil {
 				t.Fatal(err)
@@ -257,7 +256,7 @@ func TestDeltaMoveDifferential(t *testing.T) {
 				oracle.Placements[rk].Node = node
 				oracle.Placements[rk].NodeName = c.Nodes[node].Name
 				oracle.Placements[rk].PUs = []int{pu}
-				rep, err := mo.EvaluateSparse(c, oracle, tm)
+				rep, err := mo.Evaluate(c, oracle, tm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +275,7 @@ func TestDeltaMoveDifferential(t *testing.T) {
 func TestDeltaMoveRejectsUnknownPU(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
-	tm := commpat.Ring(12, 100).Sparse()
+	tm := commpat.Ring(12, 100)
 	cost, err := NewCost(mustPricing(t, NewModel(NewFlat()), c), tm, m)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +291,7 @@ func TestDeltaMoveRejectsUnknownPU(t *testing.T) {
 func TestDeltaSwapTrivial(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
-	tm := commpat.Ring(12, 100).Sparse()
+	tm := commpat.Ring(12, 100)
 	cost, err := NewCost(mustPricing(t, NewModel(NewFlat()), c), tm, m)
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +305,11 @@ func TestCostErrors(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
 	mo := NewModel(NewFlat())
-	if _, err := NewCost(mustPricing(t, mo, c), commpat.Ring(8, 1).Sparse(), m); err == nil ||
+	if _, err := NewCost(mustPricing(t, mo, c), commpat.Ring(8, 1), m); err == nil ||
 		!strings.Contains(err.Error(), "traffic has") {
 		t.Fatalf("rank mismatch: %v", err)
 	}
-	if _, err := NewCost(nil, commpat.Ring(12, 1).Sparse(), m); err == nil {
+	if _, err := NewCost(nil, commpat.Ring(12, 1), m); err == nil {
 		t.Fatal("nil pricing accepted")
 	}
 	if _, err := mo.Pricing(nil); err == nil {
@@ -324,7 +323,7 @@ func TestDeltaAllocationFree(t *testing.T) {
 	c := testClusters(t)["homog"]
 	np := 24
 	m := mapJob(t, c, "csbnh", np)
-	tm := commpat.RandomPairs(np, 3*np, 1024, 3).Sparse()
+	tm := commpat.RandomPairs(np, 3*np, 1024, 3)
 	cost, err := NewCost(mustPricing(t, NewModel(NewFatTree(2)), c), tm, m)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +342,7 @@ func TestDeltaAllocationFree(t *testing.T) {
 	}
 }
 
-func benchSetup(b *testing.B, np int) (*cluster.Cluster, *Model, *commpat.CSR, *core.Map) {
+func benchSetup(b *testing.B, np int) (*cluster.Cluster, *Model, *commpat.Matrix, *core.Map) {
 	b.Helper()
 	sp, _ := hw.Preset("nehalem-ep")
 	nodes := np / 16
@@ -359,8 +358,7 @@ func benchSetup(b *testing.B, np int) (*cluster.Cluster, *Model, *commpat.CSR, *
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen, _ := commpat.SparseByName("ring")
-	return c, NewModel(NewDragonfly(8)), gen(np, 4096), m
+	return c, NewModel(NewDragonfly(8)), commpat.Ring(np, 4096), m
 }
 
 // BenchmarkDeltaSwap vs BenchmarkEvaluateFull is the tentpole's perf
@@ -394,7 +392,7 @@ func BenchmarkEvaluateFull(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mo.EvaluateSparse(c, m, tm); err != nil {
+				if _, err := mo.Evaluate(c, m, tm); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -72,24 +72,12 @@ type Report struct {
 	MeanLinkLoad float64
 }
 
-// Evaluate computes the full report for a traffic matrix under a mapping.
-// The matrix rank count must match the map's. Evaluation runs over the
-// matrix's CSR view — nonzeros only — visiting the same pairs in the
-// same order as the dense iteration did, so reports are unchanged.
+// Evaluate computes the full report for a traffic matrix under a mapping,
+// visiting communicating pairs only, in Each order. The matrix rank count
+// must match the map's, and every rank must sit on a cluster node, on a
+// PU that node has. Pairs are priced by the model's Pricing for c, the
+// same edges Cost sums, so TotalTime equals Cost.J exactly.
 func (mo *Model) Evaluate(c *cluster.Cluster, m *core.Map, tm *commpat.Matrix) (*Report, error) {
-	if tm.Ranks() != m.NumRanks() {
-		return nil, fmt.Errorf("netsim: traffic has %d ranks, map has %d", tm.Ranks(), m.NumRanks())
-	}
-	return mo.EvaluateSparse(c, m, tm.Sparse())
-}
-
-// EvaluateSparse computes the full report for CSR traffic under a
-// mapping — the scale path: at 100k+ ranks sparse traffic is the only
-// representable form. The traffic rank count must match the map's, and
-// every rank must sit on a cluster node, on a PU that node has. Pairs are
-// priced by the model's Pricing for c, the same edges Cost sums, so
-// TotalTime equals Cost.J exactly.
-func (mo *Model) EvaluateSparse(c *cluster.Cluster, m *core.Map, tm *commpat.CSR) (*Report, error) {
 	if tm.Ranks() != m.NumRanks() {
 		return nil, fmt.Errorf("netsim: traffic has %d ranks, map has %d", tm.Ranks(), m.NumRanks())
 	}

@@ -114,6 +114,13 @@ type SelfObserving interface {
 	SelfObserving()
 }
 
+// TrafficAware marks policies whose Place reads Request.Traffic. A caller
+// that derives traffic from a pattern name (lamad) builds it only for
+// these; every other policy ignores the field.
+type TrafficAware interface {
+	TrafficAware()
+}
+
 var (
 	regMu    sync.RWMutex
 	regOrder []string

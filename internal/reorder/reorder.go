@@ -89,20 +89,44 @@ func Optimize(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 		})
 		return sum
 	}
-	// rankCost: the cost of all traffic touching ranks a or b under pos.
+	// partners row r: every rank r exchanges traffic with, either way,
+	// ascending — the only o for which rankCost's per-partner terms are
+	// nonzero.
+	sym := commpat.NewBuilder(np)
+	tm.Each(sym.AddSym)
+	partners := sym.Build()
+	// rankCost: the cost of all traffic touching ranks a or b under pos,
+	// summed partner by partner in ascending o, a's terms before b's; the
+	// pair's own traffic is counted once more at the end.
 	rankCost := func(a, b int) float64 {
 		sum := 0.0
-		for o := 0; o < np; o++ {
-			for _, r := range [2]int{a, b} {
-				if o == r || (r == b && o == a) {
-					continue
+		terms := func(r, o int) {
+			if bytes := tm.Bytes(r, o); bytes > 0 {
+				sum += lat[pos[r]][pos[o]] + bytes*inv[pos[r]][pos[o]]
+			}
+			if bytes := tm.Bytes(o, r); bytes > 0 {
+				sum += lat[pos[o]][pos[r]] + bytes*inv[pos[o]][pos[r]]
+			}
+		}
+		pa, _ := partners.Row(a)
+		pb, _ := partners.Row(b)
+		for x, y := 0, 0; x < len(pa) || y < len(pb); {
+			oa, ob := int32(np), int32(np)
+			if x < len(pa) {
+				oa = pa[x]
+			}
+			if y < len(pb) {
+				ob = pb[y]
+			}
+			if oa <= ob {
+				terms(a, int(oa))
+				x++
+			}
+			if ob <= oa {
+				if int(ob) != a {
+					terms(b, int(ob))
 				}
-				if bytes := tm.Bytes(r, o); bytes > 0 {
-					sum += lat[pos[r]][pos[o]] + bytes*inv[pos[r]][pos[o]]
-				}
-				if bytes := tm.Bytes(o, r); bytes > 0 {
-					sum += lat[pos[o]][pos[r]] + bytes*inv[pos[o]][pos[r]]
-				}
+				y++
 			}
 		}
 		if bytes := tm.Bytes(a, b); bytes > 0 {

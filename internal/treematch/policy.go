@@ -14,6 +14,9 @@ type policy struct{}
 
 func (policy) Name() string { return "treematch" }
 
+// TrafficAware marks that Place reads Request.Traffic.
+func (policy) TrafficAware() {}
+
 func (policy) Place(_ context.Context, req *place.Request) (*core.Map, error) {
 	if req.Traffic == nil {
 		return nil, fmt.Errorf("treematch: policy requires a traffic matrix")

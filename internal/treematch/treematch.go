@@ -14,7 +14,9 @@
 package treematch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lama/internal/cluster"
@@ -51,14 +53,15 @@ func Map(c *cluster.Cluster, tm *commpat.Matrix, np int) (*core.Map, error) {
 			bins = append(bins, bin{idx: i, capacity: capacity})
 		}
 	}
-	groups := partition(tm, all, bins)
+	a := newAffinity(tm)
+	groups := a.partition(all, bins)
 
 	m := &core.Map{Sweeps: 1}
 	placements := make([]core.Placement, np)
 	for bi, ranks := range groups {
 		nodeIdx := bins[bi].idx
 		node := c.Node(nodeIdx)
-		assignSubtree(tm, node.Topo.Root, ranks, func(rank int, pu *hw.Object) {
+		assignSubtree(a, node.Topo.Root, ranks, func(rank int, pu *hw.Object) {
 			placements[rank] = core.Placement{
 				Rank:     rank,
 				Node:     nodeIdx,
@@ -81,7 +84,7 @@ type bin struct {
 
 // assignSubtree recursively partitions ranks across obj's children by
 // usable capacity, bottoming out by pairing ranks with PUs.
-func assignSubtree(tm *commpat.Matrix, obj *hw.Object, ranks []int, emit func(rank int, pu *hw.Object)) {
+func assignSubtree(a *affinity, obj *hw.Object, ranks []int, emit func(rank int, pu *hw.Object)) {
 	if len(ranks) == 0 {
 		return
 	}
@@ -98,30 +101,67 @@ func assignSubtree(tm *commpat.Matrix, obj *hw.Object, ranks []int, emit func(ra
 		}
 	}
 	if len(kids) == 1 {
-		assignSubtree(tm, kids[0], ranks, emit)
+		assignSubtree(a, kids[0], ranks, emit)
 		return
 	}
 	bins := make([]bin, len(kids))
 	for i, ch := range kids {
 		bins[i] = bin{idx: i, capacity: len(ch.UsablePUs())}
 	}
-	for bi, group := range partition(tm, ranks, bins) {
-		assignSubtree(tm, kids[bi], group, emit)
+	for bi, group := range a.partition(ranks, bins) {
+		assignSubtree(a, kids[bi], group, emit)
 	}
 }
 
-// partition splits ranks into per-bin groups, greedily: each bin is seeded
-// with the unassigned rank having the largest total traffic, then grown by
-// repeatedly adding the unassigned rank with the most traffic to the bin's
-// current members, until the bin holds its share. Shares are computed
-// proportionally to capacities so that small bins are not starved.
-func partition(tm *commpat.Matrix, ranks []int, bins []bin) [][]int {
+// affinity is the symmetric view of a traffic matrix that partition works
+// on, built once per Map: row r of sym lists every rank r exchanges traffic
+// with, in either direction, peers ascending, weighted C[r][o] + C[o][r].
+// It also holds the partitioner's per-rank scratch, reused at every tree
+// level.
+type affinity struct {
+	sym   *commpat.Matrix
+	total []float64 // each rank's traffic to all others, summed over ascending peers
+
+	free    []bool    // in the current partition and not yet grouped
+	gain    []float64 // traffic to the growing group, summed in join order; > 0 exactly for touched ranks
+	touched []int     // ranks this bin made gain nonzero for: the candidates, and what to reset
+}
+
+func newAffinity(tm *commpat.Matrix) *affinity {
+	n := tm.Ranks()
+	// Adding every entry both ways makes each (r, o) the sum of its two
+	// directions, one addition, as the symmetric weight must be.
+	b := commpat.NewBuilder(n)
+	tm.Each(b.AddSym)
+	a := &affinity{
+		sym:   b.Build(),
+		total: make([]float64, n),
+		free:  make([]bool, n),
+		gain:  make([]float64, n),
+	}
+	for r := range a.total {
+		_, ws := a.sym.Row(r)
+		for _, w := range ws {
+			a.total[r] += w
+		}
+	}
+	return a
+}
+
+// partition splits ranks (ascending) into per-bin groups, greedily: each
+// bin is seeded with the unassigned rank having the largest total traffic,
+// then grown by repeatedly adding the unassigned rank with the most
+// traffic to the bin's current members, until the bin holds its share.
+// Ties break toward the lowest rank — determinism must never ride on map
+// iteration order. Shares are computed proportionally to capacities so
+// that small bins are not starved.
+//
+// The affinity of every rank to the growing group is kept in gain: a rank
+// joining walks its row once, so picking costs O(touched ranks), not a
+// rescan of the matrix. Each gain sums the same terms in the same order as
+// a rescan would, so the picks, and the placements, are bit-identical.
+func (a *affinity) partition(ranks []int, bins []bin) [][]int {
 	groups := make([][]int, len(bins))
-	// Unassigned ranks are kept as a sorted slice and always scanned in
-	// ascending order, so ties break toward the lowest rank by construction
-	// — determinism must never ride on map iteration order.
-	unassigned := append([]int(nil), ranks...)
-	sort.Ints(unassigned)
 
 	// Shares: fill bins in order, each taking min(capacity, what's left).
 	// (Traffic-aware seeding below decides *which* ranks, not how many.)
@@ -136,52 +176,52 @@ func partition(tm *commpat.Matrix, ranks []int, bins []bin) [][]int {
 		left -= take
 	}
 
+	// Seeds come heaviest first; the fallback pick is the lowest free rank.
+	heaviest := append([]int(nil), ranks...)
+	slices.SortStableFunc(heaviest, func(x, y int) int { return cmp.Compare(a.total[y], a.total[x]) })
+	for _, r := range ranks {
+		a.free[r] = true
+	}
+	seed, lowest := 0, 0 // cursors into heaviest and ranks, past grouped ranks
+
 	for i := range bins {
 		for len(groups[i]) < shares[i] {
-			var at int
+			r := -1
 			if len(groups[i]) == 0 {
-				at = heaviestRank(tm, unassigned)
+				for !a.free[heaviest[seed]] {
+					seed++
+				}
+				r = heaviest[seed]
 			} else {
-				at = bestAffinity(tm, unassigned, groups[i])
+				for _, p := range a.touched {
+					if a.free[p] && (r < 0 || a.gain[p] > a.gain[r] || (a.gain[p] == a.gain[r] && p < r)) {
+						r = p
+					}
+				}
+				if r < 0 {
+					for !a.free[ranks[lowest]] {
+						lowest++
+					}
+					r = ranks[lowest]
+				}
 			}
-			groups[i] = append(groups[i], unassigned[at])
-			unassigned = append(unassigned[:at], unassigned[at+1:]...)
+			a.free[r] = false
+			groups[i] = append(groups[i], r)
+			peers, ws := a.sym.Row(r)
+			for k, p := range peers {
+				if a.free[p] {
+					if a.gain[p] == 0 {
+						a.touched = append(a.touched, int(p))
+					}
+					a.gain[p] += ws[k]
+				}
+			}
 		}
+		for _, p := range a.touched {
+			a.gain[p] = 0
+		}
+		a.touched = a.touched[:0]
 		sort.Ints(groups[i])
 	}
 	return groups
-}
-
-// heaviestRank returns the index (into the sorted unassigned slice) of the
-// rank with the largest total traffic; ties break toward the lowest rank
-// because the slice is scanned in ascending order.
-func heaviestRank(tm *commpat.Matrix, unassigned []int) int {
-	best, bestW := -1, -1.0
-	for i, r := range unassigned {
-		w := 0.0
-		for o := 0; o < tm.Ranks(); o++ {
-			w += tm.Bytes(r, o) + tm.Bytes(o, r)
-		}
-		if w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
-// bestAffinity returns the index (into the sorted unassigned slice) of the
-// rank with the most traffic to the group's members; ties break toward
-// the lowest rank.
-func bestAffinity(tm *commpat.Matrix, unassigned []int, group []int) int {
-	best, bestW := -1, -1.0
-	for i, r := range unassigned {
-		w := 0.0
-		for _, g := range group {
-			w += tm.Bytes(r, g) + tm.Bytes(g, r)
-		}
-		if w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
 }

@@ -70,14 +70,15 @@ func TestBeatsObliviousMappingOnClusteredTraffic(t *testing.T) {
 	// both cliques across nodes; treematch should reunite them.
 	c := fig2Cluster(t, 2)
 	np := 24
-	tm := commpat.NewMatrix(np)
+	b := commpat.NewBuilder(np)
 	for i := 0; i < np; i++ {
 		for j := 0; j < np; j++ {
 			if i != j && i%2 == j%2 {
-				tm.Add(i, j, 1000)
+				b.Add(i, j, 1000)
 			}
 		}
 	}
+	tm := b.Build()
 	mo := netsim.NewModel(netsim.NewFlat())
 
 	tmatch, err := Map(c, tm, np)
