@@ -318,10 +318,10 @@ func BenchmarkTopologyBuild(b *testing.B) {
 
 func BenchmarkTreeMatch64(b *testing.B) {
 	c := benchCluster(b, 8)
-	tm := lama.GTC(64, 1<<20)
+	req := &lama.PlaceRequest{Cluster: c, NP: 64, Traffic: lama.GTC(64, 1<<20)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := lama.TreeMatchMap(c, tm, 64); err != nil {
+		if _, err := lama.Place(context.Background(), "treematch", req); err != nil {
 			b.Fatal(err)
 		}
 	}

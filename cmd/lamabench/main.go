@@ -34,9 +34,7 @@ import (
 	"lama/internal/netsim"
 	"lama/internal/obs"
 	"lama/internal/place"
-	_ "lama/internal/place/all" // link every built-in policy for -policy
-	"lama/internal/rankfile"
-	"lama/internal/torus"
+	"lama/internal/place/all"
 )
 
 // reportSchema is the current -json schema tag. v2 added the provenance
@@ -345,45 +343,13 @@ func policySweep(list string, seed int64, o *obs.Observer) ([]jsonPolicyRow, *me
 	c := cluster.Homogeneous(8, sp)
 	np := 64
 	tm := commpat.GTC(np, 1<<20)
-	d := torus.FitDims(c.NumNodes())
-
-	names := strings.Split(list, ",")
-	if list == "all" {
-		names = place.Names()
+	jobs, err := all.Jobs(list, place.Request{
+		Cluster: c, NP: np, Traffic: tm, Seed: seed,
+		Opts: core.Options{Obs: o},
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	var jobs []place.Job
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		pol, ok := place.Lookup(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown policy %q (registered: %s)",
-				name, strings.Join(place.Names(), ", "))
-		}
-		req := &place.Request{
-			Cluster: c, NP: np, Traffic: tm, Seed: seed,
-			TorusDims: [3]int{d.X, d.Y, d.Z},
-			Opts:      core.Options{Obs: o},
-		}
-		if name == "rankfile" {
-			base, err := place.Place(context.Background(), "by-slot", &place.Request{Cluster: c, NP: np})
-			if err != nil {
-				return nil, nil, err
-			}
-			f, err := rankfile.FromMap(base)
-			if err != nil {
-				return nil, nil, err
-			}
-			req.RankfileText = rankfile.Format(f)
-		}
-		jobs = append(jobs, place.Job{Policy: pol, Req: req})
-	}
-	if len(jobs) == 0 {
-		return nil, nil, fmt.Errorf("-policy %q selects no policies", list)
-	}
-
 	maps, err := place.Sweep(context.Background(), jobs, 0)
 	if err != nil {
 		return nil, nil, err

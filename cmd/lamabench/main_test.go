@@ -153,3 +153,16 @@ func TestParseReportRejectsUnknownSchema(t *testing.T) {
 		t.Fatal("garbage should fail")
 	}
 }
+
+// TestPolicyErrors: an unknown policy or a list naming none fails before
+// anything is printed.
+func TestPolicyErrors(t *testing.T) {
+	for _, list := range []string{"bogus", ",", "lama,bogus"} {
+		var out bytes.Buffer
+		if err := run([]string{"-policy", list}, &out); err == nil {
+			t.Errorf("-policy %q should fail", list)
+		} else if out.Len() != 0 {
+			t.Errorf("-policy %q printed before failing:\n%s", list, out.String())
+		}
+	}
+}

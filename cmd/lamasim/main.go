@@ -2,6 +2,8 @@
 // layouts, baselines, traffic-aware), costs a chosen traffic pattern on a
 // chosen network model, and reports either static communication metrics,
 // BSP application iteration times, or MPI collective completion times.
+// Each way is a place.Job (policy, post-pass stages, request), and one
+// place.Sweep places them all.
 //
 // Usage:
 //
@@ -45,10 +47,8 @@ import (
 	"lama/internal/obs"
 	"lama/internal/orte"
 	"lama/internal/place"
-	_ "lama/internal/place/all" // link every built-in policy for -policy
-	"lama/internal/rankfile"
+	"lama/internal/place/all"
 	"lama/internal/rm"
-	"lama/internal/torus"
 )
 
 func main() {
@@ -135,26 +135,9 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	c := cluster.Homogeneous(*nodes, sp)
-
-	var net netsim.Network
-	switch *netName {
-	case "flat":
-		net = netsim.NewFlat()
-	case "fat-tree":
-		net = netsim.NewFatTree(4)
-	case "torus":
-		d := torusDims(*nodes)
-		net = netsim.NewTorus3D(d)
-	case "dragonfly":
-		net = netsim.NewDragonfly(4)
-	default:
-		// Parameterized specs (fat-tree:8, dragonfly:2, torus:4x2x1) go
-		// through the shared parser; the bare names above keep their
-		// legacy constructors (notably "torus" and its Grid3D dims).
-		net, err = netsim.ParseNetwork(*netName, *nodes)
-		if err != nil {
-			return err
-		}
+	net, err := netsim.ParseNetwork(*netName, *nodes)
+	if err != nil {
+		return err
 	}
 	model := netsim.NewModel(net)
 
@@ -180,36 +163,28 @@ func run(args []string, out io.Writer) error {
 		tm = gen(*np, *bytesPer)
 	}
 
-	strategies := []strategy{
-		{"lama csbnh (pack)", lamaGen(c, "csbnh", *np, o)},
-		{"lama ncsbh (cycle)", lamaGen(c, "ncsbh", *np, o)},
-		{"lama scbnh (sockets)", lamaGen(c, "scbnh", *np, o)},
-		{"lama hcsbn (threads)", lamaGen(c, "hcsbn", *np, o)},
-		{"treematch", policyGen("treematch", &place.Request{Cluster: c, NP: *np, Traffic: tm})},
-		{"random", policyGen("random", &place.Request{Cluster: c, NP: *np, Seed: 1})},
-	}
+	base := place.Request{Cluster: c, NP: *np, Traffic: tm, Seed: 1, Opts: core.Options{Obs: o}}
+	labels, jobs := defaultJobs(base)
 	if *policyList != "" {
-		strategies, err = policyStrategies(*policyList, c, *np, tm, torusDims(*nodes), *seed)
-		if err != nil {
+		base.Seed = *seed
+		if jobs, err = all.Jobs(*policyList, base); err != nil {
 			return err
+		}
+		labels = make([]string, len(jobs))
+		for i, j := range jobs {
+			labels[i] = j.Policy.Name()
 		}
 	}
 	if *netRefine {
-		for i := range strategies {
-			s := strategies[i]
-			strategies[i] = strategy{s.name + "+net", func() (*core.Map, error) {
-				m, err := s.gen()
-				if err != nil {
-					return nil, err
-				}
-				m, _, err = netorder.OrderNodes(c, model, tm, m)
-				if err != nil {
-					return nil, err
-				}
-				m, _, err = netorder.RefineMap(c, model, tm, m, 0)
-				return m, err
-			}}
+		stages := []place.Stage{&netorder.Stage{Net: net}, &netorder.Refine{Net: net}}
+		for i := range jobs {
+			jobs[i].Stages = stages
+			labels[i] += "+net"
 		}
+	}
+	maps, err := place.Sweep(context.Background(), jobs, 0)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "cluster: %d x %s (%d usable PUs), network %s, pattern %s, np=%d\n\n",
@@ -219,16 +194,12 @@ func run(args []string, out io.Writer) error {
 	case "static":
 		t := metrics.NewTable("static communication metrics",
 			"strategy", "total (ms)", "inter-node MB", "avg hops", "max link MB")
-		for _, s := range strategies {
-			m, err := s.gen()
-			if err != nil {
-				return err
-			}
+		for i, m := range maps {
 			rep, err := model.Evaluate(c, m, tm)
 			if err != nil {
 				return err
 			}
-			t.AddRow(s.name, metrics.F(rep.TotalTime/1000, 3),
+			t.AddRow(labels[i], metrics.F(rep.TotalTime/1000, 3),
 				metrics.F(rep.InterBytes/1e6, 1), metrics.F(rep.AvgHops, 2),
 				metrics.F(rep.MaxLinkLoad/1e6, 2))
 		}
@@ -237,28 +208,20 @@ func run(args []string, out io.Writer) error {
 		t := metrics.NewTable(
 			fmt.Sprintf("BSP application, %d iterations x %.0f us compute", *iters, *compute),
 			"strategy", "iteration (us)", "comm share", "bound by")
-		for _, s := range strategies {
-			m, err := s.gen()
-			if err != nil {
-				return err
-			}
+		for i, m := range maps {
 			res, err := appsim.Run(c, m, model, tm, appsim.Config{ComputeUs: *compute, Iterations: *iters})
 			if err != nil {
 				return err
 			}
-			t.AddRow(s.name, metrics.F(res.IterUs, 1),
+			t.AddRow(labels[i], metrics.F(res.IterUs, 1),
 				metrics.F(res.CommUs/res.IterUs*100, 1)+"%", res.BoundBy)
 		}
 		fmt.Fprintln(out, t.String())
 	case "coll":
 		t := metrics.NewTable("collective completion times (ms)",
 			"strategy", "broadcast", "allreduce-rd", "allreduce-ring", "alltoall", "barrier")
-		for _, s := range strategies {
-			m, err := s.gen()
-			if err != nil {
-				return err
-			}
-			row := []string{s.name}
+		for i, m := range maps {
+			row := []string{labels[i]}
 			for _, op := range []coll.Op{coll.Broadcast, coll.AllreduceRD,
 				coll.AllreduceRing, coll.Alltoall, coll.Barrier} {
 				res, err := coll.Run(op, c, m, model, *bytesPer)
@@ -274,16 +237,12 @@ func run(args []string, out io.Writer) error {
 		t := metrics.NewTable("flow-level fluid simulation (max-min fair sharing)",
 			"strategy", "makespan (ms)", "events")
 		msgs := msgsim.FromMatrix(tm)
-		for _, s := range strategies {
-			m, err := s.gen()
-			if err != nil {
-				return err
-			}
+		for i, m := range maps {
 			res, err := msgsim.Run(c, m, model, msgs)
 			if err != nil {
 				return err
 			}
-			t.AddRow(s.name, metrics.F(res.Makespan/1000, 3), metrics.I(res.Events))
+			t.AddRow(labels[i], metrics.F(res.Makespan/1000, 3), metrics.I(res.Events))
 		}
 		fmt.Fprintln(out, t.String())
 	default:
@@ -298,64 +257,29 @@ func run(args []string, out io.Writer) error {
 	}))
 }
 
-// strategy pairs a display name with a map generator.
-type strategy struct {
-	name string
-	gen  func() (*core.Map, error)
-}
-
-// policyGen resolves one registry policy lazily.
-func policyGen(name string, req *place.Request) func() (*core.Map, error) {
-	return func() (*core.Map, error) { return place.Place(context.Background(), name, req) }
-}
-
-// policyStrategies builds the comparison set from -policy: a comma list of
-// registered policy names, or "all" for every registered one. The
-// "rankfile" policy gets its text synthesized from the by-slot placement,
-// so every policy is runnable from one invocation.
-func policyStrategies(list string, c *cluster.Cluster, np int, tm *commpat.Matrix,
-	d torus.Dims, seed int64) ([]strategy, error) {
-	names := strings.Split(list, ",")
-	if list == "all" {
-		names = place.Names()
+// defaultJobs is the comparison set without -policy: four LAMA layouts,
+// treematch, and random, each labeled for the report.
+func defaultJobs(base place.Request) ([]string, []place.Job) {
+	defaults := []struct{ label, policy, layout string }{
+		{"lama csbnh (pack)", "lama", "csbnh"},
+		{"lama ncsbh (cycle)", "lama", "ncsbh"},
+		{"lama scbnh (sockets)", "lama", "scbnh"},
+		{"lama hcsbn (threads)", "lama", "hcsbn"},
+		{"treematch", "treematch", ""},
+		{"random", "random", ""},
 	}
-	var out []strategy
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+	labels := make([]string, len(defaults))
+	reqs := make([]place.Request, len(defaults))
+	jobs := make([]place.Job, len(defaults))
+	for i, d := range defaults {
+		p, _ := place.Lookup(d.policy) // built in, linked by place/all
+		labels[i], reqs[i] = d.label, base
+		if d.layout != "" {
+			reqs[i].Layout = core.MustParseLayout(d.layout)
 		}
-		req := &place.Request{
-			Cluster: c, NP: np, Traffic: tm, Seed: seed,
-			TorusDims: [3]int{d.X, d.Y, d.Z},
-		}
-		if name == "rankfile" {
-			base, err := place.Place(context.Background(), "by-slot", &place.Request{Cluster: c, NP: np})
-			if err != nil {
-				return nil, err
-			}
-			f, err := rankfile.FromMap(base)
-			if err != nil {
-				return nil, err
-			}
-			req.RankfileText = rankfile.Format(f)
-		}
-		out = append(out, strategy{name, policyGen(name, req)})
+		jobs[i] = place.Job{Policy: p, Req: &reqs[i]}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-policy %q selects no policies", list)
-	}
-	return out, nil
-}
-
-func lamaGen(c *cluster.Cluster, layout string, np int, o *obs.Observer) func() (*core.Map, error) {
-	return func() (*core.Map, error) {
-		m, err := core.NewMapper(c, core.MustParseLayout(layout), core.Options{Obs: o})
-		if err != nil {
-			return nil, err
-		}
-		return m.Map(np)
-	}
+	return labels, jobs
 }
 
 // runValidate is the observability output validator the CI smoke step uses:
@@ -406,12 +330,6 @@ func runValidate(out io.Writer, paths string) error {
 			path, rep.Schema, rep.Tool, len(rep.Phases), nm, len(rep.Recovery))
 	}
 	return nil
-}
-
-// torusDims factors n into a 3-D shape (x >= y >= z).
-func torusDims(n int) torus.Dims {
-	px, py, pz := commpat.Grid3D(n)
-	return torus.Dims{X: pz, Y: py, Z: px}
 }
 
 type ftConfig struct {

@@ -49,6 +49,18 @@ func TestNetworks(t *testing.T) {
 			t.Fatalf("%s: %v", net, err)
 		}
 	}
+	// A bare torus takes the same torus.FitDims shape as an explicit one
+	// and as lamamap; 360 nodes is the smallest count where that differs
+	// from a commpat.Grid3D factoring (9x8x5).
+	for _, net := range []string{"torus", "torus:10x6x6"} {
+		var out bytes.Buffer
+		if err := run([]string{"-np", "16", "-nodes", "360", "-net", net, "-policy", "torus"}, &out); err != nil {
+			t.Fatalf("%s: %v", net, err)
+		}
+		if !strings.Contains(out.String(), "network torus(10x6x6)") {
+			t.Fatalf("-nodes 360 -net %s:\n%s", net, out.String())
+		}
+	}
 }
 
 func TestErrors(t *testing.T) {
@@ -63,6 +75,15 @@ func TestErrors(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+	// A bad policy list fails before the report header is printed.
+	for _, list := range []string{"bogus", ","} {
+		var out bytes.Buffer
+		if err := run([]string{"-policy", list}, &out); err == nil {
+			t.Errorf("-policy %q should fail", list)
+		} else if out.Len() != 0 {
+			t.Errorf("-policy %q printed before failing:\n%s", list, out.String())
 		}
 	}
 }

@@ -2,6 +2,8 @@ package exper
 
 import (
 	"context"
+	"fmt"
+
 	"lama/internal/cluster"
 	"lama/internal/commpat"
 	"lama/internal/core"
@@ -88,11 +90,8 @@ func runE9(Options) ([]*metrics.Table, error) {
 		{"stencil3d", commpat.Stencil3D(px, py, pz, 1<<20, true)},
 		{"alltoall", commpat.AllToAll(np, 1<<18)},
 	}
-	strategies := []struct {
-		name   string
-		policy string
-		req    place.Request
-	}{
+	// random (seed 1) is last: it is also every table's baseline.
+	strategies := []strategy{
 		{"LAMA csbnh (pack)", "lama", place.Request{Layout: core.MustParseLayout("csbnh")}},
 		{"LAMA ncsbh (cycle)", "lama", place.Request{Layout: core.MustParseLayout("ncsbh")}},
 		{"torus xyzt", "torus", place.Request{TorusDims: tdims, TorusOrder: "xyzt"}},
@@ -100,30 +99,24 @@ func runE9(Options) ([]*metrics.Table, error) {
 		{"mpich2 pack@socket", "pack", place.Request{PackLevel: hw.LevelSocket}},
 		{"random", "random", place.Request{Seed: 1}},
 	}
+	maps, err := placeAll(c, np, strategies)
+	if err != nil {
+		return nil, err
+	}
 	out := []*metrics.Table{t1}
 	for _, p := range patterns {
 		t2 := metrics.NewTable("E9b / strategy cost on "+p.name+" (3-D torus network)",
 			"strategy", "total time (ms)", "hop-bytes (MB-hops)", "max link load (MB)", "vs random")
-		rnd, err := place.Place(context.Background(), "random", &place.Request{Cluster: c, NP: np, Seed: 1})
+		rndRep, err := mo.Evaluate(c, maps[len(maps)-1], p.tm)
 		if err != nil {
 			return nil, err
 		}
-		rndRep, err := mo.Evaluate(c, rnd, p.tm)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range strategies {
-			req := s.req
-			req.Cluster, req.NP = c, np
-			m, err := place.Place(context.Background(), s.policy, &req)
+		for i, s := range strategies {
+			rep, err := mo.Evaluate(c, maps[i], p.tm)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := mo.Evaluate(c, m, p.tm)
-			if err != nil {
-				return nil, err
-			}
-			t2.AddRow(s.name,
+			t2.AddRow(s.label,
 				metrics.F(rep.TotalTime/1000, 2),
 				metrics.F(rep.HopBytes/1e6, 1),
 				metrics.F(rep.MaxLinkLoad/1e6, 1),
@@ -132,4 +125,28 @@ func runE9(Options) ([]*metrics.Table, error) {
 		out = append(out, t2)
 	}
 	return out, nil
+}
+
+// strategy is one labeled registry run of a comparison exhibit; placeAll
+// fills in the request's Cluster and NP.
+type strategy struct {
+	label, policy string
+	req           place.Request
+}
+
+// placeAll places np ranks on c once per strategy, as one place.Sweep, and
+// returns the maps in strategy order.
+func placeAll(c *cluster.Cluster, np int, ss []strategy) ([]*core.Map, error) {
+	reqs := make([]place.Request, len(ss))
+	jobs := make([]place.Job, len(ss))
+	for i, s := range ss {
+		p, ok := place.Lookup(s.policy)
+		if !ok {
+			return nil, fmt.Errorf("exper: unknown policy %q", s.policy)
+		}
+		reqs[i] = s.req
+		reqs[i].Cluster, reqs[i].NP = c, np
+		jobs[i] = place.Job{Policy: p, Req: &reqs[i]}
+	}
+	return place.Sweep(context.Background(), jobs, 0)
 }

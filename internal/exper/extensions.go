@@ -124,40 +124,21 @@ func runE13(o Options) ([]*metrics.Table, error) {
 	mo := netsim.NewModel(netsim.NewFatTree(4))
 	cfg := appsim.Config{ComputeUs: 500, Iterations: 1000}
 
-	strategies := []struct {
-		name string
-		gen  func() (*core.Map, error)
-	}{
-		{"LAMA csbnh (pack)", func() (*core.Map, error) {
-			mp, _ := core.NewMapper(c, core.MustParseLayout("csbnh"), core.Options{})
-			return mp.Map(np)
-		}},
-		{"LAMA ncsbh (cycle)", func() (*core.Map, error) {
-			mp, _ := core.NewMapper(c, core.MustParseLayout("ncsbh"), core.Options{})
-			return mp.Map(np)
-		}},
-		{"LAMA hcsbn (pack threads)", func() (*core.Map, error) {
-			mp, _ := core.NewMapper(c, core.MustParseLayout("hcsbn"), core.Options{})
-			return mp.Map(np)
-		}},
-		{"treematch", func() (*core.Map, error) {
-			return place.Place(context.Background(), "treematch", &place.Request{Cluster: c, NP: np, Traffic: tm})
-		}},
-		{"slurm plane(8)", func() (*core.Map, error) {
-			return place.Place(context.Background(), "plane", &place.Request{Cluster: c, NP: np, BlockSize: 8})
-		}},
-		{"random", func() (*core.Map, error) {
-			return place.Place(context.Background(), "random", &place.Request{Cluster: c, NP: np, Seed: o.Seed + 15})
-		}},
+	strategies := []strategy{
+		{"LAMA csbnh (pack)", "lama", place.Request{Layout: core.MustParseLayout("csbnh")}},
+		{"LAMA ncsbh (cycle)", "lama", place.Request{Layout: core.MustParseLayout("ncsbh")}},
+		{"LAMA hcsbn (pack threads)", "lama", place.Request{Layout: core.MustParseLayout("hcsbn")}},
+		{"treematch", "treematch", place.Request{Traffic: tm}},
+		{"slurm plane(8)", "plane", place.Request{BlockSize: 8}},
+		{"random", "random", place.Request{Seed: o.Seed + 15}},
 	}
-
+	maps, err := placeAll(c, np, strategies)
+	if err != nil {
+		return nil, err
+	}
 	var worst *appsim.Result
-	results := make([]*appsim.Result, len(strategies))
-	for i, s := range strategies {
-		m, err := s.gen()
-		if err != nil {
-			return nil, err
-		}
+	results := make([]*appsim.Result, len(maps))
+	for i, m := range maps {
 		res, err := appsim.Run(c, m, mo, tm, cfg)
 		if err != nil {
 			return nil, err
@@ -173,7 +154,7 @@ func runE13(o Options) ([]*metrics.Table, error) {
 		"strategy", "iteration (us)", "comm share", "bound by", "speedup vs worst")
 	for i, s := range strategies {
 		r := results[i]
-		t.AddRow(s.name,
+		t.AddRow(s.label,
 			metrics.F(r.IterUs, 1),
 			metrics.F(r.CommUs/r.IterUs*100, 1)+"%",
 			r.BoundBy,

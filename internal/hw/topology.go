@@ -96,7 +96,8 @@ type Topology struct {
 
 	// gen counts availability and structural mutations; see Generation.
 	gen uint64
-	// shapeSig caches the structural signature; see ShapeSig.
+	// shapeSig is the structural signature, recomputed by New and
+	// reindex; see ShapeSig.
 	shapeSig string
 }
 
@@ -107,7 +108,7 @@ type Topology struct {
 func (t *Topology) Generation() uint64 { return t.gen }
 
 // bump records a mutation: caches keyed by the previous generation are now
-// stale. Structural mutations additionally clear the shape signature.
+// stale. Structural mutations additionally recompute the shape signature.
 //
 //lama:mutator
 func (t *Topology) bump() { t.gen++ }
@@ -159,6 +160,7 @@ func New(sp Spec) *Topology {
 			pu.OS = i
 		}
 	}
+	t.shapeSig = t.structureSig()
 	return t
 }
 
@@ -311,13 +313,12 @@ func (t *Topology) RemoveObject(level Level, logical int) bool {
 }
 
 // reindex rebuilds per-level indexes, logical numbers, sibling ranks, and
-// clears cached PU sets and the shape signature after a structural
+// the shape signature, and clears cached PU sets, after a structural
 // mutation.
 //
 //lama:mutator
 func (t *Topology) reindex() {
 	t.bump()
-	t.shapeSig = ""
 	for l := range t.byLevel {
 		t.byLevel[l] = t.byLevel[l][:0]
 	}
@@ -332,6 +333,7 @@ func (t *Topology) reindex() {
 		}
 	}
 	walk(t.Root, 0)
+	t.shapeSig = t.structureSig()
 }
 
 // Clone returns a deep copy of the topology (objects, availability,
@@ -373,11 +375,12 @@ func (t *Topology) Clone() *Topology {
 // topologies with equal signatures are structurally identical, so derived
 // availability-independent data (pruned iteration trees) can be shared
 // between them — the nodes of a homogeneous cluster all report the same
-// signature. The signature is cached; structural mutations invalidate it.
-func (t *Topology) ShapeSig() string {
-	if t.shapeSig != "" {
-		return t.shapeSig
-	}
+// signature. It is computed when the structure is built or changed, never
+// on read, so concurrent readers (the workers of one sweep) do not race.
+func (t *Topology) ShapeSig() string { return t.shapeSig }
+
+// structureSig walks the tree for ShapeSig.
+func (t *Topology) structureSig() string {
 	var sig []byte
 	var walk func(o *Object)
 	walk = func(o *Object) {
@@ -387,8 +390,7 @@ func (t *Topology) ShapeSig() string {
 		}
 	}
 	walk(t.Root)
-	t.shapeSig = string(sig) //lama:mutation-ok memoized fill: idempotent, derived only from frozen structure
-	return t.shapeSig
+	return string(sig)
 }
 
 // Summary renders a one-line shape summary such as

@@ -430,3 +430,42 @@ func TestRenderTree(t *testing.T) {
 		t.Fatalf("restricted render:\n%s", out2)
 	}
 }
+
+// TestShapeSigSetWithStructure: the signature is fixed when the tree is
+// built or restructured, so readers on several goroutines (one sweep's
+// workers pricing and mapping the same cluster) only read it; under
+// -race a signature memoized on first read fails here. It tracks the
+// structure: a clone and a JSON round trip keep it, availability leaves
+// it alone, removing an object changes it.
+func TestShapeSigSetWithStructure(t *testing.T) {
+	topo := nehalem(t)
+	want := topo.structureSig()
+	sigs := make(chan string, 4)
+	for i := 0; i < cap(sigs); i++ {
+		go func() { sigs <- topo.ShapeSig() }()
+	}
+	for i := 0; i < cap(sigs); i++ {
+		if got := <-sigs; got != want {
+			t.Fatalf("concurrent ShapeSig = %q, want %q", got, want)
+		}
+	}
+	topo.SetAvailable(LevelCore, 2, false)
+	if topo.ShapeSig() != want || topo.Clone().ShapeSig() != want {
+		t.Fatal("availability or a clone changed the signature")
+	}
+	data, err := json.Marshal(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Topology
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.ShapeSig() != want {
+		t.Fatal("JSON round trip changed the signature")
+	}
+	topo.RemoveObject(LevelCore, 3)
+	if got := topo.ShapeSig(); got == want || got != topo.structureSig() {
+		t.Fatalf("after RemoveObject: ShapeSig = %q, structure %q", got, topo.structureSig())
+	}
+}

@@ -155,7 +155,10 @@ func Run(c *cluster.Cluster, m *core.Map, model *netsim.Model, msgs []Message) (
 				continue
 			}
 			f.remaining -= rates[i] * dt
-			if f.remaining <= 1e-9 {
+			// A residue too small to move the clock (now + remaining/rate
+			// rounds to now) would stall every later event at dt = 0: the
+			// flow finishes now.
+			if f.remaining <= 1e-9 || (dt == 0 && rates[i] > 0 && now+f.remaining/rates[i] == now) {
 				f.done = true
 				f.finish = next
 				active--

@@ -3,6 +3,7 @@ package msgsim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
@@ -192,5 +193,39 @@ func TestRunErrors(t *testing.T) {
 	empty, err := Run(c, m, mo, nil)
 	if err != nil || empty.Makespan != 0 {
 		t.Fatal("empty message set")
+	}
+}
+
+// TestResidueBelowClockResolutionFinishes pins a livelock: after an event
+// at t ≈ 4712 µs one flow kept 1.1e-9 bytes, above the completion
+// threshold but too little for now + remaining/rate to differ from now, so
+// every later event had dt = 0 and Run never returned. The 12 messages
+// are a reduction of a 64-rank traffic file that hung lamasim -mode fluid.
+func TestResidueBelowClockResolutionFinishes(t *testing.T) {
+	c, m, mo := setup(t, "hcsbn", 8, 64)
+	msgs := []Message{
+		{11, 59, 1000}, {14, 16, 250000}, {20, 53, 250000}, {30, 41, 3e6},
+		{30, 51, 1000}, {31, 63, 254096}, {33, 23, 3e6}, {36, 15, 3e6},
+		{36, 56, 3.004096e6}, {37, 53, 3e6}, {38, 26, 1.048576e6}, {46, 55, 250000},
+	}
+	done := make(chan error, 1)
+	var res *Result
+	go func() {
+		var err error
+		res, err = Run(c, m, mo, msgs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: stalled at dt = 0")
+	}
+	for _, o := range res.Outcomes {
+		if o.Finish <= 0 || o.Finish > res.Makespan {
+			t.Fatalf("outcome %+v outside (0, makespan %v]", o, res.Makespan)
+		}
 	}
 }

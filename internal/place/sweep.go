@@ -9,18 +9,20 @@ import (
 	"lama/internal/parallel"
 )
 
-// Job is one unit of a cross-policy sweep: a policy plus the request to
-// run it with. Distinct jobs may share a request (policies only read it).
+// Job is one unit of a cross-policy sweep: a policy, the post-pass stages
+// applied to its map, and the request to run both with. Distinct jobs may
+// share a request (policies and stages only read it).
 type Job struct {
 	Policy Policy
+	Stages []Stage
 	Req    *Request
 }
 
 // Sweep runs every job across a bounded worker pool (workers <= 0 means
-// GOMAXPROCS). The returned maps are in job order regardless of completion
-// order; the first error (by lowest job index) aborts the sweep. The
-// context cancels it at job boundaries: queued jobs are skipped and the
-// context's error is returned.
+// GOMAXPROCS), each as Pipeline{Policy, Stages}.Run. The returned maps are
+// in job order regardless of completion order; the first error (by lowest
+// job index) aborts the sweep. The context cancels it at job boundaries:
+// queued jobs are skipped and the context's error is returned.
 //
 // Each pool worker keeps one core.Mapper and sets it as Request.Mapper on
 // every job it runs, so a layout sweep of "lama" jobs over one cluster
@@ -88,7 +90,7 @@ func SweepEach(ctx context.Context, jobs []Job, workers int, visit func(i int, m
 		if o.Enabled() {
 			jobStart = time.Now() //lama:nondet-ok latency observability only, never reaches mapping output
 		}
-		m, err := Run(ctx, job.Policy, &req)
+		m, err := (&Pipeline{Policy: job.Policy, Stages: job.Stages}).Run(ctx, &req)
 		if err != nil {
 			if o.Enabled() {
 				o.Emit(obs.SrcSweep, obs.EvJobFailed, obs.NoStep,

@@ -133,3 +133,47 @@ func TestRequestMapperChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepRunsJobStages: each job's stages run, in order, on the map its
+// own policy placed, so a sweep returns what Pipeline.Run returns serially
+// for every job; a job without stages returns the bare placement.
+func TestSweepRunsJobStages(t *testing.T) {
+	c := nehalemCluster(t, 2)
+	// swap exchanges the places of ranks a and b in a copy of the map.
+	swap := func(a, b int) place.Stage {
+		return stageFunc{name: "swap", fn: func(_ *place.Request, m *core.Map) (*core.Map, error) {
+			out := *m
+			out.Placements = append([]core.Placement(nil), m.Placements...)
+			pa, pb := &out.Placements[a], &out.Placements[b]
+			*pa, *pb = *pb, *pa
+			pa.Rank, pb.Rank = a, b
+			return &out, nil
+		}}
+	}
+	bySlot, _ := place.Lookup("by-slot")
+	byNode, _ := place.Lookup("by-node")
+	req := &place.Request{Cluster: c, NP: 8}
+	jobs := []place.Job{
+		{Policy: bySlot, Stages: []place.Stage{swap(0, 5), swap(5, 7)}, Req: req},
+		{Policy: byNode, Req: req},
+		{Policy: byNode, Stages: []place.Stage{swap(1, 2)}, Req: req},
+	}
+	for _, workers := range []int{1, 3} {
+		maps, err := place.Sweep(context.Background(), jobs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, j := range jobs {
+			want, err := (&place.Pipeline{Policy: j.Policy, Stages: j.Stages}).Run(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(maps[i], want) {
+				t.Fatalf("workers=%d job %d: sweep map differs from Pipeline.Run", workers, i)
+			}
+		}
+		if reflect.DeepEqual(maps[1], maps[2]) {
+			t.Fatal("job 2's stage did not run")
+		}
+	}
+}

@@ -292,58 +292,12 @@ func PlaceSweep(ctx context.Context, jobs []PlaceJob, workers int) ([]*Map, erro
 // LaunchRequest.Stages.
 type ReorderPass = reorder.Pass
 
-// ---- Baselines and torus mapping (§II comparators) ----
+// ---- Torus shapes (§II comparators) ----
 
-// BySlot, ByNode, PackAt, ScatterAt, and RandomMap are the traditional
-// mapping strategies of the paper's related work. Each is a thin shim over
-// the corresponding registry policy.
-func BySlot(c *Cluster, np int) (*Map, error) {
-	return place.Place(context.Background(), "by-slot", &place.Request{Cluster: c, NP: np})
-}
-
-// ByNode deals ranks round-robin across nodes.
-func ByNode(c *Cluster, np int) (*Map, error) {
-	return place.Place(context.Background(), "by-node", &place.Request{Cluster: c, NP: np})
-}
-
-// PackAt fills each object of a level before the next (MPICH2-style).
-func PackAt(c *Cluster, l Level, np int) (*Map, error) {
-	return place.Place(context.Background(), "pack", &place.Request{Cluster: c, NP: np, PackLevel: l})
-}
-
-// ScatterAt deals ranks round-robin across the objects of a level.
-func ScatterAt(c *Cluster, l Level, np int) (*Map, error) {
-	return place.Place(context.Background(), "scatter", &place.Request{Cluster: c, NP: np, PackLevel: l})
-}
-
-// RandomMap places ranks on a seeded random PU permutation.
-func RandomMap(c *Cluster, seed int64, np int) (*Map, error) {
-	return place.Place(context.Background(), "random", &place.Request{Cluster: c, NP: np, Seed: seed})
-}
-
-// PlaneMap implements SLURM's plane distribution: blocks of blockSize
-// consecutive ranks dealt round-robin across nodes.
-func PlaneMap(c *Cluster, blockSize, np int) (*Map, error) {
-	return place.Place(context.Background(), "plane", &place.Request{Cluster: c, NP: np, BlockSize: blockSize})
-}
-
-// TreeMatchMap places ranks traffic-aware, recursively partitioning the
-// communication matrix down the hardware tree (the related-work
-// comparator of the paper's reference [3]).
-func TreeMatchMap(c *Cluster, tm *TrafficMatrix, np int) (*Map, error) {
-	return place.Place(context.Background(), "treematch", &place.Request{Cluster: c, NP: np, Traffic: tm})
-}
-
-// TorusDims is a 3-D torus shape; MapTorus performs BlueGene-style XYZT
-// mapping.
+// TorusDims is a 3-D torus shape, the "torus" policy's
+// PlaceRequest.TorusDims. The §II comparators (by-slot, by-node, pack,
+// scatter, random, plane, torus, treematch) run through Place by name.
 type TorusDims = torus.Dims
-
-// MapTorus maps ranks by an xyzt-permutation over a torus-shaped cluster.
-func MapTorus(c *Cluster, d TorusDims, order string, np int) (*Map, error) {
-	return place.Place(context.Background(), "torus", &place.Request{
-		Cluster: c, NP: np, TorusDims: [3]int{d.X, d.Y, d.Z}, TorusOrder: order,
-	})
-}
 
 // FitTorusDims factors a node count into a near-cubic torus shape.
 func FitTorusDims(n int) TorusDims { return torus.FitDims(n) }

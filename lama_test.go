@@ -107,20 +107,21 @@ func TestMpirunFacade(t *testing.T) {
 	}
 }
 
-// TestBaselineFacade checks the re-exported baseline and torus mappers.
+// TestBaselineFacade runs the baseline and torus policies through Place.
 func TestBaselineFacade(t *testing.T) {
 	spec, _ := lama.Preset("bgp-node")
 	d := lama.TorusDims{X: 2, Y: 2, Z: 2}
 	c := lama.Homogeneous(d.Size(), spec)
-	for name, f := range map[string]func() (*lama.Map, error){
-		"byslot":  func() (*lama.Map, error) { return lama.BySlot(c, 16) },
-		"bynode":  func() (*lama.Map, error) { return lama.ByNode(c, 16) },
-		"pack":    func() (*lama.Map, error) { return lama.PackAt(c, lama.LevelSocket, 16) },
-		"scatter": func() (*lama.Map, error) { return lama.ScatterAt(c, lama.LevelSocket, 16) },
-		"random":  func() (*lama.Map, error) { return lama.RandomMap(c, 3, 16) },
-		"torus":   func() (*lama.Map, error) { return lama.MapTorus(c, d, "xyzt", 16) },
+	for name, req := range map[string]lama.PlaceRequest{
+		"by-slot": {},
+		"by-node": {},
+		"pack":    {PackLevel: lama.LevelSocket},
+		"scatter": {PackLevel: lama.LevelSocket},
+		"random":  {Seed: 3},
+		"torus":   {TorusDims: [3]int{d.X, d.Y, d.Z}, TorusOrder: "xyzt"},
 	} {
-		m, err := f()
+		req.Cluster, req.NP = c, 16
+		m, err := lama.Place(context.Background(), name, &req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -199,7 +200,7 @@ func TestExtensionFacade(t *testing.T) {
 	np := 24
 	tm := lama.Ring(np, 1<<20)
 
-	plane, err := lama.PlaneMap(c, 4, np)
+	plane, err := lama.Place(context.Background(), "plane", &lama.PlaceRequest{Cluster: c, NP: np, BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestExtensionFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tmatch, err := lama.TreeMatchMap(c, tm, np)
+	tmatch, err := lama.Place(context.Background(), "treematch", &lama.PlaceRequest{Cluster: c, NP: np, Traffic: tm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestExtensionFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := lama.RandomMap(c, 9, np)
+	rnd, err := lama.Place(context.Background(), "random", &lama.PlaceRequest{Cluster: c, NP: np, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
