@@ -12,9 +12,11 @@
 //	curl -s -X POST localhost:8080/v1/clusters/prod/events \
 //	     -d '{"type":"fail-node","node":17}'
 //
-// Placements are cached per snapshot signature; a mutation event swaps
-// the cluster's snapshot copy-on-write (in-flight requests keep the one
-// they started with) and purges only that cluster's stale cache entries.
+// Placements are cached per snapshot signature and epoch, in a cache
+// bounded by the bytes it holds; a repeated request is answered with the
+// reply bytes stored on its first hit. A mutation event swaps the
+// cluster's snapshot copy-on-write (in-flight requests keep the one they
+// started with) and purges only that cluster's stale cache entries.
 // /metrics, /metrics.json, /events, and /debug/pprof come from the same
 // obs.Server every CLI shares, so the daemon is scrapeable and
 // profileable out of the box.
@@ -50,7 +52,7 @@ func run(args []string, out io.Writer) error {
 	clusters := fs.String("clusters", "default=4xnehalem-ep", "comma-separated name=<nodes>x<spec> cluster definitions")
 	workers := fs.Int("workers", 0, "placement worker pool size (0 = 4)")
 	queue := fs.Int("queue", 0, "admission queue depth before requests are shed (0 = 4x workers)")
-	cacheSize := fs.Int("cache", 0, "placement cache entries, -1 disables (0 = 1024)")
+	cacheMB := fs.Int64("cache-mb", 0, "placement cache budget in MiB (maps and replies), -1 disables (0 = 256)")
 	version := obs.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,7 +63,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	eng, handler, err := buildDaemon(*clusters, engine.Config{
-		Workers: *workers, QueueDepth: *queue, CacheSize: *cacheSize,
+		Workers: *workers, QueueDepth: *queue, CacheBytes: *cacheMB << 20,
 	})
 	if err != nil {
 		return err

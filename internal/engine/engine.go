@@ -1,9 +1,9 @@
 // Package engine is the request-scoped placement engine behind the lamad
 // daemon: a registry of named clusters published as immutable
 // cluster.Snapshot values (swapped atomically on failure/grow events), a
-// bounded pool of workers that reuse Mapper state across requests, an LRU
-// placement cache keyed by the snapshot signature, and admission control
-// with deadline-aware shedding.
+// bounded pool of workers that reuse Mapper state across requests, a
+// byte-bounded LRU placement cache keyed by the snapshot signature and
+// epoch, and admission control with deadline-aware shedding.
 //
 // The engine is what turns the library's "one mutable Cluster + one
 // caller" model into "immutable snapshots + many concurrent callers":
@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -69,13 +70,18 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker; once the queue is
 	// full further requests are shed immediately. <= 0 means 4*Workers.
 	QueueDepth int
-	// CacheSize bounds the placement LRU (entries): 0 means 1024, and a
-	// negative size disables the cache.
-	CacheSize int
+	// CacheBytes bounds the bytes the placement LRU holds, maps and
+	// replies together: 0 means defaultCacheBytes, and a negative value
+	// disables the cache.
+	CacheBytes int64
 	// Obs receives engine events (register, swap, shed) and the cache and
 	// admission counters. Nil disables instrumentation.
 	Obs *obs.Observer
 }
+
+// defaultCacheBytes is the placement cache budget when Config.CacheBytes
+// is 0: 256 MiB.
+const defaultCacheBytes = 256 << 20
 
 // Request is one placement query.
 type Request struct {
@@ -109,6 +115,9 @@ type Response struct {
 	Map    *core.Map
 	Epoch  uint64
 	Cached bool
+	// reply is the stored /v1/place reply of a hit, shared with the
+	// cache; nil on a miss.
+	reply []byte
 }
 
 // clusterEntry is one registered cluster: the currently published
@@ -186,24 +195,24 @@ func New(cfg Config) *Engine {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
-	size := cfg.CacheSize
-	if size == 0 {
-		size = 1024
+	budget := cfg.CacheBytes
+	if budget == 0 {
+		budget = defaultCacheBytes
 	}
-	if size < 0 {
-		size = 0
+	if budget < 0 {
+		budget = 0
 	}
+	reg := cfg.Obs.Reg()
 	e := &Engine{
 		cfg:      cfg,
 		clusters: map[string]*clusterEntry{},
 		workers:  make(chan *worker, cfg.Workers),
 		queue:    make(chan struct{}, cfg.QueueDepth),
-		cache:    newLRU(size),
+		cache:    newLRU(budget, reg),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.workers <- &worker{mappers: map[string]*core.Mapper{}}
 	}
-	reg := cfg.Obs.Reg()
 	e.hits = reg.Counter("lama_engine_cache_hits_total")
 	e.misses = reg.Counter("lama_engine_cache_misses_total")
 	e.stale = reg.Counter("lama_engine_cache_stale_total")
@@ -213,8 +222,9 @@ func New(cfg Config) *Engine {
 }
 
 // Register publishes a cluster under a name at snapshot epoch 1 (or
-// replaces its snapshot wholesale). The snapshot must not be mutated by
-// the caller afterwards.
+// replaces its snapshot wholesale, purging cache entries of older epochs
+// and resetting the cluster's cache floor to the new epoch). The snapshot
+// must not be mutated by the caller afterwards.
 func (e *Engine) Register(name string, snap *Snapshot) error {
 	if name == "" || snap == nil || snap.Clu == nil {
 		return fmt.Errorf("engine: Register needs a name and a snapshot")
@@ -229,6 +239,9 @@ func (e *Engine) Register(name string, snap *Snapshot) error {
 	ce.mu.Lock()
 	ce.snap = snap
 	ce.mu.Unlock()
+	if ok {
+		e.cache.purgeOlder(name, snap.Clu.Epoch())
+	}
 	if o := e.cfg.Obs; o.Enabled() {
 		o.Emit(obs.SrcEngine, obs.EvRegister, obs.NoStep,
 			obs.F("cluster", name),
@@ -313,6 +326,9 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	if req.NP < 0 || req.NP > MaxNP {
 		return nil, fmt.Errorf("engine: np %d out of range [0, %d]", req.NP, MaxNP)
 	}
+	if math.IsNaN(req.Bytes) || math.IsInf(req.Bytes, 0) {
+		return nil, fmt.Errorf("engine: bytes %g is not finite", req.Bytes)
+	}
 	e.mu.RLock()
 	ce := e.clusters[req.Cluster]
 	e.mu.RUnlock()
@@ -327,9 +343,12 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	}
 	key := keyOf(req, snap.Clu.Sig(), epoch)
 	if !req.NoCache {
-		if m, ok := e.cache.get(key); ok {
+		if m, reply, ok := e.cache.get(key); ok {
 			e.hits.Inc()
-			return &Response{Map: m, Epoch: epoch, Cached: true}, nil
+			if reply == nil {
+				reply = e.cache.attach(key, m, hitReply(req.Cluster, epoch, m))
+			}
+			return &Response{Map: m, Epoch: epoch, Cached: true, reply: reply}, nil
 		}
 	}
 
@@ -360,7 +379,7 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	}
 	e.misses.Inc()
 	if !req.NoCache {
-		e.cache.put(key, req.Cluster, epoch, m)
+		e.cache.put(key, m)
 	}
 	return &Response{Map: m, Epoch: epoch}, nil
 }

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
+	"net/http"
 	"reflect"
 	"runtime"
 	"sync"
@@ -291,7 +294,7 @@ func TestEngineShedsWhenOverloaded(t *testing.T) {
 }
 
 func TestEngineConcurrentPlacementsAndSwaps(t *testing.T) {
-	e, _ := newTestEngine(t, Config{Workers: 4, QueueDepth: 1024, CacheSize: 64})
+	e, _ := newTestEngine(t, Config{Workers: 4, QueueDepth: 1024, CacheBytes: 32 << 10})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -348,28 +351,317 @@ func TestEngineClustersSorted(t *testing.T) {
 	}
 }
 
+// lruMap is an n-rank map with one PU a rank, for sizing cache entries.
+func lruMap(n int) *core.Map {
+	m := &core.Map{Placements: make([]core.Placement, n)}
+	for i := range m.Placements {
+		m.Placements[i].PUs = []int{i}
+	}
+	return m
+}
+
+func lruKey(cluster string, epoch uint64, np int) cacheKey {
+	return cacheKey{cluster: cluster, sig: "sig", epoch: epoch, np: np}
+}
+
+// checkHeld requires the cache to hold want entries accounted at
+// wantBytes, and its gauges to say so.
+func checkHeld(t *testing.T, c *lruCache, entries int, wantBytes int64) {
+	t.Helper()
+	if n, b := c.len(), c.held(); n != entries || b != wantBytes {
+		t.Fatalf("cache holds %d entries, %d B; want %d, %d B", n, b, entries, wantBytes)
+	}
+	if g := c.bytesGauge.Value(); g != float64(wantBytes) {
+		t.Fatalf("lama_engine_cache_bytes = %v, want %d", g, wantBytes)
+	}
+	if g := c.entriesGauge.Value(); g != float64(entries) {
+		t.Fatalf("lama_engine_cache_entries = %v, want %d", g, entries)
+	}
+}
+
+// TestLRUEvictsAndPurges pins the byte bound: eviction by bytes from the
+// least recent end, an entry larger than the budget not stored, a reply
+// attach recounting its entry, purge subtracting what it removes, and a
+// zero budget storing nothing.
 func TestLRUEvictsAndPurges(t *testing.T) {
-	c := newLRU(2)
-	m := &core.Map{}
-	c.put("a", "c1", 1, m)
-	c.put("b", "c1", 1, m)
-	c.put("x", "c2", 1, m) // evicts "a"
-	if _, ok := c.get("a"); ok {
-		t.Fatal("capacity-2 LRU kept 3 entries")
-	}
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("entry b evicted early")
-	}
+	reg := obs.NewRegistry()
+	m := lruMap(16)
+	one := (&cacheEntry{key: lruKey("c1", 1, 1), m: m}).measure()
+	a, b, x := lruKey("c1", 1, 1), lruKey("c1", 1, 2), lruKey("c2", 1, 3)
+
+	t.Run("evicts-by-bytes", func(t *testing.T) {
+		c := newLRU(2*one+one/2, reg) // room for two bare entries
+		c.put(a, m)
+		c.put(b, m)
+		checkHeld(t, c, 2, 2*one)
+		c.put(x, m) // evicts a, the least recent
+		if _, _, ok := c.get(a); ok {
+			t.Fatal("a 2.5-entry budget kept 3 entries")
+		}
+		if _, _, ok := c.get(b); !ok {
+			t.Fatal("entry b evicted early")
+		}
+		checkHeld(t, c, 2, 2*one)
+		// A repeated put keeps the entry it finds.
+		c.put(b, lruMap(16))
+		if got, _, _ := c.get(b); got != m {
+			t.Fatal("a repeated put replaced the stored map")
+		}
+		checkHeld(t, c, 2, 2*one)
+	})
+
+	t.Run("over-budget-not-stored", func(t *testing.T) {
+		c := newLRU(2*one, reg)
+		c.put(a, m)
+		c.put(b, lruMap(64))
+		if _, _, ok := c.get(b); ok {
+			t.Fatal("an entry larger than the whole budget was stored")
+		}
+		checkHeld(t, c, 1, one)
+	})
+
+	t.Run("attach-recounts", func(t *testing.T) {
+		c := newLRU(3*one, reg)
+		c.put(a, m)
+		c.put(b, m)
+		reply := make([]byte, one/2)
+		if got := c.attach(a, m, reply); &got[0] != &reply[0] {
+			t.Fatal("attach did not return the reply it stored")
+		}
+		checkHeld(t, c, 2, 2*one+one/2)
+		if _, got, _ := c.get(a); &got[0] != &reply[0] {
+			t.Fatal("get did not return the attached reply")
+		}
+		// A later attach keeps the first reply; one for another map
+		// stores nothing.
+		if got := c.attach(a, m, make([]byte, 8)); &got[0] != &reply[0] {
+			t.Fatal("a second attach replaced the first reply")
+		}
+		c.attach(b, lruMap(16), make([]byte, 8))
+		if _, got, _ := c.get(b); got != nil {
+			t.Fatal("attach stored a reply for a map the entry does not hold")
+		}
+		checkHeld(t, c, 2, 2*one+one/2)
+		// b is now the most recent: growing it past the budget evicts a.
+		c.attach(b, m, make([]byte, one))
+		if _, _, ok := c.get(a); ok {
+			t.Fatal("attach left the cache past its budget")
+		}
+		checkHeld(t, c, 1, 2*one)
+		// A reply that grows its entry past the whole budget drops it.
+		c.put(x, m)
+		c.attach(x, m, make([]byte, 3*one))
+		if _, _, ok := c.get(x); ok {
+			t.Fatal("an entry past the whole budget stayed")
+		}
+		checkHeld(t, c, 1, 2*one)
+	})
+
+	t.Run("purge-subtracts", func(t *testing.T) {
+		c := newLRU(10*one, reg)
+		c.put(a, m)
+		c.put(b, m)
+		c.put(x, m)
+		c.attach(b, m, make([]byte, one))
+		if purged := c.purgeOlder("c1", 2); purged != 2 {
+			t.Fatalf("purged = %d, want 2 (only c1@1)", purged)
+		}
+		if _, _, ok := c.get(x); !ok {
+			t.Fatal("purge removed another cluster's entry")
+		}
+		checkHeld(t, c, 1, one)
+	})
+
+	t.Run("disabled", func(t *testing.T) {
+		c := newLRU(0, reg)
+		c.put(a, m)
+		if _, _, ok := c.get(a); ok {
+			t.Fatal("disabled cache stored an entry")
+		}
+		if c.len() != 0 || c.held() != 0 {
+			t.Fatalf("disabled cache holds %d entries, %d B", c.len(), c.held())
+		}
+		e, _ := newTestEngine(t, Config{CacheBytes: -1})
+		req := &Request{Cluster: "test", NP: 8}
+		for range 2 {
+			r, err := e.Place(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Cached || r.reply != nil {
+				t.Fatal("CacheBytes -1 served a hit")
+			}
+		}
+	})
+}
+
+// TestCachePutBelowFloorDropped: a placement mapped at epoch E that
+// finishes after a Swap to E+1 purged the cache stores nothing, so it
+// cannot hold budget no request will ever hit. Other clusters and the
+// current epoch still store.
+func TestCachePutBelowFloorDropped(t *testing.T) {
+	c := newLRU(1<<20, nil)
+	m := lruMap(16)
+	c.put(lruKey("c1", 1, 8), m)
 	if purged := c.purgeOlder("c1", 2); purged != 1 {
-		t.Fatalf("purged = %d, want 1 (only c1@1)", purged)
+		t.Fatalf("purged = %d, want 1", purged)
 	}
-	if _, ok := c.get("x"); !ok {
-		t.Fatal("purge removed another cluster's entry")
+	c.put(lruKey("c1", 1, 16), m) // the late put
+	if n, b := c.len(), c.held(); n != 0 || b != 0 {
+		t.Fatalf("late put for a purged epoch stored: %d entries, %d B", n, b)
 	}
-	// Disabled cache (capacity -1 → 0 via New, here directly 0).
-	d := newLRU(0)
-	d.put("k", "c", 1, m)
-	if _, ok := d.get("k"); ok {
-		t.Fatal("disabled cache stored an entry")
+	c.put(lruKey("c1", 2, 16), m)
+	c.put(lruKey("c2", 1, 16), m)
+	if n := c.len(); n != 2 {
+		t.Fatalf("len = %d after puts at the floor and for another cluster, want 2", n)
 	}
+}
+
+// TestEngineReRegisterCaches: Register replacing a cluster that has
+// swapped past epoch 1 resets its cache floor, so placements on the fresh
+// epoch-1 snapshot are still cached.
+func TestEngineReRegisterCaches(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	if _, _, err := e.ApplyEvent("test", &Event{Type: "fail-node", Node: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("test", nehalemSnap(t, 4)); err != nil {
+		t.Fatal(err)
+	}
+	req := &Request{Cluster: "test", NP: 16}
+	for _, wantCached := range []bool{false, true} {
+		r, err := e.Place(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached != wantCached || r.Epoch != 1 {
+			t.Fatalf("after re-register: cached=%v epoch=%d, want %v, 1", r.Cached, r.Epoch, wantCached)
+		}
+	}
+}
+
+// TestCacheKeyedByEpoch pins the epoch as a key field: a Swap to a
+// Sig-equal snapshot makes the next request a miss at the new epoch, and
+// the hit after it serves stored bytes carrying that epoch.
+func TestCacheKeyedByEpoch(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	ctx := context.Background()
+	req := &Request{Cluster: "test", NP: 16}
+	for _, wantCached := range []bool{false, true} {
+		r, err := e.Place(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached != wantCached || r.Epoch != 1 {
+			t.Fatalf("epoch 1: cached=%v epoch=%d, want %v, 1", r.Cached, r.Epoch, wantCached)
+		}
+	}
+	cur := e.Snapshot("test").Clu
+	next, ok := cur.ReplaceNode(0, cur.Cluster().Node(0))
+	if !ok || next.Sig() != cur.Sig() || next.Epoch() != 2 {
+		t.Fatalf("ReplaceNode with itself: ok=%v sig equal=%v epoch=%d", ok, next.Sig() == cur.Sig(), next.Epoch())
+	}
+	if _, err := e.Swap("test", &Snapshot{Clu: next}); err != nil {
+		t.Fatal(err)
+	}
+	miss, err := e.Place(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cached || miss.Epoch != 2 {
+		t.Fatalf("after the swap: cached=%v epoch=%d, want a miss at epoch 2", miss.Cached, miss.Epoch)
+	}
+	hit, err := e.Place(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || !bytes.HasPrefix(hit.reply, []byte(`{"cluster":"test","epoch":2,"cached":true,`)) {
+		t.Fatalf("hit after the swap: cached=%v reply %.60q", hit.Cached, hit.reply)
+	}
+}
+
+// TestEnginePlaceHitAllocs pins the hit path: once an entry's reply is
+// attached, Engine.Place allocates only its Response.
+func TestEnginePlaceHitAllocs(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	ctx := context.Background()
+	req := &Request{Cluster: "test", NP: 64, Layout: "scbnh", Pattern: "ring", Bytes: 4096}
+	for range 2 { // the miss, then the first hit that attaches the reply
+		if _, err := e.Place(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r, err := e.Place(ctx, req); err != nil || !r.Cached {
+			t.Fatalf("hit: cached=%v err=%v", r != nil && r.Cached, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Engine.Place hit: %.1f allocs, want <= 1", allocs)
+	}
+}
+
+// TestEngineRejectsNonFiniteBytes: a NaN or infinite Bytes is a
+// malformed request, refused before it can become a cache key.
+func TestEngineRejectsNonFiniteBytes(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := e.Place(context.Background(), &Request{Cluster: "test", NP: 8, Bytes: b})
+		if err == nil || statusFor(err) != http.StatusBadRequest {
+			t.Fatalf("bytes %v: err = %v, want a 400-class error", b, err)
+		}
+	}
+	if n := e.cache.len(); n != 0 {
+		t.Fatalf("cache holds %d entries after rejected requests", n)
+	}
+}
+
+// TestCacheBytesTracksHeap holds lama_engine_cache_bytes to the heap the
+// cache really keeps: ~40 entries at np 64, 1024 and 2048, each hit once
+// so its reply is attached, must grow HeapAlloc by the gauge ±25%.
+func TestCacheBytesTracksHeap(t *testing.T) {
+	reg := obs.NewRegistry()
+	// One worker, so the warm-up builds the only mapper there is.
+	e := New(Config{Workers: 1, Obs: &obs.Observer{Metrics: reg}})
+	if err := e.Register("big", nehalemSnap(t, 128)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var reqs []Request
+	for _, base := range []int{2048, 1024, 64} {
+		for i := range 13 {
+			reqs = append(reqs, Request{Cluster: "big", NP: base - i})
+		}
+	}
+	for _, r := range reqs { // warm the mapper's scratch, uncached
+		r.NoCache = true
+		if _, err := e.Place(ctx, &r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties the reply pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := range reqs {
+		for range 2 { // the miss stores the map; the first hit attaches the reply
+			if _, err := e.Place(ctx, &reqs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	grew := float64(heap()) - float64(before)
+	gauge := reg.Gauge("lama_engine_cache_bytes").Value()
+	if n := reg.Gauge("lama_engine_cache_entries").Value(); n != float64(len(reqs)) {
+		t.Fatalf("lama_engine_cache_entries = %v, want %d", n, len(reqs))
+	}
+	t.Logf("%d entries: gauge %.0f B, heap grew %.0f B (%.2fx)", len(reqs), gauge, grew, grew/gauge)
+	if grew < 0.75*gauge || grew > 1.25*gauge {
+		t.Fatalf("heap grew %.0f B against a gauge of %.0f B: outside ±25%%", grew, gauge)
+	}
+	runtime.KeepAlive(e)
 }

@@ -137,16 +137,43 @@ func (e *Engine) handlePlace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
+	if resp.reply != nil {
+		writeReply(w, resp.reply)
+		return
+	}
 	bp := replyBufs.Get().(*[]byte)
 	buf := appendPlaceResponse((*bp)[:0], req.Cluster, resp.Epoch, resp.Cached, resp.Map)
+	writeReply(w, buf)
+	putReplyBuf(bp, buf)
+}
+
+// writeReply sends a /v1/place reply with its Content-Length in one Write.
+func writeReply(w http.ResponseWriter, reply []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf) // best effort: client may be gone
+	h.Set("Content-Length", strconv.Itoa(len(reply)))
+	w.Write(reply) // best effort: client may be gone
+}
+
+// putReplyBuf returns a reply buffer to replyBufs unless it grew past
+// maxPooledReply.
+func putReplyBuf(bp *[]byte, buf []byte) {
 	if cap(buf) <= maxPooledReply {
 		*bp = buf
 		replyBufs.Put(bp)
 	}
+}
+
+// hitReply encodes the reply a cache hit serves, with "cached":true, into
+// a slice of its own whose len is its cap, so the cache accounts exactly
+// what it holds.
+func hitReply(cluster string, epoch uint64, m *core.Map) []byte {
+	bp := replyBufs.Get().(*[]byte)
+	buf := appendPlaceResponse((*bp)[:0], cluster, epoch, true, m)
+	reply := make([]byte, len(buf))
+	copy(reply, buf)
+	putReplyBuf(bp, buf)
+	return reply
 }
 
 // appendPlaceResponse appends the wire form of a served placement to dst.

@@ -72,8 +72,9 @@ func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 // TestHTTPServedEqualsComputed drives POST /v1/place over a real HTTP
 // connection and requires every reply to equal a fresh in-process
 // (*Engine).Place of the same request on the same engine, to carry an
-// exact Content-Length, and to repeat byte for byte from the cache apart
-// from "cached":true.
+// exact Content-Length, to repeat byte for byte from the cache apart
+// from "cached":true on the first hit and every later one, and to come
+// back as the miss bytes when asked with no_cache.
 func TestHTTPServedEqualsComputed(t *testing.T) {
 	e, _ := newTestEngine(t, Config{})
 	mux := http.NewServeMux()
@@ -133,9 +134,25 @@ func TestHTTPServedEqualsComputed(t *testing.T) {
 				t.Fatalf("epoch %d after fail-node, want 2", got.Epoch)
 			}
 
-			_, second := post(t, ts.URL+"/v1/place", body)
-			if want := bytes.Replace(first, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(second, want) {
-				t.Fatalf("repeat reply differs beyond \"cached\":\n%s\n%s", first, second)
+			// The first hit encodes and stores the reply, a later hit
+			// writes the stored bytes: both are the miss apart from
+			// "cached". A no_cache request still encodes the miss bytes.
+			hit := bytes.Replace(first, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+			for _, which := range []string{"first hit", "later hit"} {
+				resp, got := post(t, ts.URL+"/v1/place", body)
+				if !bytes.Equal(got, hit) {
+					t.Fatalf("%s differs from the miss beyond \"cached\":\n%s\n%s", which, first, got)
+				}
+				if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+					t.Fatalf("%s: Content-Length %q, body %d bytes", which, cl, len(got))
+				}
+			}
+			noCache, err := json.Marshal(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, got := post(t, ts.URL+"/v1/place", noCache); !bytes.Equal(got, first) {
+				t.Fatalf("no_cache reply after hits differs from the miss:\n%s\n%s", first, got)
 			}
 		})
 	}
@@ -244,8 +261,8 @@ func serveCachedPlace(tb testing.TB, np int) func() {
 
 // TestPlaceReplyAllocsFlatInNP pins the cached reply path: serving 4096
 // ranks allocates no more objects, and barely more bytes, than serving
-// 64. The reply is written from the cached map into a pooled buffer, so
-// nothing on the path is O(np).
+// 64. A hit writes the reply stored on the entry's first hit, so nothing
+// on the path is O(np).
 func TestPlaceReplyAllocsFlatInNP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")

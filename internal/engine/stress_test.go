@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,8 +22,9 @@ import (
 // before E. The writer stores a lower bound AFTER each Swap returns;
 // readers load the bound BEFORE calling Place, so any response below the
 // bound is a genuine stale leak (a cache entry that survived the purge or
-// a snapshot read racing the publish). Run with -race this also shakes
-// the clusterEntry and LRU locking.
+// a snapshot read racing the publish). Every hit's stored reply must
+// carry the hit's epoch. Run with -race this also shakes the
+// clusterEntry and LRU locking, and the reply attach racing the purge.
 func TestSwapUnderLoad(t *testing.T) {
 	const (
 		nodes   = 4
@@ -99,6 +102,11 @@ func TestSwapUnderLoad(t *testing.T) {
 				if resp.Epoch < floor {
 					t.Errorf("reader %d: stale placement: epoch %d below published bound %d (cached=%v)",
 						r, resp.Epoch, floor, resp.Cached)
+					return
+				}
+				if resp.Cached && !bytes.Contains(resp.reply, []byte(fmt.Sprintf(`"epoch":%d,"cached":true,`, resp.Epoch))) {
+					t.Errorf("reader %d: hit at epoch %d serves a reply of another epoch: %.60q",
+						r, resp.Epoch, resp.reply)
 					return
 				}
 			}
