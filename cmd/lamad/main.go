@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -108,9 +109,14 @@ func buildDaemon(clusters string, cfg engine.Config) (*engine.Engine, http.Handl
 	return eng, mux, nil
 }
 
+// errDuplicateCluster rejects a -clusters list that defines one name
+// twice; registering both would silently keep only the last.
+var errDuplicateCluster = errors.New("cluster defined twice in -clusters")
+
 // registerClusters parses "name=<nodes>x<spec>,..." and publishes each as
 // a snapshot.
 func registerClusters(eng *engine.Engine, defs string) error {
+	seen := map[string]bool{}
 	for _, def := range strings.Split(defs, ",") {
 		def = strings.TrimSpace(def)
 		if def == "" {
@@ -120,6 +126,10 @@ func registerClusters(eng *engine.Engine, defs string) error {
 		if !ok {
 			return fmt.Errorf("bad -clusters entry %q: want name=<nodes>x<spec>", def)
 		}
+		if seen[name] {
+			return fmt.Errorf("%w: %q", errDuplicateCluster, name)
+		}
+		seen[name] = true
 		c, err := buildCluster(spec)
 		if err != nil {
 			return fmt.Errorf("cluster %q: %v", name, err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -202,6 +203,15 @@ func TestLamadBuildErrors(t *testing.T) {
 		if _, _, err := buildDaemon(def, engine.Config{}); err == nil {
 			t.Errorf("buildDaemon(%q) accepted", def)
 		}
+	}
+}
+
+// TestLamadRejectsDuplicateClusterNames: a name defined twice in
+// -clusters is an error, not a silent overwrite by the later definition.
+func TestLamadRejectsDuplicateClusterNames(t *testing.T) {
+	_, _, err := buildDaemon("a=4xnehalem-ep,b=2xfig2,a=8xfig2", engine.Config{})
+	if !errors.Is(err, errDuplicateCluster) || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("buildDaemon with a duplicate name: err = %v, want errDuplicateCluster naming \"a\"", err)
 	}
 }
 

@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 	"time"
 
 	"lama/internal/appsim"
@@ -92,7 +90,6 @@ func run(args []string, out io.Writer) error {
 	resizePeriod := fs.Int("resize-period", 0, "steps between alternating grow/shrink resizes, 0 = off (-churn)")
 	resizeDelta := fs.Int("resize-delta", 0, "ranks per resize, 0 = np/8 (-churn)")
 	critical := fs.Int("critical", 0, "number of leading ranks to spread across failure domains (-churn)")
-	validate := fs.String("validate", "", "validate observability outputs instead of running: comma-separated paths (.jsonl = event trace, otherwise runreport JSON)")
 	obsFlags := obs.RegisterFlags(fs)
 	version := obs.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -101,9 +98,6 @@ func run(args []string, out io.Writer) error {
 	if *version {
 		obs.PrintVersion(out, "lamasim")
 		return nil
-	}
-	if *validate != "" {
-		return runValidate(out, *validate)
 	}
 
 	sp, err := hw.ParseSpec(*spec)
@@ -280,56 +274,6 @@ func defaultJobs(base place.Request) ([]string, []place.Job) {
 		jobs[i] = place.Job{Policy: p, Req: &reqs[i]}
 	}
 	return labels, jobs
-}
-
-// runValidate is the observability output validator the CI smoke step uses:
-// each comma-separated path is checked as a JSONL event trace (.jsonl) or a
-// runreport/v1 document (anything else), and a one-line summary per file is
-// printed. The first malformed file fails the run.
-func runValidate(out io.Writer, paths string) error {
-	for _, path := range strings.Split(paths, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		if strings.HasSuffix(path, ".jsonl") {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			n, bySource, err := obs.ValidateJSONLTrace(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %v", path, err)
-			}
-			srcs := make([]string, 0, len(bySource))
-			for src := range bySource {
-				srcs = append(srcs, src)
-			}
-			sort.Strings(srcs)
-			parts := make([]string, 0, len(srcs))
-			for _, src := range srcs {
-				parts = append(parts, fmt.Sprintf("%s=%d", src, bySource[src]))
-			}
-			fmt.Fprintf(out, "%s: ok, %d events (%s)\n", path, n, strings.Join(parts, " "))
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rep, err := obs.ValidateRunReport(data)
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		nm := 0
-		if rep.Metrics != nil {
-			nm = len(rep.Metrics.Counters) + len(rep.Metrics.Gauges) + len(rep.Metrics.Histograms)
-		}
-		fmt.Fprintf(out, "%s: ok, %s from %s (%d phases, %d metrics, %d recovery entries)\n",
-			path, rep.Schema, rep.Tool, len(rep.Phases), nm, len(rep.Recovery))
-	}
-	return nil
 }
 
 type ftConfig struct {

@@ -11,43 +11,31 @@ import (
 	"lama/internal/obs"
 )
 
-// runDiff compares two artifacts of the same kind and fails (nonzero
-// exit) when the new run regressed: phase totals or histogram means up
-// past -threshold percent for run reports; experiment wall time up,
-// placement throughput down, or total time up past it for lamabench
-// reports. This is the CI perf gate.
+// runDiff compares two run reports and fails (nonzero exit) when the new
+// run regressed: phase totals or histogram means up past -threshold
+// percent, or a stall/dropped counter grown at all.
 func runDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lamatrace diff", flag.ContinueOnError)
 	threshold := fs.Float64("threshold", 25, "regression threshold in percent")
 	minUs := fs.Float64("min-us", 100, "ignore phases/histograms whose baseline is below this many microseconds (scheduler jitter floor)")
-	minS := fs.Float64("min-s", 0.05, "ignore bench experiments shorter than this many seconds in both runs (scheduler jitter floor)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
 		return fmt.Errorf("diff: want OLD NEW, got %d file(s)", fs.NArg())
 	}
-	oldDoc, err := classify(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newDoc, err := classify(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	if oldDoc.kind == kindTrace || newDoc.kind == kindTrace {
+	if isTrace(fs.Arg(0)) || isTrace(fs.Arg(1)) {
 		return fmt.Errorf("diff: compares reports, not traces (run summary on %s instead)", fs.Arg(0))
 	}
-	if oldDoc.kind != newDoc.kind {
-		return fmt.Errorf("diff: %s is a %s but %s is a %s", fs.Arg(0), oldDoc.kind, fs.Arg(1), newDoc.kind)
+	oldR, err := loadReport(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-
-	var regressions []string
-	if oldDoc.kind == kindRunReport {
-		regressions = diffReports(out, oldDoc.report, newDoc.report, *threshold, *minUs)
-	} else {
-		regressions = diffBench(out, oldDoc.bench, newDoc.bench, *threshold, *minS)
+	newR, err := loadReport(fs.Arg(1))
+	if err != nil {
+		return err
 	}
+	regressions := diffReports(out, oldR, newR, *threshold, *minUs)
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d regression(s) past %.0f%%:\n  %s",
 			len(regressions), *threshold, strings.Join(regressions, "\n  "))
@@ -56,11 +44,10 @@ func runDiff(args []string, out io.Writer) error {
 	return nil
 }
 
-// deltaRow formats one compared quantity and classifies it. higherIsWorse
-// selects the regression direction; a floor of 0 disables the jitter
-// filter for that quantity.
+// deltaRow formats one compared quantity, where higher is worse, and
+// classifies it; a floor of 0 disables the jitter filter.
 func deltaRow(t *metrics.Table, regressions *[]string, name string,
-	oldV, newV, threshold, floor float64, higherIsWorse bool) {
+	oldV, newV, threshold, floor float64) {
 	verdict := "ok"
 	switch {
 	case oldV == 0 && newV == 0:
@@ -69,13 +56,10 @@ func deltaRow(t *metrics.Table, regressions *[]string, name string,
 		verdict = "new"
 	default:
 		change := (newV - oldV) / oldV * 100
-		if !higherIsWorse {
-			change = -change
-		}
 		if change > threshold && (floor <= 0 || oldV >= floor || newV >= floor) {
 			verdict = "REGRESSED"
 			*regressions = append(*regressions,
-				fmt.Sprintf("%s: %.3g -> %.3g (%+.1f%%)", name, oldV, newV, (newV-oldV)/oldV*100))
+				fmt.Sprintf("%s: %.3g -> %.3g (%+.1f%%)", name, oldV, newV, change))
 		}
 	}
 	t.AddRow(name, metrics.F(oldV, 2), metrics.F(newV, 2), pctChange(oldV, newV), verdict)
@@ -91,7 +75,7 @@ func diffReports(out io.Writer, oldR, newR *obs.RunReport, threshold, minUs floa
 		"phase", "old", "new", "change", "verdict")
 	for _, name := range unionNames(oldR.PhaseTotalsUs, newR.PhaseTotalsUs) {
 		deltaRow(t, &regressions, "phase "+name,
-			oldR.PhaseTotalsUs[name], newR.PhaseTotalsUs[name], threshold, minUs, true)
+			oldR.PhaseTotalsUs[name], newR.PhaseTotalsUs[name], threshold, minUs)
 	}
 	fmt.Fprintln(out, t.String())
 
@@ -107,7 +91,7 @@ func diffReports(out io.Writer, oldR, newR *obs.RunReport, threshold, minUs floa
 		for _, name := range unionNames(oldM.Histograms, newM.Histograms) {
 			deltaRow(t, &regressions, "histogram "+name,
 				histMean(oldM.Histograms[name]), histMean(newM.Histograms[name]),
-				threshold, minUs, true)
+				threshold, minUs)
 		}
 		fmt.Fprintln(out, t.String())
 	}
@@ -123,47 +107,6 @@ func diffReports(out io.Writer, oldR, newR *obs.RunReport, threshold, minUs floa
 				name, oldM.Counters[name], newM.Counters[name]))
 		}
 	}
-	return regressions
-}
-
-// diffBench compares two lamabench -json reports experiment by
-// experiment. Experiments shorter than minS seconds in both runs are
-// exempt: at sub-millisecond wall times a single scheduler hiccup is a
-// three-digit percentage.
-func diffBench(out io.Writer, oldR, newR *benchReport, threshold, minS float64) []string {
-	var regressions []string
-	oldBy := map[string]benchExperiment{}
-	for _, e := range oldR.Experiments {
-		oldBy[e.ID] = e
-	}
-	t := metrics.NewTable("experiment wall time (s)", "id", "old", "new", "change", "verdict")
-	for _, e := range newR.Experiments {
-		base, ok := oldBy[e.ID]
-		if !ok {
-			t.AddRow(e.ID, "-", metrics.F(e.WallSeconds, 2), "-", "new")
-			continue
-		}
-		deltaRow(t, &regressions, "experiment "+e.ID,
-			base.WallSeconds, e.WallSeconds, threshold, minS, true)
-		pastFloor := minS <= 0 || base.WallSeconds >= minS || e.WallSeconds >= minS
-		if pastFloor && base.PlacementsPerSec > 0 && e.PlacementsPerSec > 0 {
-			drop := (base.PlacementsPerSec - e.PlacementsPerSec) / base.PlacementsPerSec * 100
-			if drop > threshold {
-				regressions = append(regressions,
-					fmt.Sprintf("experiment %s placements/s: %.3g -> %.3g (-%.1f%%)",
-						e.ID, base.PlacementsPerSec, e.PlacementsPerSec, drop))
-			}
-		}
-		delete(oldBy, e.ID)
-	}
-	for id := range oldBy {
-		t.AddRow(id, metrics.F(oldBy[id].WallSeconds, 2), "-", "-", "removed")
-	}
-	fmt.Fprintln(out, t.String())
-
-	tt := metrics.NewTable("totals", "quantity", "old", "new", "change", "verdict")
-	deltaRow(tt, &regressions, "totalSeconds", oldR.TotalSeconds, newR.TotalSeconds, threshold, minS, true)
-	fmt.Fprintln(out, tt.String())
 	return regressions
 }
 

@@ -19,14 +19,6 @@ func reportWithPhase(placeUs float64, stalls int64) string {
 	}`, placeUs, stalls, placeUs)
 }
 
-func benchWith(wall, pps, total float64) string {
-	return fmt.Sprintf(`{
-	  "schema": "lamabench/v2",
-	  "experiments": [{"id":"E1","exhibit":"x","wallSeconds":%g,"placementsPerSec":%g}],
-	  "totalSeconds": %g
-	}`, wall, pps, total)
-}
-
 func TestDiffReportsClean(t *testing.T) {
 	oldP := writeFixture(t, "old.json", reportWithPhase(500, 0))
 	newP := writeFixture(t, "new.json", reportWithPhase(550, 0)) // +10% < 25%
@@ -80,55 +72,17 @@ func TestDiffReportsStallCounter(t *testing.T) {
 	}
 }
 
-func TestDiffBench(t *testing.T) {
-	oldP := writeFixture(t, "old.json", benchWith(1.0, 1000, 1.0))
-	newP := writeFixture(t, "new.json", benchWith(1.1, 950, 1.1)) // within 25%
-	var out bytes.Buffer
-	if err := run([]string{"diff", oldP, newP}, &out); err != nil {
-		t.Fatalf("small drift should pass: %v\n%s", err, out.String())
-	}
-
-	slow := writeFixture(t, "slow.json", benchWith(2.0, 1000, 2.0)) // wall +100%
-	out.Reset()
-	if err := run([]string{"diff", oldP, slow}, &out); err == nil ||
-		!strings.Contains(err.Error(), "experiment E1") {
-		t.Fatalf("err = %v", err)
-	}
-
-	weak := writeFixture(t, "weak.json", benchWith(1.0, 400, 1.0)) // throughput -60%
-	out.Reset()
-	if err := run([]string{"diff", oldP, weak}, &out); err == nil ||
-		!strings.Contains(err.Error(), "placements/s") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDiffBenchJitterFloor(t *testing.T) {
-	// A 1ms experiment tripling is scheduler noise, not a regression.
-	oldP := writeFixture(t, "old.json", benchWith(0.001, 1000, 0.001))
-	newP := writeFixture(t, "new.json", benchWith(0.003, 300, 0.003))
-	var out bytes.Buffer
-	if err := run([]string{"diff", oldP, newP}, &out); err != nil {
-		t.Fatalf("sub-floor bench jitter should pass: %v\n%s", err, out.String())
-	}
-	// Lowering the floor re-arms the gate for the same pair.
-	out.Reset()
-	if err := run([]string{"diff", "-min-s", "0.0005", oldP, newP}, &out); err == nil {
-		t.Fatal("below-floor override should regress")
-	}
-}
-
 func TestDiffArgErrors(t *testing.T) {
 	report := writeFixture(t, "m.json", reportWithPhase(500, 0))
-	bench := writeFixture(t, "b.json", benchWith(1, 1, 1))
+	unknown := writeFixture(t, "u.json", `{"schema":"mystery/v1","tool":"x"}`)
 	trace := writeFixture(t, "t.jsonl", fixtureTrace)
 	var out bytes.Buffer
 	if err := run([]string{"diff", report}, &out); err == nil {
 		t.Fatal("one file should fail")
 	}
-	if err := run([]string{"diff", report, bench}, &out); err == nil ||
-		!strings.Contains(err.Error(), "is a") {
-		t.Fatalf("kind mismatch: %v", err)
+	if err := run([]string{"diff", report, unknown}, &out); err == nil ||
+		!strings.Contains(err.Error(), `schema "mystery/v1"`) {
+		t.Fatalf("unknown schema: %v", err)
 	}
 	if err := run([]string{"diff", trace, report}, &out); err == nil ||
 		!strings.Contains(err.Error(), "not traces") {

@@ -1,8 +1,8 @@
 // Command lamatrace analyses the observability artifacts the other CLIs
-// record: JSONL event traces (-trace-out), runreport/v1 documents
-// (-metrics-out), and lamabench -json timing reports. It is the offline
-// half of the telemetry plane — the -listen server shows a run live,
-// lamatrace answers questions about runs already on disk.
+// record: JSONL event traces (-trace-out) and runreport/v1 documents
+// (-metrics-out). It is the offline half of the telemetry plane — the
+// -listen server shows a run live, lamatrace answers questions about runs
+// already on disk.
 //
 // Usage:
 //
@@ -11,13 +11,11 @@
 //	lamatrace diff old.json new.json     # regression gate: nonzero exit on slowdowns
 //	lamatrace validate a.jsonl b.json    # structural validation
 //
-// diff compares two runreport/v1 documents or two lamabench -json reports
-// and exits nonzero when the new run regressed past -threshold percent —
-// the CI perf gate.
+// diff compares two runreport/v1 documents and exits nonzero when the new
+// run regressed past -threshold percent.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -32,12 +30,12 @@ commands:
   summary   per-phase latency breakdown, event counts cross-checked
             against the observability vocabulary, and J-objective
             before/after extraction from one artifact
-  diff      compare two runreport/v1 or two lamabench -json documents;
-            nonzero exit when the new run regressed past -threshold
+  diff      compare two runreport/v1 documents; nonzero exit when the
+            new run regressed past -threshold
   validate  structurally validate traces and reports
 
-artifacts: .jsonl files are JSONL event traces; other files are sniffed
-by their "schema" field (runreport/v1, lamabench/v1, lamabench/v2).`
+artifacts: .jsonl files are JSONL event traces; other files are
+runreport/v1 documents.`
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -68,123 +66,58 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// docKind discriminates the artifact types lamatrace understands.
-type docKind int
+// isTrace reports whether path names a JSONL event trace; every other
+// artifact is a runreport/v1 document.
+func isTrace(path string) bool { return strings.HasSuffix(path, ".jsonl") }
 
-const (
-	kindTrace docKind = iota
-	kindRunReport
-	kindBench
-)
-
-func (k docKind) String() string {
-	switch k {
-	case kindTrace:
-		return "JSONL trace"
-	case kindRunReport:
-		return "runreport/v1"
-	default:
-		return "lamabench report"
-	}
-}
-
-// benchReport mirrors the stable subset of the lamabench -json schema this
-// command consumes. cmd packages cannot import each other, and the schema
-// is documented append-only, so a local decode struct is the contract.
-type benchReport struct {
-	Schema       string            `json:"schema"`
-	GoVersion    string            `json:"goVersion"`
-	GitRevision  string            `json:"gitRevision"`
-	NumCPU       int               `json:"numCPU"`
-	Full         bool              `json:"full"`
-	Seed         int64             `json:"seed"`
-	Experiments  []benchExperiment `json:"experiments"`
-	TotalSeconds float64           `json:"totalSeconds"`
-}
-
-type benchExperiment struct {
-	ID               string  `json:"id"`
-	Exhibit          string  `json:"exhibit"`
-	WallSeconds      float64 `json:"wallSeconds"`
-	Placements       int64   `json:"placements"`
-	PlacementsPerSec float64 `json:"placementsPerSec"`
-}
-
-// document is one loaded artifact; exactly one payload field is non-nil
-// (trace paths are not loaded here, only classified).
-type document struct {
-	kind   docKind
-	report *obs.RunReport
-	bench  *benchReport
-}
-
-// classify sniffs and (for JSON documents) parses one artifact. Traces are
-// classified by suffix only; their streaming consumers re-open the file.
-func classify(path string) (*document, error) {
-	if strings.HasSuffix(path, ".jsonl") {
-		return &document{kind: kindTrace}, nil
-	}
+// loadReport reads and structurally validates one runreport/v1 document.
+func loadReport(path string) (*obs.RunReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var head struct {
-		Schema string `json:"schema"`
+	rep, err := obs.ValidateRunReport(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("%s: not a JSON document: %v", path, err)
-	}
-	switch {
-	case head.Schema == obs.RunReportSchema:
-		rep, err := obs.ValidateRunReport(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		return &document{kind: kindRunReport, report: rep}, nil
-	case strings.HasPrefix(head.Schema, "lamabench/"):
-		var rep benchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		return &document{kind: kindBench, bench: &rep}, nil
-	default:
-		return nil, fmt.Errorf("%s: unknown schema %q (want %s or lamabench/*)",
-			path, head.Schema, obs.RunReportSchema)
-	}
+	return rep, nil
 }
 
 // runValidateCmd structurally validates each artifact and prints a one-line
-// verdict per file; the first malformed file fails the run.
+// verdict per file: a trace's events by source, a report's phase, metric
+// and recovery counts. The first malformed file fails the run.
 func runValidateCmd(args []string, out io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("validate: no files given")
 	}
 	for _, path := range args {
-		if strings.HasSuffix(path, ".jsonl") {
-			f, err := os.Open(path)
+		if !isTrace(path) {
+			rep, err := loadReport(path)
 			if err != nil {
 				return err
 			}
-			n, bySource, err := obs.ValidateJSONLTrace(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %v", path, err)
+			nm := 0
+			if rep.Metrics != nil {
+				nm = len(rep.Metrics.Counters) + len(rep.Metrics.Gauges) + len(rep.Metrics.Histograms)
 			}
-			fmt.Fprintf(out, "%s: ok, JSONL trace, %d events from %d sources\n", path, n, len(bySource))
+			fmt.Fprintf(out, "%s: ok, %s from %s (%d phases, %d metrics, %d recovery entries)\n",
+				path, rep.Schema, rep.Tool, len(rep.Phases), nm, len(rep.Recovery))
 			continue
 		}
-		doc, err := classify(path)
+		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		switch doc.kind {
-		case kindRunReport:
-			fmt.Fprintf(out, "%s: ok, %s from %s (%d phases)\n",
-				path, obs.RunReportSchema, doc.report.Tool, len(doc.report.Phases))
-		case kindBench:
-			fmt.Fprintf(out, "%s: ok, %s, %d experiments\n",
-				path, doc.bench.Schema, len(doc.bench.Experiments))
+		n, bySource, err := obs.ValidateJSONLTrace(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
 		}
+		parts := make([]string, 0, len(bySource))
+		for _, src := range sortedNames(bySource) {
+			parts = append(parts, fmt.Sprintf("%s=%d", src, bySource[src]))
+		}
+		fmt.Fprintf(out, "%s: ok, JSONL trace, %d events (%s)\n", path, n, strings.Join(parts, " "))
 	}
 	return nil
 }

@@ -105,33 +105,13 @@ func TestSummaryReport(t *testing.T) {
 	}
 }
 
-func TestSummaryBench(t *testing.T) {
-	path := writeFixture(t, "b.json", `{
-	  "schema": "lamabench/v2", "goVersion": "go1.22.0", "numCPU": 8,
-	  "experiments": [
-	    {"id":"E1","exhibit":"Table I","wallSeconds":1.5,"placements":1000,"placementsPerSec":666.7}
-	  ],
-	  "totalSeconds": 1.5
-	}`)
-	var out bytes.Buffer
-	if err := run([]string{"summary", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"lamabench/v2", "go1.22.0", "E1", "Table I", "1.50"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestSummaryRejectsBadInputs(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"summary"}, &out); err == nil {
 		t.Fatal("no file should fail")
 	}
 	bad := writeFixture(t, "x.json", `{"schema":"mystery/v1"}`)
-	if err := run([]string{"summary", bad}, &out); err == nil || !strings.Contains(err.Error(), "unknown schema") {
+	if err := run([]string{"summary", bad}, &out); err == nil || !strings.Contains(err.Error(), `schema "mystery/v1"`) {
 		t.Fatalf("err = %v", err)
 	}
 	garbage := writeFixture(t, "g.json", "not json")
@@ -151,8 +131,13 @@ func TestValidateCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "4 events") || !strings.Contains(got, "runreport/v1") {
-		t.Fatalf("validate output:\n%s", got)
+	for _, want := range []string{
+		trace + ": ok, JSONL trace, 4 events (map=1 netsim=2 supervise=1)",
+		report + ": ok, runreport/v1 from lamasim (1 phases, 2 metrics, 0 recovery entries)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("validate output missing %q:\n%s", want, got)
+		}
 	}
 	if err := run([]string{"validate"}, &out); err == nil {
 		t.Fatal("no files should fail")
@@ -161,8 +146,16 @@ func TestValidateCommand(t *testing.T) {
 	if err := run([]string{"validate", broken}, &out); err == nil {
 		t.Fatal("trace without event key should fail")
 	}
+	srcless := writeFixture(t, "srcless.jsonl", `{"no":"src"}`+"\n")
+	if err := run([]string{"validate", srcless}, &out); err == nil {
+		t.Fatal("src-less trace should fail")
+	}
 	badReport := writeFixture(t, "bad.json", `{"schema":"runreport/v1"}`)
 	if err := run([]string{"validate", badReport}, &out); err == nil {
 		t.Fatal("report without tool should fail")
+	}
+	wrongSchema := writeFixture(t, "v99.json", `{"schema":"runreport/v99","tool":"x"}`)
+	if err := run([]string{"validate", wrongSchema}, &out); err == nil {
+		t.Fatal("wrong-schema report should fail")
 	}
 }

@@ -14,9 +14,8 @@ import (
 )
 
 // runSummary renders one artifact for humans: event counts cross-checked
-// against the observability vocabulary for traces, the per-phase latency
-// breakdown plus metrics for run reports, and the experiment table for
-// lamabench reports.
+// against the observability vocabulary for traces, and the per-phase
+// latency breakdown plus metrics for run reports.
 func runSummary(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lamatrace summary", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
@@ -26,18 +25,14 @@ func runSummary(args []string, out io.Writer) error {
 		return fmt.Errorf("summary: want exactly one file, got %d", fs.NArg())
 	}
 	path := fs.Arg(0)
-	doc, err := classify(path)
+	if isTrace(path) {
+		return summarizeTrace(out, path)
+	}
+	rep, err := loadReport(path)
 	if err != nil {
 		return err
 	}
-	switch doc.kind {
-	case kindTrace:
-		return summarizeTrace(out, path)
-	case kindRunReport:
-		return summarizeReport(out, doc.report)
-	default:
-		return summarizeBench(out, doc.bench)
-	}
+	return summarizeReport(out, rep)
 }
 
 // jTransition is one extracted objective change: a netsim ordering or
@@ -191,37 +186,6 @@ func summarizeReport(out io.Writer, rep *obs.RunReport) error {
 		}
 		fmt.Fprintln(out, t.String())
 	}
-	return nil
-}
-
-// summarizeBench renders a lamabench -json report: provenance header and
-// the per-experiment timing table.
-func summarizeBench(out io.Writer, rep *benchReport) error {
-	fmt.Fprintf(out, "%s: %d experiments, %.1fs total", rep.Schema, len(rep.Experiments), rep.TotalSeconds)
-	if rep.GoVersion != "" {
-		fmt.Fprintf(out, " (%s", rep.GoVersion)
-		if rep.GitRevision != "" {
-			rev := rep.GitRevision
-			if len(rev) > 12 {
-				rev = rev[:12]
-			}
-			fmt.Fprintf(out, ", rev %s", rev)
-		}
-		if rep.NumCPU > 0 {
-			fmt.Fprintf(out, ", %d CPUs", rep.NumCPU)
-		}
-		fmt.Fprint(out, ")")
-	}
-	fmt.Fprint(out, "\n\n")
-	t := metrics.NewTable("experiments", "id", "exhibit", "wall (s)", "placements/s")
-	for _, e := range rep.Experiments {
-		pps := "-"
-		if e.PlacementsPerSec > 0 {
-			pps = metrics.F(e.PlacementsPerSec, 0)
-		}
-		t.AddRow(e.ID, e.Exhibit, metrics.F(e.WallSeconds, 2), pps)
-	}
-	fmt.Fprintln(out, t.String())
 	return nil
 }
 

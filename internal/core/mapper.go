@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"lama/internal/cluster"
@@ -19,15 +18,6 @@ var ErrOversubscribe = errors.New("core: mapping would oversubscribe processing 
 // ErrNoResources is returned when a sweep of the entire resource space
 // finds nothing mappable (e.g. everything off-lined or capped).
 var ErrNoResources = errors.New("core: no mappable resources")
-
-// placedRanks counts every rank placed by the optimized and reference
-// engines process-wide; see PlacedRanks.
-var placedRanks atomic.Int64
-
-// PlacedRanks returns the process-wide number of rank placements planned
-// so far (by Map, MapTraced, and MapReference). Benchmark harnesses read
-// it before and after a workload to report placements per second.
-func PlacedRanks() int64 { return placedRanks.Load() }
 
 // Mapper plans process placements for one cluster using one process layout.
 //
@@ -553,7 +543,6 @@ func mapCanceled(ctx context.Context, np, placed int) error {
 // the reusable state.
 func (r *runState) finish(m *Mapper) *Map {
 	out := &Map{Layout: m.Layout, Placements: r.placements, Sweeps: r.sweeps}
-	placedRanks.Add(int64(len(r.placements)))
 	r.placements = nil
 	r.pusBacking = nil
 	return out

@@ -231,6 +231,5 @@ func (m *Mapper) MapReference(np int) (*Map, error) {
 			return nil, stallError(m.Layout, np, len(r.placements), r.skippedOversub)
 		}
 	}
-	placedRanks.Add(int64(len(r.placements)))
 	return &Map{Layout: m.Layout, Placements: r.placements, Sweeps: r.sweeps}, nil
 }

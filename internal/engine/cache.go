@@ -166,11 +166,11 @@ func (c *lruCache) attach(key cacheKey, m *core.Map, reply []byte) []byte {
 	return reply
 }
 
-// purgeOlder evicts every entry for the named cluster below the given
-// epoch, records the epoch as the cluster's put floor, and reports how
-// many entries it removed. It walks the LRU list (ordered,
-// deterministic) rather than ranging over the index map.
-func (c *lruCache) purgeOlder(clusterName string, epoch uint64) int {
+// purge evicts the named cluster's entries below the given epoch (every
+// one of them, when all is set), records the epoch as the cluster's put
+// floor, and reports how many entries it removed. It walks the LRU list
+// (ordered, deterministic) rather than ranging over the index map.
+func (c *lruCache) purge(clusterName string, epoch uint64, all bool) int {
 	if c.budget == 0 {
 		return 0
 	}
@@ -181,7 +181,7 @@ func (c *lruCache) purgeOlder(clusterName string, epoch uint64) int {
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
 		ce := el.Value.(*cacheEntry)
-		if ce.key.cluster == clusterName && ce.key.epoch < epoch {
+		if ce.key.cluster == clusterName && (all || ce.key.epoch < epoch) {
 			c.removeLocked(el)
 			purged++
 		}

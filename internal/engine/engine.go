@@ -222,9 +222,10 @@ func New(cfg Config) *Engine {
 }
 
 // Register publishes a cluster under a name at snapshot epoch 1 (or
-// replaces its snapshot wholesale, purging cache entries of older epochs
-// and resetting the cluster's cache floor to the new epoch). The snapshot
-// must not be mutated by the caller afterwards.
+// replaces its snapshot wholesale, purging every cache entry of the
+// cluster as stale, whatever its epoch, and resetting the cluster's cache
+// floor to the new epoch). The snapshot must not be mutated by the caller
+// afterwards.
 func (e *Engine) Register(name string, snap *Snapshot) error {
 	if name == "" || snap == nil || snap.Clu == nil {
 		return fmt.Errorf("engine: Register needs a name and a snapshot")
@@ -240,7 +241,7 @@ func (e *Engine) Register(name string, snap *Snapshot) error {
 	ce.snap = snap
 	ce.mu.Unlock()
 	if ok {
-		e.cache.purgeOlder(name, snap.Clu.Epoch())
+		e.stale.Add(int64(e.cache.purge(name, snap.Clu.Epoch(), true)))
 	}
 	if o := e.cfg.Obs; o.Enabled() {
 		o.Emit(obs.SrcEngine, obs.EvRegister, obs.NoStep,
@@ -300,7 +301,7 @@ func (e *Engine) Swap(name string, next *Snapshot) (int, error) {
 	prev := ce.snap
 	ce.snap = next
 	ce.mu.Unlock()
-	purged := e.cache.purgeOlder(name, next.Clu.Epoch())
+	purged := e.cache.purge(name, next.Clu.Epoch(), false)
 	e.stale.Add(int64(purged))
 	if o := e.cfg.Obs; o.Enabled() {
 		var from uint64

@@ -463,7 +463,7 @@ func TestLRUEvictsAndPurges(t *testing.T) {
 		c.put(b, m)
 		c.put(x, m)
 		c.attach(b, m, make([]byte, one))
-		if purged := c.purgeOlder("c1", 2); purged != 2 {
+		if purged := c.purge("c1", 2, false); purged != 2 {
 			t.Fatalf("purged = %d, want 2 (only c1@1)", purged)
 		}
 		if _, _, ok := c.get(x); !ok {
@@ -503,7 +503,7 @@ func TestCachePutBelowFloorDropped(t *testing.T) {
 	c := newLRU(1<<20, nil)
 	m := lruMap(16)
 	c.put(lruKey("c1", 1, 8), m)
-	if purged := c.purgeOlder("c1", 2); purged != 1 {
+	if purged := c.purge("c1", 2, false); purged != 1 {
 		t.Fatalf("purged = %d, want 1", purged)
 	}
 	c.put(lruKey("c1", 1, 16), m) // the late put

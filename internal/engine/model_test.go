@@ -13,6 +13,7 @@ import (
 	"lama/internal/cluster"
 	"lama/internal/core"
 	"lama/internal/hw"
+	"lama/internal/obs"
 )
 
 // modelApply derives the reference model's next snapshot for one event,
@@ -36,14 +37,42 @@ func modelApply(t *testing.T, cur *cluster.Snapshot, ev *Event) *cluster.Snapsho
 	}
 }
 
+// modelOp is one writer step of the model test: a cluster event through
+// ApplyEvent, or (ev nil) a Register replacing the cluster's snapshot.
+// A re-register either jumps ahead (a node swapped for different
+// hardware, one epoch past the current) or, when lower is set, rolls back
+// to an earlier published snapshot; pick chooses which.
+type modelOp struct {
+	ev    *Event
+	lower bool
+	pick  float64
+}
+
+// cacheEpochs lists the epochs of the cluster's cache entries.
+func cacheEpochs(c *lruCache, name string) []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var epochs []uint64
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		if k := el.Value.(*cacheEntry).key; k.cluster == name {
+			epochs = append(epochs, k.epoch)
+		}
+	}
+	return epochs
+}
+
 // TestEngineMatchesSnapshotModel is a model-based test of the engine. Four
 // clients place a seeded random stream of lama requests on a 512-node
 // cluster through a 4-worker engine, while a writer applies a seeded
-// random stream of fail-node, fail-pus and add-node events between them.
-// The reference model is a map from epoch to cluster.Snapshot, derived
-// independently from the same events. Every placement served, cached or
-// fresh, must encode byte for byte like MapReference on the model's
-// snapshot for the epoch the response reports.
+// random stream of fail-node, fail-pus and add-node events and
+// re-registrations, at a higher epoch and at a lower one, between them.
+// The reference model is the list of snapshots the writer published,
+// derived independently from the same steps. Every placement served,
+// cached or fresh, must encode byte for byte like MapReference on a
+// snapshot published while it was in flight, at the epoch the response
+// reports. A re-register must purge every cache entry of the snapshot it
+// replaces, counting them stale, and the cluster must still cache after
+// it: the first placement misses and its repeat hits.
 func TestEngineMatchesSnapshotModel(t *testing.T) {
 	const (
 		nodes     = 512
@@ -55,23 +84,30 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 	if !ok {
 		t.Fatal("nehalem-ep preset missing")
 	}
+	fig2, ok := hw.Preset("fig2")
+	if !ok {
+		t.Fatal("fig2 preset missing")
+	}
 	base := cluster.SnapshotOf(cluster.Homogeneous(nodes, sp))
-	e := New(Config{Workers: 4, QueueDepth: 64})
+	e := New(Config{Workers: 4, QueueDepth: 64, Obs: &obs.Observer{Metrics: obs.NewRegistry()}})
 	if err := e.Register("model", &Snapshot{Clu: base}); err != nil {
 		t.Fatal(err)
 	}
 
 	r := rand.New(rand.NewSource(42))
-	evs := make([]Event, events)
-	for i := range evs {
+	ops := make([]modelOp, events)
+	registers := map[bool]int{} // by lower
+	for i := range ops {
 		// Targets cluster at the low nodes, where placements land.
-		switch node := r.Intn(16); r.Intn(3) {
-		case 0:
-			evs[i] = Event{Type: "fail-node", Node: node}
-		case 1:
-			evs[i] = Event{Type: "fail-pus", Node: node, PUs: []int{r.Intn(16), r.Intn(16)}}
+		switch node := r.Intn(16); r.Intn(8) {
+		case 0, 1:
+			ops[i].ev = &Event{Type: "fail-node", Node: node}
+		case 2, 3:
+			ops[i].ev = &Event{Type: "fail-pus", Node: node, PUs: []int{r.Intn(16), r.Intn(16)}}
+		case 4, 5:
+			ops[i].ev = &Event{Type: "add-node", Preset: []string{"nehalem-ep", "fig2"}[r.Intn(2)], Name: fmt.Sprintf("grow%d", i), Slots: r.Intn(8)}
 		default:
-			evs[i] = Event{Type: "add-node", Preset: []string{"nehalem-ep", "fig2"}[r.Intn(2)], Name: fmt.Sprintf("grow%d", i), Slots: r.Intn(8)}
+			ops[i] = modelOp{lower: r.Intn(2) == 0, pick: r.Float64()}
 		}
 	}
 	reqs := make([][]Request, clients)
@@ -97,37 +133,86 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 		total += len(rs)
 	}
 
+	// served is one response with the window of writer steps it was in
+	// flight across: its snapshot is one of published[from : to+2].
 	type served struct {
-		req  Request
-		resp *Response
+		req      Request
+		resp     *Response
+		from, to int64
 	}
-	model := map[uint64]*cluster.Snapshot{1: base} // written by the writer only, read after Wait
-	got := make([][]served, clients)
-	// The events are paced through the request stream in lockstep: event
-	// i waits for (i+1)*step placements, and no client starts a request
-	// past that count until event i is applied. So every epoch the model
+	// published[k] is the cluster's snapshot after k writer steps; written
+	// by the writer only, read after Wait.
+	published := []*cluster.Snapshot{base}
+	got := make([][]served, clients+1) // the last slot is the writer's
+	// The steps are paced through the request stream in lockstep: step i
+	// waits for (i+1)*step placements, and no client starts a request
+	// past that count until step i is applied. So every epoch the model
 	// reaches serves about step placements, whatever the timing.
 	step := int64(total / (events + 1))
-	var placed, applied atomic.Int64
+	var started, placed, applied atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		cur := base
-		for i := range evs {
+		for i := range ops {
 			for placed.Load() < int64(i+1)*step {
 				runtime.Gosched()
 			}
-			epoch, _, err := e.ApplyEvent("model", &evs[i])
-			if err != nil {
-				t.Errorf("event %d %+v: %v", i, evs[i], err)
-			} else {
-				cur = modelApply(t, cur, &evs[i])
-				if epoch != cur.Epoch() {
-					t.Errorf("event %d %+v: engine at epoch %d, model at %d", i, evs[i], epoch, cur.Epoch())
+			if op := &ops[i]; op.ev != nil {
+				epoch, _, err := e.ApplyEvent("model", op.ev)
+				if err != nil {
+					t.Errorf("step %d %+v: %v", i, *op.ev, err)
+				} else {
+					cur = modelApply(t, cur, op.ev)
+					if epoch != cur.Epoch() {
+						t.Errorf("step %d %+v: engine at epoch %d, model at %d", i, *op.ev, epoch, cur.Epoch())
+					}
 				}
-				model[cur.Epoch()] = cur
+			} else {
+				// No client starts a request now; wait out those in flight,
+				// so none can put an entry behind the purge checked below.
+				for started.Load() != placed.Load() {
+					runtime.Gosched()
+				}
+				next, lower := cur, op.lower && cur.Epoch() > 1
+				if lower {
+					var older []*cluster.Snapshot
+					for _, s := range published {
+						if s.Epoch() < cur.Epoch() {
+							older = append(older, s)
+						}
+					}
+					next = older[int(op.pick*float64(len(older)))]
+				} else {
+					next, _ = cur.ReplaceNode(int(op.pick*16), &cluster.Node{Name: fmt.Sprintf("swap%d", i), Topo: hw.New(fig2)})
+				}
+				registers[lower]++
+				held, stale := len(cacheEpochs(e.cache, "model")), e.stale.Value()
+				if err := e.Register("model", &Snapshot{Clu: next}); err != nil {
+					t.Errorf("step %d: Register: %v", i, err)
+				}
+				cur = next
+				if left := cacheEpochs(e.cache, "model"); len(left) != 0 {
+					t.Errorf("step %d: re-register at epoch %d (lower %v) left entries at epochs %v", i, cur.Epoch(), lower, left)
+				}
+				if purged := e.stale.Value() - stale; purged != int64(held) {
+					t.Errorf("step %d: re-register purged %d stale entries, want %d", i, purged, held)
+				}
+				req := Request{Cluster: "model", NP: 16}
+				for _, wantCached := range []bool{false, true} {
+					resp, err := e.Place(context.Background(), &req)
+					if err != nil {
+						t.Errorf("step %d: place after re-register: %v", i, err)
+						break
+					}
+					if resp.Cached != wantCached || resp.Epoch != cur.Epoch() {
+						t.Errorf("step %d: after re-register: cached=%v epoch=%d, want %v, %d", i, resp.Cached, resp.Epoch, wantCached, cur.Epoch())
+					}
+					got[clients] = append(got[clients], served{req, resp, int64(i + 1), int64(i + 1)})
+				}
 			}
+			published = append(published, cur)
 			applied.Store(int64(i + 1))
 		}
 	}()
@@ -140,13 +225,16 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 					runtime.Gosched()
 				}
 				req := reqs[c][i]
+				started.Add(1)
+				from := applied.Load()
 				resp, err := e.Place(context.Background(), &req)
+				to := applied.Load()
 				placed.Add(1)
 				if err != nil {
 					t.Errorf("client %d request %d %+v: %v", c, i, req, err)
 					continue
 				}
-				got[c] = append(got[c], served{req, resp})
+				got[c] = append(got[c], served{req, resp, from, to})
 			}
 		}(c)
 	}
@@ -156,31 +244,40 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 	}
 
 	refs := map[string][]byte{}
+	reference := func(snap *cluster.Snapshot, req *Request) []byte {
+		layout := req.Layout
+		if layout == "" {
+			layout = "csbnh"
+		}
+		key := fmt.Sprintf("%p|%s|%d|%d", snap, layout, req.NP, req.PEsPerProc)
+		if want, ok := refs[key]; ok {
+			return want
+		}
+		m := &core.Mapper{Cluster: snap.Cluster(), Layout: core.MustParseLayout(layout), Opts: core.Options{PEsPerProc: req.PEsPerProc}}
+		ref, err := m.MapReference(req.NP)
+		if err != nil {
+			t.Fatalf("reference for %s: %v", key, err)
+		}
+		refs[key] = encodeOracle(t, wireResponse("model", snap.Epoch(), false, ref))
+		return refs[key]
+	}
 	epochs := map[uint64]bool{}
 	var cached, fresh int
 	for _, list := range got {
 		for _, s := range list {
-			snap := model[s.resp.Epoch]
-			if snap == nil {
-				t.Fatalf("%+v served at epoch %d, which the model never reached", s.req, s.resp.Epoch)
-			}
-			layout := s.req.Layout
-			if layout == "" {
-				layout = "csbnh"
-			}
-			key := fmt.Sprintf("%d|%s|%d|%d", s.resp.Epoch, layout, s.req.NP, s.req.PEsPerProc)
-			want, ok := refs[key]
-			if !ok {
-				m := &core.Mapper{Cluster: snap.Cluster(), Layout: core.MustParseLayout(layout), Opts: core.Options{PEsPerProc: s.req.PEsPerProc}}
-				ref, err := m.MapReference(s.req.NP)
-				if err != nil {
-					t.Fatalf("reference for %s: %v", key, err)
+			b := encodeOracle(t, wireResponse("model", s.resp.Epoch, false, s.resp.Map))
+			match, reached := false, false
+			for _, snap := range published[s.from:min(s.to+2, int64(len(published)))] {
+				if snap.Epoch() == s.resp.Epoch {
+					reached = true
+					match = match || bytes.Equal(b, reference(snap, &s.req))
 				}
-				want = encodeOracle(t, wireResponse("model", s.resp.Epoch, false, ref))
-				refs[key] = want
 			}
-			if b := encodeOracle(t, wireResponse("model", s.resp.Epoch, false, s.resp.Map)); !bytes.Equal(b, want) {
-				t.Fatalf("%+v at epoch %d (cached %v) differs from MapReference:\n%.300s\n%.300s", s.req, s.resp.Epoch, s.resp.Cached, b, want)
+			if !reached {
+				t.Fatalf("%+v served at epoch %d, which no snapshot published while it was in flight has", s.req, s.resp.Epoch)
+			}
+			if !match {
+				t.Fatalf("%+v at epoch %d (cached %v) differs from MapReference:\n%.300s", s.req, s.resp.Epoch, s.resp.Cached, b)
 			}
 			epochs[s.resp.Epoch] = true
 			if s.resp.Cached {
@@ -190,8 +287,14 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d placements (%d cached, %d fresh) over %d epochs, %d reference maps", cached+fresh, cached, fresh, len(epochs), len(refs))
-	if cached == 0 || fresh == 0 || len(epochs) != len(model) {
-		t.Fatalf("stream too narrow: %d cached, %d fresh, %d of %d epochs served", cached, fresh, len(epochs), len(model))
+	modelEpochs := map[uint64]bool{}
+	for _, s := range published {
+		modelEpochs[s.Epoch()] = true
+	}
+	t.Logf("%d placements (%d cached, %d fresh) over %d epochs, %d reference maps, %d/%d re-registers higher/lower",
+		cached+fresh, cached, fresh, len(epochs), len(refs), registers[false], registers[true])
+	if cached == 0 || fresh == 0 || len(epochs) != len(modelEpochs) || registers[false] == 0 || registers[true] == 0 {
+		t.Fatalf("stream too narrow: %d cached, %d fresh, %d of %d epochs served, %d/%d re-registers higher/lower",
+			cached, fresh, len(epochs), len(modelEpochs), registers[false], registers[true])
 	}
 }

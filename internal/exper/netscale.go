@@ -21,27 +21,26 @@ func init() {
 // NetCostRow is one scale point of the network-aware placement series:
 // the cost of building the incremental evaluator, one full evaluation,
 // the ordering and refinement passes, and the per-swap refinement cost —
-// the number that must stay flat as np grows (lamabench's -net series
-// records these as the additive "netcost" JSON rows).
+// the number that must stay flat as np grows (lamabench -net prints them).
 type NetCostRow struct {
-	Pattern string  `json:"pattern"`
-	Network string  `json:"network"`
-	NP      int     `json:"np"`
-	Nodes   int     `json:"nodes"`
-	NNZ     int     `json:"nnz"`
-	BuildUs float64 `json:"build_us"`
+	Pattern string
+	Network string
+	NP      int
+	Nodes   int
+	NNZ     int
+	BuildUs float64
 	// FullEvalUs is one Model.Evaluate pass — the O(nnz) cost a
 	// naive refiner would pay per candidate swap.
-	FullEvalUs float64 `json:"full_eval_us"`
-	OrderUs    float64 `json:"order_us"`
-	RefineUs   float64 `json:"refine_us"`
-	Swaps      int     `json:"swaps"`
+	FullEvalUs float64
+	OrderUs    float64
+	RefineUs   float64
+	Swaps      int
 	// PerSwapNs is RefineUs spread over the candidate evaluations the
 	// refinement actually priced (its swaps); 0 when no swap was taken.
-	PerSwapNs float64 `json:"per_swap_ns"`
-	JBefore   float64 `json:"j_before"`
-	JOrdered  float64 `json:"j_ordered"`
-	JAfter    float64 `json:"j_after"`
+	PerSwapNs float64
+	JBefore   float64
+	JOrdered  float64
+	JAfter    float64
 }
 
 // NetScale runs the network-aware placement series: for each np it maps

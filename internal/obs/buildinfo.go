@@ -9,13 +9,12 @@ import (
 // BuildInfo identifies the binary and host behind a telemetry surface:
 // the toolchain that built it, the vcs revision stamped into the build
 // (empty for test binaries and plain `go run` outside a checkout), and
-// the host's CPU count. It is the provenance header lamabench -json has
-// carried since its v2 schema, factored here so the /metrics endpoint
-// and every run report identify their origin the same way.
+// the host's CPU count. The /metrics endpoint and every -version line
+// identify their origin from it.
 type BuildInfo struct {
-	GoVersion   string `json:"goVersion"`
-	GitRevision string `json:"gitRevision,omitempty"`
-	NumCPU      int    `json:"numCPU"`
+	GoVersion   string
+	GitRevision string
+	NumCPU      int
 }
 
 // CurrentBuildInfo reads the running binary's build provenance.

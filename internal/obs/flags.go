@@ -34,8 +34,8 @@ func RegisterVersionFlag(fs *flag.FlagSet) *bool {
 }
 
 // PrintVersion writes the running binary's build provenance — the same
-// BuildInfo the lamabench/v2 report header and the lama_build_info metric
-// carry — as one human-readable line.
+// BuildInfo the lama_build_info metric carries — as one human-readable
+// line.
 func PrintVersion(w io.Writer, tool string) {
 	b := CurrentBuildInfo()
 	rev := b.GitRevision

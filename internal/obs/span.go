@@ -76,7 +76,7 @@ func (t *PhaseTimer) Spans() []SpanRecord {
 }
 
 // Totals aggregates the completed spans' durations by phase name, in
-// microseconds — the per-phase attribution lamabench reports.
+// microseconds — the phaseTotalsUs a run report carries.
 func (t *PhaseTimer) Totals() map[string]float64 {
 	if t == nil {
 		return nil

@@ -162,10 +162,6 @@ func NewMapper(c *Cluster, l Layout, o Options) (*Mapper, error) {
 	return core.NewMapper(c, l, o)
 }
 
-// PlacedRanks returns the process-wide count of rank placements planned so
-// far, for throughput (placements/sec) reporting.
-func PlacedRanks() int64 { return core.PlacedRanks() }
-
 // SequentialOrder and ReverseOrder are the built-in per-level iteration
 // orders (paper Fig. 1 line 13 and §IV-A).
 func SequentialOrder(width int) []int { return core.SequentialOrder(width) }
