@@ -16,55 +16,107 @@ import (
 	"lama/internal/hw"
 )
 
-// slot is one mappable processing unit with its location.
-type slot struct {
-	node int
-	pu   *hw.Object
+// placer collects a baseline's placements in rank order. It stops the
+// enumeration at np, so a request costs what it places, not what the
+// cluster holds: Placements is sized once, and every rank's PUs is a
+// one-element window of a single []int. An np past the cluster's usable
+// PUs, which bound every baseline's slot count, cannot be placed, so then
+// the slots are only counted, for the error.
+type placer struct {
+	c   *cluster.Cluster
+	np  int
+	m   *core.Map // nil when np exceeds the usable PUs
+	pus []int
+	n   int // ranks placed, or slots counted
 }
 
-// slotsToMap converts an ordered slot list into a core.Map, assigning
-// ranks 0..np-1 in order. It fails if np exceeds the slot count (these
-// baselines do not oversubscribe).
-func slotsToMap(c *cluster.Cluster, slots []slot, np int, name string) (*core.Map, error) {
+// newPlacer starts a map of np ranks, or fails for a non-positive np.
+func newPlacer(c *cluster.Cluster, np int) (*placer, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("baseline: non-positive process count %d", np)
 	}
-	if np > len(slots) {
-		return nil, fmt.Errorf("baseline: %s: %d ranks exceed %d processing units",
-			name, np, len(slots))
+	p := &placer{c: c, np: np}
+	if np <= c.TotalUsablePUs() {
+		p.m = &core.Map{Placements: make([]core.Placement, 0, np), Sweeps: 1}
+		p.pus = make([]int, 0, np)
 	}
-	m := &core.Map{Sweeps: 1}
-	for rank := 0; rank < np; rank++ {
-		s := slots[rank]
-		m.Placements = append(m.Placements, core.Placement{
-			Rank:     rank,
-			Node:     s.node,
-			NodeName: c.Node(s.node).Name,
-			Coords:   core.NodeCoords(s.node),
-			Leaf:     s.pu,
-			PUs:      []int{s.pu.OS},
-		})
-	}
-	return m, nil
+	return p, nil
 }
 
-// nodePUs returns node i's usable PUs ordered socket-major, then core,
-// then hardware thread — the conventional "slot" order.
-func nodePUs(c *cluster.Cluster, i int) [][]*hw.Object {
-	// Grouped by thread index: first threads of every core, then second
-	// threads, etc. (ragged when cores differ in thread count).
-	node := c.Node(i)
-	var byThread [][]*hw.Object
-	for _, coreObj := range node.Topo.Objects(hw.LevelCore) {
-		ups := coreObj.UsablePUs()
-		for t, pu := range ups {
-			for len(byThread) <= t {
-				byThread = append(byThread, nil)
-			}
-			byThread[t] = append(byThread[t], pu)
+// add places the next rank on pu of node. It reports whether that rank
+// was the last of the np.
+func (p *placer) add(node int, pu *hw.Object) bool {
+	rank := p.n
+	p.n++
+	if p.m == nil {
+		return false
+	}
+	p.pus = append(p.pus, pu.OS)
+	p.m.Placements = append(p.m.Placements, core.Placement{
+		Rank:     rank,
+		Node:     node,
+		NodeName: p.c.Node(node).Name,
+		Coords:   core.NodeCoords(node),
+		Leaf:     pu,
+		PUs:      p.pus[rank : rank+1 : rank+1],
+	})
+	return p.n == p.np
+}
+
+// exhausted reports the error for slots that ran out before np ranks were
+// placed: these baselines do not oversubscribe. Every slot was placed or
+// counted on the way, so the count is the full slot count.
+func (p *placer) exhausted(name string) error {
+	return fmt.Errorf("baseline: %s: %d ranks exceed %d processing units", name, p.np, p.n)
+}
+
+// appendThread appends the PUs of ups, a topology's usable PUs in DFS
+// order, that are usable hardware thread t of their core, in core order.
+// A core's usable PUs form one contiguous run of ups; PUs that do not sit
+// on a core (decoded trees may omit the level) are no slot.
+func appendThread(dst, ups []*hw.Object, t int) []*hw.Object {
+	var run *hw.Object
+	k := 0 // pu's index within its run
+	for _, pu := range ups {
+		if pu.Parent != run {
+			run, k = pu.Parent, 0
+		} else {
+			k++
+		}
+		if k == t && run.Level == hw.LevelCore {
+			dst = append(dst, pu)
 		}
 	}
-	return byThread
+	return dst
+}
+
+// slotLists holds every node's slots in the conventional thread-major
+// order: the first hardware threads of all its cores, then the second
+// threads, and so on (ragged when cores differ in thread count). A node's
+// list is computed when first asked for; nodes are first asked for in
+// index order, so the computed lists are always a prefix of the nodes.
+type slotLists struct {
+	c    *cluster.Cluster
+	buf  []*hw.Object
+	ends []int // node i's slots are buf[ends[i-1]:ends[i]]
+}
+
+func (s *slotLists) node(i int) []*hw.Object {
+	for len(s.ends) <= i {
+		ups := s.c.Nodes[len(s.ends)].Topo.UsablePUs()
+		for t := 0; ; t++ {
+			n := len(s.buf)
+			if s.buf = appendThread(s.buf, ups, t); len(s.buf) == n {
+				break
+			}
+		}
+		s.ends = append(s.ends, len(s.buf))
+	}
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.buf[start:s.ends[i]]
 }
 
 // BySlot packs ranks onto the slots of each node in turn: all first
@@ -72,126 +124,155 @@ func nodePUs(c *cluster.Cluster, i int) [][]*hw.Object {
 // (the "bunch/pack/block" pattern of §II). Equivalent to LAMA "csbnh" on
 // regular machines.
 func BySlot(c *cluster.Cluster, np int) (*core.Map, error) {
-	var slots []slot
-	maxThreads := 0
-	perNode := make([][][]*hw.Object, c.NumNodes())
-	for i := range c.Nodes {
-		perNode[i] = nodePUs(c, i)
-		if len(perNode[i]) > maxThreads {
-			maxThreads = len(perNode[i])
-		}
+	p, err := newPlacer(c, np)
+	if err != nil {
+		return nil, err
 	}
-	for t := 0; t < maxThreads; t++ {
-		for i := range c.Nodes {
-			if t < len(perNode[i]) {
-				for _, pu := range perNode[i][t] {
-					slots = append(slots, slot{node: i, pu: pu})
+	var thread []*hw.Object
+	for t := 0; ; t++ {
+		progressed := false
+		for i, node := range c.Nodes {
+			thread = appendThread(thread[:0], node.Topo.UsablePUs(), t)
+			for _, pu := range thread {
+				if p.add(i, pu) {
+					return p.m, nil
 				}
+				progressed = true
 			}
 		}
+		if !progressed {
+			return nil, p.exhausted("by-slot")
+		}
 	}
-	return slotsToMap(c, slots, np, "by-slot")
 }
 
 // ByNode deals ranks round-robin across nodes (the "scatter/cyclic"
 // pattern of §II): rank r goes to node r mod N, taking that node's next
 // free slot. Equivalent to LAMA "ncsbh" on regular homogeneous machines.
 func ByNode(c *cluster.Cluster, np int) (*core.Map, error) {
-	flat := make([][]*hw.Object, c.NumNodes())
-	for i := range c.Nodes {
-		for _, group := range nodePUs(c, i) {
-			flat[i] = append(flat[i], group...)
-		}
+	p, err := newPlacer(c, np)
+	if err != nil {
+		return nil, err
 	}
-	cursor := make([]int, c.NumNodes())
-	var slots []slot
-	remaining := 0
-	for i := range flat {
-		remaining += len(flat[i])
-	}
-	for remaining > 0 {
+	slots := slotLists{c: c}
+	for round := 0; ; round++ {
 		progressed := false
-		for i := range flat {
-			if cursor[i] < len(flat[i]) {
-				slots = append(slots, slot{node: i, pu: flat[i][cursor[i]]})
-				cursor[i]++
-				remaining--
+		for i := range c.Nodes {
+			if s := slots.node(i); round < len(s) {
+				if p.add(i, s[round]) {
+					return p.m, nil
+				}
 				progressed = true
 			}
 		}
 		if !progressed {
-			break
+			return nil, p.exhausted("by-node")
 		}
 	}
-	return slotsToMap(c, slots, np, "by-node")
 }
 
 // Pack fills each object of the given level completely (all its usable
 // PUs) before moving to the next object — MPICH2's "pack at a level".
+// An object's usable PUs are one contiguous run of the node's DFS-ordered
+// usable PUs, so the slots are those PUs that sit under some object of
+// the level, in order.
 func Pack(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 	if !level.Valid() {
 		return nil, fmt.Errorf("baseline: invalid level")
 	}
-	var slots []slot
+	p, err := newPlacer(c, np)
+	if err != nil {
+		return nil, err
+	}
 	for i, node := range c.Nodes {
-		for _, obj := range node.Topo.Objects(level) {
-			for _, pu := range obj.UsablePUs() {
-				slots = append(slots, slot{node: i, pu: pu})
+		for _, pu := range node.Topo.UsablePUs() {
+			if pu.Ancestor(level) != nil && p.add(i, pu) {
+				return p.m, nil
 			}
 		}
 	}
-	return slotsToMap(c, slots, np, "pack")
+	return nil, p.exhausted("pack")
 }
 
 // Scatter deals ranks round-robin across the objects of the given level,
-// cluster-wide — MPICH2's "scatter at a level".
+// cluster-wide — MPICH2's "scatter at a level". The first round places
+// each object's first PU as the object is found, so a job smaller than
+// the level's object count never looks past its last object.
 func Scatter(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 	if !level.Valid() {
 		return nil, fmt.Errorf("baseline: invalid level")
 	}
+	p, err := newPlacer(c, np)
+	if err != nil {
+		return nil, err
+	}
+	// A group is one object's usable PUs: a run of its node's list.
 	type group struct {
 		node int
 		pus  []*hw.Object
 	}
-	var groups []group
+	// Round one places one rank per group as it is found, so it returns
+	// before finding more than np groups.
+	groups := make([]group, 0, cap(p.pus))
 	for i, node := range c.Nodes {
-		for _, obj := range node.Topo.Objects(level) {
-			if ups := obj.UsablePUs(); len(ups) > 0 {
-				groups = append(groups, group{node: i, pus: ups})
+		ups := node.Topo.UsablePUs()
+		for start, end := 0, 0; start < len(ups); start = end {
+			obj := ups[start].Ancestor(level)
+			end = start + 1
+			for end < len(ups) && ups[end].Ancestor(level) == obj {
+				end++
+			}
+			if obj == nil {
+				continue // PUs under no object of the level
+			}
+			groups = append(groups, group{node: i, pus: ups[start:end]})
+			if p.add(i, ups[start]) {
+				return p.m, nil
 			}
 		}
 	}
-	cursor := make([]int, len(groups))
-	var slots []slot
-	for {
+	for round := 1; ; round++ {
 		progressed := false
-		for gi := range groups {
-			if cursor[gi] < len(groups[gi].pus) {
-				slots = append(slots, slot{node: groups[gi].node, pu: groups[gi].pus[cursor[gi]]})
-				cursor[gi]++
+		for _, g := range groups {
+			if round < len(g.pus) {
+				if p.add(g.node, g.pus[round]) {
+					return p.m, nil
+				}
 				progressed = true
 			}
 		}
 		if !progressed {
-			break
+			return nil, p.exhausted("scatter")
 		}
 	}
-	return slotsToMap(c, slots, np, "scatter")
 }
 
 // Random maps ranks onto a seeded random permutation of all usable PUs —
 // the placement a topology-oblivious scheduler might produce, used as the
 // pessimal baseline in the evaluation.
 func Random(c *cluster.Cluster, seed int64, np int) (*core.Map, error) {
-	var slots []slot
+	p, err := newPlacer(c, np)
+	if err != nil {
+		return nil, err
+	}
+	type slot struct {
+		node int
+		pu   *hw.Object
+	}
+	slots := make([]slot, 0, c.TotalUsablePUs())
 	for i, node := range c.Nodes {
-		for _, pu := range node.Topo.Root.UsablePUs() {
+		for _, pu := range node.Topo.UsablePUs() {
 			slots = append(slots, slot{node: i, pu: pu})
 		}
 	}
 	r := rand.New(rand.NewSource(seed))
 	r.Shuffle(len(slots), func(a, b int) { slots[a], slots[b] = slots[b], slots[a] })
-	return slotsToMap(c, slots, np, "random")
+	for _, s := range slots {
+		if p.add(s.node, s.pu) {
+			return p.m, nil
+		}
+	}
+	return nil, p.exhausted("random")
 }
 
 // Plane implements SLURM's plane distribution (paper §II): consecutive
@@ -202,35 +283,28 @@ func Plane(c *cluster.Cluster, blockSize, np int) (*core.Map, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("baseline: plane block size %d", blockSize)
 	}
-	flat := make([][]*hw.Object, c.NumNodes())
-	for i := range c.Nodes {
-		for _, group := range nodePUs(c, i) {
-			flat[i] = append(flat[i], group...)
-		}
+	p, err := newPlacer(c, np)
+	if err != nil {
+		return nil, err
 	}
+	slots := slotLists{c: c}
 	cursor := make([]int, c.NumNodes())
-	var slots []slot
-	node := 0
-	remaining := 0
-	for i := range flat {
-		remaining += len(flat[i])
-	}
-	for remaining > 0 {
+	for node := 0; ; node = (node + 1) % c.NumNodes() {
 		// Find the next node with capacity, starting from `node`.
 		tried := 0
-		for tried < c.NumNodes() && cursor[node] >= len(flat[node]) {
+		for tried < c.NumNodes() && cursor[node] >= len(slots.node(node)) {
 			node = (node + 1) % c.NumNodes()
 			tried++
 		}
 		if tried == c.NumNodes() {
-			break
+			return nil, p.exhausted("plane")
 		}
-		for k := 0; k < blockSize && cursor[node] < len(flat[node]); k++ {
-			slots = append(slots, slot{node: node, pu: flat[node][cursor[node]]})
+		s := slots.node(node)
+		for k := 0; k < blockSize && cursor[node] < len(s); k++ {
+			if p.add(node, s[cursor[node]]) {
+				return p.m, nil
+			}
 			cursor[node]++
-			remaining--
 		}
-		node = (node + 1) % c.NumNodes()
 	}
-	return slotsToMap(c, slots, np, "plane")
 }

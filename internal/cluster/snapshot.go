@@ -193,7 +193,7 @@ func nodeSig(n *Node) string {
 	var sb strings.Builder
 	sb.WriteString(n.Topo.ShapeSig())
 	sb.WriteByte('|')
-	for _, pu := range n.Topo.Root.UsablePUs() {
+	for _, pu := range n.Topo.UsablePUs() {
 		fmt.Fprintf(&sb, "%x,", pu.OS)
 	}
 	fmt.Fprintf(&sb, "|%d|%d", n.Slots, n.MaxSlots)

@@ -99,6 +99,9 @@ type Topology struct {
 	// shapeSig is the structural signature, recomputed by New and
 	// reindex; see ShapeSig.
 	shapeSig string
+	// usable is the usable PUs in DFS order, set by every mutator as its
+	// last step and never on read; see UsablePUs.
+	usable []*Object
 }
 
 // Generation returns the topology's mutation counter. It starts at zero
@@ -161,7 +164,41 @@ func New(sp Spec) *Topology {
 		}
 	}
 	t.shapeSig = t.structureSig()
+	t.refreshUsable()
 	return t
+}
+
+// refreshUsable recomputes the usable-PU list after a mutation. When every
+// object is available, which is how every spec-built node starts, the list
+// is the PU index itself: no copy, no allocation. Otherwise it is a fresh
+// slice, so a list handed out before the mutation is never rewritten.
+//
+//lama:mutator
+func (t *Topology) refreshUsable() {
+	pus := t.byLevel[LevelPU]
+	if t.allAvailable() {
+		t.usable = pus[:len(pus):len(pus)]
+		return
+	}
+	usable := make([]*Object, 0, len(pus))
+	for _, pu := range pus {
+		if pu.Usable() {
+			usable = append(usable, pu)
+		}
+	}
+	t.usable = usable[:len(usable):len(usable)]
+}
+
+// allAvailable reports whether no object of the tree is unavailable.
+func (t *Topology) allAvailable() bool {
+	for _, objs := range t.byLevel {
+		for _, o := range objs {
+			if !o.Available {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Objects returns all objects at the given level in logical order. The
@@ -174,8 +211,14 @@ func (t *Topology) NumObjects(level Level) int { return len(t.byLevel[level]) }
 // NumPUs returns the total number of PUs (available or not).
 func (t *Topology) NumPUs() int { return len(t.byLevel[LevelPU]) }
 
+// UsablePUs returns the PUs whose ancestor chain is available, in DFS
+// order: exactly what Root.UsablePUs() yields, without walking the tree.
+// The list is shared and read-only; mutators replace it, never rewrite it,
+// so readers of a published snapshot do not race.
+func (t *Topology) UsablePUs() []*Object { return t.usable }
+
 // NumUsablePUs returns the number of PUs whose ancestor chain is available.
-func (t *Topology) NumUsablePUs() int { return len(t.Root.UsablePUs()) }
+func (t *Topology) NumUsablePUs() int { return len(t.usable) }
 
 // ObjectAt returns the object with the given machine-wide logical index at
 // a level, or nil if out of range.
@@ -244,6 +287,7 @@ func (t *Topology) SetAvailable(level Level, logical int, avail bool) bool {
 	}
 	o.Available = avail
 	t.bump()
+	t.refreshUsable()
 	return true
 }
 
@@ -260,6 +304,7 @@ func (t *Topology) Restrict(allowed *CPUSet) {
 		}
 	}
 	t.bump()
+	t.refreshUsable()
 }
 
 // Offline marks the PUs with the given OS indices unavailable — the
@@ -282,12 +327,19 @@ func (t *Topology) Offline(pus *CPUSet) int {
 	}
 	if changed > 0 {
 		t.bump()
+		t.refreshUsable()
 	}
 	return changed
 }
 
 // AllowedSet returns the CPUSet of usable PU OS indices.
-func (t *Topology) AllowedSet() *CPUSet { return t.Root.UsablePUSet() }
+func (t *Topology) AllowedSet() *CPUSet {
+	s := &CPUSet{}
+	for _, pu := range t.usable {
+		s.Set(pu.OS)
+	}
+	return s
+}
 
 // RemoveObject structurally removes the object at (level, logical) and its
 // subtree, renumbering logical indices and sibling ranks, to model truly
@@ -312,15 +364,16 @@ func (t *Topology) RemoveObject(level Level, logical int) bool {
 	return true
 }
 
-// reindex rebuilds per-level indexes, logical numbers, sibling ranks, and
-// the shape signature, and clears cached PU sets, after a structural
-// mutation.
+// reindex rebuilds per-level indexes, logical numbers, sibling ranks, the
+// shape signature and the usable-PU list, and clears cached PU sets, after
+// a structural mutation. The indexes are rebuilt into fresh slices, so the
+// old usable-PU list, which may alias the old PU index, is left intact.
 //
 //lama:mutator
 func (t *Topology) reindex() {
 	t.bump()
 	for l := range t.byLevel {
-		t.byLevel[l] = t.byLevel[l][:0]
+		t.byLevel[l] = nil
 	}
 	var walk func(o *Object, rank int)
 	walk = func(o *Object, rank int) {
@@ -334,6 +387,7 @@ func (t *Topology) reindex() {
 	}
 	walk(t.Root, 0)
 	t.shapeSig = t.structureSig()
+	t.refreshUsable()
 }
 
 // Clone returns a deep copy of the topology (objects, availability,
@@ -367,6 +421,8 @@ func (t *Topology) Clone() *Topology {
 	}
 	c.Root = copyObj(t.Root, nil)
 	c.shapeSig = t.shapeSig
+	c.usable = nil // excluded from the copy: it holds t's objects; rebuilt below
+	c.refreshUsable()
 	return c
 }
 

@@ -3,9 +3,11 @@ package hw
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func nehalem(t *testing.T) *Topology {
@@ -389,11 +391,50 @@ func TestQuickTopologyInvariants(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			return false
 		}
-		return back.NumPUs() == topo.NumPUs()
+		if back.NumPUs() != topo.NumPUs() || !sameUsable(topo) || !sameUsable(&back) {
+			return false
+		}
+		// Every mutator, and Clone, leaves the topology's usable-PU list
+		// equal to the tree walk it replaces on the read path.
+		for step := 0; step < 8; step++ {
+			switch r.Intn(6) {
+			case 0:
+				l := Level(r.Intn(NumLevels))
+				topo.SetAvailable(l, r.Intn(topo.NumObjects(l)+1), r.Intn(3) == 0)
+			case 1:
+				topo.Restrict(randomSet(r, topo.NumPUs()+1))
+			case 2:
+				topo.Offline(randomSet(r, topo.NumPUs()+1))
+			case 3:
+				l := Level(1 + r.Intn(NumLevels-1))
+				topo.RemoveObject(l, r.Intn(topo.NumObjects(l)+1))
+			case 4:
+				topo = topo.Clone()
+			case 5:
+				data, err := json.Marshal(topo)
+				if err != nil {
+					return false
+				}
+				topo = &Topology{}
+				if err := json.Unmarshal(data, topo); err != nil {
+					return false
+				}
+			}
+			if !sameUsable(topo) || topo.NumUsablePUs() != len(topo.Root.UsablePUs()) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameUsable reports whether the topology's usable-PU list holds exactly
+// the objects, in the order, that walking the tree from Root finds.
+func sameUsable(t *Topology) bool {
+	return slices.Equal(t.UsablePUs(), t.Root.UsablePUs())
 }
 
 func TestQuickRestrictMonotone(t *testing.T) {
@@ -467,5 +508,18 @@ func TestShapeSigSetWithStructure(t *testing.T) {
 	topo.RemoveObject(LevelCore, 3)
 	if got := topo.ShapeSig(); got == want || got != topo.structureSig() {
 		t.Fatalf("after RemoveObject: ShapeSig = %q, structure %q", got, topo.structureSig())
+	}
+}
+
+// TestObjectSize pins hw.Object at 80 bytes, an allocation size class of
+// its own. lamad builds every node of the clusters it serves twice at
+// start-up, and each nehalem-ep node is dozens of objects, so one more
+// field on Object (a per-object cache, say) raises the daemon's peak RSS
+// by megabytes. Per-topology derived state, such as the usable-PU list,
+// lives on Topology instead. A change that grows Object must change this
+// pin, visibly.
+func TestObjectSize(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 80", got)
 	}
 }

@@ -147,7 +147,7 @@ func Apply(f *File, c *cluster.Cluster) (*core.Map, error) {
 		var leaf *hw.Object
 		switch {
 		case e.Any:
-			for _, pu := range node.Topo.Root.UsablePUs() {
+			for _, pu := range node.Topo.UsablePUs() {
 				pus = append(pus, pu.OS)
 			}
 			leaf = node.Topo.Root

@@ -12,7 +12,6 @@ import (
 
 	"lama/internal/cluster"
 	"lama/internal/core"
-	"lama/internal/hw"
 )
 
 // Dims is the shape of the torus network.
@@ -120,35 +119,37 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 	if np <= 0 {
 		return nil, fmt.Errorf("torus: non-positive process count %d", np)
 	}
-	perNode := make([][]*hw.Object, c.NumNodes())
-	maxT := 0
-	for i, node := range c.Nodes {
-		perNode[i] = node.Topo.Root.UsablePUs()
-		if len(perNode[i]) > maxT {
-			maxT = len(perNode[i])
-		}
+	maxT, total := 0, 0
+	for _, node := range c.Nodes {
+		maxT = max(maxT, node.Topo.NumUsablePUs())
+		total += node.Topo.NumUsablePUs()
 	}
 	widths := map[byte]int{'x': dims.X, 'y': dims.Y, 'z': dims.Z, 't': maxT}
 	order = strings.ToLower(order)
 
-	m := &core.Map{Sweeps: 1}
+	// Placements and their one-PU windows are sized once, capped at the
+	// usable PUs so an np past capacity allocates no more than the cluster.
+	m := &core.Map{Placements: make([]core.Placement, 0, min(np, total)), Sweeps: 1}
+	pus := make([]int, 0, min(np, total))
 	coord := map[byte]int{}
 	var iterate func(pos int) bool // returns true when np ranks placed
 	iterate = func(pos int) bool {
 		if pos < 0 {
 			node := dims.NodeIndex(Coord{X: coord['x'], Y: coord['y'], Z: coord['z']})
 			t := coord['t']
-			if t >= len(perNode[node]) {
+			ups := c.Node(node).Topo.UsablePUs()
+			if t >= len(ups) {
 				return false // node has fewer PUs than maxT: skip
 			}
-			pu := perNode[node][t]
+			pu, rank := ups[t], len(m.Placements)
+			pus = append(pus, pu.OS)
 			m.Placements = append(m.Placements, core.Placement{
-				Rank:     len(m.Placements),
+				Rank:     rank,
 				Node:     node,
 				NodeName: c.Node(node).Name,
 				Coords:   core.NodeCoords(node),
 				Leaf:     pu,
-				PUs:      []int{pu.OS},
+				PUs:      pus[rank : rank+1 : rank+1],
 			})
 			return len(m.Placements) == np
 		}

@@ -58,17 +58,19 @@ func Map(c *cluster.Cluster, tm *commpat.Matrix, np int) (*core.Map, error) {
 
 	m := &core.Map{Sweeps: 1}
 	placements := make([]core.Placement, np)
+	pus := make([]int, np) // every rank's PUs is a one-element window
 	for bi, ranks := range groups {
 		nodeIdx := bins[bi].idx
 		node := c.Node(nodeIdx)
 		assignSubtree(a, node.Topo.Root, ranks, func(rank int, pu *hw.Object) {
+			pus[rank] = pu.OS
 			placements[rank] = core.Placement{
 				Rank:     rank,
 				Node:     nodeIdx,
 				NodeName: node.Name,
 				Coords:   core.NodeCoords(nodeIdx),
 				Leaf:     pu,
-				PUs:      []int{pu.OS},
+				PUs:      pus[rank : rank+1 : rank+1],
 			}
 		})
 	}
@@ -83,7 +85,8 @@ type bin struct {
 }
 
 // assignSubtree recursively partitions ranks across obj's children by
-// usable capacity, bottoming out by pairing ranks with PUs.
+// usable capacity, bottoming out by pairing ranks with PUs. obj is usable:
+// its ancestors are available.
 func assignSubtree(a *affinity, obj *hw.Object, ranks []int, emit func(rank int, pu *hw.Object)) {
 	if len(ranks) == 0 {
 		return
@@ -93,24 +96,37 @@ func assignSubtree(a *affinity, obj *hw.Object, ranks []int, emit func(rank int,
 		emit(ranks[0], obj)
 		return
 	}
-	// Transparent levels (single usable child) recurse directly.
-	var kids []*hw.Object
-	for _, ch := range obj.Children {
-		if ch.Available && len(ch.UsablePUs()) > 0 {
-			kids = append(kids, ch)
+	// One bin per child with usable PUs; a bin's idx is the child's rank.
+	var bins []bin
+	for i, ch := range obj.Children {
+		if n := usableCount(ch); n > 0 {
+			bins = append(bins, bin{idx: i, capacity: n})
 		}
 	}
-	if len(kids) == 1 {
-		assignSubtree(a, kids[0], ranks, emit)
+	// Transparent levels (single usable child) recurse directly.
+	if len(bins) == 1 {
+		assignSubtree(a, obj.Children[bins[0].idx], ranks, emit)
 		return
 	}
-	bins := make([]bin, len(kids))
-	for i, ch := range kids {
-		bins[i] = bin{idx: i, capacity: len(ch.UsablePUs())}
-	}
 	for bi, group := range a.partition(ranks, bins) {
-		assignSubtree(a, kids[bi], group, emit)
+		assignSubtree(a, obj.Children[bins[bi].idx], group, emit)
 	}
+}
+
+// usableCount returns how many usable PUs o's subtree holds, given that
+// o's ancestors are available, without collecting them.
+func usableCount(o *hw.Object) int {
+	if !o.Available {
+		return 0
+	}
+	if o.Level == hw.LevelPU {
+		return 1
+	}
+	n := 0
+	for _, ch := range o.Children {
+		n += usableCount(ch)
+	}
+	return n
 }
 
 // affinity is the symmetric view of a traffic matrix that partition works
