@@ -10,17 +10,6 @@
 //	lamasim -np 64 -nodes 8 -spec nehalem-ep -pattern stencil2d -net fat-tree
 //	lamasim -np 64 -nodes 8 -pattern gtc -net torus -mode app -compute 500
 //	lamasim -np 16 -nodes 8 -mode coll -bytes 1048576
-//
-// With -ft it instead runs a supervised (fault-tolerant) job and reports
-// the recovery pipeline's metrics:
-//
-//	lamasim -np 64 -nodes 8 --ft=respawn --spares=1 -fail-node 0 -fail-step 10
-//
-// With -listen the run serves its telemetry live while it executes
-// (/metrics, /metrics.json, /events, /debug/pprof); combine with
-// -step-delay to stretch a churn run long enough to scrape:
-//
-//	lamasim -churn -steps 2000 -step-delay 10ms -listen 127.0.0.1:8321
 package main
 
 import (
@@ -29,10 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"lama/internal/appsim"
-	"lama/internal/bind"
 	"lama/internal/cluster"
 	"lama/internal/coll"
 	"lama/internal/commpat"
@@ -43,10 +30,8 @@ import (
 	"lama/internal/netorder"
 	"lama/internal/netsim"
 	"lama/internal/obs"
-	"lama/internal/orte"
 	"lama/internal/place"
 	"lama/internal/place/all"
-	"lama/internal/rm"
 )
 
 func main() {
@@ -70,26 +55,7 @@ func run(args []string, out io.Writer) error {
 	mode := fs.String("mode", "static", "report: static | app | coll | fluid")
 	compute := fs.Float64("compute", 500, "per-iteration compute time in us (mode app)")
 	iters := fs.Int("iters", 1000, "iterations (mode app)")
-	ft := fs.String("ft", "", "fault-tolerance policy: abort | shrink | respawn (runs a supervised job)")
-	layout := fs.String("layout", "csbnh", "LAMA layout for the supervised run (-ft)")
-	spares := fs.Int("spares", 0, "whole spare nodes to reserve (-ft)")
-	maxRestarts := fs.Int("max-restarts", 1, "respawn budget, negative = unlimited (-ft)")
-	steps := fs.Int("steps", 50, "virtual scheduler steps (-ft)")
-	stepDelay := fs.Duration("step-delay", 0, "wall-clock sleep per virtual step (-ft/-churn), so -listen scrapers can watch the run live")
-	failNode := fs.Int("fail-node", -1, "inject: fail this node at -fail-step (-ft)")
-	failRank := fs.Int("fail-rank", -1, "inject: crash this rank at -fail-step (-ft)")
-	failStep := fs.Int("fail-step", 10, "inject: failure step (-ft)")
-	mtbf := fs.Float64("mtbf", 0, "inject: per-rank exponential MTBF in steps, 0 = off (-ft); per-node MTBF for -churn (0 = 2x horizon)")
-	seed := fs.Int64("seed", 1, "rng seed for -mtbf")
-	detect := fs.Int("detect", 0, "detection window in steps, 0 = routed-tree default (-ft)")
-	churn := fs.Bool("churn", false, "run the long-horizon churn scenario: fault-aware placement, MTBF node failures, periodic grow/shrink")
-	poolSize := fs.Int("pool", 0, "pool size in nodes for -churn (0 = nodes+spares+4)")
-	churnPolicy := fs.String("churn-policy", "lama", "placement policy the churn pipeline starts from")
-	chassisSize := fs.Int("chassis-size", 2, "nodes per chassis in the failure-domain model (-churn)")
-	rackSize := fs.Int("rack-size", 2, "chassis per rack in the failure-domain model (-churn)")
-	resizePeriod := fs.Int("resize-period", 0, "steps between alternating grow/shrink resizes, 0 = off (-churn)")
-	resizeDelta := fs.Int("resize-delta", 0, "ranks per resize, 0 = np/8 (-churn)")
-	critical := fs.Int("critical", 0, "number of leading ranks to spread across failure domains (-churn)")
+	seed := fs.Int64("seed", 1, "rng seed for the random policy (-policy)")
 	obsFlags := obs.RegisterFlags(fs)
 	version := obs.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -107,26 +73,6 @@ func run(args []string, out io.Writer) error {
 	o, closeObs, err := obsFlags.Observer(os.Stderr)
 	if err != nil {
 		return err
-	}
-	if *churn {
-		return runChurn(out, sp, obsFlags, o, closeObs, churnConfig{
-			spec: *spec, np: *np, nodes: *nodes, layout: *layout,
-			policy: *churnPolicy, spares: *spares, pool: *poolSize,
-			steps: *steps, mtbf: *mtbf, seed: *seed, detect: *detect,
-			chassisSize: *chassisSize, rackSize: *rackSize,
-			resizePeriod: *resizePeriod, resizeDelta: *resizeDelta,
-			critical: *critical, maxRestarts: *maxRestarts,
-			stepDelay: *stepDelay,
-		})
-	}
-	if *ft != "" {
-		return runFT(out, sp, obsFlags, o, closeObs, ftConfig{
-			spec: *spec, np: *np, nodes: *nodes, layout: *layout,
-			policy: *ft, spares: *spares, maxRestarts: *maxRestarts,
-			steps: *steps, failNode: *failNode, failRank: *failRank,
-			failStep: *failStep, mtbf: *mtbf, seed: *seed, detect: *detect,
-			stepDelay: *stepDelay,
-		})
 	}
 	c := cluster.Homogeneous(*nodes, sp)
 	net, err := netsim.ParseNetwork(*netName, *nodes)
@@ -274,148 +220,4 @@ func defaultJobs(base place.Request) ([]string, []place.Job) {
 		jobs[i] = place.Job{Policy: p, Req: &reqs[i]}
 	}
 	return labels, jobs
-}
-
-type ftConfig struct {
-	spec                string
-	np, nodes           int
-	layout, policy      string
-	spares, maxRestarts int
-	steps               int
-	failNode, failRank  int
-	failStep            int
-	mtbf                float64
-	seed                int64
-	detect              int
-	stepDelay           time.Duration
-}
-
-// runFT drives the full fault-tolerance pipeline: allocate compute nodes
-// plus spares from a resource-manager pool, launch under supervision,
-// inject the requested failures, and report the recovery metrics.
-func runFT(out io.Writer, sp hw.Spec, obsFlags *obs.CLIFlags, o *obs.Observer,
-	closeObs func() error, cfg ftConfig) error {
-	policy, err := orte.ParseFTPolicy(cfg.policy)
-	if err != nil {
-		return err
-	}
-	layout, err := core.ParseLayout(cfg.layout)
-	if err != nil {
-		return err
-	}
-	pool := cluster.Homogeneous(cfg.nodes+cfg.spares, sp)
-	mgr := rm.NewManager(pool)
-	slots := cfg.nodes * usableCores(pool.Node(0))
-	alloc, err := mgr.AllocWithSpares(rm.WholeNode, slots, cfg.spares)
-	if err != nil {
-		return err
-	}
-	sup := &orte.Supervisor{
-		Runtime:    orte.NewRuntime(alloc.Granted),
-		Layout:     layout,
-		Opts:       core.Options{Obs: o},
-		BindPolicy: bind.Specific,
-		BindLevel:  hw.LevelPU,
-		Config: orte.SuperviseConfig{
-			Policy:          policy,
-			MaxRestarts:     cfg.maxRestarts,
-			DetectionWindow: cfg.detect,
-			StepDelay:       cfg.stepDelay,
-		},
-		SpareProvider: func(failedNode int) (int, error) {
-			res, err := mgr.Realloc(alloc, alloc.Granted.Nodes[failedNode].Name,
-				rm.RetryConfig{Obs: o})
-			if err != nil {
-				return -1, err
-			}
-			return res.GrantedIndex, nil
-		},
-	}
-
-	var plan orte.InjectionPlan
-	if cfg.failRank >= 0 {
-		plan.Failures = append(plan.Failures, orte.Failure{Rank: cfg.failRank, Step: cfg.failStep})
-	}
-	if cfg.failNode >= 0 {
-		plan.NodeFailures = append(plan.NodeFailures, orte.NodeFailure{Node: cfg.failNode, Step: cfg.failStep})
-	}
-	if cfg.mtbf > 0 {
-		fails, err := orte.MTBFSchedule(cfg.seed, cfg.np, cfg.steps, cfg.mtbf)
-		if err != nil {
-			return err
-		}
-		plan.Failures = append(plan.Failures, fails...)
-	}
-
-	fmt.Fprintf(out, "cluster: %d x %s + %d spare(s), layout %s, np=%d, steps=%d, ft=%s\n\n",
-		cfg.nodes, cfg.spec, cfg.spares, cfg.layout, cfg.np, cfg.steps, policy)
-	rep, err := sup.Run(cfg.np, cfg.steps, plan)
-	if err != nil {
-		return err
-	}
-	for _, ev := range rep.Events {
-		fmt.Fprintf(out, "step %4d: %-8s failure from step %d, ranks %v", ev.DetectedStep, ev.Action, ev.FailStep, ev.Ranks)
-		if len(ev.FailedNodes) > 0 {
-			fmt.Fprintf(out, ", nodes %v", ev.FailedNodes)
-		}
-		if ev.Action == "respawn" {
-			fmt.Fprintf(out, " (moved %d, replayed %d steps)", ev.RanksMoved, ev.ReplaySteps)
-		}
-		if ev.Reason != "" {
-			fmt.Fprintf(out, ": %s", ev.Reason)
-		}
-		fmt.Fprintln(out)
-	}
-	if len(rep.Events) > 0 {
-		fmt.Fprintln(out)
-	}
-	rsum := metrics.SummarizeRecovery(rep)
-	fmt.Fprintln(out, rsum.Render())
-	rsum.Record(o.Reg())
-	if rep.Map != nil {
-		metrics.Summarize(alloc.Granted, rep.Map).Record(o.Reg())
-	}
-	if err := closeObs(); err != nil {
-		return err
-	}
-	report := o.Report("lamasim", map[string]any{
-		"np": cfg.np, "nodes": cfg.nodes, "spec": cfg.spec, "layout": cfg.layout,
-		"ft": policy.String(), "spares": cfg.spares, "steps": cfg.steps,
-		"maxRestarts": cfg.maxRestarts, "detectionWindow": rep.DetectionWindow,
-	})
-	report.Recovery = recoveryTimeline(rep.Events)
-	return obsFlags.WriteReport(report)
-}
-
-// recoveryTimeline converts the supervisor's recovery events into the run
-// report's neutral timeline form.
-func recoveryTimeline(events []orte.RecoveryEvent) []obs.TimelineEntry {
-	var tl []obs.TimelineEntry
-	for _, ev := range events {
-		detail := map[string]any{"failStep": ev.FailStep, "ranks": ev.Ranks}
-		if len(ev.FailedNodes) > 0 {
-			detail["failedNodes"] = ev.FailedNodes
-		}
-		if ev.Reason != "" {
-			detail["reason"] = ev.Reason
-		}
-		if ev.Action == "respawn" {
-			detail["ranksMoved"] = ev.RanksMoved
-			detail["replaySteps"] = ev.ReplaySteps
-			detail["remapUs"] = ev.RemapUs
-		}
-		tl = append(tl, obs.TimelineEntry{Step: ev.DetectedStep, Action: ev.Action, Detail: detail})
-	}
-	return tl
-}
-
-// usableCores counts a node's usable cores with at least one usable PU.
-func usableCores(n *cluster.Node) int {
-	count := 0
-	for _, c := range n.Topo.Objects(hw.LevelCore) {
-		if c.Usable() && len(c.UsablePUs()) > 0 {
-			count++
-		}
-	}
-	return count
 }

@@ -124,130 +124,10 @@ func TestFluidMode(t *testing.T) {
 	}
 }
 
-func TestFTRespawnMode(t *testing.T) {
-	// The acceptance scenario: a node failure under respawn with one spare
-	// completes every step, with restarts and migrated ranks in the
-	// summary.
-	var buf bytes.Buffer
-	err := run([]string{"-np", "64", "-nodes", "8", "--ft=respawn", "--spares=1",
-		"-fail-node", "0", "-fail-step", "10"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"ft=respawn", "respawn  failure from step 10",
-		"completed                 yes",
-		"restarts                  1",
-		"ranks migrated            8",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFTAbortMode(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-np", "16", "-nodes", "2", "--ft=abort",
-		"-fail-rank", "3", "-fail-step", "5", "-steps", "20"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"abort", "completed                 no", "aborted                   yes"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFTShrinkWithMTBF(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-np", "16", "-nodes", "2", "--ft=shrink",
-		"-mtbf", "40", "-seed", "7", "-steps", "60"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := buf.String()
-	var buf2 bytes.Buffer
-	if err := run([]string{"-np", "16", "-nodes", "2", "--ft=shrink",
-		"-mtbf", "40", "-seed", "7", "-steps", "60"}, &buf2); err != nil {
-		t.Fatal(err)
-	}
-	if a != buf2.String() {
-		t.Fatal("mtbf runs with the same seed must be identical")
-	}
-	if !strings.Contains(a, "shrink") {
-		t.Fatalf("output:\n%s", a)
-	}
-}
-
-func TestFTBadPolicy(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-np", "8", "-nodes", "2", "--ft=explode"}, &buf); err == nil {
-		t.Fatal("bad policy should fail")
-	}
-}
-
-// TestFTObservabilityRoundTrip is the acceptance path end to end: a
-// supervised run writes a JSONL trace and a runreport/v1 document, the
-// obs validators accept both, and the trace carries mapping, sweep-free
-// recovery, and rm-free supervise events while the report carries the
-// recovery timeline.
-func TestFTObservabilityRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	reportPath := filepath.Join(dir, "report.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-np", "24", "-nodes", "4", "-ft", "respawn", "-spares", "1",
-		"-fail-node", "0", "-fail-step", "10",
-		"-trace-out", tracePath, "-metrics-out", reportPath,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The trace must validate and carry both the mapping engine's and the
-	// supervisor's event streams.
-	trace, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, bySource, err := obs.ValidateJSONLTrace(bytes.NewReader(trace)); err != nil {
-		t.Fatal(err)
-	} else if bySource["map"] == 0 || bySource["supervise"] == 0 {
-		t.Fatalf("trace events by source: %v", bySource)
-	}
-	for _, want := range []string{`"src":"map"`, `"src":"supervise"`, `"event":"detect"`,
-		`"event":"realloc"`, `"event":"remap"`, `"event":"respawn"`} {
-		if !strings.Contains(string(trace), want) {
-			t.Fatalf("trace missing %s:\n%s", want, trace)
-		}
-	}
-
-	report, err := os.ReadFile(reportPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := obs.ValidateRunReport(report); err != nil {
-		t.Fatal(err)
-	} else if rep.Tool != "lamasim" {
-		t.Fatalf("report tool = %q", rep.Tool)
-	}
-	for _, want := range []string{`"schema": "runreport/v1"`, `"tool": "lamasim"`,
-		`"action": "respawn"`, `"lama_restarts_total"`, `"lama_map_duration_us"`,
-		`"lama_recovery_restarts"`, `"place"`, `"bind"`} {
-		if !strings.Contains(string(report), want) {
-			t.Fatalf("report missing %s:\n%s", want, report)
-		}
-	}
-}
-
 // TestValidateRejectsMalformed corrupts the artifacts lamasim writes and
-// checks the validators that TestFTObservabilityRoundTrip relies on reject
-// them: a trace line without "src", and a report with a future schema.
+// checks that the run-artifact validators (obs.ValidateJSONLTrace and
+// obs.ValidateRunReport) reject them: a trace line without "src", and a
+// report with a future schema.
 func TestValidateRejectsMalformed(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")

@@ -21,7 +21,7 @@ func writeFixture(t *testing.T, name, content string) string {
 const fixtureTrace = `{"src":"map","event":"done","policy":"by-slot","np":8}
 {"src":"netsim","event":"order","j_before":100,"j_after":80}
 {"src":"netsim","event":"refine","j_before":80,"j_after":72}
-{"src":"supervise","event":"detect","step":12,"ranks":[3]}
+{"src":"engine","event":"swap","cluster":"smoke","from_epoch":1,"to_epoch":2,"stale_purged":3}
 `
 
 const fixtureReport = `{
@@ -61,7 +61,7 @@ func TestSummaryTrace(t *testing.T) {
 	for _, want := range []string{
 		"4 events",
 		"netsim", "order", "refine",
-		"supervise", "detect",
+		"engine", "swap",
 		"objective transitions",
 		"netsim/order", "-20.0%", // 100 -> 80
 		"netsim/refine", "-10.0%", // 80 -> 72
@@ -132,7 +132,7 @@ func TestValidateCommand(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		trace + ": ok, JSONL trace, 4 events (map=1 netsim=2 supervise=1)",
+		trace + ": ok, JSONL trace, 4 events (engine=1 map=1 netsim=2)",
 		report + ": ok, runreport/v1 from lamasim (1 phases, 2 metrics, 0 recovery entries)",
 	} {
 		if !strings.Contains(got, want) {

@@ -1,6 +1,6 @@
-// Collectives and monitoring: how placement changes MPI collective times
-// (rounds synchronize on their slowest exchange), and what the run-time's
-// monitoring role does when a rank dies mid-run.
+// Collectives and launch at scale: how placement changes MPI collective
+// times (rounds synchronize on their slowest exchange), and what the
+// daemon spawn protocol costs as the machine count grows.
 package main
 
 import (
@@ -37,31 +37,6 @@ func main() {
 		}
 		fmt.Printf("%-16s %12.3f %12.3f\n", op, times[0], times[1])
 	}
-
-	// Monitoring: kill rank 3 at step 10 of a 100-step run and watch the
-	// abort propagate over the daemons' routed tree.
-	mapper, _ := lama.NewMapper(cluster, lama.MustParseLayout("ncsbh"), lama.Options{})
-	m, err := mapper.Map(32)
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan, err := lama.Bind(cluster, m, lama.BindSpecific, lama.LevelPU)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, rep, err := lama.NewRuntime(cluster).LaunchMonitored(m, plan, 100,
-		[]lama.Fault{{Rank: 3, Step: 10}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, o := range rep.Outcomes {
-		counts[o.State.String()]++
-	}
-	fmt.Printf("\nfault injection: rank %d died at step %d; abort reached the last daemon %d steps later\n",
-		rep.FirstFailure.Rank, rep.FirstFailure.Step, rep.DetectionSteps)
-	fmt.Printf("outcomes: %d failed, %d killed, %d done\n",
-		counts["failed"], counts["killed"], counts["done"])
 
 	// Launch-protocol comparison for the same machine counts.
 	fmt.Println("\ndaemon spawn at scale (50 us/message):")

@@ -184,8 +184,8 @@ func TestObsVocabDeadEntries(t *testing.T) {
 		}
 	}
 	// The fixture does not emit this one; it must be reported dead.
-	if !has(obs.SrcSupervise, obs.EvStart) {
-		t.Errorf("entry (%s, %s) not emitted by the fixture but not reported dead", obs.SrcSupervise, obs.EvStart)
+	if !has(obs.SrcSweep, obs.EvStart) {
+		t.Errorf("entry (%s, %s) not emitted by the fixture but not reported dead", obs.SrcSweep, obs.EvStart)
 	}
 	if len(dead) != len(obs.Vocabulary())-3 {
 		t.Errorf("dead entries = %d, want %d", len(dead), len(obs.Vocabulary())-3)

@@ -97,15 +97,6 @@ type Request struct {
 	// Stages are post-pass pipeline stages applied between place and bind
 	// (e.g. a reorder.Pass). Set programmatically.
 	Stages []place.Stage
-	// FT is the fault-tolerance policy (--ft); FTSet records that the
-	// flag was given explicitly (the default is abort, the seed behavior).
-	FT    orte.FTPolicy
-	FTSet bool
-	// Spares is the number of whole spare nodes to reserve (--spares).
-	Spares int
-	// MaxRestarts is the respawn budget (--max-restarts); negative means
-	// unlimited. The default is 1.
-	MaxRestarts int
 }
 
 // Parse interprets an mpirun-style argument list:
@@ -120,13 +111,10 @@ type Request struct {
 //	--pe N                processing elements per process
 //	--oversubscribe       allow PU sharing
 //	--max-per <level>=<n> ALPS-style per-resource rank cap
-//	--ft <policy>         abort | shrink | respawn on failure detection
-//	--spares N            whole spare nodes to reserve for respawn
-//	--max-restarts N      respawn budget (negative = unlimited; default 1)
 //
 // Value-taking flags also accept the --flag=value form.
 func Parse(args []string) (*Request, error) {
-	req := &Request{Level: 1, BindPolicy: bind.None, BindLevel: hw.LevelCore, MaxRestarts: 1}
+	req := &Request{Level: 1, BindPolicy: bind.None, BindLevel: hw.LevelCore}
 	var mapSpec string
 	mapLevel := 1
 
@@ -291,37 +279,6 @@ func Parse(args []string) (*Request, error) {
 				req.Opts.MaxPerResource = map[hw.Level]int{}
 			}
 			req.Opts.MaxPerResource[level] = n
-		case "--ft":
-			v, err := next(&i, arg)
-			if err != nil {
-				return nil, err
-			}
-			policy, err := orte.ParseFTPolicy(v)
-			if err != nil {
-				return nil, fmt.Errorf("mpirun: %v", err)
-			}
-			req.FT = policy
-			req.FTSet = true
-		case "--spares":
-			v, err := next(&i, arg)
-			if err != nil {
-				return nil, err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("mpirun: bad --spares %q", v)
-			}
-			req.Spares = n
-		case "--max-restarts":
-			v, err := next(&i, arg)
-			if err != nil {
-				return nil, err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("mpirun: bad --max-restarts %q", v)
-			}
-			req.MaxRestarts = n
 		default:
 			return nil, fmt.Errorf("mpirun: unknown option %q", arg)
 		}

@@ -9,7 +9,6 @@ import (
 	"lama/internal/cluster"
 	"lama/internal/core"
 	"lama/internal/hw"
-	"lama/internal/orte"
 )
 
 func testCluster(t *testing.T) *cluster.Cluster {
@@ -330,45 +329,6 @@ func TestLamaBindWidthSpec(t *testing.T) {
 		{"-np", "2", "--lama-bind", "0c"},
 		{"-np", "2", "--lama-bind", "2x"},
 		{"-np", "2", "--lama-bind"},
-	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%v) should fail", bad)
-		}
-	}
-}
-
-func TestParseFaultToleranceFlags(t *testing.T) {
-	// Defaults: abort policy (not explicitly set), no spares, budget 1.
-	req, err := Parse([]string{"-np", "4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.FT != orte.FTAbort || req.FTSet || req.Spares != 0 || req.MaxRestarts != 1 {
-		t.Fatalf("defaults = %+v", req)
-	}
-	// Space-separated form.
-	req, err = Parse([]string{"-np", "4", "--ft", "respawn", "--spares", "2", "--max-restarts", "3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.FT != orte.FTRespawn || !req.FTSet || req.Spares != 2 || req.MaxRestarts != 3 {
-		t.Fatalf("req = %+v", req)
-	}
-	// --flag=value form.
-	req, err = Parse([]string{"-np", "4", "--ft=shrink", "--spares=1", "--max-restarts=-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.FT != orte.FTShrink || !req.FTSet || req.Spares != 1 || req.MaxRestarts != -1 {
-		t.Fatalf("req = %+v", req)
-	}
-	// Bad values rejected.
-	for _, bad := range [][]string{
-		{"-np", "2", "--ft", "explode"},
-		{"-np", "2", "--ft"},
-		{"-np", "2", "--spares", "-1"},
-		{"-np", "2", "--spares", "x"},
-		{"-np", "2", "--max-restarts", "many"},
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%v) should fail", bad)

@@ -91,7 +91,7 @@ func TestServerNilFacilities(t *testing.T) {
 func TestServerEventsDump(t *testing.T) {
 	s, ts := newTestServer(t)
 	for i := 0; i < 5; i++ {
-		s.Ring.Emit(Event{Source: SrcSupervise, Name: "step", Step: i})
+		s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: i})
 	}
 	code, body := get(t, ts.URL+"/events?follow=0&replay=3")
 	if code != 200 {
@@ -114,7 +114,7 @@ func TestServerEventsDump(t *testing.T) {
 
 func TestServerEventsFollow(t *testing.T) {
 	s, ts := newTestServer(t)
-	s.Ring.Emit(Event{Source: SrcSupervise, Name: "step", Step: 0})
+	s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: 0})
 
 	resp, err := http.Get(ts.URL + "/events?replay=1")
 	if err != nil {
@@ -126,7 +126,7 @@ func TestServerEventsFollow(t *testing.T) {
 	if !sc.Scan() || !strings.Contains(sc.Text(), `"step":0`) {
 		t.Fatalf("replay line = %q", sc.Text())
 	}
-	s.Ring.Emit(Event{Source: SrcSupervise, Name: "step", Step: 1})
+	s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: 1})
 	if !sc.Scan() || !strings.Contains(sc.Text(), `"step":1`) {
 		t.Fatalf("live line = %q", sc.Text())
 	}
@@ -159,7 +159,7 @@ func TestServerEventsSlowReader(t *testing.T) {
 	go func() {
 		defer close(finished)
 		for i := 0; i < 5000; i++ {
-			s.Ring.Emit(Event{Source: SrcSupervise, Name: "step", Step: i})
+			s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: i})
 		}
 	}()
 	select {

@@ -124,7 +124,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 	}
 	o.Reg().Counter("x").Inc()
 	o.Reg().Gauge("y").Set(1)
-	o.Reg().Histogram("z", StepBuckets).Observe(1)
+	o.Reg().Histogram("z", LatencyBucketsUs).Observe(1)
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
-				r.Histogram("h", StepBuckets).Observe(float64(i % 10))
+				r.Histogram("h", LatencyBucketsUs).Observe(float64(i % 10))
 			}
 		}()
 	}
@@ -182,7 +182,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if r.Counter("c").Value() != 8000 {
 		t.Fatalf("counter = %d", r.Counter("c").Value())
 	}
-	if r.Histogram("h", StepBuckets).Count() != 8000 {
+	if r.Histogram("h", LatencyBucketsUs).Count() != 8000 {
 		t.Fatal("histogram lost observations")
 	}
 }
@@ -272,22 +272,54 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateRunReportRejects runs every rejection branch, each case
+// checked against its own error text so it proves the branch it names.
 func TestValidateRunReportRejects(t *testing.T) {
-	cases := map[string]string{
-		"not json":      "nope",
-		"wrong schema":  `{"schema":"runreport/v9","tool":"x"}`,
-		"no tool":       `{"schema":"runreport/v1"}`,
-		"negative span": `{"schema":"runreport/v1","tool":"x","phases":[{"name":"p","startUs":0,"durUs":-1}]}`,
-		"empty action":  `{"schema":"runreport/v1","tool":"x","recovery":[{"step":1,"action":""}]}`,
-		"non-cumulative histogram": `{"schema":"runreport/v1","tool":"x","metrics":{"histograms":{
+	for _, tc := range []struct{ name, doc, want string }{
+		{"not json", "nope", "does not parse"},
+		{"wrong schema", `{"schema":"runreport/v9","tool":"x"}`, `schema "runreport/v9"`},
+		{"no tool", `{"schema":"runreport/v1"}`, "has no tool"},
+		{"negative span", `{"schema":"runreport/v1","tool":"x","phases":[{"name":"p","startUs":0,"durUs":-1}]}`,
+			"bad phase span"},
+		{"empty action", `{"schema":"runreport/v1","tool":"x","recovery":[{"step":3,"action":"detect"},{"step":7,"action":""}]}`,
+			"recovery entry with no action at step 7"},
+		{"series out of step order", `{"schema":"runreport/v1","tool":"x","series":{"world_size":[
+			{"step":0,"value":16},{"step":50,"value":20},{"step":40,"value":18}]}}`,
+			"series world_size not in step order at index 2"},
+		{"empty series name", `{"schema":"runreport/v1","tool":"x","series":{"":[{"step":0,"value":1}]}}`,
+			"series with empty name"},
+		{"non-cumulative histogram", `{"schema":"runreport/v1","tool":"x","metrics":{"histograms":{
 			"h":{"buckets":[{"le":1,"count":5},{"le":"+Inf","count":3}],"sum":0,"count":3}}}}`,
-		"bad +Inf total": `{"schema":"runreport/v1","tool":"x","metrics":{"histograms":{
+			"not cumulative"},
+		{"bad +Inf total", `{"schema":"runreport/v1","tool":"x","metrics":{"histograms":{
 			"h":{"buckets":[{"le":1,"count":1},{"le":"+Inf","count":2}],"sum":0,"count":9}}}}`,
-	}
-	for name, doc := range cases {
-		if _, err := ValidateRunReport([]byte(doc)); err == nil {
-			t.Errorf("%s: should fail", name)
+			"+Inf bucket 2 != count 9"},
+	} {
+		_, err := ValidateRunReport([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestValidateRunReportAcceptsRecoveryReport keeps the append-only
+// schema promise: a report written by lamasim's former fault-tolerance
+// mode (-ft respawn -spares 1 -fail-node 0), with its recovery timeline,
+// still validates and parses.
+func TestValidateRunReportAcceptsRecoveryReport(t *testing.T) {
+	data, err := readFile(filepath.Join("testdata", "runreport_v1_recovery.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ValidateRunReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tool != "lamasim" || len(rep.Recovery) != 1 {
+		t.Fatalf("tool %q, %d recovery entries", rep.Tool, len(rep.Recovery))
+	}
+	if e := rep.Recovery[0]; e.Step != 13 || e.Action != "respawn" || e.Detail["ranksMoved"] != 8.0 {
+		t.Fatalf("recovery entry = %+v", e)
 	}
 }
 

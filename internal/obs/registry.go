@@ -15,8 +15,9 @@ import (
 // fixed-bucket histograms. Lookup is mutex-guarded and idempotent (the
 // first caller creates the instrument, later callers get the same one);
 // the instruments themselves update with atomics so recording from sweep
-// workers or the supervisor is lock-free. A nil *Registry is valid: every
-// method returns a nil instrument whose update methods are no-ops.
+// workers or the engine's placement workers is lock-free. A nil *Registry
+// is valid: every method returns a nil instrument whose update methods
+// are no-ops.
 type Registry struct {
 	mu sync.Mutex
 	//lama:guards mu
@@ -155,10 +156,6 @@ var LatencyBucketsUs = []float64{
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
 	100_000, 250_000, 500_000, 1_000_000, 5_000_000,
 }
-
-// StepBuckets are the fixed buckets for step-valued recovery quantities
-// (detection latencies, replayed steps).
-var StepBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144}
 
 // Counter returns (creating if needed) the named counter; nil registry
 // returns a nil (no-op) counter.

@@ -11,9 +11,9 @@ import (
 // RunReportSchema is the schema tag of the machine-readable run report.
 const RunReportSchema = "runreport/v1"
 
-// TimelineEntry is one step of a run's recovery timeline in the neutral
-// form the report carries (the supervisor's RecoveryEvents are converted
-// by the CLIs, keeping obs free of orte imports).
+// TimelineEntry is one step of a run's recovery timeline. No tool writes
+// one today; the schema is append-only, so reports that carry one keep
+// parsing and validating (testdata/runreport_v1_recovery.json).
 type TimelineEntry struct {
 	// Step is the step the action was taken at (detection step).
 	Step int `json:"step"`
@@ -35,9 +35,9 @@ type SeriesPoint struct {
 
 // RunReport is the single machine-readable document a CLI run emits via
 // -metrics-out: the run configuration, the per-phase wall-time spans, the
-// metrics registry snapshot, and (for supervised runs) the recovery
-// timeline. The schema is append-only: fields are added, never renamed or
-// removed.
+// metrics registry snapshot, and (in reports from the retired
+// fault-tolerance runs) the recovery timeline. The schema is append-only:
+// fields are added, never renamed or removed.
 type RunReport struct {
 	// Schema is always RunReportSchema.
 	Schema string `json:"schema"`
@@ -52,16 +52,17 @@ type RunReport struct {
 	PhaseTotalsUs map[string]float64 `json:"phaseTotalsUs,omitempty"`
 	// Metrics is the registry snapshot.
 	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
-	// Recovery is the supervised run's recovery timeline, in step order.
+	// Recovery is a supervised run's recovery timeline, in step order.
 	Recovery []TimelineEntry `json:"recovery,omitempty"`
-	// Series holds step-indexed curves by name (e.g. the churn scenario's
-	// "recovered_locality" and "migration_cost"), each in step order.
+	// Series holds step-indexed curves by name (e.g. the retired churn
+	// scenario's "recovered_locality" and "migration_cost"), each in step
+	// order.
 	Series map[string][]SeriesPoint `json:"series,omitempty"`
 }
 
 // Report assembles a run report from the observer's timer and registry
-// (both sections are omitted when disabled). Callers fill Recovery and
-// extra Config entries before writing.
+// (both sections are omitted when disabled). Callers fill extra Config
+// entries before writing.
 func (o *Observer) Report(tool string, config map[string]any) *RunReport {
 	rep := &RunReport{Schema: RunReportSchema, Tool: tool, Config: config}
 	if o != nil {

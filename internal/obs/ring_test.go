@@ -6,7 +6,7 @@ import (
 )
 
 func ev(name string, step int) Event {
-	return Event{Source: SrcSupervise, Name: name, Step: step}
+	return Event{Source: SrcEngine, Name: name, Step: step}
 }
 
 func TestRingSinkTailAndWrap(t *testing.T) {

@@ -17,8 +17,7 @@ import (
 	"lama/internal/hw"
 )
 
-// Process is one launched rank (or one incarnation of a rank, when a
-// supervisor respawns failed ranks).
+// Process is one launched rank.
 type Process struct {
 	// Rank and Node locate the process.
 	Rank int
@@ -27,11 +26,7 @@ type Process struct {
 	// on (never nil after launch; unbound processes get the node's full
 	// usable set).
 	Allowed *hw.CPUSet
-	// StartStep is the virtual step this incarnation began executing at
-	// (0 for an initial launch, the failure step for a respawn).
-	StartStep int
-	// History records the PU OS index the process occupied at each step,
-	// starting at StartStep.
+	// History records the PU OS index the process occupied at each step.
 	History []int
 }
 

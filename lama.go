@@ -233,21 +233,6 @@ type (
 // NewRuntime creates a launch runtime over a cluster.
 func NewRuntime(c *Cluster) *Runtime { return orte.NewRuntime(c) }
 
-// Fault injects the death of a rank at a step in a monitored launch;
-// MonitorReport describes every rank's fate.
-type (
-	Fault         = orte.Failure
-	MonitorReport = orte.MonitorReport
-	ProcState     = orte.ProcState
-)
-
-// Process states reported by monitored launches.
-const (
-	ProcDone   = orte.Done
-	ProcFailed = orte.Failed
-	ProcKilled = orte.Killed
-)
-
 // ---- Placement policy registry ----
 
 // Policy is one named placement strategy; PlaceRequest bundles every input

@@ -352,17 +352,17 @@ func TestFacadeCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Monitored launch.
+	// Launch under a specific binding: no process escapes its PU.
 	plan, err := lama.Bind(c, m, lama.BindSpecific, lama.LevelPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := lama.NewRuntime(c).LaunchMonitored(m, plan, 10, []lama.Fault{{Rank: 1, Step: 2}})
+	job, err := lama.NewRuntime(c).Launch(m, plan, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcomes[1].State != lama.ProcFailed {
-		t.Fatalf("state = %v", rep.Outcomes[1].State)
+	if err := job.CheckEnforcement(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Summaries and metrics.
