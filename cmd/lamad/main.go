@@ -13,8 +13,9 @@
 //	     -d '{"type":"fail-node","node":17}'
 //
 // Placements are cached per snapshot signature and epoch, in a cache
-// bounded by the bytes it holds; a repeated request is answered with the
-// reply bytes stored on its first hit. A mutation event swaps the
+// bounded by the bytes it holds. A LAMA or baseline run serves every
+// smaller np on the same cluster, layout and options from its first
+// ranks, written from placements bytes encoded once. A mutation event swaps the
 // cluster's snapshot copy-on-write (in-flight requests keep the one they
 // started with) and purges only that cluster's stale cache entries.
 // /metrics, /metrics.json, /events, and /debug/pprof come from the same
@@ -53,7 +54,7 @@ func run(args []string, out io.Writer) error {
 	clusters := fs.String("clusters", "default=4xnehalem-ep", "comma-separated name=<nodes>x<spec> cluster definitions")
 	workers := fs.Int("workers", 0, "placement worker pool size (0 = 4)")
 	queue := fs.Int("queue", 0, "admission queue depth before requests are shed (0 = 4x workers)")
-	cacheMB := fs.Int64("cache-mb", 0, "placement cache budget in MiB (maps and replies), -1 disables (0 = 256)")
+	cacheMB := fs.Int64("cache-mb", 0, "placement cache budget in MiB (maps and encoded placements), -1 disables (0 = 256)")
 	version := obs.RegisterVersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

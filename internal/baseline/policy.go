@@ -15,6 +15,10 @@ type policy struct {
 
 func (p policy) Name() string { return p.name }
 
+// PrefixClosed marks that every baseline enumerates its slots in an
+// order np does not change and stops at np.
+func (policy) PrefixClosed() {}
+
 // Place runs the adapted baseline. The baselines are single-pass and
 // fast; the context is accepted for interface uniformity only.
 func (p policy) Place(_ context.Context, req *place.Request) (*core.Map, error) { return p.run(req) }

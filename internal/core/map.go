@@ -51,10 +51,32 @@ type Map struct {
 	// Sweeps is the number of full resource-space traversals used; a value
 	// greater than 1 means the job wrapped around the available resources.
 	Sweeps int
+	// SweepEnds holds, for every sweep but the last, the rank count when
+	// it ended, ascending: the sweep boundaries Prefix needs. It is nil
+	// for a single-sweep map.
+	SweepEnds []int
 }
 
 // NumRanks returns the number of placed ranks.
 func (m *Map) NumRanks() int { return len(m.Placements) }
+
+// Prefix returns the map of the first np ranks, 0 < np <= NumRanks(),
+// sharing m's storage. LAMA reads np only to decide when to stop (paper
+// Fig. 1), so for a map the Mapper produced this is exactly what the
+// same mapper returns when asked for np ranks: the sweeps that began
+// after rank np-1 was placed are dropped from Sweeps and SweepEnds.
+func (m *Map) Prefix(np int) Map {
+	k := sort.SearchInts(m.SweepEnds, np) // sweeps that ended before rank np-1
+	p := Map{
+		Layout:     m.Layout,
+		Placements: m.Placements[:np:np],
+		Sweeps:     m.Sweeps - (len(m.SweepEnds) - k),
+	}
+	if k > 0 {
+		p.SweepEnds = m.SweepEnds[:k:k]
+	}
+	return p
+}
 
 // Oversubscribed reports whether any rank shares a PU with another.
 func (m *Map) Oversubscribed() bool {

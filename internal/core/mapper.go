@@ -98,7 +98,8 @@ type runState struct {
 	placements     []Placement
 	pusBacking     []int // one backing array for all placements' PU claims
 	sweeps         int
-	skippedOversub bool // a leaf was skipped due to the oversubscribe rule
+	sweepEnds      []int // rank count at the end of every sweep but the last
+	skippedOversub bool  // a leaf was skipped due to the oversubscribe rule
 
 	// trace, when non-nil, is invoked at every visited coordinate
 	// (MapTraced); rank is -1 for skip events.
@@ -239,6 +240,7 @@ func (m *Mapper) buildState(prev *runState) (*runState, bool) {
 func (m *Mapper) resetRun(r *runState, np int) error {
 	r.np, r.pes = np, m.Opts.pes()
 	r.sweeps = 0
+	r.sweepEnds = nil
 	r.skippedOversub = false
 	r.trace = nil
 	for i := range r.claims {
@@ -348,12 +350,7 @@ func (m *Mapper) MapContext(ctx context.Context, np int) (*Map, error) {
 			endPlace()
 			return nil, mapCanceled(ctx, np, len(r.placements))
 		}
-		before := len(r.placements)
-		endSweep := o.StartSpan(obs.SpanSweep)
-		r.inner(m, len(r.iterLevels)-1)
-		endSweep()
-		r.sweeps++
-		if len(r.placements) == before {
+		if !r.sweep(m, o) {
 			err := stallError(m.Layout, np, len(r.placements), r.skippedOversub)
 			endPlace()
 			m.observeStall(o, np, len(r.placements), err)
@@ -364,6 +361,22 @@ func (m *Mapper) MapContext(ctx context.Context, np int) (*Map, error) {
 	endPlace()
 	m.observeDone(o, np, out, t0)
 	return out, nil
+}
+
+// sweep runs one traversal of the resource space under a "sweep" span
+// and reports whether it placed any rank. A sweep after the first records
+// where the one before it ended (SweepEnds), so the slice is allocated
+// only by a run that wraps.
+func (r *runState) sweep(m *Mapper, o *obs.Observer) bool {
+	before := len(r.placements)
+	if r.sweeps > 0 {
+		r.sweepEnds = append(r.sweepEnds, before)
+	}
+	endSweep := o.StartSpan(obs.SpanSweep)
+	r.inner(m, len(r.iterLevels)-1)
+	endSweep()
+	r.sweeps++
+	return len(r.placements) > before
 }
 
 // observeDone reports one completed mapping run to the observer: a
@@ -542,8 +555,9 @@ func mapCanceled(ctx context.Context, np, placed int) error {
 // finish hands the placements to the returned Map and detaches them from
 // the reusable state.
 func (r *runState) finish(m *Mapper) *Map {
-	out := &Map{Layout: m.Layout, Placements: r.placements, Sweeps: r.sweeps}
+	out := &Map{Layout: m.Layout, Placements: r.placements, Sweeps: r.sweeps, SweepEnds: r.sweepEnds}
 	r.placements = nil
 	r.pusBacking = nil
+	r.sweepEnds = nil
 	return out
 }

@@ -42,6 +42,7 @@ type refRun struct {
 
 	placements []Placement
 	sweeps     int
+	sweepEnds  []int
 }
 
 func (m *Mapper) newRefRun(np int) (*refRun, error) {
@@ -202,6 +203,9 @@ func (m *Mapper) MapReference(np int) (*Map, error) {
 	k := len(r.iterLevels)
 	for len(r.placements) < np {
 		before := len(r.placements)
+		if r.sweeps > 0 {
+			r.sweepEnds = append(r.sweepEnds, before)
+		}
 		// One full odometer sweep: positions pos[i] index into the
 		// visiting permutation of level i; level 0 varies fastest.
 		pos := make([]int, k)
@@ -231,5 +235,5 @@ func (m *Mapper) MapReference(np int) (*Map, error) {
 			return nil, stallError(m.Layout, np, len(r.placements), r.skippedOversub)
 		}
 	}
-	return &Map{Layout: m.Layout, Placements: r.placements, Sweeps: r.sweeps}, nil
+	return &Map{Layout: m.Layout, Placements: r.placements, Sweeps: r.sweeps, SweepEnds: r.sweepEnds}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -217,4 +218,51 @@ func TestQuickLayoutRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickPrefixMatchesReference: np is only LAMA's stop test, so the
+// first np ranks of a run of N, Sweeps and SweepEnds included, are
+// exactly a fresh run of np, for every np from 1 to N. Half the clusters
+// lose a node or some PUs first.
+func TestQuickPrefixMatchesReference(t *testing.T) {
+	wrapped := 0 // runs of several sweeps: the ones with boundaries to cut
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := randomCluster(r)
+		if r.Intn(2) == 0 {
+			failSomething(r, c)
+		}
+		opts := Options{Oversubscribe: r.Intn(2) == 1, PEsPerProc: 1 + r.Intn(2)}
+		m, err := NewMapper(c, randomLayout(r), opts)
+		if err != nil {
+			return false
+		}
+		n := 1 + r.Intn(min(2*c.TotalUsablePUs(), 300)+1)
+		full, err := m.Map(n)
+		if err != nil {
+			return true // a stall's error names its np; nothing to serve
+		}
+		if full.Sweeps != 1+len(full.SweepEnds) {
+			t.Logf("seed %d: %d sweeps, ends %v", seed, full.Sweeps, full.SweepEnds)
+			return false
+		}
+		if full.Sweeps > 1 {
+			wrapped++
+		}
+		for np := 1; np <= n; np++ {
+			want, err := m.MapReference(np)
+			if got := full.Prefix(np); err != nil || !reflect.DeepEqual(&got, want) {
+				t.Logf("seed %d: np %d of %d (layout %s, %+v): prefix differs from MapReference (err %v)", seed, np, n, m.Layout, opts, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	if wrapped == 0 {
+		t.Error("no run wrapped: sweep boundaries untested")
+	}
+	t.Logf("%d of 60 runs wrapped", wrapped)
 }

@@ -129,12 +129,7 @@ func (m *Mapper) MapTracedContext(ctx context.Context, np, maxEvents int) (*Map,
 			endPlace()
 			return nil, events, mapCanceled(ctx, np, len(r.placements))
 		}
-		before := len(r.placements)
-		endSweep := o.StartSpan(obs.SpanSweep)
-		r.inner(m, len(r.iterLevels)-1)
-		endSweep()
-		r.sweeps++
-		if len(r.placements) == before {
+		if !r.sweep(m, o) {
 			err := stallError(m.Layout, np, len(r.placements), r.skippedOversub)
 			endPlace()
 			m.observeStall(o, np, len(r.placements), err)

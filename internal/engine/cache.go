@@ -7,14 +7,23 @@ import (
 
 	"lama/internal/core"
 	"lama/internal/obs"
+	"lama/internal/place"
 )
 
-// cacheKey identifies one placement result. Sig and epoch are both
-// load-bearing. The epoch is, because a hit serves stored reply bytes
-// that carry it: Swap purges every older epoch of the cluster, so an
-// entry never outlives its epoch, and a Sig-equal snapshot at a new epoch
-// misses once and then hits on its own entry. The Sig is, because
-// Register can replace a cluster's snapshot at the same epoch.
+// cacheKey identifies one stored placement run. Every field but np is
+// load-bearing for every policy. The epoch is, because a hit reports it:
+// Swap purges every older epoch of the cluster, so an entry never
+// outlives its epoch, and a Sig-equal snapshot at a new epoch misses once
+// and then hits on its own entry. The Sig is, because Register can replace
+// a cluster's snapshot at the same epoch. Policy, layout, pes and
+// oversubscribe select the run; pattern and bytes are kept so that a
+// request naming an unknown pattern still fails rather than hit.
+//
+// np is in the key only for a policy that is not place.PrefixClosed. For
+// a prefix-closed one (the LAMA, whose np is only the stop test of its
+// outer loop, and the oblivious baselines) np is 0: the entry holds the
+// longest run computed so far, and any np up to its length is served from
+// that run's first np ranks.
 type cacheKey struct {
 	cluster, sig   string
 	epoch          uint64
@@ -26,39 +35,83 @@ type cacheKey struct {
 	np             int
 }
 
-// keyOf derives the cache key for a request against a snapshot. The
+// keyOf derives the cache key for a request against a snapshot, folding
+// equivalent spellings together: policy "" is "lama", layout "" is
+// "csbnh" and pes_per_proc <= 0 is 1, as the mapper reads them. It
+// reports whether the policy is prefix-closed, and so left np out. The
 // caller has rejected a NaN Bytes: it would make a key that equals
 // nothing, not even itself.
-func keyOf(req *Request, sig string, epoch uint64) cacheKey {
-	return cacheKey{
+func keyOf(req *Request, sig string, epoch uint64) (cacheKey, bool) {
+	k := cacheKey{
 		cluster: req.Cluster, sig: sig, epoch: epoch,
 		policy: req.Policy, layout: req.Layout, pattern: req.Pattern,
-		bytes: req.Bytes, pes: req.PEsPerProc,
+		bytes: req.Bytes, pes: max(req.PEsPerProc, 1),
 		oversubscribe: req.Oversubscribe, np: req.NP,
 	}
+	if k.policy == "" {
+		k.policy = "lama"
+	}
+	if k.layout == "" {
+		k.layout = "csbnh"
+	}
+	p, _ := place.Lookup(k.policy)
+	_, closed := p.(place.PrefixClosed)
+	if closed {
+		k.np = 0
+	}
+	return k, closed
 }
 
-// cacheEntry is one LRU slot: the placement, the /v1/place reply a hit
-// serves (nil until the entry's first hit attaches it), and the bytes the
-// entry is accounted at.
+// cacheEntry is one LRU slot: a run of L ranks, its placements encoded
+// once as the body of a /v1/place reply's "placements" array, where each
+// rank's object ends in that body, and the bytes the entry is accounted
+// at. A reply for np <= L writes its own header, body[:off[np-1]] and the
+// closing bytes.
 type cacheEntry struct {
-	key   cacheKey
-	m     *core.Map
-	reply []byte
-	size  int64
+	key  cacheKey
+	m    *core.Map
+	body []byte
+	off  []int // off[k] is the end of rank k's object in body
+	size int64
 }
 
-// entryOverhead is the heap an entry costs beyond its map, reply and key
-// strings: the cacheEntry, its list element, its index slot and the
-// core.Map header.
+// newEntry encodes a run for the cache. Nothing changes it afterwards,
+// so replies and callers may share it.
+func newEntry(key cacheKey, m *core.Map) *cacheEntry {
+	ce := &cacheEntry{key: key, m: m, off: make([]int, m.NumRanks())}
+	bp := replyBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	for i := range m.Placements {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendPlacement(buf, &m.Placements[i])
+		ce.off[i] = len(buf)
+	}
+	// A slice of its own whose len is its cap, so the cache accounts
+	// exactly what it holds.
+	ce.body = make([]byte, len(buf))
+	copy(ce.body, buf)
+	putReplyBuf(bp, buf)
+	ce.size = ce.measure()
+	return ce
+}
+
+// prefix returns the stored placements bytes of the first np ranks.
+func (ce *cacheEntry) prefix(np int) []byte { return ce.body[:ce.off[np-1]] }
+
+// entryOverhead is the heap an entry costs beyond its map, body, offsets
+// and key strings: the cacheEntry, its list element, its index slot and
+// the core.Map header.
 const entryOverhead = 384
 
 // measure computes the entry's accounted bytes from what it holds.
 func (ce *cacheEntry) measure() int64 {
 	k := &ce.key
-	n := entryOverhead + cap(ce.reply) +
+	n := entryOverhead + cap(ce.body) + cap(ce.off)*int(unsafe.Sizeof(int(0))) +
 		len(k.cluster) + len(k.sig) + len(k.policy) + len(k.layout) + len(k.pattern) +
-		cap(ce.m.Placements)*int(unsafe.Sizeof(core.Placement{}))
+		cap(ce.m.Placements)*int(unsafe.Sizeof(core.Placement{})) +
+		cap(ce.m.SweepEnds)*int(unsafe.Sizeof(int(0)))
 	for i := range ce.m.Placements {
 		n += cap(ce.m.Placements[i].PUs) * int(unsafe.Sizeof(int(0)))
 	}
@@ -93,77 +146,45 @@ func newLRU(budget int64, reg *obs.Registry) *lruCache {
 	}
 }
 
-// get returns the cached map and its hit reply (nil until attached), and
-// promotes the entry.
-func (c *lruCache) get(key cacheKey) (*core.Map, []byte, bool) {
-	if c.budget == 0 {
-		return nil, nil, false
-	}
+// enabled reports whether the cache stores anything.
+func (c *lruCache) enabled() bool { return c.budget > 0 }
+
+// get returns the entry stored under key, promoted, or nil.
+func (c *lruCache) get(key cacheKey) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[key]
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
 	c.order.MoveToFront(el)
-	ce := el.Value.(*cacheEntry)
-	return ce.m, ce.reply, true
+	return el.Value.(*cacheEntry)
 }
 
-// put inserts an entry, evicting from the back past the budget. A key
-// already present keeps its entry, promoted: concurrent misses compute
-// equal maps, and the first may already have its reply. A put below the
-// cluster's purge floor, or of an entry larger than the whole budget,
-// stores nothing.
-func (c *lruCache) put(key cacheKey, m *core.Map) {
-	if c.budget == 0 {
-		return
-	}
-	ce := &cacheEntry{key: key, m: m}
-	ce.size = ce.measure()
+// put stores an entry, evicting from the back past the budget. An entry
+// already under the key is kept, promoted, unless the new run is longer:
+// runs on one key are prefixes of one another, so the longer serves every
+// request the shorter did. A put below the cluster's purge floor, or of
+// an entry larger than the whole budget, stores nothing.
+func (c *lruCache) put(ce *cacheEntry) {
 	if ce.size > c.budget {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if key.epoch < c.floor[key.cluster] {
+	if ce.key.epoch < c.floor[ce.key.cluster] {
 		return
 	}
-	if el, ok := c.index[key]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.index[key] = c.order.PushFront(ce)
-	c.bytes += ce.size
-	c.evictLocked()
-}
-
-// attach stores reply as the hit reply of key's entry, if the entry still
-// holds m and has no reply yet, and returns the reply hits are to serve:
-// the one stored first when concurrent first hits race. An entry the
-// reply grows past the whole budget is dropped.
-func (c *lruCache) attach(key cacheKey, m *core.Map, reply []byte) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
-		return reply
-	}
-	ce := el.Value.(*cacheEntry)
-	if ce.m != m {
-		return reply
-	}
-	if ce.reply != nil {
-		return ce.reply
-	}
-	ce.reply = reply
-	ce.size += int64(cap(reply))
-	c.bytes += int64(cap(reply))
-	if ce.size > c.budget {
+	if el, ok := c.index[ce.key]; ok {
+		if ce.m.NumRanks() <= el.Value.(*cacheEntry).m.NumRanks() {
+			c.order.MoveToFront(el)
+			return
+		}
 		c.removeLocked(el)
 	}
+	c.index[ce.key] = c.order.PushFront(ce)
+	c.bytes += ce.size
 	c.evictLocked()
-	return reply
 }
 
 // purge evicts the named cluster's entries below the given epoch (every

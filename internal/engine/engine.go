@@ -3,7 +3,8 @@
 // cluster.Snapshot values (swapped atomically on failure/grow events), a
 // bounded pool of workers that reuse Mapper state across requests, a
 // byte-bounded LRU placement cache keyed by the snapshot signature and
-// epoch, and admission control with deadline-aware shedding.
+// epoch, one run per key serving every np up to its length, and
+// admission control with deadline-aware shedding.
 //
 // The engine is what turns the library's "one mutable Cluster + one
 // caller" model into "immutable snapshots + many concurrent callers":
@@ -14,6 +15,14 @@
 // node whose topology the event did not touch and builds views only for
 // the touched or appended nodes, so an event costs each mapper one O(n)
 // identity walk rather than a rebuild.
+//
+// The cache key's cluster, Sig, epoch, policy, layout, pes and
+// oversubscribe fields are load-bearing: each selects a different run.
+// np is not, for a place.PrefixClosed policy such as the LAMA, whose np
+// is only the stop test of its outer loop (paper Fig. 1): its run of np
+// ranks is the first np ranks of its run of any N >= np. Such a key
+// stores the longest run computed so far and serves every np up to its
+// length from that run's first ranks; see cacheKey.
 //
 // Determinism contract: given the same snapshot epoch and the same
 // request, the engine returns the same placement — it is in lamavet's
@@ -71,8 +80,8 @@ type Config struct {
 	// full further requests are shed immediately. <= 0 means 4*Workers.
 	QueueDepth int
 	// CacheBytes bounds the bytes the placement LRU holds, maps and
-	// replies together: 0 means defaultCacheBytes, and a negative value
-	// disables the cache.
+	// their encoded placements together: 0 means defaultCacheBytes, and a
+	// negative value disables the cache.
 	CacheBytes int64
 	// Obs receives engine events (register, swap, shed) and the cache and
 	// admission counters. Nil disables instrumentation.
@@ -109,15 +118,15 @@ type Request struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// Response is a served placement. Map is shared with the cache — callers
-// must treat it as read-only.
+// Response is a served placement. Map's slices are shared with the cache
+// — callers must treat them as read-only.
 type Response struct {
-	Map    *core.Map
+	Map    core.Map
 	Epoch  uint64
 	Cached bool
-	// reply is the stored /v1/place reply of a hit, shared with the
-	// cache; nil on a miss.
-	reply []byte
+	// entry is the stored run the /v1/place reply is written from, shared
+	// with the cache; nil when the request bypassed the cache.
+	entry *cacheEntry
 }
 
 // clusterEntry is one registered cluster: the currently published
@@ -183,8 +192,8 @@ type Engine struct {
 
 	cache *lruCache
 
-	hits, misses, stale, shed *obs.Counter
-	queueDepth                *obs.Gauge
+	hits, prefixHits, misses, stale, shed *obs.Counter
+	queueDepth                            *obs.Gauge
 }
 
 // New builds an engine from a config.
@@ -214,6 +223,7 @@ func New(cfg Config) *Engine {
 		e.workers <- &worker{mappers: map[string]*core.Mapper{}}
 	}
 	e.hits = reg.Counter("lama_engine_cache_hits_total")
+	e.prefixHits = reg.Counter("lama_engine_cache_prefix_hits_total")
 	e.misses = reg.Counter("lama_engine_cache_misses_total")
 	e.stale = reg.Counter("lama_engine_cache_stale_total")
 	e.shed = reg.Counter("lama_engine_shed_total")
@@ -320,12 +330,17 @@ func (e *Engine) Swap(name string, next *Snapshot) (int, error) {
 // Place serves one placement request. The context gates both admission
 // (a request whose context expires while queued is shed) and the mapping
 // run itself (cancellation at sweep boundaries).
+//
+// For a prefix-closed policy the cache holds one run per key, the longest
+// so far, and serves any np up to its length from it. A miss past a
+// stored run of L ranks maps up to 2L ranks (see extendTo), so the
+// entry's growth costs amortised O(np).
 func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil {
 		return nil, fmt.Errorf("engine: nil request")
 	}
-	if req.NP < 0 || req.NP > MaxNP {
-		return nil, fmt.Errorf("engine: np %d out of range [0, %d]", req.NP, MaxNP)
+	if req.NP < 1 || req.NP > MaxNP {
+		return nil, fmt.Errorf("engine: np %d out of range [1, %d]", req.NP, MaxNP)
 	}
 	if math.IsNaN(req.Bytes) || math.IsInf(req.Bytes, 0) {
 		return nil, fmt.Errorf("engine: bytes %g is not finite", req.Bytes)
@@ -342,14 +357,18 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 		return nil, fmt.Errorf("%w: request pinned epoch %d, cluster %q is at %d",
 			core.ErrStaleSnapshot, req.Epoch, req.Cluster, epoch)
 	}
-	key := keyOf(req, snap.Clu.Sig(), epoch)
-	if !req.NoCache {
-		if m, reply, ok := e.cache.get(key); ok {
-			e.hits.Inc()
-			if reply == nil {
-				reply = e.cache.attach(key, m, hitReply(req.Cluster, epoch, m))
+	key, closed := keyOf(req, snap.Clu.Sig(), epoch)
+	cached := !req.NoCache && e.cache.enabled()
+	stored := 0 // ranks of the run stored on key
+	if cached {
+		if ent := e.cache.get(key); ent != nil {
+			if stored = ent.m.NumRanks(); req.NP <= stored {
+				e.hits.Inc()
+				if req.NP < stored {
+					e.prefixHits.Inc()
+				}
+				return &Response{Map: ent.m.Prefix(req.NP), Epoch: epoch, Cached: true, entry: ent}, nil
 			}
-			return &Response{Map: m, Epoch: epoch, Cached: true, reply: reply}, nil
 		}
 	}
 
@@ -373,16 +392,38 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	<-e.queue
 	e.queueDepth.Set(float64(len(e.queue)))
 
-	m, err := e.place(ctx, w, snap, req)
+	np := req.NP
+	if cached && closed {
+		np = extendTo(req.NP, stored, snap.Clu.Cluster().TotalUsablePUs()/key.pes)
+	}
+	m, err := e.place(ctx, w, snap, req, np)
+	if err != nil && np > req.NP {
+		// The longer run can fail where np does not (usable/pes
+		// overestimates a layout whose leaves hold fewer than pes PUs),
+		// and a stall's error names its np: the request gets its own run.
+		m, err = e.place(ctx, w, snap, req, req.NP)
+	}
 	e.workers <- w
 	if err != nil {
 		return nil, err
 	}
 	e.misses.Inc()
-	if !req.NoCache {
-		e.cache.put(key, m)
+	resp := &Response{Map: m.Prefix(req.NP), Epoch: epoch}
+	if cached {
+		resp.entry = newEntry(key, m)
+		e.cache.put(resp.entry)
 	}
-	return &Response{Map: m, Epoch: epoch}, nil
+	return resp, nil
+}
+
+// extendTo is the rank count a miss on a prefix-closed key maps: np, or,
+// past a stored run of that key, up to twice the stored length, capped by
+// the ranks the cluster can hold without oversubscribing and by MaxNP.
+// Doubling bounds the runs that grow an entry to a logarithmic number,
+// their total to a constant times the largest np, and a small job never
+// maps the whole cluster. A first miss (stored 0) maps exactly np.
+func extendTo(np, stored, capacity int) int {
+	return max(np, min(2*stored, capacity, MaxNP))
 }
 
 // shedReq counts and reports one shed request.
@@ -397,16 +438,18 @@ func (e *Engine) shedReq(req *Request, why string) error {
 	return fmt.Errorf("%w (%s)", ErrOverloaded, why)
 }
 
-// place runs the actual mapping on a pool worker, through the policy
-// registry, with the worker's mapper for the request's cluster and layout.
-func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Request) (*core.Map, error) {
+// place maps np ranks for the request on a pool worker, through the
+// policy registry, with the worker's mapper for the request's cluster and
+// layout. np differs from req.NP only for a prefix-closed policy, which
+// reads no traffic.
+func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Request, np int) (*core.Map, error) {
 	policy := req.Policy
 	if policy == "" {
 		policy = "lama"
 	}
 	preq := &place.Request{
 		Cluster: snap.Clu.Cluster(),
-		NP:      req.NP,
+		NP:      np,
 		Opts: core.Options{
 			Oversubscribe: req.Oversubscribe,
 			PEsPerProc:    req.PEsPerProc,

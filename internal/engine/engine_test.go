@@ -59,7 +59,7 @@ func TestEnginePlaceCachesByEpoch(t *testing.T) {
 	if !r2.Cached {
 		t.Fatal("second identical request missed the cache")
 	}
-	if r2.Map != r1.Map {
+	if &r2.Map.Placements[0] != &r1.Map.Placements[0] {
 		t.Fatal("cached response must share the stored map")
 	}
 	if h := reg.Counter("lama_engine_cache_hits_total").Value(); h != 1 {
@@ -151,7 +151,7 @@ func TestEngineMapperCapBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(r.Map, want) {
+			if !reflect.DeepEqual(&r.Map, want) {
 				t.Fatalf("round %d layout %s: reply differs from MapReference", round, layout)
 			}
 			w := <-e.workers
@@ -380,93 +380,85 @@ func checkHeld(t *testing.T, c *lruCache, entries int, wantBytes int64) {
 }
 
 // TestLRUEvictsAndPurges pins the byte bound: eviction by bytes from the
-// least recent end, an entry larger than the budget not stored, a reply
-// attach recounting its entry, purge subtracting what it removes, and a
-// zero budget storing nothing.
+// least recent end, an entry larger than the budget not stored, a longer
+// run replacing its key's entry and recounting it, purge subtracting what
+// it removes, and a zero budget storing nothing.
 func TestLRUEvictsAndPurges(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := lruMap(16)
-	one := (&cacheEntry{key: lruKey("c1", 1, 1), m: m}).measure()
 	a, b, x := lruKey("c1", 1, 1), lruKey("c1", 1, 2), lruKey("c2", 1, 3)
+	one := newEntry(a, m).size
 
 	t.Run("evicts-by-bytes", func(t *testing.T) {
-		c := newLRU(2*one+one/2, reg) // room for two bare entries
-		c.put(a, m)
-		c.put(b, m)
+		c := newLRU(2*one+one/2, reg) // room for two entries
+		c.put(newEntry(a, m))
+		c.put(newEntry(b, m))
 		checkHeld(t, c, 2, 2*one)
-		c.put(x, m) // evicts a, the least recent
-		if _, _, ok := c.get(a); ok {
+		c.put(newEntry(x, m)) // evicts a, the least recent
+		if c.get(a) != nil {
 			t.Fatal("a 2.5-entry budget kept 3 entries")
 		}
-		if _, _, ok := c.get(b); !ok {
+		if c.get(b) == nil {
 			t.Fatal("entry b evicted early")
 		}
 		checkHeld(t, c, 2, 2*one)
-		// A repeated put keeps the entry it finds.
-		c.put(b, lruMap(16))
-		if got, _, _ := c.get(b); got != m {
-			t.Fatal("a repeated put replaced the stored map")
+		// A put of a run no longer than the stored one keeps the entry
+		// it finds.
+		c.put(newEntry(b, lruMap(16)))
+		if got := c.get(b); got.m != m {
+			t.Fatal("a put of an equal-length run replaced the stored one")
 		}
 		checkHeld(t, c, 2, 2*one)
 	})
 
 	t.Run("over-budget-not-stored", func(t *testing.T) {
 		c := newLRU(2*one, reg)
-		c.put(a, m)
-		c.put(b, lruMap(64))
-		if _, _, ok := c.get(b); ok {
+		c.put(newEntry(a, m))
+		c.put(newEntry(b, lruMap(64)))
+		if c.get(b) != nil {
 			t.Fatal("an entry larger than the whole budget was stored")
 		}
 		checkHeld(t, c, 1, one)
 	})
 
-	t.Run("attach-recounts", func(t *testing.T) {
+	t.Run("replace-recounts", func(t *testing.T) {
 		c := newLRU(3*one, reg)
-		c.put(a, m)
-		c.put(b, m)
-		reply := make([]byte, one/2)
-		if got := c.attach(a, m, reply); &got[0] != &reply[0] {
-			t.Fatal("attach did not return the reply it stored")
+		c.put(newEntry(a, m))
+		c.put(newEntry(b, m))
+		long := newEntry(a, lruMap(24))
+		c.put(long) // a longer run on a's key replaces its entry
+		if c.get(a) != long {
+			t.Fatal("a longer run did not replace the stored one")
 		}
-		checkHeld(t, c, 2, 2*one+one/2)
-		if _, got, _ := c.get(a); &got[0] != &reply[0] {
-			t.Fatal("get did not return the attached reply")
+		checkHeld(t, c, 2, one+long.size)
+		c.put(newEntry(a, lruMap(20))) // a shorter one keeps it
+		if c.get(a) != long {
+			t.Fatal("a shorter run replaced the stored one")
 		}
-		// A later attach keeps the first reply; one for another map
-		// stores nothing.
-		if got := c.attach(a, m, make([]byte, 8)); &got[0] != &reply[0] {
-			t.Fatal("a second attach replaced the first reply")
+		checkHeld(t, c, 2, one+long.size)
+		// b is now the least recent: the third entry evicts it.
+		c.put(newEntry(x, m))
+		if c.get(b) != nil {
+			t.Fatal("replacement left the cache past its budget")
 		}
-		c.attach(b, lruMap(16), make([]byte, 8))
-		if _, got, _ := c.get(b); got != nil {
-			t.Fatal("attach stored a reply for a map the entry does not hold")
+		checkHeld(t, c, 2, one+long.size)
+		// A run past the whole budget stores nothing and keeps the old.
+		c.put(newEntry(a, lruMap(64)))
+		if c.get(a) != long {
+			t.Fatal("a run past the whole budget replaced the stored one")
 		}
-		checkHeld(t, c, 2, 2*one+one/2)
-		// b is now the most recent: growing it past the budget evicts a.
-		c.attach(b, m, make([]byte, one))
-		if _, _, ok := c.get(a); ok {
-			t.Fatal("attach left the cache past its budget")
-		}
-		checkHeld(t, c, 1, 2*one)
-		// A reply that grows its entry past the whole budget drops it.
-		c.put(x, m)
-		c.attach(x, m, make([]byte, 3*one))
-		if _, _, ok := c.get(x); ok {
-			t.Fatal("an entry past the whole budget stayed")
-		}
-		checkHeld(t, c, 1, 2*one)
+		checkHeld(t, c, 2, one+long.size)
 	})
 
 	t.Run("purge-subtracts", func(t *testing.T) {
 		c := newLRU(10*one, reg)
-		c.put(a, m)
-		c.put(b, m)
-		c.put(x, m)
-		c.attach(b, m, make([]byte, one))
+		c.put(newEntry(a, m))
+		c.put(newEntry(b, m))
+		c.put(newEntry(x, m))
 		if purged := c.purge("c1", 2, false); purged != 2 {
 			t.Fatalf("purged = %d, want 2 (only c1@1)", purged)
 		}
-		if _, _, ok := c.get(x); !ok {
+		if c.get(x) == nil {
 			t.Fatal("purge removed another cluster's entry")
 		}
 		checkHeld(t, c, 1, one)
@@ -474,8 +466,8 @@ func TestLRUEvictsAndPurges(t *testing.T) {
 
 	t.Run("disabled", func(t *testing.T) {
 		c := newLRU(0, reg)
-		c.put(a, m)
-		if _, _, ok := c.get(a); ok {
+		c.put(newEntry(a, m))
+		if c.get(a) != nil {
 			t.Fatal("disabled cache stored an entry")
 		}
 		if c.len() != 0 || c.held() != 0 {
@@ -488,7 +480,7 @@ func TestLRUEvictsAndPurges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Cached || r.reply != nil {
+			if r.Cached || r.entry != nil {
 				t.Fatal("CacheBytes -1 served a hit")
 			}
 		}
@@ -502,16 +494,16 @@ func TestLRUEvictsAndPurges(t *testing.T) {
 func TestCachePutBelowFloorDropped(t *testing.T) {
 	c := newLRU(1<<20, nil)
 	m := lruMap(16)
-	c.put(lruKey("c1", 1, 8), m)
+	c.put(newEntry(lruKey("c1", 1, 8), m))
 	if purged := c.purge("c1", 2, false); purged != 1 {
 		t.Fatalf("purged = %d, want 1", purged)
 	}
-	c.put(lruKey("c1", 1, 16), m) // the late put
+	c.put(newEntry(lruKey("c1", 1, 16), m)) // the late put
 	if n, b := c.len(), c.held(); n != 0 || b != 0 {
 		t.Fatalf("late put for a purged epoch stored: %d entries, %d B", n, b)
 	}
-	c.put(lruKey("c1", 2, 16), m)
-	c.put(lruKey("c2", 1, 16), m)
+	c.put(newEntry(lruKey("c1", 2, 16), m))
+	c.put(newEntry(lruKey("c2", 1, 16), m))
 	if n := c.len(); n != 2 {
 		t.Fatalf("len = %d after puts at the floor and for another cluster, want 2", n)
 	}
@@ -575,29 +567,31 @@ func TestCacheKeyedByEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit.Cached || !bytes.HasPrefix(hit.reply, []byte(`{"cluster":"test","epoch":2,"cached":true,`)) {
-		t.Fatalf("hit after the swap: cached=%v reply %.60q", hit.Cached, hit.reply)
+	if reply := replyOf("test", hit); !hit.Cached || !bytes.HasPrefix(reply, []byte(`{"cluster":"test","epoch":2,"cached":true,`)) {
+		t.Fatalf("hit after the swap: cached=%v reply %.60q", hit.Cached, reply)
 	}
 }
 
-// TestEnginePlaceHitAllocs pins the hit path: once an entry's reply is
-// attached, Engine.Place allocates only its Response.
+// TestEnginePlaceHitAllocs pins the hit path: Engine.Place allocates only
+// its Response, whether it serves the stored run whole or its first np
+// ranks.
 func TestEnginePlaceHitAllocs(t *testing.T) {
 	e, _ := newTestEngine(t, Config{})
 	ctx := context.Background()
 	req := &Request{Cluster: "test", NP: 64, Layout: "scbnh", Pattern: "ring", Bytes: 4096}
-	for range 2 { // the miss, then the first hit that attaches the reply
-		if _, err := e.Place(ctx, req); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := e.Place(ctx, req); err != nil { // the miss stores the run
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if r, err := e.Place(ctx, req); err != nil || !r.Cached {
-			t.Fatalf("hit: cached=%v err=%v", r != nil && r.Cached, err)
+	for _, np := range []int{64, 40} {
+		req.NP = np
+		allocs := testing.AllocsPerRun(100, func() {
+			if r, err := e.Place(ctx, req); err != nil || !r.Cached {
+				t.Fatalf("hit: cached=%v err=%v", r != nil && r.Cached, err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("Engine.Place hit at np %d of 64: %.1f allocs, want <= 1", np, allocs)
 		}
-	})
-	if allocs > 1 {
-		t.Fatalf("Engine.Place hit: %.1f allocs, want <= 1", allocs)
 	}
 }
 
@@ -617,23 +611,36 @@ func TestEngineRejectsNonFiniteBytes(t *testing.T) {
 }
 
 // TestCacheBytesTracksHeap holds lama_engine_cache_bytes to the heap the
-// cache really keeps: ~40 entries at np 64, 1024 and 2048, each hit once
-// so its reply is attached, must grow HeapAlloc by the gauge ±25%.
+// cache really keeps: ~40 entries at np 64, 1024 and 2048, each hit once,
+// must grow HeapAlloc by the gauge ±25%. Runs on one key share an entry,
+// so each np is placed on a key of its own: 13 layouts, each with a
+// plain, an oversubscribing and a two-PU oversubscribing request.
 func TestCacheBytesTracksHeap(t *testing.T) {
 	reg := obs.NewRegistry()
-	// One worker, so the warm-up builds the only mapper there is.
+	// One worker, so the warm-up builds the only mappers there are.
 	e := New(Config{Workers: 1, Obs: &obs.Observer{Metrics: reg}})
 	if err := e.Register("big", nehalemSnap(t, 128)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var layouts []string
+	permute.Each(5, func(perm []int) bool {
+		s := make([]byte, len(perm))
+		for i, p := range perm {
+			s[i] = "nbsch"[p]
+		}
+		layouts = append(layouts, string(s))
+		return len(layouts) < 13
+	})
 	var reqs []Request
-	for _, base := range []int{2048, 1024, 64} {
-		for i := range 13 {
-			reqs = append(reqs, Request{Cluster: "big", NP: base - i})
+	for _, base := range []Request{{NP: 2048}, {NP: 1024, Oversubscribe: true}, {NP: 64, PEsPerProc: 2, Oversubscribe: true}} {
+		for i, layout := range layouts {
+			r := base
+			r.Cluster, r.NP, r.Layout = "big", base.NP-i, layout
+			reqs = append(reqs, r)
 		}
 	}
-	for _, r := range reqs { // warm the mapper's scratch, uncached
+	for _, r := range reqs { // warm the mappers' scratch, uncached
 		r.NoCache = true
 		if _, err := e.Place(ctx, &r); err != nil {
 			t.Fatal(err)
@@ -648,7 +655,7 @@ func TestCacheBytesTracksHeap(t *testing.T) {
 	}
 	before := heap()
 	for i := range reqs {
-		for range 2 { // the miss stores the map; the first hit attaches the reply
+		for range 2 { // the miss stores the run, the hit serves it
 			if _, err := e.Place(ctx, &reqs[i]); err != nil {
 				t.Fatal(err)
 			}

@@ -104,7 +104,8 @@ func FuzzEventHTTP(f *testing.F) {
 }
 
 // FuzzPlaceReply holds appendPlaceResponse byte-equal to encoding/json
-// writing the equivalent PlaceResponseJSON, over arbitrary maps. names is
+// writing the equivalent PlaceResponseJSON, over arbitrary maps, and so
+// every reply served from a stored run's first np ranks. names is
 // split on '|' into the node-name pool; shape is read as a stream, one
 // control byte per placement (its name, and whether PUs is nil, empty or
 // 1-4 long) followed by zigzag varints for rank, node and each PU.
@@ -121,6 +122,14 @@ func FuzzPlaceReply(f *testing.F) {
 		want := encodeOracle(t, wireResponse(clusterName, epoch, cached, m))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("appendPlaceResponse:\n%q\nencoding/json:\n%q", got, want)
+		}
+		ent := newEntry(cacheKey{cluster: clusterName}, m)
+		for np := 1; np <= m.NumRanks(); np++ {
+			resp := &Response{Map: m.Prefix(np), Epoch: epoch, Cached: cached, entry: ent}
+			got := replyOf(clusterName, resp)
+			if want := appendPlaceResponse(nil, clusterName, epoch, cached, &resp.Map); !bytes.Equal(got, want) {
+				t.Fatalf("np %d served from a run of %d:\n%q\nfull encoder:\n%q", np, m.NumRanks(), got, want)
+			}
 		}
 	})
 }

@@ -128,31 +128,36 @@ func (e *Engine) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "request", &req) {
 		return
 	}
-	if req.NP <= 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("engine: np must be positive"))
-		return
-	}
 	resp, err := e.Place(r.Context(), &req)
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	if resp.reply != nil {
-		writeReply(w, resp.reply)
-		return
-	}
-	bp := replyBufs.Get().(*[]byte)
-	buf := appendPlaceResponse((*bp)[:0], req.Cluster, resp.Epoch, resp.Cached, resp.Map)
-	writeReply(w, buf)
-	putReplyBuf(bp, buf)
+	writePlaceReply(w, req.Cluster, resp)
 }
 
-// writeReply sends a /v1/place reply with its Content-Length in one Write.
-func writeReply(w http.ResponseWriter, reply []byte) {
+// writePlaceReply writes a served placement's /v1/place reply with its
+// Content-Length.
+func writePlaceReply(w http.ResponseWriter, cluster string, resp *Response) {
+	bp := replyBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(reply)))
-	w.Write(reply) // best effort: client may be gone
+	if ent := resp.entry; ent != nil {
+		// The header is the request's own; the placements are the stored
+		// run's bytes, written without a copy.
+		buf = appendPlaceHeader(buf, cluster, resp.Epoch, resp.Cached, &resp.Map)
+		body := ent.prefix(resp.Map.NumRanks())
+		h.Set("Content-Length", strconv.Itoa(len(buf)+len(body)+len(replyTail)))
+		w.Write(buf) // best effort: client may be gone
+		w.Write(body)
+		w.Write(replyTail)
+	} else {
+		buf = appendPlaceResponse(buf, cluster, resp.Epoch, resp.Cached, &resp.Map)
+		h.Set("Content-Length", strconv.Itoa(len(buf)))
+		w.Write(buf) // best effort: client may be gone
+	}
+	putReplyBuf(bp, buf)
 }
 
 // putReplyBuf returns a reply buffer to replyBufs unless it grew past
@@ -164,17 +169,8 @@ func putReplyBuf(bp *[]byte, buf []byte) {
 	}
 }
 
-// hitReply encodes the reply a cache hit serves, with "cached":true, into
-// a slice of its own whose len is its cap, so the cache accounts exactly
-// what it holds.
-func hitReply(cluster string, epoch uint64, m *core.Map) []byte {
-	bp := replyBufs.Get().(*[]byte)
-	buf := appendPlaceResponse((*bp)[:0], cluster, epoch, true, m)
-	reply := make([]byte, len(buf))
-	copy(reply, buf)
-	putReplyBuf(bp, buf)
-	return reply
-}
+// replyTail closes a /v1/place reply's placements array and object.
+var replyTail = []byte("]}\n")
 
 // appendPlaceResponse appends the wire form of a served placement to dst.
 // The bytes are exactly what json.Encoder writes for the equivalent
@@ -182,6 +178,19 @@ func hitReply(cluster string, epoch uint64, m *core.Map) []byte {
 // escaping, trailing newline), written straight from the map without a
 // copy or reflection. FuzzPlaceReply holds the two byte-equal.
 func appendPlaceResponse(dst []byte, cluster string, epoch uint64, cached bool, m *core.Map) []byte {
+	dst = appendPlaceHeader(dst, cluster, epoch, cached, m)
+	for i := range m.Placements {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendPlacement(dst, &m.Placements[i])
+	}
+	return append(dst, replyTail...)
+}
+
+// appendPlaceHeader appends a reply's fields up to and including the
+// opening bracket of its placements array.
+func appendPlaceHeader(dst []byte, cluster string, epoch uint64, cached bool, m *core.Map) []byte {
 	dst = append(dst, `{"cluster":`...)
 	dst = appendJSONString(dst, cluster)
 	dst = append(dst, `,"epoch":`...)
@@ -192,34 +201,31 @@ func appendPlaceResponse(dst []byte, cluster string, epoch uint64, cached bool, 
 	dst = strconv.AppendInt(dst, int64(m.NumRanks()), 10)
 	dst = append(dst, `,"sweeps":`...)
 	dst = strconv.AppendInt(dst, int64(m.Sweeps), 10)
-	dst = append(dst, `,"placements":[`...)
-	for i := range m.Placements {
-		p := &m.Placements[i]
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"rank":`...)
-		dst = strconv.AppendInt(dst, int64(p.Rank), 10)
-		dst = append(dst, `,"node":`...)
-		dst = strconv.AppendInt(dst, int64(p.Node), 10)
-		dst = append(dst, `,"node_name":`...)
-		dst = appendJSONString(dst, p.NodeName)
-		dst = append(dst, `,"pus":`...)
-		if p.PUs == nil {
-			dst = append(dst, "null"...)
-		} else {
-			dst = append(dst, '[')
-			for j, pu := range p.PUs {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = strconv.AppendInt(dst, int64(pu), 10)
+	return append(dst, `,"placements":[`...)
+}
+
+// appendPlacement appends one rank's object of the placements array.
+func appendPlacement(dst []byte, p *core.Placement) []byte {
+	dst = append(dst, `{"rank":`...)
+	dst = strconv.AppendInt(dst, int64(p.Rank), 10)
+	dst = append(dst, `,"node":`...)
+	dst = strconv.AppendInt(dst, int64(p.Node), 10)
+	dst = append(dst, `,"node_name":`...)
+	dst = appendJSONString(dst, p.NodeName)
+	dst = append(dst, `,"pus":`...)
+	if p.PUs == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for j, pu := range p.PUs {
+			if j > 0 {
+				dst = append(dst, ',')
 			}
-			dst = append(dst, ']')
+			dst = strconv.AppendInt(dst, int64(pu), 10)
 		}
-		dst = append(dst, '}')
+		dst = append(dst, ']')
 	}
-	return append(dst, "]}\n"...)
+	return append(dst, '}')
 }
 
 // appendJSONString appends s as a JSON string. Printable ASCII other than

@@ -55,6 +55,13 @@ func encodeOracle(t testing.TB, v any) []byte {
 	return b.Bytes()
 }
 
+// replyOf is the /v1/place reply written for a served placement.
+func replyOf(cluster string, resp *Response) []byte {
+	w := httptest.NewRecorder()
+	writePlaceReply(w, cluster, resp)
+	return w.Body.Bytes()
+}
+
 func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
@@ -123,7 +130,7 @@ func TestHTTPServedEqualsComputed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := wireResponse(tc.req.Cluster, r.Epoch, false, r.Map)
+			want := wireResponse(tc.req.Cluster, r.Epoch, false, &r.Map)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("served %+v\ncomputed %+v", got, want)
 			}
@@ -156,6 +163,45 @@ func TestHTTPServedEqualsComputed(t *testing.T) {
 			}
 		})
 	}
+
+	// Rising and falling np on one key: misses that grow the stored run,
+	// and hits served from its first np ranks, wrapped runs included.
+	// Each reply is the full encoder's bytes for a fresh map of its np.
+	t.Run("np-rising-falling", func(t *testing.T) {
+		for _, base := range []Request{
+			{Cluster: "test", Layout: "ncsbh"},
+			{Cluster: "test", Oversubscribe: true},
+		} {
+			for _, np := range []int{5, 9, 17, 40, 33, 17, 2, 1, 48, 100, 60, 49, 3} {
+				req := base
+				req.NP = np
+				wantCached := np <= storedRanks(e, &req)
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, got := post(t, ts.URL+"/v1/place", body)
+				if !base.Oversubscribe && np > 48 {
+					if resp.StatusCode != http.StatusBadRequest {
+						t.Fatalf("%+v: status %d past capacity: %s", req, resp.StatusCode, got)
+					}
+					continue
+				}
+				if cl := resp.Header.Get("Content-Length"); resp.StatusCode != http.StatusOK || cl != strconv.Itoa(len(got)) {
+					t.Fatalf("%+v: status %d, Content-Length %q, body %d bytes: %.200s", req, resp.StatusCode, cl, len(got), got)
+				}
+				fresh := req
+				fresh.NoCache = true
+				r, err := e.Place(context.Background(), &fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := appendPlaceResponse(nil, req.Cluster, r.Epoch, wantCached, &r.Map); !bytes.Equal(got, want) {
+					t.Fatalf("%+v: served\n%.300s\nfresh (cached %v)\n%.300s", req, got, wantCached, want)
+				}
+			}
+		}
+	})
 }
 
 // TestHTTPNodelessLayout400: a layout without the node level is a
@@ -240,35 +286,37 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(status int)      { d.status = status }
 
 // serveCachedPlace returns a function that serves one cached np-rank
-// placement of the "big" cluster through the handler.
-func serveCachedPlace(tb testing.TB, np int) func() {
+// placement of the "big" cluster through the handler, from a stored run
+// of fill ranks.
+func serveCachedPlace(tb testing.TB, fill, np int) func() {
 	tb.Helper()
 	e := New(Config{})
 	if err := e.Register("big", nehalemSnap(tb, 256)); err != nil {
 		tb.Fatal(err)
 	}
-	body := []byte(fmt.Sprintf(`{"cluster":"big","np":%d}`, np))
-	serve := func() {
+	serveNP := func(np int) {
+		body := []byte(fmt.Sprintf(`{"cluster":"big","np":%d}`, np))
 		w := &discardWriter{h: http.Header{}}
 		e.handlePlace(w, httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body)))
 		if w.status != 0 && w.status != http.StatusOK {
 			tb.Fatalf("np=%d: status %d", np, w.status)
 		}
 	}
-	serve() // fill the cache and the reply pool
-	return serve
+	serveNP(fill) // fill the cache
+	serveNP(np)   // and the reply pool
+	return func() { serveNP(np) }
 }
 
 // TestPlaceReplyAllocsFlatInNP pins the cached reply path: serving 4096
 // ranks allocates no more objects, and barely more bytes, than serving
-// 64. A hit writes the reply stored on the entry's first hit, so nothing
-// on the path is O(np).
+// 64, and so does serving 64 ranks from a stored run of 4096. A hit
+// writes the stored run's bytes, so nothing on the path is O(np).
 func TestPlaceReplyAllocsFlatInNP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
-	measure := func(np int) (allocs, bytesPerOp float64) {
-		serve := serveCachedPlace(t, np)
+	measure := func(fill, np int) (allocs, bytesPerOp float64) {
+		serve := serveCachedPlace(t, fill, np)
 		allocs = testing.AllocsPerRun(50, serve)
 		// A GC can empty the reply pool mid-window, and the one buffer
 		// regrown then dominates that window's bytes; the least of three
@@ -286,21 +334,23 @@ func TestPlaceReplyAllocsFlatInNP(t *testing.T) {
 		}
 		return allocs, bytesPerOp
 	}
-	smallAllocs, smallBytes := measure(64)
-	bigAllocs, bigBytes := measure(4096)
-	t.Logf("np=64: %.1f allocs, %.0f B; np=4096: %.1f allocs, %.0f B", smallAllocs, smallBytes, bigAllocs, bigBytes)
-	if bigAllocs > smallAllocs+2 {
-		t.Errorf("allocs/op: np=4096 %.1f vs np=64 %.1f", bigAllocs, smallAllocs)
-	}
-	if bigBytes > smallBytes+4096 {
-		t.Errorf("bytes/op: np=4096 %.0f vs np=64 %.0f", bigBytes, smallBytes)
+	smallAllocs, smallBytes := measure(64, 64)
+	for _, c := range []struct{ fill, np int }{{4096, 4096}, {4096, 64}} {
+		allocs, bytesPerOp := measure(c.fill, c.np)
+		t.Logf("np=64: %.1f allocs, %.0f B; np=%d of %d: %.1f allocs, %.0f B", smallAllocs, smallBytes, c.np, c.fill, allocs, bytesPerOp)
+		if allocs > smallAllocs+2 {
+			t.Errorf("allocs/op: np=%d of %d %.1f vs np=64 %.1f", c.np, c.fill, allocs, smallAllocs)
+		}
+		if bytesPerOp > smallBytes+4096 {
+			t.Errorf("bytes/op: np=%d of %d %.0f vs np=64 %.0f", c.np, c.fill, bytesPerOp, smallBytes)
+		}
 	}
 }
 
 // BenchmarkPlaceReplyCached serves a cached 4096-rank placement (a
 // ~240 KB reply) through the /v1/place handler.
 func BenchmarkPlaceReplyCached(b *testing.B) {
-	serve := serveCachedPlace(b, 4096)
+	serve := serveCachedPlace(b, 4096, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -265,7 +265,7 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 	var cached, fresh int
 	for _, list := range got {
 		for _, s := range list {
-			b := encodeOracle(t, wireResponse("model", s.resp.Epoch, false, s.resp.Map))
+			b := encodeOracle(t, wireResponse("model", s.resp.Epoch, false, &s.resp.Map))
 			match, reached := false, false
 			for _, snap := range published[s.from:min(s.to+2, int64(len(published)))] {
 				if snap.Epoch() == s.resp.Epoch {

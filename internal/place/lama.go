@@ -23,6 +23,9 @@ func (lamaPolicy) Name() string { return "lama" }
 // must not wrap it a second time.
 func (lamaPolicy) SelfObserving() {}
 
+// PrefixClosed marks that np is only the LAMA's stop test (paper Fig. 1).
+func (lamaPolicy) PrefixClosed() {}
+
 // Place maps via the LAMA using req.Layout (default "csbnh") and the full
 // option set, on req.Mapper when the caller keeps one.
 func (lamaPolicy) Place(ctx context.Context, req *Request) (*core.Map, error) {

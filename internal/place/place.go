@@ -121,6 +121,16 @@ type TrafficAware interface {
 	TrafficAware()
 }
 
+// PrefixClosed marks policies whose map of np ranks is the first np
+// ranks of their map of any N >= np on the same cluster and request:
+// np only tells them when to stop. A caller may then serve np ranks from
+// a longer stored run (lamad's placement cache does). A policy whose
+// output depends on np in any other way, such as treematch through its
+// traffic, must not carry it.
+type PrefixClosed interface {
+	PrefixClosed()
+}
+
 var (
 	regMu    sync.RWMutex
 	regOrder []string

@@ -70,6 +70,24 @@ func TestNamesListEveryBuiltin(t *testing.T) {
 	}
 }
 
+// TestPrefixClosedMarkers pins which policies may be served a prefix of
+// a longer run: the LAMA and the oblivious baselines, which the engine's
+// prefix quick-check holds to a fresh run at every np. treematch must
+// never be, because its traffic depends on np; rankfile places what its
+// file lists.
+func TestPrefixClosedMarkers(t *testing.T) {
+	want := map[string]bool{
+		"lama": true, "by-slot": true, "by-node": true, "pack": true,
+		"scatter": true, "random": true, "plane": true, "torus": true,
+	}
+	for _, name := range builtins {
+		p, _ := place.Lookup(name)
+		if _, closed := p.(place.PrefixClosed); closed != want[name] {
+			t.Errorf("%s: PrefixClosed %v, want %v", name, closed, want[name])
+		}
+	}
+}
+
 func TestLookupUnknownListsRegistered(t *testing.T) {
 	_, err := place.Place(context.Background(), "no-such-policy", &place.Request{})
 	if err == nil {

@@ -13,6 +13,10 @@ type policy struct{}
 
 func (policy) Name() string { return "torus" }
 
+// PrefixClosed marks that the torus walk stops at np; the shape derives
+// from the node count alone.
+func (policy) PrefixClosed() {}
+
 func (policy) Place(_ context.Context, req *place.Request) (*core.Map, error) {
 	d := Dims{X: req.TorusDims[0], Y: req.TorusDims[1], Z: req.TorusDims[2]}
 	if d == (Dims{}) {
