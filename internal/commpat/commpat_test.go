@@ -2,7 +2,10 @@ package commpat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -449,5 +452,77 @@ func TestQuickStencilDegreeBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIncidentMatchesSymmetricRebuild holds Incident to the construction
+// it replaced, every entry added both ways into a second Builder: the same
+// peers per row, out+in bit-identical to the symmetric weight, and each
+// direction equal to Bytes. The inputs cover peers sent to only, received
+// from only, and both, ranks with no partners, and parsed traffic whose
+// entries repeat.
+func TestIncidentMatchesSymmetricRebuild(t *testing.T) {
+	dup, err := os.ReadFile(filepath.Join("testdata", "dup_edges.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := []string{string(dup), "ranks 7\n0 1 5\n2 1 3\n1 2 0.25\n6 0 1e9\n6 0 7\n"}
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{2, 9, 40} {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "ranks %d\n", n)
+		for k := 0; k < 2*n; k++ {
+			if i, j := r.Intn(n), r.Intn(n); i != j {
+				fmt.Fprintf(&sb, "%d %d %g\n", i, j, float64(1+r.Intn(1<<20))*0.1)
+			}
+		}
+		texts = append(texts, sb.String())
+	}
+	var ms []*Matrix
+	for _, text := range texts {
+		m, err := ParseMatrix(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	for _, p := range Patterns() {
+		ms = append(ms, p.Gen(1, 1<<20), p.Gen(27, 1<<20), p.Gen(64, 3))
+	}
+	var outOnly, inOnly, both, lonely int
+	for mi, m := range ms {
+		b := NewBuilder(m.Ranks())
+		m.Each(b.AddSym)
+		sym, inc := b.Build(), m.Incident()
+		for rank := 0; rank < m.Ranks(); rank++ {
+			cols, ws := sym.Row(rank)
+			peers, out, in := inc.Row(rank)
+			if len(peers) != len(out) || len(peers) != len(in) || fmt.Sprint(peers) != fmt.Sprint(cols) {
+				t.Fatalf("matrix %d rank %d: peers %v (%d out, %d in), want %v", mi, rank, peers, len(out), len(in), cols)
+			}
+			if len(peers) == 0 {
+				lonely++
+			}
+			for k, o := range peers {
+				if math.Float64bits(out[k]+in[k]) != math.Float64bits(ws[k]) {
+					t.Fatalf("matrix %d rank %d peer %d: out+in = %v, want %v", mi, rank, o, out[k]+in[k], ws[k])
+				}
+				if out[k] != m.Bytes(rank, int(o)) || in[k] != m.Bytes(int(o), rank) {
+					t.Fatalf("matrix %d rank %d peer %d: out %v in %v, want %v %v",
+						mi, rank, o, out[k], in[k], m.Bytes(rank, int(o)), m.Bytes(int(o), rank))
+				}
+				switch {
+				case in[k] == 0:
+					outOnly++
+				case out[k] == 0:
+					inOnly++
+				default:
+					both++
+				}
+			}
+		}
+	}
+	if outOnly == 0 || inOnly == 0 || both == 0 || lonely == 0 {
+		t.Fatalf("coverage: %d out-only, %d in-only, %d both, %d lonely rows", outOnly, inOnly, both, lonely)
 	}
 }

@@ -71,6 +71,85 @@ func (m *Matrix) Each(f func(i, j int, bytes float64)) {
 	}
 }
 
+// Incident is the traffic around each rank: row r lists every rank r
+// exchanges traffic with, in either direction, peers ascending, with the
+// bytes r sends to the peer (out) and receives from it (in) kept apart so
+// asymmetric traffic stays visible. It is the one merged view the
+// traffic-aware mappers and netsim's incremental pricer read.
+type Incident struct {
+	off  []int32 // len n+1; row r occupies peer/out/in[off[r]:off[r+1]]
+	peer []int32
+	out  []float64
+	in   []float64
+}
+
+// Incident returns m's merged incident view, built in O(n + nnz) on each
+// call: row r of m is merged with column r, read off a transpose whose
+// rows come out ascending because m is walked row by row, so nothing is
+// sorted. A volume present in one direction only is 0 in the other.
+func (m *Matrix) Incident() *Incident {
+	n, nnz := m.n, len(m.col)
+	// Transpose: tOff/tRow/tVal row j lists the ranks sending to j.
+	tOff := make([]int32, n+1)
+	for _, j := range m.col {
+		tOff[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		tOff[j+1] += tOff[j]
+	}
+	tRow := make([]int32, nnz)
+	tVal := make([]float64, nnz)
+	next := append([]int32(nil), tOff[:n]...)
+	m.Each(func(i, j int, bytes float64) {
+		k := next[j]
+		next[j]++
+		tRow[k], tVal[k] = int32(i), bytes
+	})
+
+	x := &Incident{
+		off:  make([]int32, n+1),
+		peer: make([]int32, 0, 2*nnz),
+		out:  make([]float64, 0, 2*nnz),
+		in:   make([]float64, 0, 2*nnz),
+	}
+	for r := 0; r < n; r++ {
+		cols, vals := m.Row(r)
+		a, b, hi := 0, tOff[r], tOff[r+1]
+		for a < len(cols) || b < hi {
+			switch {
+			case b == hi || (a < len(cols) && cols[a] < tRow[b]):
+				x.add(cols[a], vals[a], 0)
+				a++
+			case a == len(cols) || tRow[b] < cols[a]:
+				x.add(tRow[b], 0, tVal[b])
+				b++
+			default:
+				x.add(cols[a], vals[a], tVal[b])
+				a++
+				b++
+			}
+		}
+		x.off[r+1] = int32(len(x.peer))
+	}
+	return x
+}
+
+func (x *Incident) add(peer int32, out, in float64) {
+	x.peer = append(x.peer, peer)
+	x.out = append(x.out, out)
+	x.in = append(x.in, in)
+}
+
+// Row returns rank r's peers ascending with the bytes r sends to each
+// (out) and receives from each (in), as parallel slices. Callers must not
+// modify them.
+//
+//lama:hotpath
+func (x *Incident) Row(r int) (peers []int32, out, in []float64) {
+	lo, hi := x.off[r], x.off[r+1]
+	return x.peer[lo:hi], x.out[lo:hi], x.in[lo:hi]
+}
+
 // Builder accumulates traffic entries for a Matrix. Entries are kept as
 // added and ordered once, by Build.
 type Builder struct {

@@ -176,8 +176,8 @@ func runE20(o Options) ([]*metrics.Table, error) {
 	sp, _ := hw.Preset("nehalem-ep")
 	t := metrics.NewTable("E20 / planning time by strategy (ms, best of 3)",
 		"np", "nodes", "LAMA scbnh", "treematch", "reorder (1 sweep)")
-	// Reordering's swap sweep is O(np^3); keep the common sizes small and
-	// leave the big point to -full runs.
+	// One reorder sweep prices all np²/2 swaps at O(degree) each; keep the
+	// common sizes small and leave the big point to -full runs.
 	sizes := []struct{ nodes, np int }{{4, 64}, {8, 128}, {16, 256}}
 	if o.Full {
 		sizes = append(sizes, struct{ nodes, np int }{64, 1024})

@@ -21,22 +21,14 @@ import (
 // allocation-free (//lama:hotpath, enforced by lamavet, pinned by
 // TestDeltaAllocationFree), and J equals Model.Evaluate's TotalTime.
 type Cost struct {
-	pr Pricing // held by value: one less pointer hop per priced edge
-	tm *commpat.Matrix
+	pr  Pricing // held by value: one less pointer hop per priced edge
+	tm  *commpat.Matrix
+	adj *commpat.Incident // tm around each rank: the edges a delta re-costs
 
 	// Per-rank placement state: flat int32 mirrors of core.Map.
 	node  []int32 // rank -> node index
 	puOS  []int32 // rank -> representative PU OS index
 	puIdx []int32 // rank -> dense PU ordinal in the node's LCA table (Pricing.Locate)
-
-	// Merged incident adjacency: every rank's communication partners in
-	// either direction, peers ascending, with outgoing (rank->peer) and
-	// incoming (peer->rank) volumes kept separately so asymmetric
-	// traffic is priced honestly.
-	adjOff  []int32
-	adjPeer []int32
-	adjOut  []float64
-	adjIn   []float64
 
 	j float64
 }
@@ -56,73 +48,15 @@ func NewCost(pr *Pricing, tm *commpat.Matrix, m *core.Map) (*Cost, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &Cost{pr: *pr, tm: tm, node: node, puIdx: puIdx, puOS: make([]int32, np)}
+	cs := &Cost{pr: *pr, tm: tm, adj: tm.Incident(), node: node, puIdx: puIdx, puOS: make([]int32, np)}
 	for r := range m.Placements {
 		cs.puOS[r] = int32(m.Placements[r].PU())
 	}
-
-	cs.buildAdjacency(tm, np)
 
 	tm.Each(func(i, j int, bytes float64) {
 		cs.j += pr.Edge(cs.node[i], cs.puIdx[i], cs.node[j], cs.puIdx[j], bytes)
 	})
 	return cs, nil
-}
-
-// buildAdjacency merges each rank's outgoing and incoming traffic entries
-// into one peer-sorted incident list.
-func (cs *Cost) buildAdjacency(tm *commpat.Matrix, np int) {
-	off := make([]int32, np+1)
-	tm.Each(func(i, j int, bytes float64) {
-		off[i+1]++
-		off[j+1]++
-	})
-	for r := 0; r < np; r++ {
-		off[r+1] += off[r]
-	}
-	total := off[np]
-	peer := make([]int32, total)
-	outv := make([]float64, total)
-	inv := make([]float64, total)
-	cur := make([]int32, np)
-	copy(cur, off[:np])
-	tm.Each(func(i, j int, bytes float64) {
-		k := cur[i]
-		cur[i]++
-		peer[k], outv[k] = int32(j), bytes
-		k = cur[j]
-		cur[j]++
-		peer[k], inv[k] = int32(i), bytes
-	})
-
-	cs.adjOff = make([]int32, np+1)
-	w := int32(0)
-	for r := 0; r < np; r++ {
-		lo, hi := off[r], off[r+1]
-		// Insertion sort the rank's slice by peer (ranges are small:
-		// the rank's degree), keeping the three arrays in tandem.
-		for k := lo + 1; k < hi; k++ {
-			for x := k; x > lo && peer[x-1] > peer[x]; x-- {
-				peer[x-1], peer[x] = peer[x], peer[x-1]
-				outv[x-1], outv[x] = outv[x], outv[x-1]
-				inv[x-1], inv[x] = inv[x], inv[x-1]
-			}
-		}
-		// Merge duplicate peers (an out and an in entry), compacting
-		// globally in place: w never passes the read cursor.
-		cs.adjOff[r] = w
-		for k := lo; k < hi; k++ {
-			if w > cs.adjOff[r] && peer[w-1] == peer[k] {
-				outv[w-1] += outv[k]
-				inv[w-1] += inv[k]
-				continue
-			}
-			peer[w], outv[w], inv[w] = peer[k], outv[k], inv[k]
-			w++
-		}
-	}
-	cs.adjOff[np] = w
-	cs.adjPeer, cs.adjOut, cs.adjIn = peer[:w], outv[:w], inv[:w]
 }
 
 // J returns the current objective value.
@@ -136,18 +70,12 @@ func (cs *Cost) NodeOf(r int) int { return int(cs.node[r]) }
 // PUOf returns rank r's current representative PU OS index.
 func (cs *Cost) PUOf(r int) int { return int(cs.puOS[r]) }
 
-// Degree returns the number of distinct communication partners of r.
-func (cs *Cost) Degree(r int) int { return int(cs.adjOff[r+1] - cs.adjOff[r]) }
-
-// Neighbors returns rank r's merged incident adjacency: peers ascending
-// with the outgoing and incoming volume per peer. The slices alias the
-// evaluator's state — read only.
+// Neighbors returns rank r's row of the traffic's Incident view: peers
+// ascending with the outgoing and incoming volume per peer. The slices
+// alias the evaluator's state — read only.
 //
 //lama:hotpath
-func (cs *Cost) Neighbors(r int) (peers []int32, out, in []float64) {
-	lo, hi := cs.adjOff[r], cs.adjOff[r+1]
-	return cs.adjPeer[lo:hi], cs.adjOut[lo:hi], cs.adjIn[lo:hi]
-}
+func (cs *Cost) Neighbors(r int) (peers []int32, out, in []float64) { return cs.adj.Row(r) }
 
 // DeltaSwap returns the change in J if ranks a and b exchanged their
 // placements, without applying it, in O(degree(a)+degree(b)).
@@ -164,37 +92,37 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 	}
 	delta := 0.0
 	b32 := int32(b)
-	for k := cs.adjOff[a]; k < cs.adjOff[a+1]; k++ {
-		p := cs.adjPeer[k]
+	peers, out, in := cs.adj.Row(a)
+	for k, p := range peers {
 		if p == b32 {
 			// The a<->b edges keep both endpoints, exchanged.
-			if v := cs.adjOut[k]; v > 0 {
+			if v := out[k]; v > 0 {
 				delta += cs.pr.Edge(nb, pb, na, pa, v) - cs.pr.Edge(na, pa, nb, pb, v)
 			}
-			if v := cs.adjIn[k]; v > 0 {
+			if v := in[k]; v > 0 {
 				delta += cs.pr.Edge(na, pa, nb, pb, v) - cs.pr.Edge(nb, pb, na, pa, v)
 			}
 			continue
 		}
 		pn, pp := cs.node[p], cs.puIdx[p]
-		if v := cs.adjOut[k]; v > 0 {
+		if v := out[k]; v > 0 {
 			delta += cs.pr.Edge(nb, pb, pn, pp, v) - cs.pr.Edge(na, pa, pn, pp, v)
 		}
-		if v := cs.adjIn[k]; v > 0 {
+		if v := in[k]; v > 0 {
 			delta += cs.pr.Edge(pn, pp, nb, pb, v) - cs.pr.Edge(pn, pp, na, pa, v)
 		}
 	}
 	a32 := int32(a)
-	for k := cs.adjOff[b]; k < cs.adjOff[b+1]; k++ {
-		p := cs.adjPeer[k]
+	peers, out, in = cs.adj.Row(b)
+	for k, p := range peers {
 		if p == a32 {
 			continue // priced from a's side
 		}
 		pn, pp := cs.node[p], cs.puIdx[p]
-		if v := cs.adjOut[k]; v > 0 {
+		if v := out[k]; v > 0 {
 			delta += cs.pr.Edge(na, pa, pn, pp, v) - cs.pr.Edge(nb, pb, pn, pp, v)
 		}
-		if v := cs.adjIn[k]; v > 0 {
+		if v := in[k]; v > 0 {
 			delta += cs.pr.Edge(pn, pp, na, pa, v) - cs.pr.Edge(pn, pp, nb, pb, v)
 		}
 	}
@@ -217,13 +145,13 @@ func (cs *Cost) DeltaMove(r, node, pu int) (float64, bool) {
 		return 0, true
 	}
 	delta := 0.0
-	for k := cs.adjOff[r]; k < cs.adjOff[r+1]; k++ {
-		p := cs.adjPeer[k]
+	peers, out, in := cs.adj.Row(r)
+	for k, p := range peers {
 		po, pi := cs.node[p], cs.puIdx[p]
-		if v := cs.adjOut[k]; v > 0 {
+		if v := out[k]; v > 0 {
 			delta += cs.pr.Edge(nn, pn, po, pi, v) - cs.pr.Edge(nr, pr, po, pi, v)
 		}
-		if v := cs.adjIn[k]; v > 0 {
+		if v := in[k]; v > 0 {
 			delta += cs.pr.Edge(po, pi, nn, pn, v) - cs.pr.Edge(po, pi, nr, pr, v)
 		}
 	}

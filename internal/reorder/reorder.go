@@ -6,9 +6,11 @@
 // constructors — and, like TreeMatch, it is application-aware where the
 // LAMA is deliberately pattern-oblivious.
 //
-// The optimizer is a deterministic greedy pairwise-swap local search:
-// repeatedly apply the best rank swap until no swap improves the cost (or
-// the sweep budget is exhausted).
+// The optimizer is a deterministic first-improvement pairwise-swap local
+// search over netsim.Cost: each sweep visits every rank pair (a, b), a < b,
+// in order and applies the swap whenever Cost.DeltaSwap, O(degree) per
+// pair, prices it below -1e-12, until a sweep applies none or the sweep
+// budget runs out.
 package reorder
 
 import (
@@ -22,8 +24,9 @@ import (
 
 // Result describes one reordering run.
 type Result struct {
-	// Perm maps old rank -> new rank position: the process that was rank
-	// r keeps its processor but acts as rank Perm[r] in the application.
+	// Perm maps application rank -> old rank: application rank r runs on
+	// the processor old rank Perm[r] held, so Map.Placements[r] is the
+	// input map's Placements[Perm[r]] with Rank set to r.
 	Perm []int
 	// Before and After are the evaluated total communication times.
 	Before, After float64
@@ -42,115 +45,32 @@ func Optimize(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 	if np == 0 {
 		return nil, fmt.Errorf("reorder: empty map")
 	}
-	if tm.Ranks() != np {
-		return nil, fmt.Errorf("reorder: traffic has %d ranks, map has %d", tm.Ranks(), np)
-	}
 	if maxSweeps <= 0 {
 		maxSweeps = np
 	}
-
-	// Positions are the fixed processor slots; a permutation assigns
-	// traffic endpoints to positions. Precompute per-position-pair unit
-	// costs from the compiled pricing: lat + bytes/bw is affine in bytes,
-	// so cost(bytes) = lat[p][q] + bytes*inv[p][q].
 	pr, err := model.Pricing(c)
 	if err != nil {
 		return nil, err
 	}
-	node, pu, err := pr.Locate(m)
+	cost, err := netsim.NewCost(pr, tm, m)
 	if err != nil {
 		return nil, err
 	}
-	lat := make([][]float64, np)
-	inv := make([][]float64, np)
-	for p := 0; p < np; p++ {
-		lat[p] = make([]float64, np)
-		inv[p] = make([]float64, np)
-		for q := 0; q < np; q++ {
-			if p == q {
-				continue
-			}
-			l := pr.Edge(node[p], pu[p], node[q], pu[q], 0)
-			full := pr.Edge(node[p], pu[p], node[q], pu[q], 1e6)
-			lat[p][q] = l
-			inv[p][q] = (full - l) / 1e6
-		}
-	}
-	// pos[r] = position (processor slot) of rank r; initially identity.
+	// pos[r] = the old rank whose processor rank r holds; initially identity.
 	pos := make([]int, np)
 	for r := range pos {
 		pos[r] = r
 	}
-	total := func() float64 {
-		sum := 0.0
-		tm.Each(func(i, j int, bytes float64) {
-			p, q := pos[i], pos[j]
-			sum += lat[p][q] + bytes*inv[p][q]
-		})
-		return sum
-	}
-	// partners row r: every rank r exchanges traffic with, either way,
-	// ascending — the only o for which rankCost's per-partner terms are
-	// nonzero.
-	sym := commpat.NewBuilder(np)
-	tm.Each(sym.AddSym)
-	partners := sym.Build()
-	// rankCost: the cost of all traffic touching ranks a or b under pos,
-	// summed partner by partner in ascending o, a's terms before b's; the
-	// pair's own traffic is counted once more at the end.
-	rankCost := func(a, b int) float64 {
-		sum := 0.0
-		terms := func(r, o int) {
-			if bytes := tm.Bytes(r, o); bytes > 0 {
-				sum += lat[pos[r]][pos[o]] + bytes*inv[pos[r]][pos[o]]
-			}
-			if bytes := tm.Bytes(o, r); bytes > 0 {
-				sum += lat[pos[o]][pos[r]] + bytes*inv[pos[o]][pos[r]]
-			}
-		}
-		pa, _ := partners.Row(a)
-		pb, _ := partners.Row(b)
-		for x, y := 0, 0; x < len(pa) || y < len(pb); {
-			oa, ob := int32(np), int32(np)
-			if x < len(pa) {
-				oa = pa[x]
-			}
-			if y < len(pb) {
-				ob = pb[y]
-			}
-			if oa <= ob {
-				terms(a, int(oa))
-				x++
-			}
-			if ob <= oa {
-				if int(ob) != a {
-					terms(b, int(ob))
-				}
-				y++
-			}
-		}
-		if bytes := tm.Bytes(a, b); bytes > 0 {
-			sum += lat[pos[a]][pos[b]] + bytes*inv[pos[a]][pos[b]]
-		}
-		if bytes := tm.Bytes(b, a); bytes > 0 {
-			sum += lat[pos[b]][pos[a]] + bytes*inv[pos[b]][pos[a]]
-		}
-		return sum
-	}
-
-	res := &Result{Before: total()}
+	res := &Result{Before: cost.J()}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		improved := false
 		for a := 0; a < np; a++ {
 			for b := a + 1; b < np; b++ {
-				before := rankCost(a, b)
-				pos[a], pos[b] = pos[b], pos[a]
-				after := rankCost(a, b)
-				if after+1e-12 < before {
-					improved = true
+				if cost.DeltaSwap(a, b) < -1e-12 {
+					cost.ApplySwap(a, b)
+					pos[a], pos[b] = pos[b], pos[a]
 					res.Swaps++
-				} else {
-					pos[a], pos[b] = pos[b], pos[a] // revert
+					improved = true
 				}
 			}
 		}
@@ -158,10 +78,8 @@ func Optimize(c *cluster.Cluster, m *core.Map, model *netsim.Model,
 			break
 		}
 	}
-	res.After = total()
+	res.After = cost.Recompute()
 
-	// Build the permuted map: the process at position pos[r] carries
-	// application rank r.
 	res.Perm = pos
 	nm := &core.Map{Layout: m.Layout, Sweeps: m.Sweeps}
 	nm.Placements = make([]core.Placement, np)

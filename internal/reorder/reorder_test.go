@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"lama/internal/cluster"
@@ -8,6 +10,7 @@ import (
 	"lama/internal/core"
 	"lama/internal/hw"
 	"lama/internal/netsim"
+	"lama/internal/place"
 )
 
 func setup(t *testing.T, layout string, nodes, np int) (*cluster.Cluster, *core.Map, *netsim.Model) {
@@ -102,5 +105,87 @@ func TestReorderErrors(t *testing.T) {
 	}
 	if _, err := Optimize(c, m, mo, commpat.Ring(5, 1), 0); err == nil {
 		t.Fatal("size mismatch")
+	}
+}
+
+// TestPermNamesOldRank pins what Perm means on E19's shuffled cliques,
+// where Perm is not an involution: application rank r runs on the
+// processor old rank Perm[r] held, every placement field but Rank intact.
+func TestPermNamesOldRank(t *testing.T) {
+	sp, _ := hw.Preset("nehalem-ep")
+	c := cluster.Homogeneous(8, sp)
+	mapper, err := core.NewMapper(c, core.MustParseLayout("csbnh"), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapper.Map(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Optimize(c, m, netsim.NewModel(netsim.NewFlat()), shuffledCliques(64, 8, 1<<20, 20), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	involution := true
+	for r, p := range res.Perm {
+		involution = involution && res.Perm[p] == r
+	}
+	if involution {
+		t.Fatalf("Perm is an involution, the case cannot tell Perm from its inverse: %v", res.Perm)
+	}
+	for r, p := range res.Perm {
+		want := m.Placements[p]
+		want.Rank = r
+		if got := res.Map.Placements[r]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("rank %d: placement %+v, want old rank %d's %+v", r, got, p, want)
+		}
+	}
+}
+
+// TestPassInPipeline runs Pass as a pipeline stage after the lama policy.
+func TestPassInPipeline(t *testing.T) {
+	sp, _ := hw.Preset("fig2")
+	c := cluster.Homogeneous(2, sp)
+	pol, ok := place.Lookup("lama")
+	if !ok {
+		t.Fatal("lama policy not registered")
+	}
+	tm := commpat.Ring(24, 1<<20)
+	req := &place.Request{Cluster: c, NP: 24, Layout: core.MustParseLayout("ncsbh"), Traffic: tm}
+	placed, err := place.Place(context.Background(), "lama", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	noTraffic := *req
+	noTraffic.Traffic = nil
+	pl := &place.Pipeline{Policy: pol, Stages: []place.Stage{&Pass{}}}
+	if _, err := pl.Run(context.Background(), &noTraffic); err == nil {
+		t.Fatal("a reorder stage without traffic must fail")
+	}
+
+	// A nil Model prices on the flat network, and OnResult sees exactly
+	// what Optimize returns for the placed map.
+	var got *Result
+	pl.Stages = []place.Stage{&Pass{OnResult: func(r *Result) { got = r }}}
+	out, err := pl.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Optimize(c, placed, netsim.NewModel(netsim.NewFlat()), tm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("OnResult got %+v, want %+v", got, want)
+	}
+	if want.Swaps == 0 {
+		t.Fatal("a cyclic ring must reorder")
+	}
+	if out != got.Map {
+		t.Fatal("the stage's map is not the result's")
+	}
+	if err := out.Validate(c); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -130,12 +130,12 @@ func usableCount(o *hw.Object) int {
 }
 
 // affinity is the symmetric view of a traffic matrix that partition works
-// on, built once per Map: row r of sym lists every rank r exchanges traffic
-// with, in either direction, peers ascending, weighted C[r][o] + C[o][r].
-// It also holds the partitioner's per-rank scratch, reused at every tree
-// level.
+// on, built once per Map: row r of inc lists every rank r exchanges traffic
+// with, in either direction, peers ascending, and the pair's symmetric
+// weight is out + in, C[r][o] + C[o][r]. It also holds the partitioner's
+// per-rank scratch, reused at every tree level.
 type affinity struct {
-	sym   *commpat.Matrix
+	inc   *commpat.Incident
 	total []float64 // each rank's traffic to all others, summed over ascending peers
 
 	free    []bool    // in the current partition and not yet grouped
@@ -145,20 +145,16 @@ type affinity struct {
 
 func newAffinity(tm *commpat.Matrix) *affinity {
 	n := tm.Ranks()
-	// Adding every entry both ways makes each (r, o) the sum of its two
-	// directions, one addition, as the symmetric weight must be.
-	b := commpat.NewBuilder(n)
-	tm.Each(b.AddSym)
 	a := &affinity{
-		sym:   b.Build(),
+		inc:   tm.Incident(),
 		total: make([]float64, n),
 		free:  make([]bool, n),
 		gain:  make([]float64, n),
 	}
 	for r := range a.total {
-		_, ws := a.sym.Row(r)
-		for _, w := range ws {
-			a.total[r] += w
+		_, out, in := a.inc.Row(r)
+		for k := range out {
+			a.total[r] += out[k] + in[k]
 		}
 	}
 	return a
@@ -223,13 +219,13 @@ func (a *affinity) partition(ranks []int, bins []bin) [][]int {
 			}
 			a.free[r] = false
 			groups[i] = append(groups[i], r)
-			peers, ws := a.sym.Row(r)
+			peers, out, in := a.inc.Row(r)
 			for k, p := range peers {
 				if a.free[p] {
 					if a.gain[p] == 0 {
 						a.touched = append(a.touched, int(p))
 					}
-					a.gain[p] += ws[k]
+					a.gain[p] += out[k] + in[k]
 				}
 			}
 		}
