@@ -35,8 +35,7 @@ import (
 //     the copy or the placement-equivalence fingerprint. Deliberate
 //     exclusions are expressed as explicit references (`_ = n.Name`).
 //
-// Individual accepted mutations (memoized cache fills such as
-// Object.PUSet) carry //lama:mutation-ok <reason>.
+// Individual accepted mutations carry //lama:mutation-ok <reason>.
 func SnapFrozen() *Analyzer {
 	a := &Analyzer{
 		Name: "snapfrozen",

@@ -9,8 +9,8 @@ import (
 	"lama/internal/hw"
 )
 
-// Snapshot is a deep-frozen, availability-stamped view of a cluster: the
-// node set, every node's topology (with its current availability), and the
+// Snapshot is a frozen, availability-stamped view of a cluster: the node
+// set, every node's topology (with its current availability), and the
 // attached fault model, captured atomically. A snapshot is immutable by
 // contract — nothing may call mutating methods on its Cluster, its
 // topologies, or its fault model. Mutation events (node failure, partial PU
@@ -19,14 +19,20 @@ import (
 // which is small) are cloned; every untouched *Node — and therefore its
 // *hw.Topology pointer — is shared with the parent snapshot.
 //
-// Pointer sharing is the point. A mapper's dense maximal tree
-// (internal/core/dense.go) records each node's topology pointer and
-// generation, so a mapper handed a sibling snapshot refreshes its tree in
-// place: every node whose pointer and generation still match keeps its
-// view untouched, and only the touched or appended nodes are resolved
-// through the view cache. The shared pruned shape (keyed by ShapeSig,
-// which availability mutations never change) is reused even for the
-// touched node.
+// Topologies are shared within a snapshot, too: SnapshotOf gives the nodes
+// whose trees are interchangeable one frozen clone, so a homogeneous site
+// of N nodes holds one tree. A *hw.Topology or *hw.Object therefore names
+// a shape, not a node; code that counts per resource keys by (node index,
+// object), as MapReference does.
+//
+// Sharing across siblings is what keeps a swap cheap. A mapper's dense
+// maximal tree (internal/core/dense.go) records each node's topology
+// pointer and generation, so a mapper handed a sibling snapshot refreshes
+// its tree in place: every node whose pointer and generation still match
+// keeps its view untouched, and only the touched or appended nodes are
+// resolved through the view cache, which holds one view per distinct
+// topology. The shared pruned shape (keyed by ShapeSig, which availability
+// mutations never change) is reused even for the touched node.
 //
 // Each derived snapshot carries an epoch, one greater than its parent's.
 // Epochs order the snapshots of one logical cluster and key placement
@@ -46,17 +52,33 @@ type Snapshot struct {
 }
 
 // SnapshotOf atomically captures a live cluster into an immutable snapshot
-// at epoch 1. The cluster is deep-copied, so the caller is free to keep
-// mutating its copy; subsequent derived snapshots are copy-on-write and do
-// not pay the deep copy again.
+// at epoch 1. The snapshot holds copies, so the caller is free to keep
+// mutating its cluster. Nodes whose topologies are interchangeable (equal
+// hw.Topology.AppendStateKey) share one frozen clone; derived snapshots
+// are copy-on-write and clone only the node they touch.
 //
 //lama:mutator
 //lama:cow Snapshot
+//lama:cow Cluster
+//lama:cow Node
 func SnapshotOf(c *Cluster) *Snapshot {
-	s := &Snapshot{epoch: 1, c: c.Clone()}
-	s.nodeSigs = make([]string, len(s.c.Nodes))
-	for i, n := range s.c.Nodes {
-		s.nodeSigs[i] = nodeSig(n)
+	s := &Snapshot{
+		epoch:    1,
+		c:        &Cluster{Nodes: make([]*Node, len(c.Nodes)), Faults: c.Faults.Clone()},
+		nodeSigs: make([]string, len(c.Nodes)),
+	}
+	shared := map[string]*hw.Topology{}
+	var key []byte
+	for i, n := range c.Nodes {
+		key = n.Topo.AppendStateKey(key[:0])
+		t, ok := shared[string(key)]
+		if !ok {
+			t = n.Topo.Clone()
+			shared[string(key)] = t
+		}
+		nn := &Node{Name: n.Name, Topo: t, Slots: n.Slots, MaxSlots: n.MaxSlots}
+		s.c.Nodes[i] = nn
+		s.nodeSigs[i] = nodeSig(nn)
 	}
 	s.sig = combineSigs(s.nodeSigs)
 	return s

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"lama/internal/hw"
 )
@@ -140,5 +144,190 @@ func TestSnapshotSigTracksAvailabilityNotNames(t *testing.T) {
 	c.Nodes[0].Slots = 4
 	if SnapshotOf(c).Sig() == a.Sig() {
 		t.Fatal("slot policy must change the sig")
+	}
+}
+
+// distinctTopos counts the topology trees a cluster's nodes hold.
+func distinctTopos(c *Cluster) int {
+	seen := map[*hw.Topology]bool{}
+	for _, n := range c.Nodes {
+		seen[n.Topo] = true
+	}
+	return len(seen)
+}
+
+// usableOS lists a node's usable PU OS indices.
+func usableOS(n *Node) string {
+	var os []int
+	for _, pu := range n.Topo.UsablePUs() {
+		os = append(os, pu.OS)
+	}
+	return fmt.Sprint(os)
+}
+
+func TestSnapshotOfSharesTopologies(t *testing.T) {
+	sp := specNehalem(t)
+	live := Homogeneous(4096, sp)
+	s := SnapshotOf(live)
+	if got := distinctTopos(s.Cluster()); got != 1 {
+		t.Fatalf("4096-node homogeneous snapshot holds %d topologies, want 1", got)
+	}
+	if s.Cluster().Node(0).Topo == live.Node(0).Topo {
+		t.Fatal("the snapshot must not hold the live cluster's tree")
+	}
+
+	// A node that differs from the base tree by a restriction, an
+	// off-lined PU, its spec or its OS numbering gets its own tree. Nodes
+	// in one state share a tree however they reached it: Restrict(0-7)
+	// and Offline(8-15) leave the same PUs available. Slots are not
+	// part of the topology.
+	flipped := sp
+	flipped.ThreadMajorOS = !sp.ThreadMajorOS
+	fig2, ok := hw.Preset("fig2")
+	if !ok {
+		t.Fatal("preset missing")
+	}
+	c := FromSpecs(sp, sp, sp, sp, fig2, flipped, sp, sp, sp)
+	c.Node(1).Topo.Restrict(hw.CPUSetRange(0, 7))
+	c.Node(2).Topo.Offline(hw.NewCPUSet(3))
+	c.Node(3).Topo.Offline(hw.CPUSetRange(8, 15))
+	c.Node(7).Topo.Restrict(hw.CPUSetRange(0, 7))
+	c.Node(8).Slots = 4
+	s = SnapshotOf(c)
+	groups := [][]int{{0, 6, 8}, {1, 3, 7}, {2}, {4}, {5}}
+	if got := distinctTopos(s.Cluster()); got != len(groups) {
+		t.Fatalf("snapshot holds %d topologies, want %d", got, len(groups))
+	}
+	for _, g := range groups {
+		for _, i := range g {
+			if s.Cluster().Node(i).Topo != s.Cluster().Node(g[0]).Topo {
+				t.Errorf("node %d does not share node %d's tree", i, g[0])
+			}
+		}
+	}
+	for i, n := range s.Cluster().Nodes {
+		if got, want := usableOS(n), usableOS(c.Node(i)); got != want {
+			t.Errorf("node %d: snapshot usable PUs %s, live %s", i, got, want)
+		}
+		if got, want := nodeSig(n), nodeSig(c.Node(i)); got != want {
+			t.Errorf("node %d: snapshot sig %q, live %q", i, got, want)
+		}
+	}
+}
+
+// nodeState is what a derivation must leave alone on every node it does
+// not touch: the tree, what it offers, its signature recomputed from the
+// tree and the signature the snapshot stored.
+type nodeState struct {
+	topo        *hw.Topology
+	usable      string
+	sig, stored string
+}
+
+func nodeStates(s *Snapshot) []nodeState {
+	out := make([]nodeState, s.NumNodes())
+	for i, n := range s.Cluster().Nodes {
+		out[i] = nodeState{n.Topo, usableOS(n), nodeSig(n), s.nodeSigs[i]}
+	}
+	return out
+}
+
+// TestQuickDerivationsLeaveSharersAlone: FailNode, FailPUs and AppendNode
+// on a node whose tree other nodes share must leave every other node as it
+// was, in the child and in the parent: the same topology pointer, usable
+// PUs and nodeSig.
+func TestQuickDerivationsLeaveSharersAlone(t *testing.T) {
+	sp := specNehalem(t)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := Homogeneous(2+r.Intn(8), sp)
+		for _, n := range c.Nodes {
+			if r.Intn(3) == 0 {
+				n.Topo.Restrict(hw.CPUSetRange(0, 7))
+			}
+		}
+		s := SnapshotOf(c)
+		for step := 0; step < 8; step++ {
+			before := nodeStates(s)
+			i := r.Intn(s.NumNodes())
+			var child *Snapshot
+			op := "FailNode"
+			switch r.Intn(3) {
+			case 0:
+				child, _ = s.FailNode(i)
+			case 1:
+				op = "FailPUs"
+				child, _ = s.FailPUs(i, hw.NewCPUSet(r.Intn(16), r.Intn(16)))
+			default:
+				op = "AppendNode"
+				child = s.AppendNode(s.Cluster().Node(i))
+				i = s.NumNodes()
+			}
+			parent, after := nodeStates(s), nodeStates(child)
+			for j := range before {
+				if parent[j] != before[j] {
+					t.Logf("seed %d step %d: %s on node %d changed the parent's node %d", seed, step, op, i, j)
+					return false
+				}
+				if j != i && after[j] != before[j] {
+					t.Logf("seed %d step %d: %s on node %d changed node %d", seed, step, op, i, j)
+					return false
+				}
+			}
+			s = child
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSharedTopologyConcurrentReads reads one snapshot's shared trees from
+// many goroutines at once. PUSet and RenderTree must not write into a
+// tree, so under -race this test holds them to read-only.
+func TestSharedTopologyConcurrentReads(t *testing.T) {
+	sp := specNehalem(t)
+	s := SnapshotOf(Homogeneous(64, sp))
+	fresh := hw.New(sp)
+	wantTree, wantRoot := fresh.RenderTree(), fresh.Root.PUSet().String()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, n := range s.Cluster().Nodes {
+				for _, core := range n.Topo.Objects(hw.LevelCore) {
+					if core.PUSet().Count() != len(core.Children) {
+						t.Errorf("node %d %s: PUSet %s", i, core, core.PUSet())
+						return
+					}
+				}
+				if got := n.Topo.Root.PUSet().String(); got != wantRoot {
+					t.Errorf("node %d: root PUSet %s, want %s", i, got, wantRoot)
+					return
+				}
+				if got := n.Topo.RenderTree(); got != wantTree {
+					t.Errorf("node %d: RenderTree differs:\n%s", i, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkSnapshotOf captures a 4096-node nehalem-ep site, the shape of
+// the benchmark's dc cluster.
+func BenchmarkSnapshotOf(b *testing.B) {
+	sp, ok := hw.Preset("nehalem-ep")
+	if !ok {
+		b.Fatal("preset missing")
+	}
+	c := Homogeneous(4096, sp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SnapshotOf(c)
 	}
 }

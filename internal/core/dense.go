@@ -197,9 +197,12 @@ func levelsSig(levels []hw.Level) string {
 // homogeneous cluster builds ONE pruned tree per level set no matter how
 // many nodes it has. viewCache shares nodeViews across mappers by
 // (topology identity, levels), revalidated against the topology's
-// generation counter. Both are bounded: on overflow the whole map is
-// dropped, which also releases the *hw.Topology keys of clusters that are
-// no longer in use.
+// generation counter. A cluster.Snapshot gives interchangeable nodes one
+// topology, so a snapshot needs one view per distinct topology, not one
+// per node: a homogeneous site of thousands of nodes resolves to a single
+// entry. Both are bounded: on overflow the whole map is dropped, which
+// also releases the *hw.Topology keys of clusters that are no longer in
+// use.
 const (
 	shapeCacheMax = 512
 	viewCacheMax  = 4096

@@ -8,8 +8,8 @@ import (
 
 // This file is the reference implementation of the mapping semantics: a
 // deliberately naive executor that rebuilds its pruned trees from scratch
-// on every call, keeps its claim counters in maps keyed by hardware object
-// pointers, and re-walks the topology for every usable-PU query. It shares
+// on every call, keeps its claim counters in maps keyed by (node, hardware
+// object), and re-walks the topology for every usable-PU query. It shares
 // NOTHING with the optimized engine in mapper.go — no dense trees, no
 // shape/view caches, no generation counters — so the two can only agree by
 // actually computing the same mapping. MapReference also iterates with an
@@ -35,14 +35,22 @@ type refRun struct {
 	coords      []int // current iteration coordinate per iterLevels index
 	canonCoords []int // scratch: canonical intra-node coordinates
 
-	claims         map[*hw.Object]int // rank claims per leaf object
-	capCounts      map[*hw.Object]int // rank counts per capped ancestor object
+	claims         map[nodeObject]int // rank claims per leaf
+	capCounts      map[nodeObject]int // rank counts per capped ancestor
 	nodeCount      []int              // ranks per node (slot and machine caps)
 	skippedOversub bool               // a leaf was skipped due to the oversubscribe rule
 
 	placements []Placement
 	sweeps     int
 	sweepEnds  []int
+}
+
+// nodeObject names one resource of one node. A snapshot shares a topology
+// among the nodes whose trees are interchangeable, so an object pointer
+// alone would name the same resource on every one of them.
+type nodeObject struct {
+	node int
+	obj  *hw.Object
 }
 
 func (m *Mapper) newRefRun(np int) (*refRun, error) {
@@ -63,8 +71,8 @@ func (m *Mapper) newRefRun(np int) (*refRun, error) {
 		pes:        m.Opts.pes(),
 		iterLevels: m.Layout.Levels(),
 		mtree:      NewMaximalTree(topos, intra),
-		claims:     map[*hw.Object]int{},
-		capCounts:  map[*hw.Object]int{},
+		claims:     map[nodeObject]int{},
+		capCounts:  map[nodeObject]int{},
 		nodeCount:  make([]int, m.Cluster.NumNodes()),
 		machineIdx: -1,
 	}
@@ -102,8 +110,8 @@ func (m *Mapper) newRefRun(np int) (*refRun, error) {
 
 // tryMap is the reference placement attempt at the current coordinates:
 // identical skip rules to the optimized engine (nonexistent → unavailable
-// → slot cap → resource caps → oversubscribe), expressed over hardware
-// object pointers and fresh topology walks.
+// → slot cap → resource caps → oversubscribe), expressed over (node,
+// hardware object) keys and fresh topology walks.
 func (r *refRun) tryMap() {
 	node := 0
 	if r.machineIdx >= 0 {
@@ -137,7 +145,7 @@ func (r *refRun) tryMap() {
 	}
 	// ALPS-style per-resource rank caps, checked before the
 	// oversubscription rule: a capped resource is unmappable regardless.
-	var capped []*hw.Object
+	var capped []nodeObject
 	for _, l := range r.iterLevels {
 		limit := r.m.Opts.capFor(l)
 		if limit <= 0 {
@@ -149,16 +157,18 @@ func (r *refRun) tryMap() {
 			}
 			continue
 		}
-		obj := leaf.Ancestor(l)
-		if obj == nil {
+		anc := leaf.Ancestor(l)
+		if anc == nil {
 			continue
 		}
+		obj := nodeObject{node, anc}
 		if r.capCounts[obj] >= limit {
 			return
 		}
 		capped = append(capped, obj)
 	}
-	prior := r.claims[leaf]
+	claim := nodeObject{node, leaf}
+	prior := r.claims[claim]
 	base := prior * r.pes
 	oversub := base+r.pes > len(ups)
 	if oversub && !r.m.Opts.Oversubscribe {
@@ -183,7 +193,7 @@ func (r *refRun) tryMap() {
 		PUs:            pus,
 		Oversubscribed: oversub,
 	})
-	r.claims[leaf] = prior + 1
+	r.claims[claim] = prior + 1
 	r.nodeCount[node]++
 	for _, obj := range capped {
 		r.capCounts[obj]++

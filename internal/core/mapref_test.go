@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -265,4 +267,106 @@ func TestQuickPrefixMatchesReference(t *testing.T) {
 		t.Error("no run wrapped: sweep boundaries untested")
 	}
 	t.Logf("%d of 60 runs wrapped", wrapped)
+}
+
+// placedOn renders a map with its leaves named by (level, logical) rather
+// than by object pointer, so maps over different trees compare.
+func placedOn(m *Map) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "sweeps %d ends %v\n", m.Sweeps, m.SweepEnds)
+	for _, p := range m.Placements {
+		fmt.Fprintf(&sb, "%d %d %s %v %s %v %v\n",
+			p.Rank, p.Node, p.NodeName, p.Coords, p.Leaf, p.PUs, p.Oversubscribed)
+	}
+	return sb.String()
+}
+
+// TestMapReferenceKeysByNodeAndObject: a snapshot gives interchangeable
+// nodes one shared topology, so the same *hw.Object is a leaf of several
+// nodes and MapReference must count claims and per-resource caps by
+// (node, object). On a shared-topology snapshot it must agree with itself
+// on a deep clone, where every node owns its tree, and both with Map.
+func TestMapReferenceKeysByNodeAndObject(t *testing.T) {
+	sp := nehalem(t)
+	layouts := []string{"csbnh", "scbnh", "nsch", "hcsn", "cnsh", "sbnch"}
+	shared, capped := 0, 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := cluster.Homogeneous(2+r.Intn(5), sp)
+		for _, n := range c.Nodes {
+			if r.Intn(3) == 0 {
+				n.Topo.Restrict(hw.CPUSetRange(0, 7))
+			}
+			n.Slots = r.Intn(17)
+		}
+		snap := cluster.SnapshotOf(c).Cluster()
+		distinct := snap.Clone()
+		for i := 1; i < snap.NumNodes(); i++ {
+			if snap.Node(i).Topo == snap.Node(0).Topo {
+				shared++
+				break
+			}
+		}
+		opts := Options{
+			Oversubscribe:  r.Intn(2) == 1,
+			RespectSlots:   r.Intn(2) == 1,
+			PEsPerProc:     1 + r.Intn(2),
+			MaxPerResource: map[hw.Level]int{},
+		}
+		if r.Intn(2) == 0 {
+			opts.MaxPerResource[hw.LevelSocket] = 1 + r.Intn(8)
+		}
+		if r.Intn(2) == 0 {
+			opts.MaxPerResource[hw.LevelCore] = 1 + r.Intn(2)
+		}
+		if len(opts.MaxPerResource) > 0 {
+			capped++
+		}
+		layout := MustParseLayout(layouts[r.Intn(len(layouts))])
+		np := 1 + r.Intn(snap.TotalUsablePUs())
+		if opts.Oversubscribe {
+			np += r.Intn(snap.TotalUsablePUs())
+		}
+
+		run := func(c *cluster.Cluster, ref bool) (string, error) {
+			m, err := NewMapper(c, layout, opts)
+			if err != nil {
+				return "", err
+			}
+			var mp *Map
+			if ref {
+				mp, err = m.MapReference(np)
+			} else {
+				mp, err = m.Map(np)
+			}
+			if err != nil {
+				return "", err
+			}
+			if err := mp.Validate(c); err != nil {
+				return "", fmt.Errorf("invalid map: %w", err)
+			}
+			return placedOn(mp), nil
+		}
+		refShared, errShared := run(snap, true)
+		refDistinct, errDistinct := run(distinct, true)
+		got, errGot := run(snap, false)
+		if fmt.Sprint(errShared) != fmt.Sprint(errDistinct) || (errShared == nil) != (errGot == nil) {
+			t.Logf("seed %d: layout %s np %d %+v: errors shared %v, distinct %v, Map %v",
+				seed, layout, np, opts, errShared, errDistinct, errGot)
+			return false
+		}
+		if refShared != refDistinct || refShared != got {
+			t.Logf("seed %d: layout %s np %d %+v: MapReference on shared trees differs (distinct trees agree with Map: %v)",
+				seed, layout, np, opts, refDistinct == got)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+	if shared == 0 || capped == 0 {
+		t.Errorf("%d runs shared a topology, %d capped a resource: the keys went untested", shared, capped)
+	}
 }

@@ -26,8 +26,6 @@ type Object struct {
 	// Availability is stored per-object; an unavailable interior object
 	// makes its whole subtree unavailable (see Usable).
 	Available bool
-
-	puset *CPUSet // cached set of all PU OS indices beneath (incl. unavailable)
 }
 
 // String renders the object as e.g. "socket#2".
@@ -60,22 +58,24 @@ func (o *Object) Ancestor(level Level) *Object {
 }
 
 // PUSet returns the set of OS indices of all PUs contained in o's subtree,
-// regardless of availability. The result is cached; callers must not
-// modify it.
+// regardless of availability. It is computed on every call and never
+// stored in the tree, so readers of a topology shared by many nodes and
+// goroutines do not race.
 func (o *Object) PUSet() *CPUSet {
-	if o.puset != nil {
-		return o.puset
-	}
 	s := &CPUSet{}
+	o.addPUs(s)
+	return s
+}
+
+// addPUs sets the OS index of every PU in o's subtree in s.
+func (o *Object) addPUs(s *CPUSet) {
 	if o.Level == LevelPU {
 		s.Set(o.OS)
-	} else {
-		for _, c := range o.Children {
-			s.Or(c.PUSet())
-		}
+		return
 	}
-	o.puset = s //lama:mutation-ok memoized fill: idempotent; reindex and Clone reset it
-	return s
+	for _, c := range o.Children {
+		c.addPUs(s)
+	}
 }
 
 // UsablePUs returns the PUs in o's subtree whose entire ancestor chain is

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -365,9 +366,9 @@ func (t *Topology) RemoveObject(level Level, logical int) bool {
 }
 
 // reindex rebuilds per-level indexes, logical numbers, sibling ranks, the
-// shape signature and the usable-PU list, and clears cached PU sets, after
-// a structural mutation. The indexes are rebuilt into fresh slices, so the
-// old usable-PU list, which may alias the old PU index, is left intact.
+// shape signature and the usable-PU list after a structural mutation. The
+// indexes are rebuilt into fresh slices, so the old usable-PU list, which
+// may alias the old PU index, is left intact.
 //
 //lama:mutator
 func (t *Topology) reindex() {
@@ -379,7 +380,6 @@ func (t *Topology) reindex() {
 	walk = func(o *Object, rank int) {
 		o.Rank = rank
 		o.Logical = len(t.byLevel[o.Level])
-		o.puset = nil
 		t.byLevel[o.Level] = append(t.byLevel[o.Level], o)
 		for i, c := range o.Children {
 			walk(c, i)
@@ -391,9 +391,9 @@ func (t *Topology) reindex() {
 }
 
 // Clone returns a deep copy of the topology (objects, availability,
-// numbering). The clone starts at generation zero with no cached PU sets:
-// it has no cache entries of its own yet, so resetting rather than copying
-// the memoized state is the correct copy.
+// numbering). The clone starts at generation zero: it has no cache entries
+// of its own yet, so resetting rather than copying the counter is the
+// correct copy.
 //
 //lama:mutator
 //lama:cow Topology
@@ -412,7 +412,6 @@ func (t *Topology) Clone() *Topology {
 			Available: o.Available,
 		}
 		c.byLevel[n.Level] = append(c.byLevel[n.Level], n)
-		n.puset = nil // excluded from the copy: memoized, rebuilt on demand
 		n.Children = make([]*Object, len(o.Children))
 		for i, ch := range o.Children {
 			n.Children[i] = copyObj(ch, n)
@@ -434,6 +433,27 @@ func (t *Topology) Clone() *Topology {
 // signature. It is computed when the structure is built or changed, never
 // on read, so concurrent readers (the workers of one sweep) do not race.
 func (t *Topology) ShapeSig() string { return t.shapeSig }
+
+// AppendStateKey appends to dst a key that two topologies share exactly
+// when they are interchangeable: the same structure (ShapeSig), the same
+// OS index and the same availability on every object. Nothing read from
+// such a tree — a mapping, a binding, a rendering — tells the two apart,
+// so frozen copies of them may be one tree. Appending lets a caller key
+// many topologies through one reused buffer.
+func (t *Topology) AppendStateKey(dst []byte) []byte {
+	dst = append(dst, t.shapeSig...)
+	for _, objs := range t.byLevel {
+		for _, o := range objs {
+			avail := int64(0)
+			if o.Available {
+				avail = 1
+			}
+			// 2·OS+avail encodes the (OS, availability) pair one-to-one.
+			dst = binary.AppendVarint(dst, 2*int64(o.OS)+avail)
+		}
+	}
+	return dst
+}
 
 // structureSig walks the tree for ShapeSig.
 func (t *Topology) structureSig() string {

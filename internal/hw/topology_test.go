@@ -511,15 +511,15 @@ func TestShapeSigSetWithStructure(t *testing.T) {
 	}
 }
 
-// TestObjectSize pins hw.Object at 80 bytes, an allocation size class of
-// its own. lamad builds every node of the clusters it serves twice at
-// start-up, and each nehalem-ep node is dozens of objects, so one more
-// field on Object (a per-object cache, say) raises the daemon's peak RSS
-// by megabytes. Per-topology derived state, such as the usable-PU list,
-// lives on Topology instead. A change that grows Object must change this
-// pin, visibly.
+// TestObjectSize pins hw.Object at 72 bytes, which the allocator serves
+// from its 80-byte size class. lamad builds every node of the clusters it
+// serves at start-up, and each nehalem-ep node is dozens of objects, so
+// one more field on Object (a per-object cache, say) raises the daemon's
+// peak RSS by megabytes. Per-topology derived state, such as the
+// usable-PU list, lives on Topology instead. A change that resizes Object
+// must change this pin, visibly.
 func TestObjectSize(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got != 80 {
-		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 80", got)
+	if got := unsafe.Sizeof(Object{}); got != 72 {
+		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 72", got)
 	}
 }
