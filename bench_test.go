@@ -6,7 +6,6 @@ import (
 
 	"lama"
 	"lama/internal/cluster"
-	"lama/internal/core"
 	"lama/internal/exper"
 	"lama/internal/hw"
 	"lama/internal/obs"
@@ -167,35 +166,6 @@ func BenchmarkMapAfterSwap4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mapper.Cluster = siblings[(i+1)%2].Cluster()
 		if _, err := mapper.Map(16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRemapSurvivors(b *testing.B) {
-	c := benchCluster(b, 16)
-	layout := lama.MustParseLayout("scbnh")
-	mapper, err := lama.NewMapper(c, layout, lama.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// 192 of 256 PUs claimed: the failed node's ranks have spare PUs to
-	// migrate to on the survivors.
-	m, err := mapper.Map(192)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var failed []int
-	for i := range m.Placements {
-		if m.Placements[i].Node == 3 {
-			failed = append(failed, m.Placements[i].Rank)
-		}
-	}
-	c.FailNode(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RemapSurvivors(c, layout, lama.Options{}, m, failed); err != nil {
 			b.Fatal(err)
 		}
 	}

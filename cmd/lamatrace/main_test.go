@@ -18,8 +18,10 @@ func writeFixture(t *testing.T, name, content string) string {
 	return path
 }
 
+// fixtureTrace's order line carries the "step" key that traces written
+// by older releases put on every event; validate and summary ignore it.
 const fixtureTrace = `{"src":"map","event":"done","policy":"by-slot","np":8}
-{"src":"netsim","event":"order","j_before":100,"j_after":80}
+{"src":"netsim","event":"order","step":3,"j_before":100,"j_after":80}
 {"src":"netsim","event":"refine","j_before":80,"j_after":72}
 {"src":"engine","event":"swap","cluster":"smoke","from_epoch":1,"to_epoch":2,"stale_purged":3}
 `

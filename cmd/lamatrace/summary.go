@@ -36,7 +36,7 @@ func runSummary(args []string, out io.Writer) error {
 }
 
 // jTransition is one extracted objective change: a netsim ordering or
-// refinement pass's J before/after, or a fault-aware spread's locality.
+// refinement pass's J before/after.
 type jTransition struct {
 	key           string
 	before, after float64
@@ -44,8 +44,9 @@ type jTransition struct {
 
 // summarizeTrace scans a JSONL trace once: events counted by (src, event)
 // and checked against the canonical vocabulary (vocab.go), and the
-// J-objective / locality transitions the netsim and faultaware events
-// carry extracted into a before/after table.
+// J-objective transitions the netsim events carry extracted into a
+// before/after table. Keys outside src and event, such as the "step" of
+// older traces, are ignored unless they carry a transition.
 func summarizeTrace(out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -79,9 +80,6 @@ func summarizeTrace(out io.Writer, path string) error {
 		name := src + "/" + event
 		if before, after, ok := numPair(raw, "j_before", "j_after"); ok {
 			transitions = append(transitions, jTransition{name, before, after})
-		}
-		if before, after, ok := numPair(raw, "locality_before", "locality_after"); ok {
-			transitions = append(transitions, jTransition{name + " locality", before, after})
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -122,7 +122,7 @@ func run(args []string, out io.Writer) error {
 		reg.Gauge("lama_topogen_usable_pus").Set(float64(c.TotalUsablePUs()))
 	}
 	if o.Enabled() {
-		o.Emit(obs.SrcTopogen, obs.EvGenerate, obs.NoStep,
+		o.Emit(obs.SrcTopogen, obs.EvGenerate,
 			obs.F("nodes", c.NumNodes()), obs.F("usable_pus", c.TotalUsablePUs()))
 	}
 	finishObs := func() error {

@@ -218,20 +218,19 @@ func RunPackages(dir string, patterns []string, suite []*Analyzer, finish bool) 
 // golden-equivalence and repeated-run tests pin. mapiter and nodeterm
 // enforce only inside these.
 var DeterministicPkgNames = map[string]bool{
-	"core":       true,
-	"place":      true,
-	"treematch":  true,
-	"baseline":   true,
-	"torus":      true,
-	"rankfile":   true,
-	"reorder":    true,
-	"permute":    true,
-	"hw":         true,
-	"faultaware": true,
-	"netorder":   true,
-	"netsim":     true,
-	"commpat":    true,
-	"engine":     true,
+	"core":      true,
+	"place":     true,
+	"treematch": true,
+	"baseline":  true,
+	"torus":     true,
+	"rankfile":  true,
+	"reorder":   true,
+	"permute":   true,
+	"hw":        true,
+	"netorder":  true,
+	"netsim":    true,
+	"commpat":   true,
+	"engine":    true,
 }
 
 // deterministic reports whether the pass's package is part of the

@@ -8,7 +8,7 @@ import (
 // CtxFirst returns the context-parameter-position analyzer.
 //
 // The request-scoped refactor threaded context.Context through the
-// mapping, sweeping, placement, refinement, and realloc APIs. Go's
+// mapping, sweeping, placement, and refinement APIs. Go's
 // convention — and the shape every call site in this repository now
 // relies on — is that the context is the FIRST parameter.
 // A context buried mid-signature is invisible at call sites, breaks the

@@ -12,7 +12,7 @@ import (
 // 3 allocs/op, but a benchmark only catches a regression after it lands.
 // This analyzer turns the pin into a compile-time property: starting from
 // every function annotated //lama:hotpath (Mapper.Map, the dense-tree
-// claim path, the remap merge loop), it walks the static call graph
+// claim path, the netsim delta pricing), it walks the static call graph
 // within the package and reports the allocation sources go/analysis can
 // see syntactically:
 //

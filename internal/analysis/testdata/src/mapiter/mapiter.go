@@ -32,7 +32,7 @@ func appendUnsorted(m map[string]int) []string {
 // emitInLoop leaks iteration order through event emission.
 func emitInLoop(o *obs.Observer, m map[int]int) {
 	for k := range m { // want `map iteration order reaches an event emission`
-		o.Emit(obs.SrcMap, obs.EvVisit, k)
+		o.Emit(obs.SrcMap, obs.EvVisit, obs.F("key", k))
 	}
 }
 

@@ -52,10 +52,6 @@ func (n *Node) EffectiveSlots() int {
 // numbering ("n" level) used by mapping algorithms.
 type Cluster struct {
 	Nodes []*Node
-	// Faults is the optional failure-domain / failure-history model
-	// (domain.go). Nil means failure-blind: every consumer treats each
-	// node as its own singleton domain with unit risk.
-	Faults *FaultModel
 }
 
 // Homogeneous builds a cluster of n identical nodes from a spec. Nodes are
@@ -159,12 +155,12 @@ func (c *Cluster) Homogeneous() bool {
 	return true
 }
 
-// Clone deep-copies the cluster, including any attached fault model.
+// Clone deep-copies the cluster.
 //
 //lama:cow Cluster
 //lama:cow Node
 func (c *Cluster) Clone() *Cluster {
-	out := &Cluster{Faults: c.Faults.Clone()}
+	out := &Cluster{}
 	for _, n := range c.Nodes {
 		out.Nodes = append(out.Nodes, &Node{
 			Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots,

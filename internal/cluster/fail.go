@@ -4,12 +4,11 @@ import "lama/internal/hw"
 
 // Run-time failure mutation API. A cluster that has been handed to a
 // run-time (orte.Runtime) can lose hardware while a job is running; these
-// methods record the loss so that mapping agents, binding checks, and the
-// incremental remapper all see the node/PUs as unusable. Failures are
-// modeled through the availability mechanism of paper §III-A (scheduler
-// restrictions), so every existing consumer — the LAMA mapper, bind.Plan
-// checks, hostfile formatting — handles a failed resource with no special
-// cases.
+// methods record the loss so that mapping agents and binding checks see
+// the node/PUs as unusable. Failures are modeled through the availability
+// mechanism of paper §III-A (scheduler restrictions), so every existing
+// consumer — the LAMA mapper, bind.Plan checks, hostfile formatting —
+// handles a failed resource with no special cases.
 
 // FailNode marks node i as failed: the whole node (its machine root)
 // becomes unavailable, so no PU beneath it is usable. It returns false if
@@ -24,18 +23,11 @@ func (c *Cluster) FailNode(i int) bool {
 		return false
 	}
 	if !root.Available {
-		return true // already failed: idempotent, no double-counted history
+		return true // already failed: idempotent
 	}
 	// Route through the topology API so the mutation advances the
 	// topology's generation counter and invalidates mapping-engine caches.
-	changed := n.Topo.SetAvailable(hw.LevelMachine, 0, false)
-	if changed {
-		// Feed the loss back into the failure-history table so future
-		// spare selection and proactive placement weigh this node (and,
-		// through its domain labels, its chassis) as riskier.
-		c.Faults.RecordFailure(i)
-	}
-	return changed
+	return n.Topo.SetAvailable(hw.LevelMachine, 0, false)
 }
 
 // FailPUs marks the given PU OS indices of node i unavailable — a partial

@@ -10,14 +10,13 @@ import (
 )
 
 // Snapshot is a frozen, availability-stamped view of a cluster: the node
-// set, every node's topology (with its current availability), and the
-// attached fault model, captured atomically. A snapshot is immutable by
-// contract — nothing may call mutating methods on its Cluster, its
-// topologies, or its fault model. Mutation events (node failure, partial PU
-// failure, grow, realloc adoption) instead derive a NEW snapshot via
-// copy-on-write: only the touched node's topology (and the fault model,
-// which is small) are cloned; every untouched *Node — and therefore its
-// *hw.Topology pointer — is shared with the parent snapshot.
+// set and every node's topology (with its current availability), captured
+// atomically. A snapshot is immutable by contract — nothing may call
+// mutating methods on its Cluster or its topologies. Mutation events (node
+// failure, partial PU failure, an added node) instead derive a NEW
+// snapshot via copy-on-write: only the touched node's topology is cloned;
+// every untouched *Node — and therefore its *hw.Topology pointer — is
+// shared with the parent snapshot.
 //
 // Topologies are shared within a snapshot, too: SnapshotOf gives the nodes
 // whose trees are interchangeable one frozen clone, so a homogeneous site
@@ -64,7 +63,7 @@ type Snapshot struct {
 func SnapshotOf(c *Cluster) *Snapshot {
 	s := &Snapshot{
 		epoch:    1,
-		c:        &Cluster{Nodes: make([]*Node, len(c.Nodes)), Faults: c.Faults.Clone()},
+		c:        &Cluster{Nodes: make([]*Node, len(c.Nodes))},
 		nodeSigs: make([]string, len(c.Nodes)),
 	}
 	shared := map[string]*hw.Topology{}
@@ -103,22 +102,19 @@ func (s *Snapshot) NumNodes() int { return len(s.c.Nodes) }
 func (s *Snapshot) Sig() string { return s.sig }
 
 // derive copies the snapshot's bookkeeping for a COW mutation: a fresh
-// Nodes slice (sharing every *Node pointer), a fresh nodeSigs slice, and a
-// cloned fault model (it is mutable history, and small). The caller then
-// replaces only the touched entries — including sig, which starts empty
-// here precisely so a derivation that forgets to restamp it is visibly
-// broken rather than silently placement-equivalent to its parent.
+// Nodes slice (sharing every *Node pointer) and a fresh nodeSigs slice.
+// The caller then replaces only the touched entries — including sig,
+// which starts empty here precisely so a derivation that forgets to
+// restamp it is visibly broken rather than silently placement-equivalent
+// to its parent.
 //
 //lama:mutator
 //lama:cow Snapshot
 //lama:cow Cluster
 func (s *Snapshot) derive() *Snapshot {
 	child := &Snapshot{
-		epoch: s.epoch + 1,
-		c: &Cluster{
-			Nodes:  append([]*Node(nil), s.c.Nodes...),
-			Faults: s.c.Faults.Clone(),
-		},
+		epoch:    s.epoch + 1,
+		c:        &Cluster{Nodes: append([]*Node(nil), s.c.Nodes...)},
 		nodeSigs: append([]string(nil), s.nodeSigs...),
 	}
 	child.sig = ""
@@ -142,7 +138,6 @@ func (s *Snapshot) FailNode(i int) (*Snapshot, bool) {
 	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
 	nn.Topo.SetAvailable(hw.LevelMachine, 0, false)
 	child.c.Nodes[i] = nn
-	child.c.Faults.RecordFailure(i)
 	child.nodeSigs[i] = nodeSig(nn)
 	child.sig = combineSigs(child.nodeSigs)
 	return child, true
@@ -172,9 +167,8 @@ func (s *Snapshot) FailPUs(i int, pus *hw.CPUSet) (*Snapshot, int) {
 	return child, changed
 }
 
-// AppendNode derives a snapshot grown by one node (a realloc grant or an
-// elastic grow). The node is deep-copied on the way in so the caller's
-// copy stays independent.
+// AppendNode derives a snapshot grown by one node. The node is
+// deep-copied on the way in so the caller's copy stays independent.
 //
 //lama:mutator
 //lama:cow Node
@@ -185,24 +179,6 @@ func (s *Snapshot) AppendNode(n *Node) *Snapshot {
 	child.nodeSigs = append(child.nodeSigs, nodeSig(nn))
 	child.sig = combineSigs(child.nodeSigs)
 	return child
-}
-
-// ReplaceNode derives a snapshot in which node i is substituted by a deep
-// copy of n (realloc adoption: a spare takes over a failed node's logical
-// slot). Returns the receiver unchanged when i is out of range.
-//
-//lama:mutator
-//lama:cow Node
-func (s *Snapshot) ReplaceNode(i int, n *Node) (*Snapshot, bool) {
-	if s.c.Node(i) == nil {
-		return s, false
-	}
-	child := s.derive()
-	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
-	child.c.Nodes[i] = nn
-	child.nodeSigs[i] = nodeSig(nn)
-	child.sig = combineSigs(child.nodeSigs)
-	return child, true
 }
 
 // nodeSig stamps one node: structural shape, the exact usable PU set

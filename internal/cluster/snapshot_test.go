@@ -12,7 +12,6 @@ import (
 
 func TestSnapshotCaptureIsDeep(t *testing.T) {
 	c := Homogeneous(3, specNehalem(t))
-	c.AttachFaultModel(2, 2, 42)
 	s := SnapshotOf(c)
 	if s.Epoch() != 1 {
 		t.Fatalf("fresh epoch = %d, want 1", s.Epoch())
@@ -22,14 +21,10 @@ func TestSnapshotCaptureIsDeep(t *testing.T) {
 	if s.Cluster().NodeFailed(0) {
 		t.Fatal("snapshot saw a post-capture mutation")
 	}
-	if s.Cluster().Faults == nil || s.Cluster().Faults.Failures(0) != 0 {
-		t.Fatal("snapshot fault model saw a post-capture failure")
-	}
 }
 
 func TestSnapshotFailNodeCOW(t *testing.T) {
 	c := Homogeneous(4, specNehalem(t))
-	c.AttachFaultModel(2, 2, 42)
 	s1 := SnapshotOf(c)
 	s2, ok := s1.FailNode(1)
 	if !ok {
@@ -42,15 +37,9 @@ func TestSnapshotFailNodeCOW(t *testing.T) {
 	if s1.Cluster().NodeFailed(1) || s1.Cluster().UsableNodes() != 4 {
 		t.Fatal("parent snapshot mutated by FailNode")
 	}
-	if s1.Cluster().Faults.Failures(1) != 0 {
-		t.Fatal("parent fault model mutated by FailNode")
-	}
-	// Child sees the failure, including in its fault history.
+	// Child sees the failure.
 	if !s2.Cluster().NodeFailed(1) || s2.Cluster().UsableNodes() != 3 {
 		t.Fatal("child snapshot missing the failure")
-	}
-	if s2.Cluster().Faults.Failures(1) != 1 {
-		t.Fatal("child fault model missing the failure")
 	}
 	// Copy-on-write: untouched nodes share pointers, the failed one split.
 	for i := 0; i < 4; i++ {
@@ -116,15 +105,21 @@ func TestSnapshotAppendAndReplace(t *testing.T) {
 		t.Fatal("grow must mint a new epoch and sig")
 	}
 
-	s3, ok := s2.ReplaceNode(0, &Node{Name: "adopted", Topo: hw.New(sp)})
-	if !ok || s3.Cluster().Node(0).Name != "adopted" {
-		t.Fatal("ReplaceNode failed")
+	// Changing a node in place clones only that node's topology; the
+	// appended node stays shared with the parent.
+	s3, n := s2.FailPUs(0, hw.NewCPUSet(0))
+	if n != 1 || s3.Epoch() != 3 || s3.Sig() == s2.Sig() {
+		t.Fatalf("FailPUs on node 0: changed %d, epoch %d", n, s3.Epoch())
 	}
-	if s2.Cluster().Node(0).Name != "node0" {
-		t.Fatal("parent mutated by ReplaceNode")
+	if s3.Cluster().Node(0).Topo == s2.Cluster().Node(0).Topo ||
+		s3.Cluster().Node(2) != s2.Cluster().Node(2) {
+		t.Fatal("FailPUs must clone node 0 and share the others")
 	}
-	if _, ok := s3.ReplaceNode(17, spare); ok {
-		t.Fatal("out-of-range ReplaceNode must fail")
+	if s2.Cluster().Node(0).Topo.NumUsablePUs() != s3.Cluster().Node(0).Topo.NumUsablePUs()+1 {
+		t.Fatal("parent mutated by FailPUs")
+	}
+	if s4, n := s3.FailPUs(17, hw.NewCPUSet(0)); n != 0 || s4 != s3 {
+		t.Fatal("out-of-range FailPUs must return the receiver")
 	}
 }
 

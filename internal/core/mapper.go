@@ -395,7 +395,7 @@ func (m *Mapper) observeDone(o *obs.Observer, np int, out *Map, t0 time.Time) {
 		reg.Counter("lama_ranks_placed_total").Add(int64(len(out.Placements)))
 	}
 	if o.Enabled() {
-		o.Emit(obs.SrcMap, obs.EvDone, obs.NoStep,
+		o.Emit(obs.SrcMap, obs.EvDone,
 			obs.F("layout", m.Layout.String()),
 			obs.F("np", np),
 			obs.F("placed", len(out.Placements)),
@@ -413,7 +413,7 @@ func (m *Mapper) observeStall(o *obs.Observer, np, placed int, err error) {
 	}
 	o.Reg().Counter("lama_map_stalls_total").Inc()
 	if o.Enabled() {
-		o.Emit(obs.SrcMap, obs.EvStall, obs.NoStep,
+		o.Emit(obs.SrcMap, obs.EvStall,
 			obs.F("layout", m.Layout.String()),
 			obs.F("np", np),
 			obs.F("placed", placed),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -511,5 +512,27 @@ func TestRespectSlots(t *testing.T) {
 	mm2, _ := NewMapper(c2, MustParseLayout("csbnh"), Options{RespectSlots: true})
 	if _, err := mm2.Map(7); !errors.Is(err, ErrOversubscribe) {
 		t.Fatal("7th rank should exceed 6 default slots")
+	}
+}
+
+// TestMapContextCanceled: a canceled context aborts mapping and traced
+// runs at phase boundaries with the context's error (place.Sweep's own
+// cancellation is tested in internal/place).
+func TestMapContextCanceled(t *testing.T) {
+	mapper, err := NewMapper(fig2Cluster(t, 2), MustParseLayout("csbnh"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := mapper.MapContext(ctx, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MapContext err = %v, want context.Canceled", err)
+	}
+	if _, _, err := mapper.MapTracedContext(ctx, 4, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MapTracedContext err = %v, want context.Canceled", err)
+	}
+	// The mapper stays usable after a canceled run.
+	if _, err := mapper.Map(4); err != nil {
+		t.Fatalf("mapper unusable after cancellation: %v", err)
 	}
 }

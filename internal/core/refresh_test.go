@@ -45,22 +45,21 @@ func deriveRandom(t *testing.T, r *rand.Rand, s *cluster.Snapshot, kind int, spe
 			Slots: 2 + r.Intn(10),
 		})
 	default:
-		next, ok := s.ReplaceNode(node, &cluster.Node{
-			Name:  fmt.Sprintf("spare%d", step),
-			Topo:  hw.New(specs[r.Intn(len(specs))]),
-			Slots: 2 + r.Intn(10),
-		})
-		if !ok {
-			t.Fatalf("step %d: ReplaceNode(%d) refused", step, node)
+		// A whole socket fails: the node keeps its shape but loses a
+		// subtree, so its maximal widths shrink.
+		sockets := s.Cluster().Node(node).Topo.Objects(hw.LevelSocket)
+		if len(sockets) == 0 {
+			return s
 		}
+		next, _ := s.FailPUs(node, sockets[r.Intn(len(sockets))].PUSet())
 		return next
 	}
 }
 
 // TestRefreshServedEqualsFreshChain re-points one long-lived Mapper along
-// a chain of copy-on-write events — partial and whole-node failures,
-// grows, and replacements by a different preset, so node shapes and
-// maximal widths change — switching the layout once midway and cycling
+// a chain of copy-on-write events — partial, socket-wide and whole-node
+// failures, and grows by a different preset, so node shapes and maximal
+// widths change — switching the layout once midway and cycling
 // the options through slot limits and per-resource caps. At every epoch
 // the reused mapper must return exactly what a brand-new Mapper returns
 // and agree with MapReference on that epoch's snapshot.

@@ -110,7 +110,7 @@ func (m *Mapper) MapTracedContext(ctx context.Context, np, maxEvents int) (*Map,
 			coords[l] = r.coords[i]
 		}
 		if emitVisits {
-			o.Emit(obs.SrcMap, obs.EvVisit, obs.NoStep,
+			o.Emit(obs.SrcMap, obs.EvVisit,
 				obs.F("sweep", r.sweeps),
 				obs.F("coords", coords.String()),
 				obs.F("action", action.String()),

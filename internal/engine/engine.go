@@ -72,6 +72,13 @@ const maxTrafficPairs = 4096 * 4095
 // cluster.
 var ErrUnknownCluster = errors.New("engine: unknown cluster")
 
+// ErrStaleSnapshot is returned for a request pinned to a snapshot epoch
+// the cluster has since left: a failure or added node was published in
+// between, so the placement the caller planned against may no longer
+// hold. Callers should re-fetch the current epoch and retry. The text
+// keeps its original "core:" prefix, which clients may match on.
+var ErrStaleSnapshot = errors.New("core: cluster snapshot is stale")
+
 // Config tunes an Engine.
 type Config struct {
 	// Workers bounds concurrent placements; <= 0 means 4.
@@ -103,7 +110,7 @@ type Request struct {
 	// Layout is the LAMA layout string; empty means "csbnh".
 	Layout string `json:"layout,omitempty"`
 	// Epoch, when non-zero, requires the cluster to still be at that
-	// snapshot epoch; a mismatch fails with core.ErrStaleSnapshot. Zero
+	// snapshot epoch; a mismatch fails with ErrStaleSnapshot. Zero
 	// accepts whatever epoch is current.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Pattern names a commpat traffic pattern for traffic-aware policies
@@ -254,7 +261,7 @@ func (e *Engine) Register(name string, snap *Snapshot) error {
 		e.stale.Add(int64(e.cache.purge(name, snap.Clu.Epoch(), true)))
 	}
 	if o := e.cfg.Obs; o.Enabled() {
-		o.Emit(obs.SrcEngine, obs.EvRegister, obs.NoStep,
+		o.Emit(obs.SrcEngine, obs.EvRegister,
 			obs.F("cluster", name),
 			obs.F("nodes", snap.Clu.NumNodes()),
 			obs.F("epoch", snap.Clu.Epoch()))
@@ -285,15 +292,6 @@ func (e *Engine) Snapshot(name string) *Snapshot {
 	return ce.current()
 }
 
-// Epoch returns the cluster's current snapshot epoch (0 if unknown). It
-// is the epoch source a grow passes to core.ExpandMapSnapshot.
-func (e *Engine) Epoch(name string) uint64 {
-	if s := e.Snapshot(name); s != nil {
-		return s.Clu.Epoch()
-	}
-	return 0
-}
-
 // Swap atomically publishes next as the cluster's snapshot and purges the
 // cache entries keyed to older epochs of this cluster, counting them as
 // stale. Returns the count of purged entries.
@@ -318,7 +316,7 @@ func (e *Engine) Swap(name string, next *Snapshot) (int, error) {
 		if prev != nil {
 			from = prev.Clu.Epoch()
 		}
-		o.Emit(obs.SrcEngine, obs.EvSwap, obs.NoStep,
+		o.Emit(obs.SrcEngine, obs.EvSwap,
 			obs.F("cluster", name),
 			obs.F("from_epoch", from),
 			obs.F("to_epoch", next.Clu.Epoch()),
@@ -355,7 +353,7 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	epoch := snap.Clu.Epoch()
 	if req.Epoch != 0 && req.Epoch != epoch {
 		return nil, fmt.Errorf("%w: request pinned epoch %d, cluster %q is at %d",
-			core.ErrStaleSnapshot, req.Epoch, req.Cluster, epoch)
+			ErrStaleSnapshot, req.Epoch, req.Cluster, epoch)
 	}
 	key, closed := keyOf(req, snap.Clu.Sig(), epoch)
 	cached := !req.NoCache && e.cache.enabled()
@@ -430,7 +428,7 @@ func extendTo(np, stored, capacity int) int {
 func (e *Engine) shedReq(req *Request, why string) error {
 	e.shed.Inc()
 	if o := e.cfg.Obs; o.Enabled() {
-		o.Emit(obs.SrcEngine, obs.EvShed, obs.NoStep,
+		o.Emit(obs.SrcEngine, obs.EvShed,
 			obs.F("cluster", req.Cluster),
 			obs.F("np", req.NP),
 			obs.F("reason", why))

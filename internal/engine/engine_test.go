@@ -94,7 +94,7 @@ func TestEngineEpochPin(t *testing.T) {
 		t.Fatalf("matching epoch pin refused: %v", err)
 	}
 	_, err := e.Place(context.Background(), &Request{Cluster: "test", NP: 4, Epoch: 7})
-	if !errors.Is(err, core.ErrStaleSnapshot) {
+	if !errors.Is(err, ErrStaleSnapshot) {
 		t.Fatalf("err = %v, want ErrStaleSnapshot", err)
 	}
 }
@@ -253,8 +253,8 @@ func TestEngineAddNodeGrows(t *testing.T) {
 	if n := e.Snapshot("test").Clu.NumNodes(); n != 5 {
 		t.Fatalf("nodes = %d, want 5", n)
 	}
-	if got := e.Epoch("test"); got != 2 {
-		t.Fatalf("Epoch() = %d, want 2", got)
+	if got := e.Snapshot("test").Clu.Epoch(); got != 2 {
+		t.Fatalf("snapshot epoch = %d, want 2", got)
 	}
 }
 
@@ -326,7 +326,7 @@ func TestEngineConcurrentPlacementsAndSwaps(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := e.Epoch("test"); got != 6 {
+	if got := e.Snapshot("test").Clu.Epoch(); got != 6 {
 		t.Fatalf("final epoch = %d, want 6", got)
 	}
 }
@@ -534,40 +534,50 @@ func TestEngineReRegisterCaches(t *testing.T) {
 
 // TestCacheKeyedByEpoch pins the epoch as a key field: a Swap to a
 // Sig-equal snapshot makes the next request a miss at the new epoch, and
-// the hit after it serves stored bytes carrying that epoch.
+// the hit after it serves stored bytes carrying that epoch. The two
+// snapshots reach the same state by different derivations: two PUs of
+// node 0 failed at once (epoch 2) or one after the other (epoch 3).
 func TestCacheKeyedByEpoch(t *testing.T) {
 	e, _ := newTestEngine(t, Config{})
 	ctx := context.Background()
 	req := &Request{Cluster: "test", NP: 16}
+	base := e.Snapshot("test").Clu
+	once, n := base.FailPUs(0, hw.NewCPUSet(0, 1))
+	if n != 2 || once.Epoch() != 2 {
+		t.Fatalf("FailPUs(0, {0,1}): changed %d, epoch %d", n, once.Epoch())
+	}
+	first, _ := base.FailPUs(0, hw.NewCPUSet(0))
+	twice, _ := first.FailPUs(0, hw.NewCPUSet(1))
+	if twice.Sig() != once.Sig() || twice.Epoch() != 3 {
+		t.Fatalf("stepwise FailPUs: sig equal=%v epoch=%d", twice.Sig() == once.Sig(), twice.Epoch())
+	}
+	if _, err := e.Swap("test", &Snapshot{Clu: once}); err != nil {
+		t.Fatal(err)
+	}
 	for _, wantCached := range []bool{false, true} {
 		r, err := e.Place(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Cached != wantCached || r.Epoch != 1 {
-			t.Fatalf("epoch 1: cached=%v epoch=%d, want %v, 1", r.Cached, r.Epoch, wantCached)
+		if r.Cached != wantCached || r.Epoch != 2 {
+			t.Fatalf("epoch 2: cached=%v epoch=%d, want %v, 2", r.Cached, r.Epoch, wantCached)
 		}
 	}
-	cur := e.Snapshot("test").Clu
-	next, ok := cur.ReplaceNode(0, cur.Cluster().Node(0))
-	if !ok || next.Sig() != cur.Sig() || next.Epoch() != 2 {
-		t.Fatalf("ReplaceNode with itself: ok=%v sig equal=%v epoch=%d", ok, next.Sig() == cur.Sig(), next.Epoch())
-	}
-	if _, err := e.Swap("test", &Snapshot{Clu: next}); err != nil {
+	if _, err := e.Swap("test", &Snapshot{Clu: twice}); err != nil {
 		t.Fatal(err)
 	}
 	miss, err := e.Place(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if miss.Cached || miss.Epoch != 2 {
-		t.Fatalf("after the swap: cached=%v epoch=%d, want a miss at epoch 2", miss.Cached, miss.Epoch)
+	if miss.Cached || miss.Epoch != 3 {
+		t.Fatalf("after the swap: cached=%v epoch=%d, want a miss at epoch 3", miss.Cached, miss.Epoch)
 	}
 	hit, err := e.Place(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply := replyOf("test", hit); !hit.Cached || !bytes.HasPrefix(reply, []byte(`{"cluster":"test","epoch":2,"cached":true,`)) {
+	if reply := replyOf("test", hit); !hit.Cached || !bytes.HasPrefix(reply, []byte(`{"cluster":"test","epoch":3,"cached":true,`)) {
 		t.Fatalf("hit after the swap: cached=%v reply %.60q", hit.Cached, reply)
 	}
 }

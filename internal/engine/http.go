@@ -98,7 +98,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrStaleSnapshot):
+	case errors.Is(err, ErrStaleSnapshot):
 		return http.StatusConflict
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable

@@ -238,7 +238,9 @@ func TestHTTPOversizedBody413(t *testing.T) {
 // building it: the treematch ones with a 400, the by-node one without
 // generating traffic at all, since by-node never reads it. The cluster has
 // 65536 usable PUs, so the alltoall request passes the capacity check and
-// is stopped by the pair bound alone.
+// is stopped by the pair bound alone. A request pinned to an epoch the
+// cluster has left is refused with 409 before any of that, and its error
+// text is pinned byte for byte, since clients match on it.
 func TestHTTPTrafficBounded(t *testing.T) {
 	sp, err := hw.ParseSpec("1:8:1:1:1:1:64:2")
 	if err != nil {
@@ -254,10 +256,13 @@ func TestHTTPTrafficBounded(t *testing.T) {
 	for _, c := range []struct {
 		body   string
 		status int
+		reply  string // the exact error body; empty skips the check
 	}{
-		{fmt.Sprintf(`{"cluster":"huge","np":%d,"policy":"treematch","pattern":"ring"}`, MaxNP), http.StatusBadRequest},
-		{`{"cluster":"huge","np":65536,"policy":"treematch","pattern":"alltoall"}`, http.StatusBadRequest},
-		{fmt.Sprintf(`{"cluster":"huge","np":%d,"policy":"by-node","pattern":"ring"}`, MaxNP), http.StatusBadRequest},
+		{fmt.Sprintf(`{"cluster":"huge","np":%d,"policy":"treematch","pattern":"ring"}`, MaxNP), http.StatusBadRequest, ""},
+		{`{"cluster":"huge","np":65536,"policy":"treematch","pattern":"alltoall"}`, http.StatusBadRequest, ""},
+		{fmt.Sprintf(`{"cluster":"huge","np":%d,"policy":"by-node","pattern":"ring"}`, MaxNP), http.StatusBadRequest, ""},
+		{fmt.Sprintf(`{"cluster":"huge","np":%d,"policy":"treematch","pattern":"ring","epoch":7}`, MaxNP), http.StatusConflict,
+			`{"error":"core: cluster snapshot is stale: request pinned epoch 7, cluster \"huge\" is at 1"}` + "\n"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -266,6 +271,9 @@ func TestHTTPTrafficBounded(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if w.Code != c.status {
 			t.Errorf("%s: status %d, want %d: %s", c.body, w.Code, c.status, w.Body.Bytes())
+		}
+		if c.reply != "" && w.Body.String() != c.reply {
+			t.Errorf("%s: reply %q, want %q", c.body, w.Body.String(), c.reply)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling {
 			t.Errorf("%s: allocated %d bytes, ceiling %d", c.body, grew, ceiling)

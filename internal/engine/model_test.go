@@ -39,8 +39,8 @@ func modelApply(t *testing.T, cur *cluster.Snapshot, ev *Event) *cluster.Snapsho
 
 // modelOp is one writer step of the model test: a cluster event through
 // ApplyEvent, or (ev nil) a Register replacing the cluster's snapshot.
-// A re-register either jumps ahead (a node swapped for different
-// hardware, one epoch past the current) or, when lower is set, rolls back
+// A re-register either jumps ahead (one node failed in place, one epoch
+// past the current) or, when lower is set, rolls back
 // to an earlier published snapshot; pick chooses which.
 type modelOp struct {
 	ev    *Event
@@ -83,10 +83,6 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 	sp, ok := hw.Preset("nehalem-ep")
 	if !ok {
 		t.Fatal("nehalem-ep preset missing")
-	}
-	fig2, ok := hw.Preset("fig2")
-	if !ok {
-		t.Fatal("fig2 preset missing")
 	}
 	base := cluster.SnapshotOf(cluster.Homogeneous(nodes, sp))
 	e := New(Config{Workers: 4, QueueDepth: 64, Obs: &obs.Observer{Metrics: obs.NewRegistry()}})
@@ -185,7 +181,7 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 					}
 					next = older[int(op.pick*float64(len(older)))]
 				} else {
-					next, _ = cur.ReplaceNode(int(op.pick*16), &cluster.Node{Name: fmt.Sprintf("swap%d", i), Topo: hw.New(fig2)})
+					next, _ = cur.FailNode(int(op.pick * 16))
 				}
 				registers[lower]++
 				held, stale := len(cacheEpochs(e.cache, "model")), e.stale.Value()

@@ -63,7 +63,8 @@ func prefixLayout(r *rand.Rand) string {
 // storedRanks is the length of the run stored on the request's key, 0
 // when there is none.
 func storedRanks(e *Engine, req *Request) int {
-	key, _ := keyOf(req, e.Snapshot(req.Cluster).Clu.Sig(), e.Epoch(req.Cluster))
+	snap := e.Snapshot(req.Cluster).Clu
+	key, _ := keyOf(req, snap.Sig(), snap.Epoch())
 	if ent := e.cache.get(key); ent != nil {
 		return ent.m.NumRanks()
 	}

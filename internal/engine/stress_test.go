@@ -14,7 +14,7 @@ import (
 )
 
 // TestSwapUnderLoad hammers Place from several readers while a writer
-// continuously fails and replaces nodes through Swap, and checks the
+// continuously fails and adds nodes through Swap, and checks the
 // engine's staleness contract: once Swap has returned for epoch E, no
 // later Place may serve a placement (cached or fresh) from an epoch
 // before E. The writer stores a lower bound AFTER each Swap returns;
@@ -43,18 +43,19 @@ func TestSwapUnderLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer: alternately fail a node and replace it with a healthy one,
-	// so at most one node is down at any time and every epoch is
-	// placeable. Each derivation chains off the published snapshot.
+	// Writer: alternately fail one of the first nodes in place and add a
+	// healthy node, so usable nodes never drop below nodes-1 and every
+	// epoch is placeable. Each derivation chains off the published
+	// snapshot.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < swaps; i++ {
 			cur := e.Snapshot("stress")
-			target := i % nodes
 			var next *cluster.Snapshot
 			if i%2 == 0 {
+				target := i % nodes
 				s, ok := cur.Clu.FailNode(target)
 				if !ok {
 					t.Errorf("swap %d: FailNode(%d) refused", i, target)
@@ -62,12 +63,7 @@ func TestSwapUnderLoad(t *testing.T) {
 				}
 				next = s
 			} else {
-				s, ok := cur.Clu.ReplaceNode(target, &cluster.Node{Name: "spare", Topo: hw.New(sp)})
-				if !ok {
-					t.Errorf("swap %d: ReplaceNode(%d) refused", i, target)
-					return
-				}
-				next = s
+				next = cur.Clu.AppendNode(&cluster.Node{Name: "spare", Topo: hw.New(sp)})
 			}
 			if _, err := e.Swap("stress", &Snapshot{Clu: next}); err != nil {
 				t.Errorf("swap %d: %v", i, err)

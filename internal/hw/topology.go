@@ -310,8 +310,7 @@ func (t *Topology) Restrict(allowed *CPUSet) {
 
 // Offline marks the PUs with the given OS indices unavailable — the
 // inverse selection of Restrict, used for partial failures (a dead core's
-// threads) and for withholding already-claimed PUs from an incremental
-// remap. It returns the number of PUs that changed from available to
+// threads). It returns the number of PUs that changed from available to
 // unavailable.
 //
 //lama:mutator

@@ -52,8 +52,27 @@ func Summarize(c *cluster.Cluster, m *core.Map) MapSummary {
 		}
 	}
 	s.SocketsUsed = len(sockets)
-	s.AvgNeighborLevel = core.NeighborLocality(c, m)
+	s.AvgNeighborLevel = neighborLocality(c, m)
 	return s
+}
+
+// neighborLocality is the mean LCA depth of consecutive ranks placed on
+// the same node, 0 when no such pairs exist. Depths and pairs are summed
+// as integers, so the value is exact.
+func neighborLocality(c *cluster.Cluster, m *core.Map) float64 {
+	depth, pairs := 0, 0
+	for i := 1; i < m.NumRanks(); i++ {
+		a, b := &m.Placements[i-1], &m.Placements[i]
+		if a.Node != b.Node {
+			continue
+		}
+		depth += c.Node(a.Node).Topo.CommonAncestorLevel(a.PU(), b.PU()).Depth()
+		pairs++
+	}
+	if pairs == 0 {
+		return 0
+	}
+	return float64(depth) / float64(pairs)
 }
 
 // Record publishes the summary into an obs registry as lama_map_* gauges,

@@ -139,3 +139,39 @@ func TestMapSummaryRecord(t *testing.T) {
 	}
 	s.Record(nil) // nil registry must be a no-op, not a panic
 }
+
+// TestNeighborLocalityGolden pins neighborLocality to exact values (LCA
+// depth sum over same-node pair count: 163/33, 91/25, 125/35) on a
+// homogeneous cluster, a heterogeneous one and a snapshot after FailNode,
+// so comparisons are ==, not approximate.
+func TestNeighborLocalityGolden(t *testing.T) {
+	fig2, _ := hw.Preset("fig2")
+	big, _ := hw.Preset("nehalem-ep")
+	small, _ := hw.Preset("bgp-node")
+	failed, ok := cluster.SnapshotOf(cluster.Homogeneous(4, big)).FailNode(1)
+	if !ok {
+		t.Fatal("FailNode failed")
+	}
+	for _, tc := range []struct {
+		name string
+		c    *cluster.Cluster
+		np   int
+		want float64
+	}{
+		{"fig2x4", cluster.Homogeneous(4, fig2), 40, 4.9393939393939394},
+		{"heterogeneous", cluster.FromSpecs(big, small, big), 30, 3.64},
+		{"after-fail-node", failed.Cluster(), 40, 3.5714285714285716},
+	} {
+		mapper, err := core.NewMapper(tc.c, core.MustParseLayout("csbnh"), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mapper.Map(tc.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := neighborLocality(tc.c, m); got != tc.want {
+			t.Errorf("%s: neighborLocality = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

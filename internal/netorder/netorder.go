@@ -364,7 +364,7 @@ func (s *Stage) Apply(_ context.Context, req *place.Request, m *core.Map) (*core
 		s.OnResult(res)
 	}
 	if o := req.Opts.Obs; o.Enabled() {
-		o.Emit(obs.SrcNetSim, obs.EvOrder, obs.NoStep,
+		o.Emit(obs.SrcNetSim, obs.EvOrder,
 			obs.F("j_before", res.JBefore),
 			obs.F("j_after", res.JAfter),
 			obs.F("moved_nodes", res.MovedNodes),

@@ -155,8 +155,8 @@ func replaceSorted(l []int32, old, new int32) {
 }
 
 // swapPlacements exchanges everything but the Rank field between two
-// placements (the same move faultaware makes): rank order stays
-// canonical while the processor assignment moves.
+// placements: rank order stays canonical while the processor assignment
+// moves.
 func swapPlacements(m *core.Map, a, b int) {
 	pa, pb := &m.Placements[a], &m.Placements[b]
 	*pa, *pb = *pb, *pa
@@ -196,7 +196,7 @@ func (s *Refine) Apply(ctx context.Context, req *place.Request, m *core.Map) (*c
 		s.OnResult(res)
 	}
 	if o := req.Opts.Obs; o.Enabled() {
-		o.Emit(obs.SrcNetSim, obs.EvRefine, obs.NoStep,
+		o.Emit(obs.SrcNetSim, obs.EvRefine,
 			obs.F("j_before", res.JBefore),
 			obs.F("j_after", res.JAfter),
 			obs.F("swaps", res.Swaps),

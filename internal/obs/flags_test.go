@@ -98,7 +98,7 @@ func TestCLIFlagsListenEndToEnd(t *testing.T) {
 	}
 
 	end := o.StartSpan("place")
-	o.Emit(SrcMap, "done", NoStep, F("np", 4))
+	o.Emit(SrcMap, "done", F("np", 4))
 	end()
 
 	if code, body := get(t, "http://"+addr+"/metrics"); code != 200 ||

@@ -39,7 +39,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServerEndpoints(t *testing.T) {
 	s, ts := newTestServer(t)
-	s.Ring.Emit(Event{Source: SrcMap, Name: "done", Step: NoStep})
+	s.Ring.Emit(Event{Source: SrcMap, Name: "done"})
 
 	if code, body := get(t, ts.URL+"/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index: %d %q", code, body)
@@ -91,7 +91,7 @@ func TestServerNilFacilities(t *testing.T) {
 func TestServerEventsDump(t *testing.T) {
 	s, ts := newTestServer(t)
 	for i := 0; i < 5; i++ {
-		s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: i})
+		s.Ring.Emit(Event{Source: SrcEngine, Name: "tick", Fields: []Field{F("i", i)}})
 	}
 	code, body := get(t, ts.URL+"/events?follow=0&replay=3")
 	if code != 200 {
@@ -101,7 +101,7 @@ func TestServerEventsDump(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("lines = %d: %q", len(lines), body)
 	}
-	if !strings.Contains(lines[0], `"step":2`) || !strings.Contains(lines[2], `"step":4`) {
+	if !strings.Contains(lines[0], `"i":2`) || !strings.Contains(lines[2], `"i":4`) {
 		t.Fatalf("wrong tail: %q", body)
 	}
 	if code, _ := get(t, ts.URL+"/events?replay=bogus"); code != 400 {
@@ -114,7 +114,7 @@ func TestServerEventsDump(t *testing.T) {
 
 func TestServerEventsFollow(t *testing.T) {
 	s, ts := newTestServer(t)
-	s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: 0})
+	s.Ring.Emit(Event{Source: SrcEngine, Name: "tick", Fields: []Field{F("i", 0)}})
 
 	resp, err := http.Get(ts.URL + "/events?replay=1")
 	if err != nil {
@@ -123,11 +123,11 @@ func TestServerEventsFollow(t *testing.T) {
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 
-	if !sc.Scan() || !strings.Contains(sc.Text(), `"step":0`) {
+	if !sc.Scan() || !strings.Contains(sc.Text(), `"i":0`) {
 		t.Fatalf("replay line = %q", sc.Text())
 	}
-	s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: 1})
-	if !sc.Scan() || !strings.Contains(sc.Text(), `"step":1`) {
+	s.Ring.Emit(Event{Source: SrcEngine, Name: "tick", Fields: []Field{F("i", 1)}})
+	if !sc.Scan() || !strings.Contains(sc.Text(), `"i":1`) {
 		t.Fatalf("live line = %q", sc.Text())
 	}
 	// Closing the ring ends the stream server-side.
@@ -159,7 +159,7 @@ func TestServerEventsSlowReader(t *testing.T) {
 	go func() {
 		defer close(finished)
 		for i := 0; i < 5000; i++ {
-			s.Ring.Emit(Event{Source: SrcEngine, Name: "step", Step: i})
+			s.Ring.Emit(Event{Source: SrcEngine, Name: "tick", Fields: []Field{F("i", i)}})
 		}
 	}()
 	select {

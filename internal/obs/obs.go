@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer of the repository: one
 // structured-event stream, one typed metrics registry, and one span-style
 // phase timer shared by the mapping engine, the layout sweeps, the
-// placement engine, the resource manager, and every CLI.
+// placement engine, and every CLI.
 //
 // The design goal is zero cost when disabled: every producer holds a
 // *Observer that may be nil, and all Observer methods are nil-receiver
@@ -11,8 +11,7 @@
 //
 // Events are flat JSON objects with three reserved keys — "t" (unix-nano
 // wall stamp, omitted when zero), "src" (emitting subsystem), "event"
-// (name within the source) — plus "step" for step-clocked sources and
-// arbitrary event-specific fields. The JSONL backend writes one event per
+// (name within the source) — plus arbitrary event-specific fields. The JSONL backend writes one event per
 // line, the text backend a human-readable rendering, and MemorySink
 // collects events for tests.
 package obs
@@ -28,13 +27,9 @@ import (
 	"time"
 )
 
-// NoStep marks an event that carries no logical step ("step" is omitted
-// from the JSON rendering).
-const NoStep = -1
-
 // Field is one event-specific key/value pair. Values must be JSON
-// encodable; keys must not collide with the reserved "t", "src", "event",
-// and "step" keys.
+// encodable; keys must not collide with the reserved "t", "src" and
+// "event" keys.
 type Field struct {
 	Key   string
 	Value any
@@ -49,14 +44,11 @@ type Event struct {
 	// omitted from the JSON form (deterministic test sinks pin a zero
 	// clock).
 	TimeUnixNano int64
-	// Source identifies the emitting subsystem: "map", "sweep", "rm",
+	// Source identifies the emitting subsystem: "map", "sweep",
 	// "engine", ...
 	Source string
 	// Name is the event name within the source ("done", "swap", ...).
 	Name string
-	// Step is the logical step for step-clocked sources; NoStep
-	// otherwise (every source the vocabulary registers today).
-	Step int
 	// Fields carries the event-specific payload in emission order.
 	Fields []Field
 }
@@ -77,9 +69,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	fmt.Fprintf(&sb, `"src":%s,"event":%s`, src, name)
-	if e.Step != NoStep {
-		fmt.Fprintf(&sb, `,"step":%d`, e.Step)
-	}
 	for _, f := range e.Fields {
 		k, err := json.Marshal(f.Key)
 		if err != nil {
@@ -95,16 +84,13 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return []byte(sb.String()), nil
 }
 
-// Text renders the event for humans: "src/event step=N key=value ...".
+// Text renders the event for humans: "src/event key=value ...".
 func (e Event) Text() string {
 	var sb strings.Builder
 	if e.TimeUnixNano != 0 {
 		sb.WriteString(time.Unix(0, e.TimeUnixNano).Format("15:04:05.000 "))
 	}
 	fmt.Fprintf(&sb, "%s/%s", e.Source, e.Name)
-	if e.Step != NoStep {
-		fmt.Fprintf(&sb, " step=%d", e.Step)
-	}
 	for _, f := range e.Fields {
 		fmt.Fprintf(&sb, " %s=%v", f.Key, f.Value)
 	}
@@ -292,11 +278,11 @@ func (o *Observer) Reg() *Registry {
 }
 
 // Emit sends one event to the sink (no-op when disabled).
-func (o *Observer) Emit(source, name string, step int, fields ...Field) {
+func (o *Observer) Emit(source, name string, fields ...Field) {
 	if !o.Enabled() {
 		return
 	}
-	e := Event{Source: source, Name: name, Step: step, Fields: fields}
+	e := Event{Source: source, Name: name, Fields: fields}
 	if o.Clock != nil {
 		e.TimeUnixNano = o.Clock()
 	} else {

@@ -14,19 +14,19 @@ import (
 
 func TestEventMarshalJSON(t *testing.T) {
 	e := Event{
-		TimeUnixNano: 42, Source: "supervise", Name: "detect", Step: 12,
-		Fields: []Field{F("ranks", []int{3, 4}), F("failStep", 10)},
+		TimeUnixNano: 42, Source: "engine", Name: "swap",
+		Fields: []Field{F("ranks", []int{3, 4}), F("to_epoch", 10)},
 	}
 	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"t":42,"src":"supervise","event":"detect","step":12,"ranks":[3,4],"failStep":10}`
+	want := `{"t":42,"src":"engine","event":"swap","ranks":[3,4],"to_epoch":10}`
 	if string(data) != want {
 		t.Fatalf("marshal = %s, want %s", data, want)
 	}
-	// Zero time and NoStep are omitted.
-	e2 := Event{Source: "map", Name: "done", Step: NoStep}
+	// Zero time is omitted.
+	e2 := Event{Source: "map", Name: "done"}
 	data2, _ := json.Marshal(e2)
 	if string(data2) != `{"src":"map","event":"done"}` {
 		t.Fatalf("marshal = %s", data2)
@@ -34,13 +34,9 @@ func TestEventMarshalJSON(t *testing.T) {
 }
 
 func TestEventText(t *testing.T) {
-	e := Event{Source: "map", Name: "done", Step: NoStep, Fields: []Field{F("np", 64)}}
+	e := Event{Source: "map", Name: "done", Fields: []Field{F("np", 64)}}
 	if got := e.Text(); got != "map/done np=64" {
 		t.Fatalf("text = %q", got)
-	}
-	e.Step = 3
-	if !strings.Contains(e.Text(), "step=3") {
-		t.Fatalf("text = %q", e.Text())
 	}
 }
 
@@ -48,9 +44,9 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	o := &Observer{Sink: sink}
-	o.Emit("map", "start", NoStep, F("np", 8))
-	o.Emit("supervise", "detect", 5, F("ranks", []int{1}))
-	o.Emit("supervise", "respawn", 5)
+	o.Emit("map", "start", F("np", 8))
+	o.Emit("engine", "swap", F("to_epoch", 2))
+	o.Emit("engine", "shed")
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +54,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 || bySource["supervise"] != 2 || bySource["map"] != 1 {
+	if n != 3 || bySource["engine"] != 2 || bySource["map"] != 1 {
 		t.Fatalf("n=%d bySource=%v", n, bySource)
 	}
 }
@@ -76,9 +72,11 @@ func TestValidateJSONLTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("trace %q should fail validation", c)
 		}
 	}
-	// Blank lines are tolerated.
-	ok := `{"src":"m","event":"e"}` + "\n\n" + `{"src":"m","event":"f"}` + "\n"
-	if n, _, err := ValidateJSONLTrace(strings.NewReader(ok)); err != nil || n != 2 {
+	// Blank lines are tolerated, and so is the "step" key that traces
+	// written by older releases carry.
+	ok := `{"src":"m","event":"e"}` + "\n\n" + `{"src":"m","event":"f"}` + "\n" +
+		`{"t":42,"src":"supervise","event":"detect","step":12,"ranks":[3,4]}` + "\n"
+	if n, _, err := ValidateJSONLTrace(strings.NewReader(ok)); err != nil || n != 3 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
 }
@@ -86,9 +84,9 @@ func TestValidateJSONLTraceRejectsGarbage(t *testing.T) {
 func TestMemorySinkAndNames(t *testing.T) {
 	sink := NewMemorySink()
 	o := &Observer{Sink: sink, Clock: func() int64 { return 0 }}
-	o.Emit("a", "one", NoStep)
-	o.Emit("b", "two", NoStep)
-	o.Emit("a", "three", NoStep)
+	o.Emit("a", "one")
+	o.Emit("b", "two")
+	o.Emit("a", "three")
 	if got := sink.Names("a"); len(got) != 2 || got[0] != "a/one" || got[1] != "a/three" {
 		t.Fatalf("names = %v", got)
 	}
@@ -103,7 +101,7 @@ func TestMemorySinkAndNames(t *testing.T) {
 func TestMultiSink(t *testing.T) {
 	m1, m2 := NewMemorySink(), NewMemorySink()
 	sink := NewMultiSink(m1, nil, m2)
-	sink.Emit(Event{Source: "x", Name: "y", Step: NoStep})
+	sink.Emit(Event{Source: "x", Name: "y"})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +115,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.Enabled() || o.Timing() {
 		t.Fatal("nil observer claims enabled")
 	}
-	o.Emit("map", "done", NoStep, F("np", 1)) // must not panic
+	o.Emit("map", "done", F("np", 1)) // must not panic
 	o.StartSpan("place")()
 	if o.Reg() != nil {
 		t.Fatal("nil observer has a registry")
@@ -340,7 +338,7 @@ func TestCLIFlagsObserver(t *testing.T) {
 		t.Fatal("observer not fully enabled")
 	}
 	end := o.StartSpan("place")
-	o.Emit("map", "done", NoStep, F("np", 4))
+	o.Emit("map", "done", F("np", 4))
 	end()
 	if err := closeObs(); err != nil {
 		t.Fatal(err)

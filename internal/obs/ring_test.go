@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
-func ev(name string, step int) Event {
-	return Event{Source: SrcEngine, Name: name, Step: step}
+// ev builds a ring test event numbered by its "i" field.
+func ev(name string, i int) Event {
+	return Event{Source: SrcEngine, Name: name, Fields: []Field{F("i", i)}}
 }
+
+// seq is the number ev gave the event.
+func seq(e Event) int { return e.Fields[0].Value.(int) }
 
 func TestRingSinkTailAndWrap(t *testing.T) {
 	s := NewRingSink(4)
 	for i := 0; i < 10; i++ {
-		s.Emit(ev("step", i))
+		s.Emit(ev("tick", i))
 	}
 	if s.Len() != 4 || s.Total() != 10 {
 		t.Fatalf("len=%d total=%d", s.Len(), s.Total())
@@ -22,11 +26,11 @@ func TestRingSinkTailAndWrap(t *testing.T) {
 		t.Fatalf("tail = %d events", len(tail))
 	}
 	for i, e := range tail {
-		if e.Step != 6+i {
-			t.Fatalf("tail[%d].Step = %d, want %d", i, e.Step, 6+i)
+		if seq(e) != 6+i {
+			t.Fatalf("tail[%d] is event %d, want %d", i, seq(e), 6+i)
 		}
 	}
-	if got := s.Tail(2); len(got) != 2 || got[0].Step != 8 {
+	if got := s.Tail(2); len(got) != 2 || seq(got[0]) != 8 {
 		t.Fatalf("Tail(2) = %v", got)
 	}
 	if got := s.Tail(0); len(got) != 0 {
@@ -70,7 +74,7 @@ func TestRingSinkSlowSubscriberDropsNotBlocks(t *testing.T) {
 	_, sub := s.Subscribe(0, 2)
 	// Nobody reads sub.C: the buffer fills at 2, everything later drops.
 	for i := 0; i < 10; i++ {
-		s.Emit(ev("step", i)) // must not block
+		s.Emit(ev("tick", i)) // must not block
 	}
 	if sub.Dropped() != 8 || s.Dropped() != 8 {
 		t.Fatalf("sub dropped=%d sink dropped=%d", sub.Dropped(), s.Dropped())
@@ -110,7 +114,7 @@ func TestRingSinkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Emit(ev("step", i))
+				s.Emit(ev("tick", i))
 			}
 		}()
 	}

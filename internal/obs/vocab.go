@@ -24,14 +24,8 @@ const (
 	SrcSweep = "sweep"
 	// SrcPipeline is the composable post-pass pipeline (place.Pipeline).
 	SrcPipeline = "pipeline"
-	// SrcRM is the resource manager (spare reservation and the
-	// rm.Realloc retry loop).
-	SrcRM = "rm"
 	// SrcTopogen is the topology generator CLI.
 	SrcTopogen = "topogen"
-	// SrcFaultAware is the fault-aware placement stage
-	// (faultaware.Stage's critical-rank domain spread).
-	SrcFaultAware = "faultaware"
 	// SrcNetSim is the network-aware placement machinery (the netorder
 	// node-ordering stage and its delta-J swap refinement).
 	SrcNetSim = "netsim"
@@ -55,18 +49,8 @@ const (
 	EvJobFailed = "job-failed"
 	// EvStage reports one completed pipeline post-pass stage.
 	EvStage = "stage"
-	// EvReallocRetry is one backoff retry of rm.Realloc; EvReallocExhausted
-	// is the give-up after the retry budget (the job gets no replacement).
-	EvReallocRetry     = "realloc-retry"
-	EvReallocExhausted = "realloc-exhausted"
-	// EvSparePlan reports one fault-model-steered spare/replacement choice
-	// by the resource manager (domain-diverse, topology-near selection).
-	EvSparePlan = "spare-plan"
 	// EvGenerate is topogen's cluster construction event.
 	EvGenerate = "generate"
-	// EvSpread reports one fault-aware critical-rank spread pass: domains
-	// covered before/after and the locality/J cost of the swaps.
-	EvSpread = "spread"
 	// EvOrder reports one netorder node-ordering pass: the network-aware
 	// node permutation and the J objective before/after.
 	EvOrder = "order"
@@ -99,9 +83,6 @@ const (
 	SpanLaunch = "launch"
 	// SpanReorder is the communicator-reorder post-pass stage.
 	SpanReorder = "reorder"
-	// SpanFaultAware is the fault-aware critical-rank spread post-pass
-	// stage.
-	SpanFaultAware = "faultaware"
 	// SpanGenerate is topogen's cluster construction phase.
 	SpanGenerate = "generate"
 	// SpanNetOrder is the network-aware node-ordering post-pass stage.
@@ -132,12 +113,6 @@ var vocab = []VocabEntry{
 
 	{SrcPipeline, EvStage},
 
-	{SrcRM, EvReallocRetry},
-	{SrcRM, EvReallocExhausted},
-	{SrcRM, EvSparePlan},
-
-	{SrcFaultAware, EvSpread},
-
 	{SrcNetSim, EvOrder},
 	{SrcNetSim, EvRefine},
 
@@ -151,7 +126,7 @@ var vocab = []VocabEntry{
 // spanNames is the registered phase-span label set.
 var spanNames = []string{
 	SpanPrune, SpanBuildShape, SpanSweep, SpanPlace,
-	SpanBind, SpanLaunch, SpanReorder, SpanFaultAware, SpanGenerate,
+	SpanBind, SpanLaunch, SpanReorder, SpanGenerate,
 	SpanNetOrder, SpanNetRefine,
 }
 

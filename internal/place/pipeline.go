@@ -67,7 +67,7 @@ func (pl *Pipeline) Run(ctx context.Context, req *Request) (*core.Map, error) {
 				st.StageName(), m.NumRanks(), next.NumRanks())
 		}
 		if o.Enabled() {
-			o.Emit(obs.SrcPipeline, obs.EvStage, obs.NoStep,
+			o.Emit(obs.SrcPipeline, obs.EvStage,
 				obs.F("stage", st.StageName()),
 				obs.F("policy", pl.Policy.Name()),
 				obs.F("ranks", next.NumRanks()),

@@ -220,7 +220,7 @@ func Run(ctx context.Context, p Policy, req *Request) (*core.Map, error) {
 	if err != nil {
 		o.Reg().Counter("lama_map_stalls_total").Inc()
 		if o.Enabled() {
-			o.Emit(obs.SrcMap, obs.EvStall, obs.NoStep,
+			o.Emit(obs.SrcMap, obs.EvStall,
 				obs.F("policy", p.Name()),
 				obs.F("np", req.NP),
 				obs.F("error", err.Error()))
@@ -234,7 +234,7 @@ func Run(ctx context.Context, p Policy, req *Request) (*core.Map, error) {
 		reg.Counter("lama_ranks_placed_total").Add(int64(len(m.Placements)))
 	}
 	if o.Enabled() {
-		o.Emit(obs.SrcMap, obs.EvDone, obs.NoStep,
+		o.Emit(obs.SrcMap, obs.EvDone,
 			obs.F("policy", p.Name()),
 			obs.F("np", req.NP),
 			obs.F("placed", len(m.Placements)),

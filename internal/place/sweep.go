@@ -68,7 +68,7 @@ func SweepEach(ctx context.Context, jobs []Job, workers int, visit func(i int, m
 	}
 	workers = parallel.Workers(len(jobs), workers)
 	if o.Enabled() {
-		o.Emit(obs.SrcSweep, obs.EvStart, obs.NoStep,
+		o.Emit(obs.SrcSweep, obs.EvStart,
 			obs.F("jobs", len(jobs)), obs.F("workers", workers))
 	}
 	mappers := make([]core.Mapper, workers)
@@ -93,14 +93,14 @@ func SweepEach(ctx context.Context, jobs []Job, workers int, visit func(i int, m
 		m, err := (&Pipeline{Policy: job.Policy, Stages: job.Stages}).Run(ctx, &req)
 		if err != nil {
 			if o.Enabled() {
-				o.Emit(obs.SrcSweep, obs.EvJobFailed, obs.NoStep,
+				o.Emit(obs.SrcSweep, obs.EvJobFailed,
 					obs.F("index", i), obs.F("policy", job.Policy.Name()),
 					obs.F("error", err.Error()))
 			}
 			return err
 		}
 		if o.Enabled() {
-			o.Emit(obs.SrcSweep, obs.EvJob, obs.NoStep,
+			o.Emit(obs.SrcSweep, obs.EvJob,
 				obs.F("index", i), obs.F("policy", job.Policy.Name()),
 				obs.F("placed", len(m.Placements)), obs.F("sweeps", m.Sweeps),
 				obs.F("us", float64(time.Since(jobStart))/float64(time.Microsecond))) //lama:nondet-ok latency observability only, never reaches mapping output
@@ -116,7 +116,7 @@ func SweepEach(ctx context.Context, jobs []Job, workers int, visit func(i int, m
 			if err != nil {
 				fields = append(fields, obs.F("error", err.Error()))
 			}
-			o.Emit(obs.SrcSweep, obs.EvDone, obs.NoStep, fields...)
+			o.Emit(obs.SrcSweep, obs.EvDone, fields...)
 		}
 	}
 	return err

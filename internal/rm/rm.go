@@ -13,7 +13,6 @@ import (
 
 	"lama/internal/cluster"
 	"lama/internal/hw"
-	"lama/internal/obs"
 )
 
 // Policy selects the allocation granularity.
@@ -54,21 +53,12 @@ type Allocation struct {
 	policy Policy
 	// cores[nodeIdx] lists granted core logical indices in the pool node.
 	cores map[int][]int
-	// spares lists pool node indices reserved as whole-node spares, in
-	// reservation order (see AllocWithSpares / Realloc).
-	spares []int
 }
 
 // Manager owns a node pool and tracks which cores are busy.
 type Manager struct {
-	// Obs optionally reports allocation-time decisions (domain-aware spare
-	// reservation) as "rm" events. Nil disables them; Realloc-time events
-	// use RetryConfig.Obs instead.
-	Obs *obs.Observer
-
 	pool   *cluster.Cluster
 	busy   []map[int]bool // per pool node: core logical index -> busy
-	failed []bool         // per pool node: marked failed, never granted again
 	nextID int
 	live   map[int]*Allocation
 }
@@ -76,7 +66,7 @@ type Manager struct {
 // NewManager creates a manager over the pool. The pool is not copied; the
 // manager assumes exclusive ownership.
 func NewManager(pool *cluster.Cluster) *Manager {
-	m := &Manager{pool: pool, live: map[int]*Allocation{}, failed: make([]bool, len(pool.Nodes))}
+	m := &Manager{pool: pool, live: map[int]*Allocation{}}
 	for range pool.Nodes {
 		m.busy = append(m.busy, map[int]bool{})
 	}
@@ -155,7 +145,6 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 
 	alloc := &Allocation{ID: m.nextID, policy: policy, cores: plan, Granted: &cluster.Cluster{}}
 	m.nextID++
-	var grantedPool []int
 	for i, node := range m.pool.Nodes {
 		granted, ok := plan[i]
 		if !ok {
@@ -170,15 +159,10 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 			view.Topo.Restrict(allowed)
 		}
 		alloc.Granted.Nodes = append(alloc.Granted.Nodes, view)
-		grantedPool = append(grantedPool, i)
 		for _, ci := range granted {
 			m.busy[i][ci] = true
 		}
 	}
-	// The grant carries the failure-domain picture of exactly its nodes,
-	// so the job's mapping pipeline can spread critical ranks without ever
-	// seeing the whole pool.
-	alloc.Granted.Faults = m.pool.Faults.Derive(grantedPool)
 	m.live[alloc.ID] = alloc
 	return alloc, nil
 }
@@ -208,7 +192,6 @@ func (m *Manager) Release(a *Allocation) error {
 			delete(m.busy[i], ci)
 		}
 	}
-	m.unreserveSpares(a)
 	delete(m.live, a.ID)
 	return nil
 }
