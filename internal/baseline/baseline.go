@@ -70,55 +70,6 @@ func (p *placer) exhausted(name string) error {
 	return fmt.Errorf("baseline: %s: %d ranks exceed %d processing units", name, p.np, p.n)
 }
 
-// appendThread appends the PUs of ups, a topology's usable PUs in DFS
-// order, that are usable hardware thread t of their core, in core order.
-// A core's usable PUs form one contiguous run of ups; PUs that do not sit
-// on a core (decoded trees may omit the level) are no slot.
-func appendThread(dst, ups []*hw.Object, t int) []*hw.Object {
-	var run *hw.Object
-	k := 0 // pu's index within its run
-	for _, pu := range ups {
-		if pu.Parent != run {
-			run, k = pu.Parent, 0
-		} else {
-			k++
-		}
-		if k == t && run.Level == hw.LevelCore {
-			dst = append(dst, pu)
-		}
-	}
-	return dst
-}
-
-// slotLists holds every node's slots in the conventional thread-major
-// order: the first hardware threads of all its cores, then the second
-// threads, and so on (ragged when cores differ in thread count). A node's
-// list is computed when first asked for; nodes are first asked for in
-// index order, so the computed lists are always a prefix of the nodes.
-type slotLists struct {
-	c    *cluster.Cluster
-	buf  []*hw.Object
-	ends []int // node i's slots are buf[ends[i-1]:ends[i]]
-}
-
-func (s *slotLists) node(i int) []*hw.Object {
-	for len(s.ends) <= i {
-		ups := s.c.Nodes[len(s.ends)].Topo.UsablePUs()
-		for t := 0; ; t++ {
-			n := len(s.buf)
-			if s.buf = appendThread(s.buf, ups, t); len(s.buf) == n {
-				break
-			}
-		}
-		s.ends = append(s.ends, len(s.buf))
-	}
-	start := 0
-	if i > 0 {
-		start = s.ends[i-1]
-	}
-	return s.buf[start:s.ends[i]]
-}
-
 // BySlot packs ranks onto the slots of each node in turn: all first
 // hardware threads of node 0's cores, node 1's, ..., then second threads
 // (the "bunch/pack/block" pattern of §II). Equivalent to LAMA "csbnh" on
@@ -128,12 +79,10 @@ func BySlot(c *cluster.Cluster, np int) (*core.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	var thread []*hw.Object
 	for t := 0; ; t++ {
 		progressed := false
 		for i, node := range c.Nodes {
-			thread = appendThread(thread[:0], node.Topo.UsablePUs(), t)
-			for _, pu := range thread {
+			for _, pu := range node.Topo.ThreadRound(t) {
 				if p.add(i, pu) {
 					return p.m, nil
 				}
@@ -148,17 +97,17 @@ func BySlot(c *cluster.Cluster, np int) (*core.Map, error) {
 
 // ByNode deals ranks round-robin across nodes (the "scatter/cyclic"
 // pattern of §II): rank r goes to node r mod N, taking that node's next
-// free slot. Equivalent to LAMA "ncsbh" on regular homogeneous machines.
+// free slot in thread-major order (hw.Topology.ThreadMajorPUs).
+// Equivalent to LAMA "ncsbh" on regular homogeneous machines.
 func ByNode(c *cluster.Cluster, np int) (*core.Map, error) {
 	p, err := newPlacer(c, np)
 	if err != nil {
 		return nil, err
 	}
-	slots := slotLists{c: c}
 	for round := 0; ; round++ {
 		progressed := false
-		for i := range c.Nodes {
-			if s := slots.node(i); round < len(s) {
+		for i, node := range c.Nodes {
+			if s := node.Topo.ThreadMajorPUs(); round < len(s) {
 				if p.add(i, s[round]) {
 					return p.m, nil
 				}
@@ -287,19 +236,18 @@ func Plane(c *cluster.Cluster, blockSize, np int) (*core.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots := slotLists{c: c}
 	cursor := make([]int, c.NumNodes())
 	for node := 0; ; node = (node + 1) % c.NumNodes() {
 		// Find the next node with capacity, starting from `node`.
 		tried := 0
-		for tried < c.NumNodes() && cursor[node] >= len(slots.node(node)) {
+		for tried < c.NumNodes() && cursor[node] >= len(c.Nodes[node].Topo.ThreadMajorPUs()) {
 			node = (node + 1) % c.NumNodes()
 			tried++
 		}
 		if tried == c.NumNodes() {
 			return nil, p.exhausted("plane")
 		}
-		s := slots.node(node)
+		s := c.Nodes[node].Topo.ThreadMajorPUs()
 		for k := 0; k < blockSize && cursor[node] < len(s); k++ {
 			if p.add(node, s[cursor[node]]) {
 				return p.m, nil

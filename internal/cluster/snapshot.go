@@ -83,6 +83,36 @@ func SnapshotOf(c *Cluster) *Snapshot {
 	return s
 }
 
+// HomogeneousSnapshot captures n identical spec-built nodes named
+// node0..node(n-1) at epoch 1: the snapshot SnapshotOf(Homogeneous(n, sp))
+// captures, built from one frozen tree and one node signature that every
+// node shares, instead of n trees that the capture then collapses to one.
+// It panics on a non-positive n or an invalid spec, as Homogeneous does.
+//
+//lama:mutator
+//lama:cow Snapshot
+//lama:cow Node
+func HomogeneousSnapshot(n int, sp hw.Spec) *Snapshot {
+	if n <= 0 {
+		panic(fmt.Sprintf("cluster: non-positive node count %d", n))
+	}
+	s := &Snapshot{
+		epoch:    1,
+		c:        &Cluster{Nodes: make([]*Node, n)},
+		nodeSigs: make([]string, n),
+	}
+	topo := hw.New(sp)
+	for i := range s.c.Nodes {
+		s.c.Nodes[i] = &Node{Name: fmt.Sprintf("node%d", i), Topo: topo, Slots: 0, MaxSlots: 0}
+	}
+	sig := nodeSig(s.c.Nodes[0])
+	for i := range s.nodeSigs {
+		s.nodeSigs[i] = sig
+	}
+	s.sig = combineSigs(s.nodeSigs)
+	return s
+}
+
 // Epoch returns the snapshot's epoch (1 for a fresh capture, parent+1 for
 // every derived snapshot).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }

@@ -210,6 +210,50 @@ func TestSnapshotOfSharesTopologies(t *testing.T) {
 	}
 }
 
+// TestHomogeneousSnapshotMatchesSnapshotOf holds HomogeneousSnapshot to
+// the capture it replaces, SnapshotOf(Homogeneous(n, sp)): the same Sig,
+// epoch, node names, slots and every node's state key, one shared tree,
+// and the same again after a FailPUs derivation on each.
+func TestHomogeneousSnapshotMatchesSnapshotOf(t *testing.T) {
+	fig2, ok := hw.Preset("fig2")
+	if !ok {
+		t.Fatal("preset missing")
+	}
+	for _, sp := range []hw.Spec{specNehalem(t), fig2} {
+		for _, n := range []int{1, 3, 64} {
+			got, want := HomogeneousSnapshot(n, sp), SnapshotOf(Homogeneous(n, sp))
+			if d := distinctTopos(got.Cluster()); d != 1 {
+				t.Fatalf("%s × %d: %d topologies, want 1", sp, n, d)
+			}
+			sameSnapshot(t, fmt.Sprintf("%s × %d", sp, n), got, want)
+			fail := hw.NewCPUSet(1, 2)
+			got, _ = got.FailPUs(n-1, fail)
+			want, _ = want.FailPUs(n-1, fail)
+			sameSnapshot(t, fmt.Sprintf("%s × %d after FailPUs", sp, n), got, want)
+		}
+	}
+}
+
+// sameSnapshot fails unless got and want are the same snapshot node by
+// node: Sig, epoch, names, slots and topology state keys.
+func sameSnapshot(t *testing.T, name string, got, want *Snapshot) {
+	t.Helper()
+	if got.Sig() != want.Sig() || got.Epoch() != want.Epoch() || got.NumNodes() != want.NumNodes() {
+		t.Fatalf("%s: sig %s epoch %d nodes %d, want %s %d %d", name,
+			got.Sig(), got.Epoch(), got.NumNodes(), want.Sig(), want.Epoch(), want.NumNodes())
+	}
+	for i, g := range got.Cluster().Nodes {
+		w := want.Cluster().Node(i)
+		if g.Name != w.Name || g.Slots != w.Slots || g.MaxSlots != w.MaxSlots {
+			t.Fatalf("%s: node %d is %s slots %d/%d, want %s %d/%d", name, i,
+				g.Name, g.Slots, g.MaxSlots, w.Name, w.Slots, w.MaxSlots)
+		}
+		if string(g.Topo.AppendStateKey(nil)) != string(w.Topo.AppendStateKey(nil)) {
+			t.Fatalf("%s: node %d's topology differs", name, i)
+		}
+	}
+}
+
 // nodeState is what a derivation must leave alone on every node it does
 // not touch: the tree, what it offers, its signature recomputed from the
 // tree and the signature the snapshot stored.
@@ -324,5 +368,18 @@ func BenchmarkSnapshotOf(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SnapshotOf(c)
+	}
+}
+
+// BenchmarkHomogeneousSnapshot builds the same 4096-node site directly,
+// as lamad's -clusters does.
+func BenchmarkHomogeneousSnapshot(b *testing.B) {
+	sp, ok := hw.Preset("nehalem-ep")
+	if !ok {
+		b.Fatal("preset missing")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		HomogeneousSnapshot(4096, sp)
 	}
 }

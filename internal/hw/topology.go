@@ -103,6 +103,11 @@ type Topology struct {
 	// usable is the usable PUs in DFS order, set by every mutator as its
 	// last step and never on read; see UsablePUs.
 	usable []*Object
+	// threadMajor is the usable PUs that sit on a core in thread-major
+	// order, and roundEnds[r] the end of its thread round r; both are set
+	// with usable. See ThreadMajorPUs.
+	threadMajor []*Object
+	roundEnds   []int
 }
 
 // Generation returns the topology's mutation counter. It starts at zero
@@ -169,25 +174,57 @@ func New(sp Spec) *Topology {
 	return t
 }
 
-// refreshUsable recomputes the usable-PU list after a mutation. When every
-// object is available, which is how every spec-built node starts, the list
-// is the PU index itself: no copy, no allocation. Otherwise it is a fresh
-// slice, so a list handed out before the mutation is never rewritten.
+// refreshUsable recomputes the usable-PU list and its thread-major order
+// after a mutation. When every object is available, which is how every
+// spec-built node starts, the usable list is the PU index itself: no copy,
+// no allocation. Otherwise it is a fresh slice, and so is the thread-major
+// list always, so a list handed out before the mutation is never
+// rewritten.
 //
 //lama:mutator
 func (t *Topology) refreshUsable() {
 	pus := t.byLevel[LevelPU]
 	if t.allAvailable() {
 		t.usable = pus[:len(pus):len(pus)]
-		return
-	}
-	usable := make([]*Object, 0, len(pus))
-	for _, pu := range pus {
-		if pu.Usable() {
-			usable = append(usable, pu)
+	} else {
+		usable := make([]*Object, 0, len(pus))
+		for _, pu := range pus {
+			if pu.Usable() {
+				usable = append(usable, pu)
+			}
 		}
+		t.usable = usable[:len(usable):len(usable)]
 	}
-	t.usable = usable[:len(usable):len(usable)]
+	t.threadMajor, t.roundEnds = threadMajor(t.usable)
+}
+
+// threadMajor orders ups, a topology's usable PUs in DFS order, thread
+// round by thread round: usable hardware thread r of every core, in core
+// order, is round r. A core's usable PUs form one contiguous run of ups;
+// PUs that do not sit on a core (decoded trees may omit the level) are in
+// no round. Rounds stop at the first empty one, so they are ragged only
+// when cores differ in usable thread count.
+func threadMajor(ups []*Object) (order []*Object, ends []int) {
+	order = make([]*Object, 0, len(ups))
+	for r := 0; ; r++ {
+		n := len(order)
+		var run *Object
+		k := 0 // pu's index within its run
+		for _, pu := range ups {
+			if pu.Parent != run {
+				run, k = pu.Parent, 0
+			} else {
+				k++
+			}
+			if k == r && run.Level == LevelCore {
+				order = append(order, pu)
+			}
+		}
+		if len(order) == n {
+			return order[:n:n], ends
+		}
+		ends = append(ends, len(order))
+	}
 }
 
 // allAvailable reports whether no object of the tree is unavailable.
@@ -217,6 +254,26 @@ func (t *Topology) NumPUs() int { return len(t.byLevel[LevelPU]) }
 // The list is shared and read-only; mutators replace it, never rewrite it,
 // so readers of a published snapshot do not race.
 func (t *Topology) UsablePUs() []*Object { return t.usable }
+
+// ThreadMajorPUs returns the usable PUs that sit on a core in the
+// conventional thread-major slot order: the first hardware thread of
+// every core, then every second thread, and so on, in core order. Like
+// UsablePUs it is computed by the mutators, never on read, and is shared
+// and read-only.
+func (t *Topology) ThreadMajorPUs() []*Object { return t.threadMajor }
+
+// ThreadRound returns round r of ThreadMajorPUs: usable hardware thread r
+// of every core, in core order. It is empty for r past the last round.
+func (t *Topology) ThreadRound(r int) []*Object {
+	if r >= len(t.roundEnds) {
+		return nil
+	}
+	start := 0
+	if r > 0 {
+		start = t.roundEnds[r-1]
+	}
+	return t.threadMajor[start:t.roundEnds[r]:t.roundEnds[r]]
+}
 
 // NumUsablePUs returns the number of PUs whose ancestor chain is available.
 func (t *Topology) NumUsablePUs() int { return len(t.usable) }
@@ -419,7 +476,8 @@ func (t *Topology) Clone() *Topology {
 	}
 	c.Root = copyObj(t.Root, nil)
 	c.shapeSig = t.shapeSig
-	c.usable = nil // excluded from the copy: it holds t's objects; rebuilt below
+	// Excluded from the copy: they hold t's objects; rebuilt below.
+	c.usable, c.threadMajor, c.roundEnds = nil, nil, nil
 	c.refreshUsable()
 	return c
 }

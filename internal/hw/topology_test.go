@@ -432,9 +432,33 @@ func TestQuickTopologyInvariants(t *testing.T) {
 }
 
 // sameUsable reports whether the topology's usable-PU list holds exactly
-// the objects, in the order, that walking the tree from Root finds.
+// the objects, in the order, that walking the tree from Root finds, and
+// whether its thread-major list and rounds deal the cores' usable PUs out
+// thread by thread.
 func sameUsable(t *Topology) bool {
-	return slices.Equal(t.UsablePUs(), t.Root.UsablePUs())
+	if !slices.Equal(t.UsablePUs(), t.Root.UsablePUs()) {
+		return false
+	}
+	var cores [][]*Object // every core's usable PUs, in core order
+	for _, c := range t.Objects(LevelCore) {
+		cores = append(cores, c.UsablePUs())
+	}
+	var all []*Object
+	for r := 0; ; r++ {
+		var round []*Object
+		for _, pus := range cores {
+			if r < len(pus) {
+				round = append(round, pus[r])
+			}
+		}
+		if !slices.Equal(t.ThreadRound(r), round) {
+			return false
+		}
+		if len(round) == 0 {
+			return slices.Equal(t.ThreadMajorPUs(), all)
+		}
+		all = append(all, round...)
+	}
 }
 
 func TestQuickRestrictMonotone(t *testing.T) {

@@ -124,24 +124,27 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 		maxT = max(maxT, node.Topo.NumUsablePUs())
 		total += node.Topo.NumUsablePUs()
 	}
-	widths := map[byte]int{'x': dims.X, 'y': dims.Y, 'z': dims.Z, 't': maxT}
 	order = strings.ToLower(order)
+	// widths and coord are indexed by a letter's position in order, and
+	// x, y, z and t name the positions of the letters.
+	var widths, coord [4]int
+	x, y, z, t := strings.IndexByte(order, 'x'), strings.IndexByte(order, 'y'),
+		strings.IndexByte(order, 'z'), strings.IndexByte(order, 't')
+	widths[x], widths[y], widths[z], widths[t] = dims.X, dims.Y, dims.Z, maxT
 
 	// Placements and their one-PU windows are sized once, capped at the
 	// usable PUs so an np past capacity allocates no more than the cluster.
 	m := &core.Map{Placements: make([]core.Placement, 0, min(np, total)), Sweeps: 1}
 	pus := make([]int, 0, min(np, total))
-	coord := map[byte]int{}
 	var iterate func(pos int) bool // returns true when np ranks placed
 	iterate = func(pos int) bool {
 		if pos < 0 {
-			node := dims.NodeIndex(Coord{X: coord['x'], Y: coord['y'], Z: coord['z']})
-			t := coord['t']
+			node := dims.NodeIndex(Coord{X: coord[x], Y: coord[y], Z: coord[z]})
 			ups := c.Node(node).Topo.UsablePUs()
-			if t >= len(ups) {
+			if coord[t] >= len(ups) {
 				return false // node has fewer PUs than maxT: skip
 			}
-			pu, rank := ups[t], len(m.Placements)
+			pu, rank := ups[coord[t]], len(m.Placements)
 			pus = append(pus, pu.OS)
 			m.Placements = append(m.Placements, core.Placement{
 				Rank:     rank,
@@ -153,9 +156,8 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 			})
 			return len(m.Placements) == np
 		}
-		letter := order[pos]
-		for v := 0; v < widths[letter]; v++ {
-			coord[letter] = v
+		for v := 0; v < widths[pos]; v++ {
+			coord[pos] = v
 			if iterate(pos - 1) {
 				return true
 			}
