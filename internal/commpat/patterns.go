@@ -7,12 +7,12 @@ import (
 // Ring produces a 1-D periodic nearest-neighbor exchange: each rank sends
 // bytes to its two ring neighbors.
 func Ring(n int, bytes float64) *Matrix {
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	for i := 0; i < n; i++ {
 		b.Add(i, (i+1)%n, bytes)
 		b.Add(i, (i-1+n)%n, bytes)
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // Grid2D chooses a near-square process grid px*py == n (px <= py).
@@ -53,7 +53,7 @@ func Grid3D(n int) (px, py, pz int) {
 // Stencil2D produces a 5-point 2-D stencil halo exchange over a px*py
 // grid (row-major rank order). Periodic selects torus boundaries.
 func Stencil2D(px, py int, bytes float64, periodic bool) *Matrix {
-	b := NewBuilder(px * py)
+	b := newPooledBuilder(px * py)
 	id := func(x, y int) int { return y*px + x }
 	for y := 0; y < py; y++ {
 		for x := 0; x < px; x++ {
@@ -68,13 +68,13 @@ func Stencil2D(px, py int, bytes float64, periodic bool) *Matrix {
 			}
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // Stencil3D produces a 7-point 3-D stencil halo exchange over a px*py*pz
 // grid (x fastest).
 func Stencil3D(px, py, pz int, bytes float64, periodic bool) *Matrix {
-	b := NewBuilder(px * py * pz)
+	b := newPooledBuilder(px * py * pz)
 	id := func(x, y, z int) int { return (z*py+y)*px + x }
 	dirs := [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 	for z := 0; z < pz; z++ {
@@ -92,25 +92,25 @@ func Stencil3D(px, py, pz int, bytes float64, periodic bool) *Matrix {
 			}
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // AllToAll produces uniform all-to-all traffic (every ordered pair
 // exchanges bytes), the worst case for any placement.
 func AllToAll(n int, bytes float64) *Matrix {
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	b.ent = make([]entry, 0, n*(n-1)) // exact: no growth copies at the densest pattern
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			b.Add(i, j, bytes)
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // RandomPairs produces traffic between `pairs` random distinct rank pairs.
 func RandomPairs(n, pairs int, bytes float64, seed int64) *Matrix {
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	r := rand.New(rand.NewSource(seed))
 	for k := 0; k < pairs; k++ {
 		i, j := r.Intn(n), r.Intn(n)
@@ -119,7 +119,7 @@ func RandomPairs(n, pairs int, bytes float64, seed int64) *Matrix {
 		}
 		b.AddSym(i, j, bytes)
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // GTC models the Gyrokinetic Toroidal Code's communication (paper §II,
@@ -128,7 +128,7 @@ func RandomPairs(n, pairs int, bytes float64, seed int64) *Matrix {
 // grid-reduction component within poloidal groups of size g (every rank
 // talks to the other members of its group at 1/8 the neighbor volume).
 func GTC(n int, bytes float64) *Matrix {
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	// Toroidal shifts dominate.
 	for i := 0; i < n; i++ {
 		b.Add(i, (i+1)%n, bytes)
@@ -143,14 +143,14 @@ func GTC(n int, bytes float64) *Matrix {
 			}
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // NASCG proxies the NAS CG benchmark: ranks form a 2-D grid; each rank
 // exchanges with its row partner(s) during the matrix-vector product and
 // with log-distance partners during the reductions.
 func NASCG(n int, bytes float64) *Matrix {
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	px, _ := Grid2D(n)
 	for i := 0; i < n; i++ {
 		// Transpose-style partner in the row.
@@ -168,7 +168,7 @@ func NASCG(n int, bytes float64) *Matrix {
 			}
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // NASMG proxies the NAS MG benchmark: a 3-D stencil whose halo exchanges
@@ -176,7 +176,7 @@ func NASCG(n int, bytes float64) *Matrix {
 // with geometrically decreasing volume.
 func NASMG(n int, bytes float64) *Matrix {
 	px, py, pz := Grid3D(n)
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	id := func(x, y, z int) int { return (z*py+y)*px + x }
 	for _, stride := range []int{1, 2, 4} {
 		vol := bytes / float64(stride)
@@ -195,7 +195,7 @@ func NASMG(n int, bytes float64) *Matrix {
 			}
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // NASFT proxies the NAS FT benchmark: the distributed FFT's transpose is
@@ -208,7 +208,7 @@ func NASFT(n int, bytes float64) *Matrix {
 // sends to its +x and +y neighbors (directional, non-periodic).
 func NASLU(n int, bytes float64) *Matrix {
 	px, py := Grid2D(n)
-	b := NewBuilder(n)
+	b := newPooledBuilder(n)
 	id := func(x, y int) int { return y*px + x }
 	for y := 0; y < py; y++ {
 		for x := 0; x < px; x++ {
@@ -220,7 +220,7 @@ func NASLU(n int, bytes float64) *Matrix {
 			}
 		}
 	}
-	return b.Build()
+	return b.buildPooled()
 }
 
 // Pattern is a named traffic generator with a fixed per-exchange volume,
