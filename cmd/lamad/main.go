@@ -12,7 +12,7 @@
 //	curl -s -X POST localhost:8080/v1/clusters/prod/events \
 //	     -d '{"type":"fail-node","node":17}'
 //
-// Placements are cached per snapshot signature and epoch, in a cache
+// Placements are cached per published snapshot, in a cache
 // bounded by the bytes it holds. A LAMA or baseline run serves every
 // smaller np on the same cluster, layout and options from its first
 // ranks, written from placements bytes encoded once. A mutation event swaps the

@@ -30,9 +30,10 @@ import (
 //     is deriving a copy-on-write child. Mutating a scratch clone that
 //     was never reached through a snapshot is fine and not reported.
 //   - A function annotated //lama:cow <Type> must reference every field
-//     of that struct (the field-exhaustiveness check): clone/derive/Sig
-//     functions carry it, so adding a struct field cannot silently escape
-//     the copy or the placement-equivalence fingerprint. Deliberate
+//     of that struct (the field-exhaustiveness check): the capture,
+//     derivation and node-signature functions carry it, so adding a
+//     struct field cannot silently escape the copy or the displayed
+//     placement-equivalence digest. Deliberate
 //     exclusions are expressed as explicit references (`_ = n.Name`).
 //
 // Individual accepted mutations carry //lama:mutation-ok <reason>.

@@ -155,20 +155,6 @@ func (c *Cluster) Homogeneous() bool {
 	return true
 }
 
-// Clone deep-copies the cluster.
-//
-//lama:cow Cluster
-//lama:cow Node
-func (c *Cluster) Clone() *Cluster {
-	out := &Cluster{}
-	for _, n := range c.Nodes {
-		out.Nodes = append(out.Nodes, &Node{
-			Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots,
-		})
-	}
-	return out
-}
-
 // Summary renders a short multi-line description of the cluster.
 func (c *Cluster) Summary() string {
 	var sb strings.Builder

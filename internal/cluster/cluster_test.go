@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -89,19 +90,6 @@ func TestEffectiveSlots(t *testing.T) {
 	}
 	if got := c.TotalSlots(); got != 2 {
 		t.Fatalf("TotalSlots = %d", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	c := Homogeneous(2, specNehalem(t))
-	c.Nodes[0].Slots = 4
-	cp := c.Clone()
-	cp.Nodes[0].Topo.Restrict(hw.NewCPUSet(0))
-	if c.Nodes[0].Topo.NumUsablePUs() != 16 {
-		t.Fatal("clone aliases original topology")
-	}
-	if cp.Nodes[0].Slots != 4 || cp.Nodes[0].Name != "node0" {
-		t.Fatal("clone lost fields")
 	}
 }
 
@@ -202,20 +190,14 @@ func TestHostfileSlotValidation(t *testing.T) {
 
 func TestFailNode(t *testing.T) {
 	c := Homogeneous(3, specNehalem(t))
-	if c.NodeFailed(0) || c.UsableNodes() != 3 {
-		t.Fatal("fresh cluster should be healthy")
+	if got := fmt.Sprint(usablePUs(c)); got != "[16 16 16]" {
+		t.Fatalf("fresh cluster should be healthy: usable PUs %s", got)
 	}
 	if !c.FailNode(1) {
 		t.Fatal("FailNode(1) should succeed")
 	}
-	if !c.NodeFailed(1) || c.NodeFailed(0) || c.NodeFailed(2) {
-		t.Fatal("only node 1 should be failed")
-	}
-	if c.UsableNodes() != 2 {
-		t.Fatalf("UsableNodes = %d", c.UsableNodes())
-	}
-	if c.Nodes[1].Topo.NumUsablePUs() != 0 {
-		t.Fatal("failed node must have no usable PUs")
+	if got := fmt.Sprint(usablePUs(c)); got != "[16 0 16]" {
+		t.Fatalf("only node 1 should be failed: usable PUs %s", got)
 	}
 	if c.Nodes[1].EffectiveSlots() != 0 {
 		t.Fatalf("failed node slots = %d", c.Nodes[1].EffectiveSlots())
@@ -224,8 +206,8 @@ func TestFailNode(t *testing.T) {
 	if !c.FailNode(1) || c.FailNode(7) || c.FailNode(-1) {
 		t.Fatal("FailNode bounds")
 	}
-	if !c.NodeFailed(99) {
-		t.Fatal("unknown node reports failed")
+	if got := fmt.Sprint(usablePUs(c)); got != "[16 0 16]" {
+		t.Fatalf("idempotent and out-of-range FailNode changed the cluster: usable PUs %s", got)
 	}
 }
 
@@ -247,12 +229,12 @@ func TestFailPUs(t *testing.T) {
 	if c.FailPUs(0, nil) != 0 {
 		t.Fatal("nil set")
 	}
-	if c.NodeFailed(0) {
+	if n.Topo.NumUsablePUs() == 0 {
 		t.Fatal("partial failure must not fail the node")
 	}
 	// Failing every PU fails the node.
 	c.FailPUs(1, hw.CPUSetRange(0, 15))
-	if !c.NodeFailed(1) {
-		t.Fatal("node 1 should be fully failed")
+	if got := c.Node(1).Topo.NumUsablePUs(); got != 0 {
+		t.Fatalf("node 1 should be fully failed, has %d usable PUs", got)
 	}
 }

@@ -40,24 +40,3 @@ func (c *Cluster) FailPUs(i int, pus *hw.CPUSet) int {
 	}
 	return n.Topo.Offline(pus)
 }
-
-// NodeFailed reports whether node i has no usable PUs left (fully failed
-// or fully restricted). Unknown nodes report true.
-func (c *Cluster) NodeFailed(i int) bool {
-	n := c.Node(i)
-	if n == nil {
-		return true
-	}
-	return n.Topo.NumUsablePUs() == 0
-}
-
-// UsableNodes returns the number of nodes with at least one usable PU.
-func (c *Cluster) UsableNodes() int {
-	alive := 0
-	for i := range c.Nodes {
-		if !c.NodeFailed(i) {
-			alive++
-		}
-	}
-	return alive
-}

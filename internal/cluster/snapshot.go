@@ -34,9 +34,11 @@ import (
 // mutations never change) is reused even for the touched node.
 //
 // Each derived snapshot carries an epoch, one greater than its parent's.
-// Epochs order the snapshots of one logical cluster and key placement
-// caches and pooled mapper state (internal/engine); a request carrying a
-// stale epoch is detectably out of date.
+// Epochs order the snapshots of one logical cluster, and a request
+// carrying a stale epoch is detectably out of date. They do not name a
+// snapshot: a rollback can republish an earlier one and derive a second
+// snapshot at an epoch already used, so the engine keys its placement
+// cache by its own publication number instead (internal/engine).
 //
 // lamavet's snapfrozen analyzer enforces the contract: writes into a
 // Snapshot are only legal in the //lama:mutator functions below, and
@@ -44,10 +46,8 @@ import (
 //
 //lama:frozen
 type Snapshot struct {
-	epoch    uint64
-	c        *Cluster
-	nodeSigs []string
-	sig      string
+	epoch uint64
+	c     *Cluster
 }
 
 // SnapshotOf atomically captures a live cluster into an immutable snapshot
@@ -61,11 +61,7 @@ type Snapshot struct {
 //lama:cow Cluster
 //lama:cow Node
 func SnapshotOf(c *Cluster) *Snapshot {
-	s := &Snapshot{
-		epoch:    1,
-		c:        &Cluster{Nodes: make([]*Node, len(c.Nodes))},
-		nodeSigs: make([]string, len(c.Nodes)),
-	}
+	s := &Snapshot{epoch: 1, c: &Cluster{Nodes: make([]*Node, len(c.Nodes))}}
 	shared := map[string]*hw.Topology{}
 	var key []byte
 	for i, n := range c.Nodes {
@@ -75,19 +71,17 @@ func SnapshotOf(c *Cluster) *Snapshot {
 			t = n.Topo.Clone()
 			shared[string(key)] = t
 		}
-		nn := &Node{Name: n.Name, Topo: t, Slots: n.Slots, MaxSlots: n.MaxSlots}
-		s.c.Nodes[i] = nn
-		s.nodeSigs[i] = nodeSig(nn)
+		s.c.Nodes[i] = &Node{Name: n.Name, Topo: t, Slots: n.Slots, MaxSlots: n.MaxSlots}
 	}
-	s.sig = combineSigs(s.nodeSigs)
 	return s
 }
 
 // HomogeneousSnapshot captures n identical spec-built nodes named
 // node0..node(n-1) at epoch 1: the snapshot SnapshotOf(Homogeneous(n, sp))
-// captures, built from one frozen tree and one node signature that every
-// node shares, instead of n trees that the capture then collapses to one.
-// It panics on a non-positive n or an invalid spec, as Homogeneous does.
+// captures, built from one frozen tree that every node shares, instead of
+// n trees that the capture then collapses to one. It computes no
+// signature; Sig does that on demand. It panics on a non-positive n or an
+// invalid spec, as Homogeneous does.
 //
 //lama:mutator
 //lama:cow Snapshot
@@ -96,20 +90,11 @@ func HomogeneousSnapshot(n int, sp hw.Spec) *Snapshot {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive node count %d", n))
 	}
-	s := &Snapshot{
-		epoch:    1,
-		c:        &Cluster{Nodes: make([]*Node, n)},
-		nodeSigs: make([]string, n),
-	}
+	s := &Snapshot{epoch: 1, c: &Cluster{Nodes: make([]*Node, n)}}
 	topo := hw.New(sp)
 	for i := range s.c.Nodes {
 		s.c.Nodes[i] = &Node{Name: fmt.Sprintf("node%d", i), Topo: topo, Slots: 0, MaxSlots: 0}
 	}
-	sig := nodeSig(s.c.Nodes[0])
-	for i := range s.nodeSigs {
-		s.nodeSigs[i] = sig
-	}
-	s.sig = combineSigs(s.nodeSigs)
 	return s
 }
 
@@ -128,27 +113,45 @@ func (s *Snapshot) NumNodes() int { return len(s.c.Nodes) }
 // Sig returns a digest over every node's structural shape, availability
 // set, and slot configuration. Two snapshots with equal Sig are
 // placement-equivalent: any (layout, np, policy) request maps identically
-// on both. Placement caches key on it.
-func (s *Snapshot) Sig() string { return s.sig }
+// on both. It is computed on each call, in O(nodes), and is for display
+// only (lamad's /v1/clusters and start-up log); nothing keys on it.
+func (s *Snapshot) Sig() string {
+	// Nodes that share a frozen tree and a slot policy share a
+	// signature, so a homogeneous site formats one.
+	type stamp struct {
+		topo            *hw.Topology
+		slots, maxSlots int
+	}
+	memo := map[stamp]string{}
+	// The digest is order-sensitive: node order is the logical node
+	// numbering. Each node's signature is written NUL-terminated.
+	h := sha256.New()
+	var buf []byte
+	for _, n := range s.c.Nodes {
+		k := stamp{n.Topo, n.Slots, n.MaxSlots}
+		sig, ok := memo[k]
+		if !ok {
+			sig = nodeSig(n)
+			memo[k] = sig
+		}
+		buf = append(append(buf[:0], sig...), 0)
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
 
-// derive copies the snapshot's bookkeeping for a COW mutation: a fresh
-// Nodes slice (sharing every *Node pointer) and a fresh nodeSigs slice.
-// The caller then replaces only the touched entries — including sig,
-// which starts empty here precisely so a derivation that forgets to
-// restamp it is visibly broken rather than silently placement-equivalent
-// to its parent.
+// derive starts a COW mutation at the next epoch: a fresh Nodes slice
+// that shares every *Node pointer, in which the caller replaces only the
+// touched entry.
 //
 //lama:mutator
 //lama:cow Snapshot
 //lama:cow Cluster
 func (s *Snapshot) derive() *Snapshot {
-	child := &Snapshot{
-		epoch:    s.epoch + 1,
-		c:        &Cluster{Nodes: append([]*Node(nil), s.c.Nodes...)},
-		nodeSigs: append([]string(nil), s.nodeSigs...),
+	return &Snapshot{
+		epoch: s.epoch + 1,
+		c:     &Cluster{Nodes: append([]*Node(nil), s.c.Nodes...)},
 	}
-	child.sig = ""
-	return child
 }
 
 // FailNode derives a snapshot in which node i is fully failed. Only node
@@ -168,8 +171,6 @@ func (s *Snapshot) FailNode(i int) (*Snapshot, bool) {
 	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
 	nn.Topo.SetAvailable(hw.LevelMachine, 0, false)
 	child.c.Nodes[i] = nn
-	child.nodeSigs[i] = nodeSig(nn)
-	child.sig = combineSigs(child.nodeSigs)
 	return child, true
 }
 
@@ -192,8 +193,6 @@ func (s *Snapshot) FailPUs(i int, pus *hw.CPUSet) (*Snapshot, int) {
 	}
 	child := s.derive()
 	child.c.Nodes[i] = nn
-	child.nodeSigs[i] = nodeSig(nn)
-	child.sig = combineSigs(child.nodeSigs)
 	return child, changed
 }
 
@@ -206,8 +205,6 @@ func (s *Snapshot) AppendNode(n *Node) *Snapshot {
 	child := s.derive()
 	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
 	child.c.Nodes = append(child.c.Nodes, nn)
-	child.nodeSigs = append(child.nodeSigs, nodeSig(nn))
-	child.sig = combineSigs(child.nodeSigs)
 	return child
 }
 
@@ -226,16 +223,4 @@ func nodeSig(n *Node) string {
 	}
 	fmt.Fprintf(&sb, "|%d|%d", n.Slots, n.MaxSlots)
 	return sb.String()
-}
-
-// combineSigs digests the per-node signatures (order-sensitive: node order
-// is the logical node numbering) into a short stable key.
-func combineSigs(sigs []string) string {
-	h := sha256.New()
-	for _, s := range sigs {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:12])
 }

@@ -18,9 +18,26 @@ func TestSnapshotCaptureIsDeep(t *testing.T) {
 	}
 	// Mutating the live cluster must not leak into the snapshot.
 	c.FailNode(0)
-	if s.Cluster().NodeFailed(0) {
+	if s.Cluster().Node(0).Topo.NumUsablePUs() == 0 {
 		t.Fatal("snapshot saw a post-capture mutation")
 	}
+	// The capture keeps each node's fields; its tree is a copy, so
+	// restricting the live cluster's tree leaves the snapshot's alone.
+	c.Nodes[1].Slots = 4
+	s = SnapshotOf(c)
+	c.Nodes[1].Topo.Restrict(hw.NewCPUSet(0))
+	if n := s.Cluster().Node(1); n.Topo.NumUsablePUs() != 16 || n.Slots != 4 || n.Name != "node1" {
+		t.Fatalf("captured node 1: %s slots %d, %d usable PUs", n.Name, n.Slots, n.Topo.NumUsablePUs())
+	}
+}
+
+// usablePUs lists every node's usable PU count.
+func usablePUs(c *Cluster) []int {
+	out := make([]int, c.NumNodes())
+	for i, n := range c.Nodes {
+		out[i] = n.Topo.NumUsablePUs()
+	}
+	return out
 }
 
 func TestSnapshotFailNodeCOW(t *testing.T) {
@@ -34,12 +51,12 @@ func TestSnapshotFailNodeCOW(t *testing.T) {
 		t.Fatalf("derived epoch = %d, want 2", s2.Epoch())
 	}
 	// Parent is untouched.
-	if s1.Cluster().NodeFailed(1) || s1.Cluster().UsableNodes() != 4 {
-		t.Fatal("parent snapshot mutated by FailNode")
+	if got := fmt.Sprint(usablePUs(s1.Cluster())); got != "[16 16 16 16]" {
+		t.Fatalf("parent snapshot mutated by FailNode: usable PUs %s", got)
 	}
 	// Child sees the failure.
-	if !s2.Cluster().NodeFailed(1) || s2.Cluster().UsableNodes() != 3 {
-		t.Fatal("child snapshot missing the failure")
+	if got := fmt.Sprint(usablePUs(s2.Cluster())); got != "[16 0 16 16]" {
+		t.Fatalf("child snapshot missing the failure: usable PUs %s", got)
 	}
 	// Copy-on-write: untouched nodes share pointers, the failed one split.
 	for i := 0; i < 4; i++ {
@@ -57,7 +74,8 @@ func TestSnapshotFailNodeCOW(t *testing.T) {
 	if s1.Sig() == s2.Sig() {
 		t.Fatal("Sig must change across a failure")
 	}
-	if s1.nodeSigs[0] != s2.nodeSigs[0] || s1.nodeSigs[1] == s2.nodeSigs[1] {
+	sig := func(s *Snapshot, i int) string { return nodeSig(s.Cluster().Node(i)) }
+	if sig(s1, 0) != sig(s2, 0) || sig(s1, 1) == sig(s2, 1) {
 		t.Fatal("per-node sigs: twins stable, failed node split")
 	}
 	// Out of range: receiver returned unchanged.
@@ -255,18 +273,17 @@ func sameSnapshot(t *testing.T, name string, got, want *Snapshot) {
 }
 
 // nodeState is what a derivation must leave alone on every node it does
-// not touch: the tree, what it offers, its signature recomputed from the
-// tree and the signature the snapshot stored.
+// not touch: the tree, what it offers and its signature.
 type nodeState struct {
-	topo        *hw.Topology
-	usable      string
-	sig, stored string
+	topo   *hw.Topology
+	usable string
+	sig    string
 }
 
 func nodeStates(s *Snapshot) []nodeState {
 	out := make([]nodeState, s.NumNodes())
 	for i, n := range s.Cluster().Nodes {
-		out[i] = nodeState{n.Topo, usableOS(n), nodeSig(n), s.nodeSigs[i]}
+		out[i] = nodeState{n.Topo, usableOS(n), nodeSig(n)}
 	}
 	return out
 }

@@ -300,7 +300,12 @@ func TestMapReferenceKeysByNodeAndObject(t *testing.T) {
 			n.Slots = r.Intn(17)
 		}
 		snap := cluster.SnapshotOf(c).Cluster()
-		distinct := snap.Clone()
+		distinct := &cluster.Cluster{}
+		for _, n := range snap.Nodes {
+			own := *n
+			own.Topo = n.Topo.Clone()
+			distinct.Nodes = append(distinct.Nodes, &own)
+		}
 		for i := 1; i < snap.NumNodes(); i++ {
 			if snap.Node(i).Topo == snap.Node(0).Topo {
 				shared++

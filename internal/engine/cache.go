@@ -11,12 +11,12 @@ import (
 )
 
 // cacheKey identifies one stored placement run. Every field but np is
-// load-bearing for every policy. The epoch is, because a hit reports it:
-// Swap purges every older epoch of the cluster, so an entry never
-// outlives its epoch, and a Sig-equal snapshot at a new epoch misses once
-// and then hits on its own entry. The Sig is, because Register can replace
-// a cluster's snapshot at the same epoch. Policy, layout, pes and
-// oversubscribe select the run; pattern and bytes are kept so that a
+// load-bearing for every policy. pub is the engine's publication number
+// of the snapshot the run was mapped on: every Register and Swap mints a
+// new one and none is reused, so an entry is served only for the snapshot
+// it was mapped on, even where a rollback re-register and replayed events
+// reach an epoch, or a snapshot, published before. Policy, layout, pes
+// and oversubscribe select the run; pattern and bytes are kept so that a
 // request naming an unknown pattern still fails rather than hit.
 //
 // np is in the key only for a policy that is not place.PrefixClosed. For
@@ -25,8 +25,8 @@ import (
 // longest run computed so far, and any np up to its length is served from
 // that run's first np ranks.
 type cacheKey struct {
-	cluster, sig   string
-	epoch          uint64
+	cluster        string
+	pub            uint64
 	policy, layout string
 	pattern        string
 	bytes          float64
@@ -35,15 +35,15 @@ type cacheKey struct {
 	np             int
 }
 
-// keyOf derives the cache key for a request against a snapshot, folding
+// keyOf derives the cache key for a request against a publication, folding
 // equivalent spellings together: policy "" is "lama", layout "" is
 // "csbnh" and pes_per_proc <= 0 is 1, as the mapper reads them. It
 // reports whether the policy is prefix-closed, and so left np out. The
 // caller has rejected a NaN Bytes: it would make a key that equals
 // nothing, not even itself.
-func keyOf(req *Request, sig string, epoch uint64) (cacheKey, bool) {
+func keyOf(req *Request, pub uint64) (cacheKey, bool) {
 	k := cacheKey{
-		cluster: req.Cluster, sig: sig, epoch: epoch,
+		cluster: req.Cluster, pub: pub,
 		policy: req.Policy, layout: req.Layout, pattern: req.Pattern,
 		bytes: req.Bytes, pes: max(req.PEsPerProc, 1),
 		oversubscribe: req.Oversubscribe, np: req.NP,
@@ -109,7 +109,7 @@ const entryOverhead = 384
 func (ce *cacheEntry) measure() int64 {
 	k := &ce.key
 	n := entryOverhead + cap(ce.body) + cap(ce.off)*int(unsafe.Sizeof(int(0))) +
-		len(k.cluster) + len(k.sig) + len(k.policy) + len(k.layout) + len(k.pattern) +
+		len(k.cluster) + len(k.policy) + len(k.layout) + len(k.pattern) +
 		cap(ce.m.Placements)*int(unsafe.Sizeof(core.Placement{})) +
 		cap(ce.m.SweepEnds)*int(unsafe.Sizeof(int(0)))
 	for i := range ce.m.Placements {
@@ -128,8 +128,9 @@ type lruCache struct {
 	order *list.List                 // front = most recent; values are *cacheEntry
 	index map[cacheKey]*list.Element //lama:guards mu
 	bytes int64                      //lama:guards mu
-	// floor is each cluster's epoch as of its last purge: a put below it
-	// is for a snapshot already swapped out, and is dropped.
+	// floor is the highest publication each cluster has been purged to:
+	// a put below it is for a snapshot already replaced, and is dropped.
+	// It only rises, so purges that arrive out of order cannot lower it.
 	floor map[string]uint64 //lama:guards mu
 
 	bytesGauge, entriesGauge *obs.Gauge
@@ -172,7 +173,7 @@ func (c *lruCache) put(ce *cacheEntry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ce.key.epoch < c.floor[ce.key.cluster] {
+	if ce.key.pub < c.floor[ce.key.cluster] {
 		return
 	}
 	if el, ok := c.index[ce.key]; ok {
@@ -187,22 +188,22 @@ func (c *lruCache) put(ce *cacheEntry) {
 	c.evictLocked()
 }
 
-// purge evicts the named cluster's entries below the given epoch (every
-// one of them, when all is set), records the epoch as the cluster's put
-// floor, and reports how many entries it removed. It walks the LRU list
+// purge raises the named cluster's put floor to pub, evicts its entries
+// below the floor, and reports how many it removed. It walks the LRU list
 // (ordered, deterministic) rather than ranging over the index map.
-func (c *lruCache) purge(clusterName string, epoch uint64, all bool) int {
+func (c *lruCache) purge(clusterName string, pub uint64) int {
 	if c.budget == 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.floor[clusterName] = epoch
+	floor := max(c.floor[clusterName], pub)
+	c.floor[clusterName] = floor
 	purged := 0
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
 		ce := el.Value.(*cacheEntry)
-		if ce.key.cluster == clusterName && (all || ce.key.epoch < epoch) {
+		if ce.key.cluster == clusterName && ce.key.pub < floor {
 			c.removeLocked(el)
 			purged++
 		}

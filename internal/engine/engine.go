@@ -2,9 +2,9 @@
 // daemon: a registry of named clusters published as immutable
 // cluster.Snapshot values (swapped atomically on failure/grow events), a
 // bounded pool of workers that reuse Mapper state across requests, a
-// byte-bounded LRU placement cache keyed by the snapshot signature and
-// epoch, one run per key serving every np up to its length, and
-// admission control with deadline-aware shedding.
+// byte-bounded LRU placement cache keyed by the engine's publication
+// number of the snapshot, one run per key serving every np up to its
+// length, and admission control with deadline-aware shedding.
 //
 // The engine is what turns the library's "one mutable Cluster + one
 // caller" model into "immutable snapshots + many concurrent callers":
@@ -16,8 +16,11 @@
 // the touched or appended nodes, so an event costs each mapper one O(n)
 // identity walk rather than a rebuild.
 //
-// The cache key's cluster, Sig, epoch, policy, layout, pes and
+// The cache key's cluster, publication, policy, layout, pes and
 // oversubscribe fields are load-bearing: each selects a different run.
+// A publication is minted by every Register and Swap and never reused,
+// so it names one published snapshot where neither the snapshot's epoch
+// (a rollback re-register re-mints epochs) nor its content does.
 // np is not, for a place.PrefixClosed policy such as the LAMA, whose np
 // is only the stop test of its outer loop (paper Fig. 1): its run of np
 // ranks is the first np ranks of its run of any N >= np. Such a key
@@ -38,6 +41,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
@@ -140,16 +144,18 @@ type Response struct {
 }
 
 // clusterEntry is one registered cluster: the currently published
-// snapshot, swapped atomically under mu.
+// snapshot and its publication number, swapped together under mu.
 type clusterEntry struct {
 	mu   sync.RWMutex
 	snap *Snapshot //lama:guards mu
+	pub  uint64    //lama:guards mu
 }
 
-func (ce *clusterEntry) current() *Snapshot {
+// current returns the published snapshot and its publication number.
+func (ce *clusterEntry) current() (*Snapshot, uint64) {
 	ce.mu.RLock()
 	defer ce.mu.RUnlock()
-	return ce.snap
+	return ce.snap, ce.pub
 }
 
 // worker is one pool slot: reusable Mapper state keyed by (cluster,
@@ -196,6 +202,8 @@ type Engine struct {
 
 	mu       sync.RWMutex
 	clusters map[string]*clusterEntry //lama:guards mu
+	// pubs mints publication numbers, one per Register or Swap.
+	pubs atomic.Uint64
 
 	workers chan *worker
 	queue   chan struct{}
@@ -241,28 +249,25 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Register publishes a cluster under a name at snapshot epoch 1 (or
-// replaces its snapshot wholesale, purging every cache entry of the
-// cluster as stale, whatever its epoch, and resetting the cluster's cache
-// floor to the new epoch). The snapshot must not be mutated by the caller
+// Register publishes a cluster's snapshot under a name, or replaces its
+// snapshot wholesale, at whatever epoch the snapshot carries. Replacing
+// purges every cache entry of the cluster as stale: they all belong to
+// earlier publications. The snapshot must not be mutated by the caller
 // afterwards.
 func (e *Engine) Register(name string, snap *Snapshot) error {
 	if name == "" || snap == nil || snap.Clu == nil {
 		return fmt.Errorf("engine: Register needs a name and a snapshot")
 	}
 	e.mu.Lock()
-	ce, ok := e.clusters[name]
-	if !ok {
+	ce := e.clusters[name]
+	if ce == nil {
 		ce = &clusterEntry{}
 		e.clusters[name] = ce
 	}
+	// Published under mu, so no request finds the entry empty.
+	_, pub := e.publish(ce, snap)
 	e.mu.Unlock()
-	ce.mu.Lock()
-	ce.snap = snap
-	ce.mu.Unlock()
-	if ok {
-		e.stale.Add(int64(e.cache.purge(name, snap.Clu.Epoch(), true)))
-	}
+	e.stale.Add(int64(e.cache.purge(name, pub)))
 	if o := e.cfg.Obs; o.Enabled() {
 		o.Emit(obs.SrcEngine, obs.EvRegister,
 			obs.F("cluster", name),
@@ -284,6 +289,16 @@ func (e *Engine) Clusters() []string {
 	return names
 }
 
+// publish makes snap the entry's snapshot under a fresh publication
+// number, and returns the snapshot it replaced and that number.
+func (e *Engine) publish(ce *clusterEntry, snap *Snapshot) (*Snapshot, uint64) {
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	prev := ce.snap
+	ce.snap, ce.pub = snap, e.pubs.Add(1)
+	return prev, ce.pub
+}
+
 // Snapshot returns the cluster's current published snapshot, or nil.
 func (e *Engine) Snapshot(name string) *Snapshot {
 	e.mu.RLock()
@@ -292,11 +307,12 @@ func (e *Engine) Snapshot(name string) *Snapshot {
 	if ce == nil {
 		return nil
 	}
-	return ce.current()
+	snap, _ := ce.current()
+	return snap
 }
 
 // Swap atomically publishes next as the cluster's snapshot and purges the
-// cache entries keyed to older epochs of this cluster, counting them as
+// cluster's cache entries of earlier publications, counting them as
 // stale. Returns the count of purged entries.
 func (e *Engine) Swap(name string, next *Snapshot) (int, error) {
 	if next == nil || next.Clu == nil {
@@ -308,11 +324,8 @@ func (e *Engine) Swap(name string, next *Snapshot) (int, error) {
 	if ce == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownCluster, name)
 	}
-	ce.mu.Lock()
-	prev := ce.snap
-	ce.snap = next
-	ce.mu.Unlock()
-	purged := e.cache.purge(name, next.Clu.Epoch(), false)
+	prev, pub := e.publish(ce, next)
+	purged := e.cache.purge(name, pub)
 	e.stale.Add(int64(purged))
 	if o := e.cfg.Obs; o.Enabled() {
 		var from uint64
@@ -352,13 +365,13 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	if ce == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCluster, req.Cluster)
 	}
-	snap := ce.current()
+	snap, pub := ce.current()
 	epoch := snap.Clu.Epoch()
 	if req.Epoch != 0 && req.Epoch != epoch {
 		return nil, fmt.Errorf("%w: request pinned epoch %d, cluster %q is at %d",
 			ErrStaleSnapshot, req.Epoch, req.Cluster, epoch)
 	}
-	key, closed := keyOf(req, snap.Clu.Sig(), epoch)
+	key, closed := keyOf(req, pub)
 	cached := !req.NoCache && e.cache.enabled()
 	stored := 0 // ranks of the run stored on key
 	if cached {

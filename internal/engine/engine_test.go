@@ -360,8 +360,8 @@ func lruMap(n int) *core.Map {
 	return m
 }
 
-func lruKey(cluster string, epoch uint64, np int) cacheKey {
-	return cacheKey{cluster: cluster, sig: "sig", epoch: epoch, np: np}
+func lruKey(cluster string, pub uint64, np int) cacheKey {
+	return cacheKey{cluster: cluster, pub: pub, np: np}
 }
 
 // checkHeld requires the cache to hold want entries accounted at
@@ -455,7 +455,7 @@ func TestLRUEvictsAndPurges(t *testing.T) {
 		c.put(newEntry(a, m))
 		c.put(newEntry(b, m))
 		c.put(newEntry(x, m))
-		if purged := c.purge("c1", 2, false); purged != 2 {
+		if purged := c.purge("c1", 2); purged != 2 {
 			t.Fatalf("purged = %d, want 2 (only c1@1)", purged)
 		}
 		if c.get(x) == nil {
@@ -495,7 +495,7 @@ func TestCachePutBelowFloorDropped(t *testing.T) {
 	c := newLRU(1<<20, nil)
 	m := lruMap(16)
 	c.put(newEntry(lruKey("c1", 1, 8), m))
-	if purged := c.purge("c1", 2, false); purged != 1 {
+	if purged := c.purge("c1", 2); purged != 1 {
 		t.Fatalf("purged = %d, want 1", purged)
 	}
 	c.put(newEntry(lruKey("c1", 1, 16), m)) // the late put
@@ -532,7 +532,7 @@ func TestEngineReRegisterCaches(t *testing.T) {
 	}
 }
 
-// TestCacheKeyedByEpoch pins the epoch as a key field: a Swap to a
+// TestCacheKeyedByEpoch pins the publication as a key field: a Swap to a
 // Sig-equal snapshot makes the next request a miss at the new epoch, and
 // the hit after it serves stored bytes carrying that epoch. The two
 // snapshots reach the same state by different derivations: two PUs of

@@ -28,9 +28,10 @@ type Event struct {
 }
 
 // ApplyEvent derives the named cluster's next snapshot from an event and
-// publishes it, purging cache entries of older epochs. It returns the new
-// epoch and the purge count. A fail-pus event that changes nothing is a
-// no-op: no new epoch is minted and the cache is untouched.
+// publishes it, purging the cluster's cache entries of earlier
+// publications. It returns the new epoch and the purge count. A fail-pus
+// event that changes nothing is a no-op: no new epoch is minted and the
+// cache is untouched.
 func (e *Engine) ApplyEvent(name string, ev *Event) (uint64, int, error) {
 	if ev == nil {
 		return 0, 0, fmt.Errorf("engine: nil event")

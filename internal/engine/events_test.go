@@ -1,0 +1,162 @@
+package engine
+
+import (
+	"context"
+	"testing"
+
+	"lama/internal/cluster"
+	"lama/internal/hw"
+)
+
+// registerHomogeneous registers, or re-registers, a nodes × nehalem-ep
+// cluster as "c".
+func registerHomogeneous(t testing.TB, e *Engine, nodes int) {
+	t.Helper()
+	sp, ok := hw.Preset("nehalem-ep")
+	if !ok {
+		t.Fatal("nehalem-ep preset missing")
+	}
+	if err := e.Register("c", &Snapshot{Clu: cluster.HomogeneousSnapshot(nodes, sp)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failPUsEvents lists n fail-pus events on distinct (node, PU) pairs of a
+// nehalem-ep cluster, the PU varying fastest, so that each one changes
+// the snapshot it is applied to.
+func failPUsEvents(n, nodes int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Type: "fail-pus", Node: i / 16 % nodes, PUs: []int{i % 16}}
+	}
+	return evs
+}
+
+// TestApplyEventAllocsFlatInCluster pins the cost of publishing an event
+// to the node it touches: an ApplyEvent that changes the snapshot
+// allocates as many objects on 4096 nodes as on 256. The derivation
+// clones the touched node's topology and copies the node slice in one
+// allocation; a derivation that stamped or hashed every node again would
+// show up here as allocations growing with the node count.
+func TestApplyEventAllocsFlatInCluster(t *testing.T) {
+	const runs = 50
+	allocs := map[int]float64{}
+	for _, nodes := range []int{256, 4096} {
+		e := New(Config{})
+		registerHomogeneous(t, e, nodes)
+		evs := failPUsEvents(runs+1, nodes) // AllocsPerRun adds a warm-up run
+		next := 0
+		allocs[nodes] = testing.AllocsPerRun(runs, func() {
+			ev := &evs[next]
+			next++
+			epoch, _, err := e.ApplyEvent("c", ev)
+			if err != nil || epoch != uint64(next+1) {
+				t.Fatalf("event %d %+v: epoch %d, err %v; want epoch %d", next, *ev, epoch, err, next+1)
+			}
+		})
+	}
+	t.Logf("changing fail-pus: %.0f allocs/op on 256 nodes, %.0f on 4096", allocs[256], allocs[4096])
+	if allocs[4096] != allocs[256] {
+		t.Fatalf("changing fail-pus: %.0f allocs/op on 4096 nodes, %.0f on 256", allocs[4096], allocs[256])
+	}
+}
+
+// TestRollbackLatePutNeverServed: a request that missed on snapshot A at
+// epoch 2 puts its run after a rollback Register has republished the
+// epoch-1 snapshot and a replayed event has reached a snapshot equal to A,
+// at epoch 2 again. Epoch and content both match A, so only the
+// publication tells the two apart: the late put must be dropped, the
+// first request on the replayed snapshot must miss and its repeat hit on
+// the run mapped there.
+func TestRollbackLatePutNeverServed(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	ctx := context.Background()
+	req := &Request{Cluster: "test", NP: 16}
+	base := e.Snapshot("test")
+	fail := &Event{Type: "fail-node", Node: 1}
+	if _, _, err := e.ApplyEvent("test", fail); err != nil {
+		t.Fatal(err)
+	}
+
+	// The request on A: its key, and its run, mapped but not yet put.
+	a, pubA := e.clusters["test"].current()
+	keyA, _ := keyOf(req, pubA)
+	mapped, err := e.Place(ctx, &Request{Cluster: "test", NP: 16, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := e.Register("test", base); err != nil {
+		t.Fatal(err)
+	}
+	epoch, _, err := e.ApplyEvent("test", fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := e.Snapshot("test").Clu
+	if epoch != a.Clu.Epoch() || replay.Sig() != a.Clu.Sig() {
+		t.Fatalf("replayed snapshot at epoch %d (sig equal %v), want A's epoch %d and sig",
+			epoch, replay.Sig() == a.Clu.Sig(), a.Clu.Epoch())
+	}
+
+	e.cache.put(newEntry(keyA, &mapped.Map)) // the late put from A
+	if e.cache.get(keyA) != nil {
+		t.Fatal("a put from a publication before the rollback was stored")
+	}
+	for _, wantCached := range []bool{false, true} {
+		r, err := e.Place(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached != wantCached || r.Epoch != epoch {
+			t.Fatalf("replayed snapshot: cached=%v epoch=%d, want %v, %d", r.Cached, r.Epoch, wantCached, epoch)
+		}
+		if r.entry.key == keyA {
+			t.Fatal("the replayed snapshot was served A's run")
+		}
+	}
+}
+
+// TestCachePurgesOutOfOrderKeepFloor: two Swaps publish in one order but
+// may purge in the other. The later, lower purge must not lower the
+// cluster's floor, so a put from the publication in between is still
+// dropped and the entry above it is kept.
+func TestCachePurgesOutOfOrderKeepFloor(t *testing.T) {
+	c := newLRU(1<<20, nil)
+	m := lruMap(16)
+	c.put(newEntry(lruKey("c1", 4, 8), m))
+	if purged := c.purge("c1", 5); purged != 1 {
+		t.Fatalf("purge to 5: purged %d, want 1", purged)
+	}
+	c.put(newEntry(lruKey("c1", 5, 8), m))
+	if purged := c.purge("c1", 3); purged != 0 {
+		t.Fatalf("late purge to 3: purged %d, want 0", purged)
+	}
+	c.put(newEntry(lruKey("c1", 4, 16), m))
+	if c.get(lruKey("c1", 4, 16)) != nil || c.get(lruKey("c1", 5, 8)) == nil || c.len() != 1 {
+		t.Fatalf("after out-of-order purges the cache holds %d entries, want only publication 5's", c.len())
+	}
+}
+
+// BenchmarkApplyEvent publishes one event per iteration on a 4096-node
+// nehalem-ep engine: a fail-pus on a (node, PU) pair not failed before,
+// so each one derives and swaps in a new snapshot. The engine is
+// re-registered, off the clock, when the pairs run out.
+func BenchmarkApplyEvent(b *testing.B) {
+	const nodes = 4096
+	e := New(Config{})
+	registerHomogeneous(b, e, nodes)
+	evs := failPUsEvents(nodes*16, nodes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(evs) == 0 {
+			b.StopTimer()
+			registerHomogeneous(b, e, nodes)
+			b.StartTimer()
+		}
+		if _, _, err := e.ApplyEvent("c", &evs[i%len(evs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -48,17 +48,17 @@ type modelOp struct {
 	pick  float64
 }
 
-// cacheEpochs lists the epochs of the cluster's cache entries.
-func cacheEpochs(c *lruCache, name string) []uint64 {
+// cachePubs lists the publications of the cluster's cache entries.
+func cachePubs(c *lruCache, name string) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var epochs []uint64
+	var pubs []uint64
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		if k := el.Value.(*cacheEntry).key; k.cluster == name {
-			epochs = append(epochs, k.epoch)
+			pubs = append(pubs, k.pub)
 		}
 	}
-	return epochs
+	return pubs
 }
 
 // TestEngineMatchesSnapshotModel is a model-based test of the engine. Four
@@ -184,13 +184,13 @@ func TestEngineMatchesSnapshotModel(t *testing.T) {
 					next, _ = cur.FailNode(int(op.pick * 16))
 				}
 				registers[lower]++
-				held, stale := len(cacheEpochs(e.cache, "model")), e.stale.Value()
+				held, stale := len(cachePubs(e.cache, "model")), e.stale.Value()
 				if err := e.Register("model", &Snapshot{Clu: next}); err != nil {
 					t.Errorf("step %d: Register: %v", i, err)
 				}
 				cur = next
-				if left := cacheEpochs(e.cache, "model"); len(left) != 0 {
-					t.Errorf("step %d: re-register at epoch %d (lower %v) left entries at epochs %v", i, cur.Epoch(), lower, left)
+				if left := cachePubs(e.cache, "model"); len(left) != 0 {
+					t.Errorf("step %d: re-register at epoch %d (lower %v) left entries of publications %v", i, cur.Epoch(), lower, left)
 				}
 				if purged := e.stale.Value() - stale; purged != int64(held) {
 					t.Errorf("step %d: re-register purged %d stale entries, want %d", i, purged, held)

@@ -63,8 +63,8 @@ func prefixLayout(r *rand.Rand) string {
 // storedRanks is the length of the run stored on the request's key, 0
 // when there is none.
 func storedRanks(e *Engine, req *Request) int {
-	snap := e.Snapshot(req.Cluster).Clu
-	key, _ := keyOf(req, snap.Sig(), snap.Epoch())
+	_, pub := e.clusters[req.Cluster].current()
+	key, _ := keyOf(req, pub)
 	if ent := e.cache.get(key); ent != nil {
 		return ent.m.NumRanks()
 	}

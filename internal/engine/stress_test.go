@@ -21,7 +21,9 @@ import (
 // readers load the bound BEFORE calling Place, so any response below the
 // bound is a genuine stale leak (a cache entry that survived the purge or
 // a snapshot read racing the publish). Every hit must be served from a
-// run stored at the hit's epoch. Run with -race this also shakes the
+// run stored at the hit's epoch: here one Register at epoch 1 and then one
+// Swap per epoch publish every snapshot, so each publication's number is
+// its epoch. Run with -race this also shakes the
 // clusterEntry and LRU locking, and a longer run's put racing the purge.
 func TestSwapUnderLoad(t *testing.T) {
 	const (
@@ -98,9 +100,9 @@ func TestSwapUnderLoad(t *testing.T) {
 						r, resp.Epoch, floor, resp.Cached)
 					return
 				}
-				if resp.Cached && resp.entry.key.epoch != resp.Epoch {
-					t.Errorf("reader %d: hit at epoch %d serves a run stored at epoch %d",
-						r, resp.Epoch, resp.entry.key.epoch)
+				if resp.Cached && resp.entry.key.pub != resp.Epoch {
+					t.Errorf("reader %d: hit at epoch %d serves a run stored at publication %d",
+						r, resp.Epoch, resp.entry.key.pub)
 					return
 				}
 			}
