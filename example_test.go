@@ -22,9 +22,9 @@ func ExampleMapper_Map() {
 	cluster := lama.Homogeneous(2, spec)
 	mapper, _ := lama.NewMapper(cluster, lama.MustParseLayout("scbnh"), lama.Options{})
 	m, _ := mapper.Map(4)
-	for _, p := range m.Placements {
+	for r, p := range m.Placements {
 		fmt.Printf("rank %d -> %s socket %d pu %d\n",
-			p.Rank, p.NodeName, p.Coords[lama.LevelSocket], p.PU())
+			p.Rank, p.NodeName, m.Coords(r)[lama.LevelSocket], p.PU())
 	}
 	// Output:
 	// rank 0 -> node0 socket 0 pu 0

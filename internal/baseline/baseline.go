@@ -56,7 +56,6 @@ func (p *placer) add(node int, pu *hw.Object) bool {
 		Rank:     rank,
 		Node:     node,
 		NodeName: p.c.Node(node).Name,
-		Coords:   core.NodeCoords(node),
 		Leaf:     pu,
 		PUs:      p.pus[rank : rank+1 : rank+1],
 	})

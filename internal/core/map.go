@@ -9,20 +9,18 @@ import (
 	"lama/internal/hw"
 )
 
-// Placement records where one rank was mapped.
+// Placement records where one rank was mapped. It holds the assignment
+// only: the rank's layout coordinates are derived on demand by
+// Map.Coords.
 type Placement struct {
 	// Rank is the process rank (0-based).
 	Rank int
 	// Node is the cluster node index; NodeName its host name.
 	Node     int
 	NodeName string
-	// Coords gives, for every level in the layout, the iteration
-	// coordinate chosen for this rank (pruned-tree renumbering for
-	// intra-node levels, node index for the machine level). Levels absent
-	// from the layout hold -1.
-	Coords CoordVector
-	// Leaf is the hardware object the rank was mapped onto: the deepest
-	// layout level's object (e.g. a core for "scbn", a PU for "scbnh").
+	// Leaf is the hardware object the rank was mapped onto, an object of
+	// Node's topology: the deepest layout level's object (e.g. a core for
+	// "scbn", a PU for "scbnh").
 	Leaf *hw.Object
 	// PUs are the OS indices of the processing units claimed by the rank
 	// (PEsPerProc of them), within Leaf.
@@ -44,7 +42,8 @@ func (p *Placement) PU() int {
 // (or of a baseline mapper converted to the same form).
 type Map struct {
 	// Layout is the process layout that produced the map (zero value for
-	// baseline mappers).
+	// baseline mappers). Coords derives the ranks' iteration coordinates
+	// from it.
 	Layout Layout
 	// Placements holds one entry per rank, ordered by rank.
 	Placements []Placement
@@ -109,7 +108,9 @@ func (m *Map) NodeOf(rank int) int {
 
 // Validate checks internal consistency of the map against a cluster:
 // ranks dense and ordered, nodes in range, claimed PUs usable on their
-// node, and the oversubscription flags consistent with actual PU sharing.
+// node and beneath the rank's leaf (so a leaf belongs to its node's
+// topology), and the oversubscription flags consistent with actual PU
+// sharing.
 func (m *Map) Validate(c *cluster.Cluster) error {
 	type key struct{ node, pu int }
 	claims := map[key]int{}
@@ -132,6 +133,9 @@ func (m *Map) Validate(c *cluster.Cluster) error {
 			}
 			if !obj.Usable() {
 				return fmt.Errorf("core: rank %d claims unusable PU %d on %s", p.Rank, pu, node.Name)
+			}
+			if p.Leaf != nil && obj.Ancestor(p.Leaf.Level) != p.Leaf {
+				return fmt.Errorf("core: rank %d claims PU %d on %s outside its leaf %s", p.Rank, pu, node.Name, p.Leaf)
 			}
 			claims[key{p.Node, pu}]++
 		}
@@ -170,11 +174,12 @@ func (m *Map) Render() string {
 	for i := range m.Placements {
 		p := &m.Placements[i]
 		fmt.Fprintf(&sb, "%-5d %-10s", p.Rank, p.NodeName)
+		cv := m.Coords(i)
 		for _, l := range layoutCols {
 			if l == hw.LevelMachine {
 				continue
 			}
-			fmt.Fprintf(&sb, " %-3d", p.Coords[l])
+			fmt.Fprintf(&sb, " %-3d", cv[l])
 		}
 		pus := make([]string, len(p.PUs))
 		for j, pu := range p.PUs {

@@ -510,15 +510,10 @@ func (r *runState) tryMap(m *Mapper) {
 	for j := 0; j < r.pes; j++ {
 		pus[j] = int(ups[(base+j)%len(ups)])
 	}
-	coords := NoCoords()
-	for i, l := range r.iterLevels {
-		coords[l] = r.coords[i]
-	}
 	r.placements = append(r.placements, Placement{
 		Rank:           len(r.placements),
 		Node:           node,
 		NodeName:       m.Cluster.Node(node).Name,
-		Coords:         coords,
 		Leaf:           view.leafObj[leaf],
 		PUs:            pus,
 		Oversubscribed: oversub,

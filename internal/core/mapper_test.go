@@ -243,9 +243,9 @@ func TestHeterogeneousMapping(t *testing.T) {
 		t.Fatal("20 ranks on 20 PUs")
 	}
 	// node1 ranks sit only on its existing coordinates.
-	for _, p := range m.Placements {
-		if p.Node == 1 && p.Coords[hw.LevelSocket] != 0 {
-			t.Fatalf("rank %d on nonexistent socket %d of node1", p.Rank, p.Coords[hw.LevelSocket])
+	for r, p := range m.Placements {
+		if s := m.Coords(r)[hw.LevelSocket]; p.Node == 1 && s != 0 {
+			t.Fatalf("rank %d on nonexistent socket %d of node1", p.Rank, s)
 		}
 	}
 }
@@ -256,8 +256,8 @@ func TestPrunedRenumberingAcrossBoards(t *testing.T) {
 	// Boards pruned: "sn" iterates 4 renumbered sockets.
 	m := mustMap(t, c, "scnh", Options{}, 4)
 	socketsSeen := map[int]bool{}
-	for _, p := range m.Placements {
-		socketsSeen[p.Coords[hw.LevelSocket]] = true
+	for r := range m.Placements {
+		socketsSeen[m.Coords(r)[hw.LevelSocket]] = true
 	}
 	for i := 0; i < 4; i++ {
 		if !socketsSeen[i] {
@@ -353,9 +353,8 @@ func TestCustomIterationOrder(t *testing.T) {
 		IterOrder: map[hw.Level]IterOrder{hw.LevelSocket: ReverseOrder},
 	}, 2)
 	// Reverse socket order: rank 0 lands on socket 1 first.
-	if m.Placements[0].Coords[hw.LevelSocket] != 1 || m.Placements[1].Coords[hw.LevelSocket] != 0 {
-		t.Fatalf("reverse order ignored: %v %v",
-			m.Placements[0].Coords, m.Placements[1].Coords)
+	if m.Coords(0)[hw.LevelSocket] != 1 || m.Coords(1)[hw.LevelSocket] != 0 {
+		t.Fatalf("reverse order ignored: %v %v", m.Coords(0), m.Coords(1))
 	}
 	// Invalid custom order errors out.
 	bad := func(width int) []int { return make([]int, width) } // all zeros
@@ -466,6 +465,23 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad5.Placements[0].Oversubscribed = true
 	if bad5.Validate(c) == nil {
 		t.Fatal("bogus oversubscription flag undetected")
+	}
+
+	// A leaf that does not hold the claimed PU: another PU of the same
+	// node, or the same PU of another node's tree.
+	c3 := fig2Cluster(t, 2)
+	m3 := mustMap(t, c3, "scbnh", Options{}, 4)
+	leaf := m3.Placements[0].Leaf
+	for name, other := range map[string]*hw.Object{
+		"non-ancestor": m3.Placements[1].Leaf,
+		"foreign":      c3.Node(1).Topo.ObjectAt(leaf.Level, leaf.Logical),
+	} {
+		bad6 := *m3
+		bad6.Placements = append([]Placement(nil), m3.Placements...)
+		bad6.Placements[0].Leaf = other
+		if bad6.Validate(c3) == nil {
+			t.Fatalf("%s leaf undetected", name)
+		}
 	}
 
 	// Claimed but unusable PU.

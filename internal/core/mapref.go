@@ -180,15 +180,10 @@ func (r *refRun) tryMap() {
 	for j := 0; j < r.pes; j++ {
 		pus[j] = ups[(base+j)%len(ups)].OS
 	}
-	coords := NoCoords()
-	for i, l := range r.iterLevels {
-		coords[l] = r.coords[i]
-	}
 	r.placements = append(r.placements, Placement{
 		Rank:           len(r.placements),
 		Node:           node,
 		NodeName:       r.m.Cluster.Node(node).Name,
-		Coords:         coords,
 		Leaf:           leaf,
 		PUs:            pus,
 		Oversubscribed: oversub,

@@ -120,6 +120,82 @@ func TestQuickRecursiveMatchesReference(t *testing.T) {
 	}
 }
 
+// TestQuickCoordsNameTheLeaf is the oracle of Map.Coords: fed into the
+// reference pruned trees, the canonical intra-node part of every rank's
+// derived coordinates resolves to the rank's leaf, and its machine
+// coordinate is the rank's node. A tree path names a unique object, so
+// this pins the derived vector to the one the iteration visited when it
+// placed the rank.
+func TestQuickCoordsNameTheLeaf(t *testing.T) {
+	checked := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := randomCluster(r)
+		if r.Intn(2) == 0 {
+			failSomething(r, c)
+		}
+		for _, n := range c.Nodes {
+			if r.Intn(3) == 0 {
+				n.Slots = r.Intn(9)
+			}
+		}
+		layout := randomLayout(r)
+		opts := Options{
+			Oversubscribe:  r.Intn(2) == 1,
+			RespectSlots:   r.Intn(2) == 1,
+			PEsPerProc:     1 + r.Intn(2),
+			MaxPerResource: map[hw.Level]int{},
+		}
+		if r.Intn(2) == 0 {
+			opts.MaxPerResource[layout.Levels()[r.Intn(layout.Len())]] = 1 + r.Intn(4)
+		}
+		np := 1 + r.Intn(2*c.TotalUsablePUs()+1)
+		m, err := NewMapper(c, layout, opts)
+		if err != nil {
+			return false
+		}
+		intra := layout.IntraNode()
+		topos := make([]*hw.Topology, c.NumNodes())
+		for i, n := range c.Nodes {
+			topos[i] = n.Topo
+		}
+		mt := NewMaximalTree(topos, intra)
+		canon := make([]int, len(intra))
+		for _, run := range []func(int) (*Map, error){m.Map, m.MapReference} {
+			mp, err := run(np)
+			if err != nil {
+				continue // stalls are TestQuickRecursiveMatchesReference's
+			}
+			for i := range mp.Placements {
+				p, cv := &mp.Placements[i], mp.Coords(i)
+				for d, l := range intra {
+					canon[d] = cv[l]
+				}
+				if cv[hw.LevelMachine] != p.Node || mt.Lookup(p.Node, canon) != p.Leaf {
+					t.Logf("seed %d: layout %s rank %d on node %d leaf %s: coords {%s}",
+						seed, layout, i, p.Node, p.Leaf, cv)
+					return false
+				}
+				for _, l := range hw.Levels {
+					if !layout.Contains(l) && cv[l] != -1 {
+						t.Logf("seed %d: layout %s rank %d: coords {%s} name a pruned level", seed, layout, i, cv)
+						return false
+					}
+				}
+				checked++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	if checked == 0 {
+		t.Error("no rank was placed: the derivation went untested")
+	}
+	t.Logf("%d placements checked", checked)
+}
+
 // TestQuickNoOversubscribeBijective: when oversubscription is disallowed
 // and the mapping succeeds, no PU is claimed twice and all ranks placed.
 func TestQuickNoOversubscribeBijective(t *testing.T) {
@@ -274,9 +350,9 @@ func TestQuickPrefixMatchesReference(t *testing.T) {
 func placedOn(m *Map) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "sweeps %d ends %v\n", m.Sweeps, m.SweepEnds)
-	for _, p := range m.Placements {
+	for r, p := range m.Placements {
 		fmt.Fprintf(&sb, "%d %d %s %v %s %v %v\n",
-			p.Rank, p.Node, p.NodeName, p.Coords, p.Leaf, p.PUs, p.Oversubscribed)
+			p.Rank, p.Node, p.NodeName, m.Coords(r), p.Leaf, p.PUs, p.Oversubscribed)
 	}
 	return sb.String()
 }

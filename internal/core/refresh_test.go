@@ -113,7 +113,7 @@ func TestRefreshServedEqualsFreshChain(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (epoch %d, np %d): reused mapper diverged from a fresh one", step, s.Epoch(), np)
 		}
-		if !samePlans(got, ref) {
+		if !sameMaps(got, ref) {
 			t.Fatalf("step %d (epoch %d, np %d): reused mapper diverged from MapReference", step, s.Epoch(), np)
 		}
 		if err := got.Validate(s.Cluster()); err != nil {

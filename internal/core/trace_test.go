@@ -119,8 +119,8 @@ func TestMapTracedEventLimit(t *testing.T) {
 
 func TestTraceEventString(t *testing.T) {
 	coords := NoCoords()
-	coords.Set(hw.LevelSocket, 1)
-	coords.Set(hw.LevelMachine, 0)
+	coords[hw.LevelSocket] = 1
+	coords[hw.LevelMachine] = 0
 	e := TraceEvent{Coords: coords, Action: Mapped, Rank: 3, Sweep: 0}
 	// The exact rendering predates the CoordVector conversion: canonical
 	// level order, "sweep N" prefix, "-> action [rank R]" suffix.

@@ -106,12 +106,12 @@ func runE3(Options) ([]*metrics.Table, error) {
 		t := metrics.NewTable(variant.title,
 			"rank", "node", "socket", "core", "hwthread", "pu")
 		for i := range m.Placements {
-			p := &m.Placements[i]
+			p, cv := &m.Placements[i], m.Coords(i)
 			t.AddRow(
 				metrics.I(p.Rank), p.NodeName,
-				metrics.I(p.Coords[hw.LevelSocket]),
-				metrics.I(p.Coords[hw.LevelCore]),
-				metrics.I(p.Coords[hw.LevelPU]),
+				metrics.I(cv[hw.LevelSocket]),
+				metrics.I(cv[hw.LevelCore]),
+				metrics.I(cv[hw.LevelPU]),
 				metrics.I(p.PU()),
 			)
 		}

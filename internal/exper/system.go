@@ -75,7 +75,7 @@ func runE7(Options) ([]*metrics.Table, error) {
 		p := &m.Placements[i]
 		board := p.Leaf.Ancestor(hw.LevelBoard)
 		sock := p.Leaf.Ancestor(hw.LevelSocket)
-		t3.AddRow(metrics.I(p.Rank), metrics.I(p.Coords[hw.LevelSocket]),
+		t3.AddRow(metrics.I(p.Rank), metrics.I(m.Coords(i)[hw.LevelSocket]),
 			metrics.I(board.Logical), metrics.I(sock.Rank))
 	}
 	return []*metrics.Table{t1, t2, t3}, nil

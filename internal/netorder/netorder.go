@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
 	"lama/internal/core"
-	"lama/internal/hw"
 	"lama/internal/netsim"
 	"lama/internal/obs"
 	"lama/internal/place"
@@ -47,8 +45,9 @@ type Result struct {
 // the already-sequenced set) and then greedily assigned to the
 // compatible physical node minimizing hop-weighted traffic to the
 // groups already placed. Ranks keep their PUs — a group only moves to a
-// node with identical topology shape, PU numbering, and slot limits —
-// so the permuted map is valid by construction. If the permutation does
+// node with identical topology shape, PU numbering, availability and slot
+// limits, and each rank's leaf becomes the same object of the new node's
+// tree — so the permuted map is valid by construction. If the permutation does
 // not strictly improve J the input map is returned unchanged.
 func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map) (*core.Map, *Result, error) {
 	pr, err := mo.Pricing(c)
@@ -77,7 +76,8 @@ func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *cor
 	}
 
 	// Node compatibility classes: a group may only move between nodes
-	// whose topology tree, PU numbering, and slot limits are identical.
+	// whose topology tree, PU numbering, availability and slot limits are
+	// identical.
 	class := make([]int, c.NumNodes())
 	classIDs := map[string]int{}
 	for n, nd := range c.Nodes {
@@ -158,8 +158,8 @@ func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *cor
 		}
 		p.Node = nn
 		p.NodeName = c.Nodes[nn].Name
-		if p.Coords[hw.LevelMachine] >= 0 {
-			p.Coords[hw.LevelMachine] = nn
+		if p.Leaf != nil {
+			p.Leaf = c.Nodes[nn].Topo.ObjectAt(p.Leaf.Level, p.Leaf.Logical)
 		}
 		res.MovedRanks++
 	}
@@ -315,23 +315,15 @@ func maxAdjacencyOrder(g *nodeAdj) []int {
 }
 
 // nodeClassKey fingerprints what a node offers a rank group: topology
-// shape, PU OS numbering, and slot limits. Groups move only between
-// same-key nodes, so every PU claim stays valid after the move.
+// shape, PU OS numbering, the availability of every object (a failed node
+// or an off-line socket keeps its PUs' own flags) and slot limits. Groups
+// move only between same-key nodes, so every PU claim stays valid after
+// the move.
 func nodeClassKey(nd *cluster.Node) string {
-	var sb strings.Builder
-	sb.WriteString(nd.Topo.ShapeSig())
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(nd.Slots))
-	sb.WriteByte('/')
-	sb.WriteString(strconv.Itoa(nd.MaxSlots))
-	for _, pu := range nd.Topo.Objects(hw.LevelPU) {
-		sb.WriteByte(':')
-		sb.WriteString(strconv.Itoa(pu.OS))
-		if !pu.Available {
-			sb.WriteByte('!')
-		}
-	}
-	return sb.String()
+	key := nd.Topo.AppendStateKey(nil)
+	key = strconv.AppendInt(append(key, '|'), int64(nd.Slots), 10)
+	key = strconv.AppendInt(append(key, '/'), int64(nd.MaxSlots), 10)
+	return string(key)
 }
 
 // Stage is the node-ordering post-pass (place.Stage). It requires the

@@ -2,6 +2,7 @@ package netorder
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -139,21 +140,24 @@ func TestRefineNoOpOnPackedRing(t *testing.T) {
 // are deliberately mis-ordered on a fat-tree (consecutive groups land in
 // different leaves) and checks the ordering pass brings J down without
 // touching intra-node structure.
+// moveGroups moves every rank on node k to node perm[k] the way OrderNodes
+// moves a node-group: the same PUs, and the same leaf object resolved on
+// the new node's tree.
+func moveGroups(c *cluster.Cluster, m *core.Map, perm []int) {
+	for i := range m.Placements {
+		p := &m.Placements[i]
+		nn := perm[p.Node]
+		p.Node, p.NodeName = nn, c.Nodes[nn].Name
+		p.Leaf = c.Nodes[nn].Topo.ObjectAt(p.Leaf.Level, p.Leaf.Logical)
+	}
+}
+
 func TestOrderNodesImprovesShuffledStencil(t *testing.T) {
 	c := testCluster(t, 8)
 	np := 96 // 12 PUs per fig2 node
 	m := mapJob(t, c, np)
 	// Shuffle which physical node hosts each group: 0..7 -> interleaved.
-	shuffle := []int{0, 4, 1, 5, 2, 6, 3, 7}
-	for i := range m.Placements {
-		p := &m.Placements[i]
-		old := p.Node
-		p.Node = shuffle[old]
-		p.NodeName = c.Nodes[shuffle[old]].Name
-		if p.Coords[hw.LevelMachine] >= 0 {
-			p.Coords[hw.LevelMachine] = shuffle[old]
-		}
-	}
+	moveGroups(c, m, []int{0, 4, 1, 5, 2, 6, 3, 7})
 	mo := netsim.NewModel(netsim.NewFatTree(2))
 	tm := commpat.Ring(np, 8192)
 
@@ -176,6 +180,74 @@ func TestOrderNodesImprovesShuffledStencil(t *testing.T) {
 		if out.Placements[i].PU() != m.Placements[i].PU() {
 			t.Fatalf("rank %d changed PU", i)
 		}
+	}
+}
+
+// TestOrderNodesAvoidsUnusableNodes: a failed node, or one with a socket
+// off-line, keeps every PU's own availability flag, yet offers a group
+// fewer usable PUs than a healthy node of the same shape. OrderNodes must
+// never move a group onto it, and every rank it moves must take its leaf
+// from the new node's tree. Node 0 is left free and the job's groups are
+// shuffled over nodes 1-7, so the greedy assignment is tempted by node 0
+// first.
+func TestOrderNodesAvoidsUnusableNodes(t *testing.T) {
+	faults := []struct {
+		name  string
+		apply func(c *cluster.Cluster)
+	}{
+		{"fail-node", func(c *cluster.Cluster) { c.FailNode(0) }},
+		{"offline-socket", func(c *cluster.Cluster) { c.Node(0).Topo.SetAvailable(hw.LevelSocket, 0, false) }},
+	}
+	const np = 84 // nodes 0-6 full: 12 PUs per fig2 node
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			moved := 0
+			for arity := 2; arity <= 4; arity++ {
+				mo := netsim.NewModel(netsim.NewFatTree(arity))
+				for seed := int64(0); seed < 8; seed++ {
+					c := testCluster(t, 8)
+					mapper, err := core.NewMapper(c, core.MustParseLayout("hcsbn"), core.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := mapper.Map(np)
+					if err != nil {
+						t.Fatal(err)
+					}
+					perm := rand.New(rand.NewSource(seed)).Perm(7)
+					for i := range perm {
+						perm[i]++
+					}
+					moveGroups(c, m, perm)
+					f.apply(c)
+					if err := m.Validate(c); err != nil {
+						t.Fatalf("input map: %v", err)
+					}
+					for _, tm := range []*commpat.Matrix{commpat.Ring(np, 8192), commpat.Stencil2D(12, 7, 8192, true)} {
+						out, res, err := OrderNodes(c, mo, tm, m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						moved += res.MovedNodes
+						if err := out.Validate(c); err != nil {
+							t.Fatalf("fat-tree:%d seed %d: ordered map invalid: %v", arity, seed, err)
+						}
+						for i := range out.Placements {
+							p := &out.Placements[i]
+							if p.Node == 0 {
+								t.Fatalf("fat-tree:%d seed %d: rank %d moved onto unusable node 0", arity, seed, i)
+							}
+							if p.Leaf != c.Nodes[p.Node].Topo.ObjectAt(p.Leaf.Level, p.Leaf.Logical) {
+								t.Fatalf("fat-tree:%d seed %d: rank %d keeps a leaf from another node's tree", arity, seed, i)
+							}
+						}
+					}
+				}
+			}
+			if moved == 0 {
+				t.Fatal("no ordering moved a group: the check went untested")
+			}
+		})
 	}
 }
 

@@ -206,7 +206,6 @@ func Apply(f *File, c *cluster.Cluster) (*core.Map, error) {
 			Rank:           e.Rank,
 			Node:           nodeIdx,
 			NodeName:       node.Name,
-			Coords:         core.NoCoords(),
 			Leaf:           leaf,
 			PUs:            pus,
 			Oversubscribed: oversub,

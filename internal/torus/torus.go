@@ -150,7 +150,6 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 				Rank:     rank,
 				Node:     node,
 				NodeName: c.Node(node).Name,
-				Coords:   core.NodeCoords(node),
 				Leaf:     pu,
 				PUs:      pus[rank : rank+1 : rank+1],
 			})

@@ -166,7 +166,6 @@ func (s *scratch) assign(obj *hw.Object, ranks []int) {
 			Rank:     rank,
 			Node:     s.node,
 			NodeName: s.c.Node(s.node).Name,
-			Coords:   core.NodeCoords(s.node),
 			Leaf:     obj,
 			PUs:      s.pus[rank : rank+1 : rank+1],
 		}
