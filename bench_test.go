@@ -44,7 +44,6 @@ func BenchmarkE11CLILevels(b *testing.B)         { benchExperiment(b, "E11") }
 func BenchmarkE12TrafficAware(b *testing.B)      { benchExperiment(b, "E12") }
 func BenchmarkE13AppIterations(b *testing.B)     { benchExperiment(b, "E13") }
 func BenchmarkE14Collectives(b *testing.B)       { benchExperiment(b, "E14") }
-func BenchmarkE15LaunchScalability(b *testing.B) { benchExperiment(b, "E15") }
 
 // Micro-benchmarks of the core operations behind the exhibits.
 
@@ -371,7 +370,7 @@ func BenchmarkRankfileRoundTrip(b *testing.B) {
 
 func BenchmarkE16HierCollectives(b *testing.B) { benchExperiment(b, "E16") }
 
-func BenchmarkE17Scheduling(b *testing.B) { benchExperiment(b, "E17") }
+func BenchmarkE17AllocationSpread(b *testing.B) { benchExperiment(b, "E17") }
 
 func BenchmarkE18CostModelAblation(b *testing.B) { benchExperiment(b, "E18") }
 

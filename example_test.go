@@ -52,12 +52,3 @@ func ExampleParseArgs() {
 	// Output:
 	// level 2 lowers to layout scbnh
 }
-
-// ExampleSimulateSpawn shows the launch-protocol scalability (§III).
-func ExampleSimulateSpawn() {
-	lin, _ := lama.SimulateSpawn(1024, lama.LinearSpawn, 50)
-	bin, _ := lama.SimulateSpawn(1024, lama.BinomialSpawn, 50)
-	fmt.Printf("linear %d rounds, binomial %d rounds\n", lin.Rounds, bin.Rounds)
-	// Output:
-	// linear 1024 rounds, binomial 11 rounds
-}

@@ -1,6 +1,5 @@
-// Collectives and launch at scale: how placement changes MPI collective
-// times (rounds synchronize on their slowest exchange), and what the
-// daemon spawn protocol costs as the machine count grows.
+// Collectives: how placement changes MPI collective times (rounds
+// synchronize on their slowest exchange).
 package main
 
 import (
@@ -36,14 +35,5 @@ func main() {
 			times[i] = res.TimeUs / 1000
 		}
 		fmt.Printf("%-16s %12.3f %12.3f\n", op, times[0], times[1])
-	}
-
-	// Launch-protocol comparison for the same machine counts.
-	fmt.Println("\ndaemon spawn at scale (50 us/message):")
-	for _, n := range []int{64, 1024} {
-		lin, _ := lama.SimulateSpawn(n, lama.LinearSpawn, 50)
-		bin, _ := lama.SimulateSpawn(n, lama.BinomialSpawn, 50)
-		fmt.Printf("  %4d nodes: linear %.2f ms, binomial %.2f ms\n",
-			n, lin.TimeUs/1000, bin.TimeUs/1000)
 	}
 }

@@ -1,4 +1,4 @@
-// Toolchain: the full life of a job — the batch scheduler grants a
+// Toolchain: the full life of a job — the resource manager grants a
 // core-granular allocation (possibly fragmented across nodes), the LAMA
 // maps onto exactly what was granted, binding freezes the plan, and the
 // cost model prices the fragmentation.
@@ -16,25 +16,8 @@ func main() {
 	pool := lama.Homogeneous(4, spec)
 	rm := lama.NewResourceManager(pool)
 
-	// First, queue metrics: the same workload under FIFO and backfill.
-	workload := []lama.JobSpec{
-		{ID: 0, Cores: 24, Duration: 10},
-		{ID: 1, Cores: 20, Duration: 4, Arrival: 1},
-		{ID: 2, Cores: 6, Duration: 2, Arrival: 1},
-		{ID: 3, Cores: 2, Duration: 2, Arrival: 2},
-	}
-	for _, policy := range []lama.SchedPolicy{lama.SchedFIFO, lama.SchedBackfill} {
-		mgr := lama.NewResourceManager(lama.Homogeneous(4, spec))
-		res, err := mgr.Schedule(policy, workload)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-9s makespan %5.1f  avg wait %5.2f  avg nodes/job %.2f\n",
-			policy, res.Makespan, res.AvgWait, res.AvgSpan)
-	}
-
-	// Now one concrete job: another tenant holds 12 cores, so our 16-core
-	// request is granted 4 cores on node1 plus 8+4 on nodes 2-3.
+	// Another tenant holds 12 cores, so our 16-core request is granted
+	// 4 cores on node1 plus 8+4 on nodes 2-3.
 	if _, err := rm.Alloc(lama.AllocCoreGranular, 12); err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nour grant spans %d nodes:\n%s", alloc.Granted.NumNodes(), alloc.Granted.Summary())
+	fmt.Printf("our grant spans %d nodes:\n%s", alloc.Granted.NumNodes(), alloc.Granted.Summary())
 
 	// Map the job onto the grant and price a ring exchange on it,
 	// comparing against what a whole-node grant would have cost.

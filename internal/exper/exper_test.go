@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"E1", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E2", "E20", "E23", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
+	want := []string{"E1", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18", "E19", "E2", "E20", "E23", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
@@ -22,8 +22,10 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := ByID("E3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ByID("E99"); err == nil {
-		t.Fatal("unknown ID should fail")
+	for _, id := range []string{"E15", "E99"} {
+		if _, err := ByID(id); err == nil {
+			t.Fatalf("unknown ID %s should fail", id)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 
 // netsimExhibits names the tables whose numbers come from netsim pricing
 // (Model.Evaluate, Cost, coll, reorder, appsim, msgsim). None has a timing
-// column, so every byte is reproducible; E9a and E17a are left out because
-// they price nothing.
+// column, so every byte is reproducible; E9a is left out because it
+// prices nothing.
 var netsimExhibits = []struct{ id, titlePrefix string }{
 	{"E5", "E5 "},
 	{"E6", "E6 "},

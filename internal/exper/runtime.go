@@ -7,12 +7,10 @@ import (
 	"lama/internal/hw"
 	"lama/internal/metrics"
 	"lama/internal/netsim"
-	"lama/internal/orte"
 )
 
 func init() {
 	register("E14", "extension: MPI collective cost under different mappings", runE14)
-	register("E15", "extension: run-time launch scalability (linear vs binomial spawn)", runE15)
 }
 
 // runE14 costs the classic MPI collective algorithms under three mappings:
@@ -64,28 +62,6 @@ func runE14(Options) ([]*metrics.Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// runE15 compares the launch protocols of the parallel run-time
-// environment (§III): linear contact vs ORTE's binomial routed tree.
-func runE15(Options) ([]*metrics.Table, error) {
-	t := metrics.NewTable("E15 / daemon spawn scalability (50 us per launch message)",
-		"nodes", "linear rounds", "linear (ms)", "binomial rounds", "binomial (ms)", "speedup")
-	for _, n := range []int{16, 64, 256, 1024, 4096} {
-		lin, err := orte.SimulateSpawn(n, orte.LinearSpawn, 50)
-		if err != nil {
-			return nil, err
-		}
-		bin, err := orte.SimulateSpawn(n, orte.BinomialSpawn, 50)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(metrics.I(n),
-			metrics.I(lin.Rounds), metrics.F(lin.TimeUs/1000, 2),
-			metrics.I(bin.Rounds), metrics.F(bin.TimeUs/1000, 2),
-			metrics.F(lin.TimeUs/bin.TimeUs, 1)+"x")
-	}
-	return []*metrics.Table{t}, nil
 }
 
 func init() {

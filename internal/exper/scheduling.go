@@ -9,60 +9,21 @@ import (
 	"lama/internal/hw"
 	"lama/internal/metrics"
 	"lama/internal/netsim"
-	"lama/internal/rm"
 )
 
 func init() {
-	register("E17", "extension: scheduling policy, fragmentation, and mapping locality", runE17)
+	register("E17", "extension: allocation fragmentation and mapping locality", runE17)
 }
 
-// schedWorkload is a deterministic mixed batch: a few wide jobs that
-// block FIFO queues and many narrow ones that backfill.
-func schedWorkload() []rm.JobSpec {
-	var jobs []rm.JobSpec
-	id := 0
-	add := func(cores int, dur, arrival float64) {
-		jobs = append(jobs, rm.JobSpec{ID: id, Cores: cores, Duration: dur, Arrival: arrival})
-		id++
-	}
-	for wave := 0; wave < 4; wave++ {
-		base := float64(wave) * 5
-		add(48, 20, base)
-		add(24, 8, base+1)
-		for k := 0; k < 4; k++ {
-			add(4+2*k, 4, base+1.5)
-		}
-	}
-	return jobs
-}
-
-// runE17 closes the loop between the scheduler and the mapper: backfill
-// improves queue metrics but fragments core-granular allocations across
-// more nodes, and fragmented allocations cost more to communicate in —
-// quantified by mapping the same job onto allocations of increasing
-// spread.
+// runE17 prices allocation fragmentation: the same 16-rank ring job
+// mapped onto grants spanning 2, 4, or 8 nodes — each node of the grant
+// restricted to 16/span cores, exactly the view a core-granular
+// allocation of that spread produces. Fragmented allocations cost more
+// to communicate in.
 func runE17(Options) ([]*metrics.Table, error) {
 	sp, _ := hw.Preset("nehalem-ep") // 8 cores per node
 
-	t1 := metrics.NewTable("E17a / queue metrics, 8-node pool, 24 mixed jobs",
-		"policy", "makespan", "avg wait", "avg nodes per job")
-	for _, policy := range []rm.SchedPolicy{rm.FIFO, rm.Backfill} {
-		mgr := rm.NewManager(cluster.Homogeneous(8, sp))
-		res, err := mgr.Schedule(policy, schedWorkload())
-		if err != nil {
-			return nil, err
-		}
-		t1.AddRow(policy.String(),
-			metrics.F(res.Makespan, 1),
-			metrics.F(res.AvgWait, 2),
-			metrics.F(res.AvgSpan, 2))
-	}
-
-	// The locality price of fragmentation: the same 16-rank ring job
-	// mapped onto (equivalently fragmented) grants spanning 2, 4, or 8
-	// nodes — each node of the grant restricted to 16/span cores, exactly
-	// the view a core-granular allocation of that spread produces.
-	t2 := metrics.NewTable("E17b / comm cost of one 16-core job vs allocation spread (ring, flat net)",
+	t := metrics.NewTable("E17b / comm cost of one 16-core job vs allocation spread (ring, flat net)",
 		"nodes spanned", "total time (ms)", "inter-node MB")
 	mo := netsim.NewModel(netsim.NewFlat())
 	tm := commpat.Ring(16, 1<<20)
@@ -91,7 +52,7 @@ func runE17(Options) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t2.AddRow(metrics.I(span), metrics.F(rep.TotalTime/1000, 3), metrics.F(rep.InterBytes/1e6, 1))
+		t.AddRow(metrics.I(span), metrics.F(rep.TotalTime/1000, 3), metrics.F(rep.InterBytes/1e6, 1))
 	}
-	return []*metrics.Table{t1, t2}, nil
+	return []*metrics.Table{t}, nil
 }

@@ -25,33 +25,12 @@ func relClose(a, b, tol float64) bool {
 }
 
 // testNetworks builds one of each network kind sized for n nodes.
-func testNetworks(t *testing.T, n int) map[string]Network {
-	t.Helper()
-	lat := make([][]float64, n)
-	bw := make([][]float64, n)
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		lat[i] = make([]float64, n)
-		bw[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				bw[i][j] = 1
-				continue
-			}
-			lat[i][j] = 0.5 + float64((i+j)%3)
-			bw[i][j] = 1000 + 500*float64(r.Intn(3))
-		}
-	}
-	mn, err := NewMatrixNet(lat, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
+func testNetworks(n int) map[string]Network {
 	return map[string]Network{
 		"flat":      NewFlat(),
 		"fat-tree":  NewFatTree(2),
 		"dragonfly": NewDragonfly(2),
 		"torus":     NewTorus3D(torus.FitDims(n)),
-		"matrix":    mn,
 	}
 }
 
@@ -62,7 +41,7 @@ func TestDistancesMatchNetworks(t *testing.T) {
 	const n = 8
 	sp, _ := hw.Preset("fig2")
 	c := cluster.Homogeneous(n, sp)
-	for name, net := range testNetworks(t, n) {
+	for name, net := range testNetworks(n) {
 		pr, err := NewModel(net).Pricing(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -85,15 +64,34 @@ func TestDistancesMatchNetworks(t *testing.T) {
 	}
 }
 
-func TestDistancesRejectsHugeMatrixNet(t *testing.T) {
-	lat := [][]float64{{0, 1}, {1, 0}}
-	bw := [][]float64{{1, 1}, {1, 1}}
-	mn, err := NewMatrixNet(lat, bw)
+// fakeNet is a Network with no distance class model.
+type fakeNet struct{}
+
+func (fakeNet) Name() string               { return "fake-net" }
+func (fakeNet) Latency(a, b int) float64   { return 1 }
+func (fakeNet) Bandwidth(a, b int) float64 { return 1 }
+func (fakeNet) Hops(a, b int) int          { return 1 }
+
+// TestPricingRejectsUnknownNetwork: pricing supports exactly the four
+// structured networks; any other Network is an error that names it, both
+// when compiling a Pricing and through Model.Evaluate.
+func TestPricingRejectsUnknownNetwork(t *testing.T) {
+	sp, _ := hw.Preset("fig2")
+	c := cluster.Homogeneous(2, sp)
+	mo := NewModel(fakeNet{})
+	if _, err := mo.Pricing(c); err == nil || !strings.Contains(err.Error(), "fake-net") {
+		t.Fatalf("Pricing: err = %v, want one naming fake-net", err)
+	}
+	mapper, err := core.NewMapper(c, core.MustParseLayout("ncsbh"), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDistances(mn, MaxPairNodes+1); err == nil {
-		t.Fatal("want error past MaxPairNodes")
+	m, err := mapper.Map(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mo.Evaluate(c, m, commpat.Ring(4, 1000)); err == nil || !strings.Contains(err.Error(), "fake-net") {
+		t.Fatalf("Evaluate: err = %v, want one naming fake-net", err)
 	}
 }
 
@@ -147,7 +145,7 @@ func TestCostMatchesEvaluate(t *testing.T) {
 			np = 48
 		}
 		m := mapJob(t, c, "csbnh", np)
-		for nname, net := range testNetworks(t, c.NumNodes()) {
+		for nname, net := range testNetworks(c.NumNodes()) {
 			mo := NewModel(net)
 			for pname, tm := range testTraffic(np) {
 				rep, err := mo.Evaluate(c, m, tm)
@@ -190,7 +188,7 @@ func TestDeltaSwapDifferential(t *testing.T) {
 			np = 36
 		}
 		m := mapJob(t, c, "csbnh", np)
-		for nname, net := range testNetworks(t, c.NumNodes()) {
+		for nname, net := range testNetworks(c.NumNodes()) {
 			mo := NewModel(net)
 			for pname, tm := range testTraffic(np) {
 				cost, err := NewCost(mustPricing(t, mo, c), tm, m)
@@ -230,7 +228,7 @@ func TestDeltaMoveDifferential(t *testing.T) {
 			np = 24
 		}
 		m := mapJob(t, c, "csbnh", np)
-		for nname, net := range testNetworks(t, c.NumNodes()) {
+		for nname, net := range testNetworks(c.NumNodes()) {
 			mo := NewModel(net)
 			tm := commpat.RandomPairs(np, 2*np, 1024, 5)
 			cost, err := NewCost(mustPricing(t, mo, c), tm, m)

@@ -19,9 +19,8 @@ import (
 // to tiny class sets: Flat has {self, other}; FatTree and Dragonfly have
 // {self, intra-partition, inter-partition} keyed by a per-node partition
 // id; Torus3D's class is the wrap-around Manhattan hop distance computed
-// from packed per-node coordinates. MatrixNet and unknown Network
-// implementations fall back to a probed n×n class table (bounded by
-// MaxPairNodes) that dedupes distinct (latency, bandwidth, hops) triples.
+// from packed per-node coordinates. These four are the only networks
+// with a class model; any other Network implementation is rejected.
 type Distances struct {
 	n    int
 	kind distKind
@@ -34,7 +33,6 @@ type Distances struct {
 	part  []int32 // kindPartition: node -> partition id
 	coord []int32 // kindTorus: packed x,y,z per node
 	dims  [3]int32
-	pair  []int32 // kindPair: n*n -> class
 }
 
 type distKind uint8
@@ -43,22 +41,15 @@ const (
 	distUniform distKind = iota
 	distPartition
 	distTorus
-	distPair
 )
-
-// MaxPairNodes bounds the n×n fallback class table built for MatrixNet
-// and unknown Network implementations; past it the table alone would
-// dominate memory, and a structured model (flat / fat-tree / torus /
-// dragonfly) must be used instead.
-const MaxPairNodes = 4096
 
 // selfBW is the self class's bandwidth: a node talking to itself moves
 // bytes for free, so bytes/selfBW is 0.
 var selfBW = math.Inf(1)
 
 // NewDistances precomputes the distance provider for numNodes nodes of
-// the given network. Structured models build in O(n); table-backed and
-// unknown models probe all n² pairs (and are rejected past MaxPairNodes).
+// the given network in O(n). Only Flat, FatTree, Dragonfly and Torus3D
+// have a class model; any other Network is an error naming it.
 func NewDistances(net Network, numNodes int) (*Distances, error) {
 	if net == nil {
 		return nil, fmt.Errorf("netsim: distances need a network model")
@@ -126,43 +117,8 @@ func NewDistances(net Network, numNodes int) (*Distances, error) {
 		}
 		d.bw[0] = selfBW
 	default:
-		// MatrixNet and anything else: probe every ordered pair and
-		// dedupe distinct cost triples into classes.
-		if numNodes > MaxPairNodes {
-			return nil, fmt.Errorf("netsim: %s needs an n x n distance table but n=%d exceeds %d; use a structured network model at this scale",
-				net.Name(), numNodes, MaxPairNodes)
-		}
-		d.kind = distPair
-		d.pair = make([]int32, numNodes*numNodes)
-		type costKey struct {
-			lat, bw float64
-			hops    int
-		}
-		classes := map[costKey]int32{}
-		d.lat = []float64{0}
-		d.bw = []float64{selfBW}
-		d.hops = []int32{0}
-		for a := 0; a < numNodes; a++ {
-			for b := 0; b < numNodes; b++ {
-				if a == b {
-					continue
-				}
-				bw := net.Bandwidth(a, b)
-				if bw <= 0 {
-					return nil, fmt.Errorf("netsim: %s has non-positive bandwidth %d->%d", net.Name(), a, b)
-				}
-				key := costKey{net.Latency(a, b), bw, net.Hops(a, b)}
-				cl, ok := classes[key]
-				if !ok {
-					cl = int32(len(d.lat))
-					classes[key] = cl
-					d.lat = append(d.lat, key.lat)
-					d.bw = append(d.bw, key.bw)
-					d.hops = append(d.hops, int32(key.hops))
-				}
-				d.pair[a*numNodes+b] = cl
-			}
-		}
+		return nil, fmt.Errorf("netsim: no distance model for network %s (%T); pricing supports flat, fat-tree, dragonfly and torus",
+			net.Name(), net)
 	}
 	return d, nil
 }
@@ -232,12 +188,10 @@ func (d *Distances) Class(a, b int) int32 {
 			return 1
 		}
 		return 2
-	case distTorus:
+	default: // distTorus
 		return axisDist32(d.coord[3*a], d.coord[3*b], d.dims[0]) +
 			axisDist32(d.coord[3*a+1], d.coord[3*b+1], d.dims[1]) +
 			axisDist32(d.coord[3*a+2], d.coord[3*b+2], d.dims[2])
-	default:
-		return d.pair[a*d.n+b]
 	}
 }
 

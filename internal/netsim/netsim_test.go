@@ -315,77 +315,6 @@ func TestEvaluateTorusCongestion(t *testing.T) {
 	}
 }
 
-func TestMatrixNet(t *testing.T) {
-	lat := [][]float64{
-		{0, 2, 5},
-		{2, 0, 5},
-		{5, 5, 0},
-	}
-	bw := [][]float64{
-		{1, 1000, 500},
-		{1000, 1, 500},
-		{500, 500, 1},
-	}
-	n, err := NewMatrixNet(lat, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Latency(0, 1) != 2 || n.Latency(0, 2) != 5 || n.Latency(1, 1) != 0 {
-		t.Fatal("latency lookups")
-	}
-	if n.Bandwidth(0, 2) != 500 {
-		t.Fatal("bandwidth lookup")
-	}
-	if n.Hops(0, 1) != 1 || n.Hops(2, 2) != 0 {
-		t.Fatal("hops")
-	}
-	if n.Name() != "matrix(3)" {
-		t.Fatalf("name = %s", n.Name())
-	}
-	// Out-of-range: conservative worst latency / slowest bandwidth.
-	if n.Latency(0, 9) != 5 {
-		t.Fatalf("oob latency = %v", n.Latency(0, 9))
-	}
-	if n.Bandwidth(0, 9) != 500 {
-		t.Fatalf("oob bandwidth = %v", n.Bandwidth(0, 9))
-	}
-	// Works end to end in a model.
-	sp, _ := hw.Preset("bgp-node")
-	c := cluster.Homogeneous(3, sp)
-	mapper, _ := core.NewMapper(c, core.MustParseLayout("ncsbh"), core.Options{})
-	m, err := mapper.Map(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewModel(n).Evaluate(c, m, commpat.Ring(12, 10000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalTime <= 0 || rep.InterBytes <= 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-}
-
-func TestMatrixNetErrors(t *testing.T) {
-	good := [][]float64{{0, 1}, {1, 0}}
-	cases := []struct {
-		lat, bw [][]float64
-	}{
-		{nil, nil},
-		{good, [][]float64{{1, 1}}},          // bw wrong size
-		{[][]float64{{0, 1}}, good},          // ragged lat
-		{[][]float64{{1, 1}, {1, 0}}, good},  // nonzero diagonal
-		{[][]float64{{0, 0}, {1, 0}}, good},  // zero latency
-		{good, [][]float64{{1, 0}, {1, 1}}},  // zero bandwidth
-		{good, [][]float64{{1, -2}, {1, 1}}}, // negative bandwidth
-	}
-	for i, c := range cases {
-		if _, err := NewMatrixNet(c.lat, c.bw); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
-	}
-}
-
 func TestDragonfly(t *testing.T) {
 	df := NewDragonfly(4)
 	if df.Name() != "dragonfly(4)" {

@@ -1,7 +1,7 @@
 // Package netsim is a communication-cost simulator for mapped parallel
 // jobs. It combines an intra-node model (cost by the topology level of the
-// lowest common ancestor of two PUs) with pluggable inter-node network
-// models (flat, two-level fat-tree, 3-D torus with link congestion), and
+// lowest common ancestor of two PUs) with four inter-node network models
+// (flat, two-level fat-tree, dragonfly, 3-D torus with link congestion), and
 // evaluates a traffic matrix against a mapping plan. The paper's
 // motivation — placement changes communication cost (§I, §II) — is made
 // measurable by this package.
@@ -14,7 +14,10 @@ import (
 	"lama/internal/torus"
 )
 
-// Network models the cluster interconnect between node indices.
+// Network models the cluster interconnect between node indices. Pricing
+// (Model.Pricing, Model.Evaluate, Cost) supports exactly Flat, FatTree,
+// Dragonfly and Torus3D, each through a closed-form distance class in
+// Distances; any other implementation is rejected with an error naming it.
 type Network interface {
 	// Name identifies the model in reports.
 	Name() string

@@ -1,6 +1,6 @@
-// Package rm simulates the resource manager / batch scheduler that sits in
-// front of the mapping agent (paper §III-A): it owns a pool of nodes, grants
-// jobs allocations at node or core granularity, and applies site policy.
+// Package rm simulates the resource manager's allocation step in front of
+// the mapping agent (paper §III-A): it owns a pool of nodes and grants
+// jobs allocations at node or core granularity, returning them on release.
 // A core-granular allocation hands the job a restricted view of each node
 // (e.g. "half the cores of node A and half the cores of node B"), which is
 // exactly the case that makes homogeneous hardware look heterogeneous to
@@ -50,7 +50,6 @@ type Allocation struct {
 	// Granted is the job's restricted view of its nodes.
 	Granted *cluster.Cluster
 
-	policy Policy
 	// cores[nodeIdx] lists granted core logical indices in the pool node.
 	cores map[int][]int
 }
@@ -143,7 +142,7 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 			ErrInsufficient, need, slots, policy)
 	}
 
-	alloc := &Allocation{ID: m.nextID, policy: policy, cores: plan, Granted: &cluster.Cluster{}}
+	alloc := &Allocation{ID: m.nextID, cores: plan, Granted: &cluster.Cluster{}}
 	m.nextID++
 	for i, node := range m.pool.Nodes {
 		granted, ok := plan[i]

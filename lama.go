@@ -35,7 +35,6 @@ import (
 	"lama/internal/hw"
 	"lama/internal/metrics"
 	"lama/internal/mpirun"
-	"lama/internal/msgsim"
 	"lama/internal/netsim"
 	"lama/internal/orte"
 	"lama/internal/place"
@@ -115,8 +114,8 @@ func ParseHostfile(text string, def Spec) (*Cluster, error) {
 	return cluster.ParseHostfile(text, def)
 }
 
-// ResourceManager simulates a batch scheduler granting node- or
-// core-granular allocations.
+// ResourceManager grants node- or core-granular allocations from a node
+// pool.
 type (
 	ResourceManager = rm.Manager
 	Allocation      = rm.Allocation
@@ -247,14 +246,8 @@ type (
 	PlaceJob      = place.Job
 )
 
-// RegisterPolicy adds a custom placement policy to the registry.
-func RegisterPolicy(p Policy) { place.Register(p) }
-
 // LookupPolicy resolves a registered policy by name.
 func LookupPolicy(name string) (Policy, bool) { return place.Lookup(name) }
-
-// PolicyNames lists the registered policies in registration order.
-func PolicyNames() []string { return place.Names() }
 
 // Place resolves a policy by name and runs it under the uniform
 // instrumentation contract (see place.Run).
@@ -279,9 +272,6 @@ type ReorderPass = reorder.Pass
 // PlaceRequest.TorusDims. The §II comparators (by-slot, by-node, pack,
 // scatter, random, plane, torus, treematch) run through Place by name.
 type TorusDims = torus.Dims
-
-// FitTorusDims factors a node count into a near-cubic torus shape.
-func FitTorusDims(n int) TorusDims { return torus.FitDims(n) }
 
 // TorusOrders lists all 24 XYZT iteration orders.
 func TorusOrders() []string { return torus.Orders() }
@@ -355,26 +345,6 @@ func RunCollective(op CollOp, c *Cluster, m *Map, model *Model, bytes float64) (
 	return coll.Run(op, c, m, model, bytes)
 }
 
-// ---- Launch protocol ----
-
-// SpawnProtocol selects the daemon-launch topology; SpawnStats is the
-// simulated outcome.
-type (
-	SpawnProtocol = orte.SpawnProtocol
-	SpawnStats    = orte.SpawnStats
-)
-
-// Spawn protocols.
-const (
-	LinearSpawn   = orte.LinearSpawn
-	BinomialSpawn = orte.BinomialSpawn
-)
-
-// SimulateSpawn models launching daemons on n nodes.
-func SimulateSpawn(n int, p SpawnProtocol, latencyUs float64) (*SpawnStats, error) {
-	return orte.SimulateSpawn(n, p, latencyUs)
-}
-
 // ---- Application simulation ----
 
 // AppConfig and AppResult describe the BSP application simulator: per
@@ -441,66 +411,3 @@ func FormatTrafficMatrix(m *TrafficMatrix) string { return commpat.FormatMatrix(
 func RunHierarchicalCollective(op CollOp, c *Cluster, m *Map, model *Model, bytes float64) (*CollResult, error) {
 	return coll.RunHierarchical(op, c, m, model, bytes)
 }
-
-// ---- Batch scheduling ----
-
-// SchedPolicy is the batch queue discipline; JobSpec one queued job;
-// ScheduleResult the simulated outcome.
-type (
-	SchedPolicy    = rm.SchedPolicy
-	JobSpec        = rm.JobSpec
-	JobOutcome     = rm.JobOutcome
-	ScheduleResult = rm.ScheduleResult
-)
-
-// Scheduling policies.
-const (
-	SchedFIFO     = rm.FIFO
-	SchedBackfill = rm.Backfill
-)
-
-// NewMatrixNetwork builds a network from explicit per-node-pair latency
-// (µs) and bandwidth (bytes/µs) tables, e.g. from site measurements.
-func NewMatrixNetwork(latUs, bwBytesPerUs [][]float64) (Network, error) {
-	return netsim.NewMatrixNet(latUs, bwBytesPerUs)
-}
-
-// NewDragonflyNetwork returns a two-tier group-based (dragonfly) network.
-func NewDragonflyNetwork(groupSize int) Network { return netsim.NewDragonfly(groupSize) }
-
-// ---- Flow-level simulation and rank reordering ----
-
-// MsgMessage is one transfer of a communication phase; MsgResult the
-// fluid-fair simulation outcome.
-type (
-	MsgMessage = msgsim.Message
-	MsgResult  = msgsim.Result
-)
-
-// SimulateMessages runs the max-min-fair flow-level simulation of one
-// communication phase — the contention-resolving reference for the
-// analytic cost models.
-func SimulateMessages(c *Cluster, m *Map, model *Model, msgs []MsgMessage) (*MsgResult, error) {
-	return msgsim.Run(c, m, model, msgs)
-}
-
-// MessagesFromMatrix expands a traffic matrix into one phase's messages.
-func MessagesFromMatrix(tm *TrafficMatrix) []MsgMessage { return msgsim.FromMatrix(tm) }
-
-// ReorderResult describes a communicator rank-reordering optimization.
-type ReorderResult = reorder.Result
-
-// ReorderRanks searches for a rank permutation of an already-mapped job
-// that lowers communication cost (processors stay fixed).
-func ReorderRanks(c *Cluster, m *Map, model *Model, tm *TrafficMatrix, maxSweeps int) (*ReorderResult, error) {
-	return reorder.Optimize(c, m, model, tm, maxSweeps)
-}
-
-// BindWidth computes a binding of `count` consecutive objects at a level
-// per rank — the "<count><level>" syntax of the paper's rmaps_lama_bind.
-func BindWidth(c *Cluster, m *Map, level Level, count int) (*BindPlan, error) {
-	return bind.ComputeWidth(c, m, level, count)
-}
-
-// ParseBindWidthSpec parses "<count><level>" binding specs such as "2c".
-func ParseBindWidthSpec(text string) (Level, int, error) { return bind.ParseWidthSpec(text) }

@@ -258,26 +258,6 @@ func TestBindingReportFacade(t *testing.T) {
 	}
 }
 
-// TestSchedulerFacade drives the batch-queue simulation through the
-// public API.
-func TestSchedulerFacade(t *testing.T) {
-	spec, _ := lama.Preset("nehalem-ep")
-	mgr := lama.NewResourceManager(lama.Homogeneous(2, spec))
-	res, err := mgr.Schedule(lama.SchedBackfill, []lama.JobSpec{
-		{ID: 0, Cores: 16, Duration: 5},
-		{ID: 1, Cores: 4, Duration: 1, Arrival: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != 6 {
-		t.Fatalf("makespan = %v", res.Makespan)
-	}
-	if res.Outcomes[1].Start != 5 {
-		t.Fatalf("job 1 start = %v (must wait for the full-pool job)", res.Outcomes[1].Start)
-	}
-}
-
 // TestFacadeCoverage sweeps the remaining thin wrappers so regressions in
 // re-export plumbing are caught.
 func TestFacadeCoverage(t *testing.T) {
