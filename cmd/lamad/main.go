@@ -86,11 +86,12 @@ func run(args []string, out io.Writer) error {
 
 // buildDaemon assembles the daemon's engine and HTTP surface: the
 // placement /v1 API mounted next to the always-on telemetry plane (the
-// engine's counters, the event ring, and the pprof endpoints all share
-// the placement port).
+// engine's counters, the GC gauges, the event ring, and the pprof
+// endpoints all share the placement port).
 func buildDaemon(clusters string, cfg engine.Config) (*engine.Engine, http.Handler, error) {
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg)
+	obs.RegisterGCGauges(reg)
 	ring := obs.NewRingSink(obs.DefaultRingCapacity)
 	ring.DropCounter = reg.Counter("lama_obs_events_dropped_total")
 	o := &obs.Observer{Metrics: reg, Sink: ring, Phases: obs.NewPhaseTimer()}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -176,6 +177,47 @@ func cacheCounters(t *testing.T, ts *httptest.Server) (hits, misses int64) {
 		t.Fatal(err)
 	}
 	return snap.Counters["lama_engine_cache_hits_total"], snap.Counters["lama_engine_cache_misses_total"]
+}
+
+// TestLamadGCGauges: lamad's /metrics and /metrics.json carry the GC
+// gauges, read at the scrape, so an operator sees the collector's cycles
+// and CPU time without a profile.
+func TestLamadGCGauges(t *testing.T) {
+	_, ts := testServer(t)
+	runtime.GC()
+	resp, err := http.Get(ts.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, ok := snap.Gauges["lama_go_gc_cycles"]
+	if !ok || cycles < 1 {
+		t.Fatalf("/metrics.json lama_go_gc_cycles = %g (present %v) after a collection", cycles, ok)
+	}
+	if _, ok := snap.Gauges["lama_go_gc_cpu_seconds"]; !ok {
+		t.Fatal("/metrics.json lacks lama_go_gc_cpu_seconds")
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"lama_go_gc_cycles", "lama_go_gc_cpu_seconds"} {
+		if !strings.Contains(string(text), "\n"+name+" ") {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
 }
 
 func TestLamadErrorStatuses(t *testing.T) {

@@ -10,6 +10,7 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"lama/internal/cluster"
 	"lama/internal/core"
@@ -18,16 +19,14 @@ import (
 
 // placer collects a baseline's placements in rank order. It stops the
 // enumeration at np, so a request costs what it places, not what the
-// cluster holds: Placements is sized once, and every rank's PUs is a
-// one-element window of a single []int. An np past the cluster's usable
-// PUs, which bound every baseline's slot count, cannot be placed, so then
-// the slots are only counted, for the error.
+// cluster holds: the map is a core.NewPUMap of np ranks. An np past the
+// cluster's usable PUs, which bound every baseline's slot count, cannot be
+// placed, so then the slots are only counted, for the error.
 type placer struct {
-	c   *cluster.Cluster
-	np  int
-	m   *core.Map // nil when np exceeds the usable PUs
-	pus []int
-	n   int // ranks placed, or slots counted
+	c  *cluster.Cluster
+	np int
+	m  *core.Map // nil when np exceeds the usable PUs
+	n  int       // ranks placed, or slots counted
 }
 
 // newPlacer starts a map of np ranks, or fails for a non-positive np.
@@ -37,8 +36,7 @@ func newPlacer(c *cluster.Cluster, np int) (*placer, error) {
 	}
 	p := &placer{c: c, np: np}
 	if np <= c.TotalUsablePUs() {
-		p.m = &core.Map{Placements: make([]core.Placement, 0, np), Sweeps: 1}
-		p.pus = make([]int, 0, np)
+		p.m = core.NewPUMap(np)
 	}
 	return p, nil
 }
@@ -51,14 +49,7 @@ func (p *placer) add(node int, pu *hw.Object) bool {
 	if p.m == nil {
 		return false
 	}
-	p.pus = append(p.pus, pu.OS)
-	p.m.Placements = append(p.m.Placements, core.Placement{
-		Rank:     rank,
-		Node:     node,
-		NodeName: p.c.Node(node).Name,
-		Leaf:     pu,
-		PUs:      p.pus[rank : rank+1 : rank+1],
-	})
+	p.m.SetPU(rank, node, p.c.Node(node).Name, pu)
 	return p.n == p.np
 }
 
@@ -154,14 +145,11 @@ func Scatter(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A group is one object's usable PUs: a run of its node's list.
-	type group struct {
-		node int
-		pus  []*hw.Object
-	}
 	// Round one places one rank per group as it is found, so it returns
-	// before finding more than np groups.
-	groups := make([]group, 0, cap(p.pus))
+	// before finding more than np groups. The list is pooled scratch.
+	gp := groupPool.Get().(*[]group)
+	groups := (*gp)[:0]
+	defer func() { putGroups(gp, groups) }()
 	for i, node := range c.Nodes {
 		ups := node.Topo.UsablePUs()
 		for start, end := 0, 0; start < len(ups); start = end {
@@ -192,6 +180,30 @@ func Scatter(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 		if !progressed {
 			return nil, p.exhausted("scatter")
 		}
+	}
+}
+
+// group is one of Scatter's objects: its usable PUs, a run of its node's
+// list.
+type group struct {
+	node int
+	pus  []*hw.Object
+}
+
+// groupPool holds Scatter's idle group lists.
+var groupPool = sync.Pool{New: func() any { return new([]group) }}
+
+// maxPooledGroups bounds the group list groupPool keeps: a scatter over
+// more objects builds its list in fresh memory that is dropped afterwards.
+const maxPooledGroups = 1 << 12
+
+// putGroups returns a group list to groupPool, cleared so that the pool
+// holds no topology.
+func putGroups(gp *[]group, groups []group) {
+	if cap(groups) <= maxPooledGroups {
+		clear(groups)
+		*gp = groups[:0]
+		groupPool.Put(gp)
 	}
 }
 

@@ -579,3 +579,54 @@ func TestPooledScratchNotShared(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedStorageReused: every pattern built on storage released by
+// larger and smaller matrices renders exactly as the same traffic built
+// by Builder.Build, rows and incident view alike, so no stale entry or
+// offset of a reused array survives into a new matrix.
+func TestReleasedStorageReused(t *testing.T) {
+	render := func(m *Matrix) string {
+		var sb strings.Builder
+		sb.WriteString(FormatMatrix(m))
+		x := m.Incident()
+		for r := 0; r < m.Ranks(); r++ {
+			peers, out, in := x.Row(r)
+			fmt.Fprintln(&sb, peers, out, in)
+		}
+		return sb.String()
+	}
+	for _, n := range []int{96, 16, 48, 7, 96, 33} {
+		for _, p := range Patterns() {
+			m := p.Gen(n, 1<<20)
+			b := NewBuilder(n)
+			m.Each(b.Add)
+			if got, want := render(m), render(b.Build()); got != want {
+				t.Fatalf("%s n=%d: a matrix on released storage differs from Builder.Build", p.Name, n)
+			}
+			m.Release()
+		}
+	}
+}
+
+// TestReleasedMatrixPanics: a released matrix's rows and incident view
+// are nil, so a late read panics rather than reading storage a later
+// matrix now uses.
+func TestReleasedMatrixPanics(t *testing.T) {
+	for name, read := range map[string]func(m *Matrix, x *Incident){
+		"Row":          func(m *Matrix, _ *Incident) { m.Row(0) },
+		"Bytes":        func(m *Matrix, _ *Incident) { m.Bytes(0, 1) },
+		"Incident.Row": func(_ *Matrix, x *Incident) { x.Row(0) },
+	} {
+		m := Ring(8, 1)
+		x := m.Incident()
+		m.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released matrix did not panic", name)
+				}
+			}()
+			read(m, x)
+		}()
+	}
+}

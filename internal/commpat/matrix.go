@@ -21,12 +21,18 @@ import (
 // sparse-QAP observation, PAPERS.md). Build one with a Builder.
 //
 // A Matrix is immutable once built, so goroutines may share one; its
-// Incident view is computed on first use, once.
+// Incident view is computed on first use, once. The package's patterns
+// build theirs in pooled storage, which a sole owner may hand back with
+// Release.
 type Matrix struct {
 	n      int
 	rowOff []int32 // len n+1; row i occupies col/val[rowOff[i]:rowOff[i+1]]
 	col    []int32
 	val    []float64
+
+	// arrays is the pooled storage the matrix and its view were built in,
+	// nil for a Builder.Build matrix.
+	arrays *arrays
 
 	incOnce sync.Once
 	inc     *Incident // set by incOnce; see Incident
@@ -100,8 +106,9 @@ func (m *Matrix) Incident() *Incident {
 // buildIncident builds the incident view: row r of m is merged with
 // column r, read off a transpose whose rows come out ascending because m
 // is walked row by row, so nothing is sorted. A volume present in one
-// direction only is 0 in the other. The transpose and the merge run in
-// pooled scratch; the view itself is copied out at its exact size.
+// direction only is 0 in the other. The transpose runs in pooled
+// scratch. A pooled matrix's view is merged straight into its arrays;
+// any other's is merged in the scratch and copied out at its exact size.
 func (m *Matrix) buildIncident() *Incident {
 	n, nnz := m.n, len(m.col)
 	s := incidentPool.Get().(*incidentScratch)
@@ -129,8 +136,14 @@ func (m *Matrix) buildIncident() *Incident {
 	tOff[0] = 0
 
 	// A rank has at most its row's and its column's entries as peers.
-	off := make([]int32, n+1)
-	peer, out, in := grow(&s.peer, 2*nnz), grow(&s.out, 2*nnz), grow(&s.in, 2*nnz)
+	var off, peer []int32
+	var out, in []float64
+	if a := m.arrays; a != nil {
+		off, peer, out, in = grow(&a.off, n+1), grow(&a.peer, 2*nnz), grow(&a.out, 2*nnz), grow(&a.in, 2*nnz)
+		off[0] = 0
+	} else {
+		off, peer, out, in = make([]int32, n+1), grow(&s.peer, 2*nnz), grow(&s.out, 2*nnz), grow(&s.in, 2*nnz)
+	}
 	k := 0
 	for r := 0; r < n; r++ {
 		cols, vals := m.Row(r)
@@ -152,6 +165,9 @@ func (m *Matrix) buildIncident() *Incident {
 		off[r+1] = int32(k)
 	}
 
+	if m.arrays != nil {
+		return &Incident{off: off, peer: peer[:k:k], out: out[:k:k], in: in[:k:k]}
+	}
 	vols := make([]float64, 2*k)
 	copy(vols, out[:k])
 	copy(vols[k:], in[:k])
@@ -159,7 +175,8 @@ func (m *Matrix) buildIncident() *Incident {
 }
 
 // incidentScratch is the working memory of one buildIncident: the
-// transpose and the merged rows before they are copied out.
+// transpose, and for a matrix built outside the pool the merged rows
+// before they are copied out.
 type incidentScratch struct {
 	tOff, tRow, peer []int32
 	tVal, out, in    []float64
@@ -188,6 +205,32 @@ func grow[T any](buf *[]T, n int) []T {
 		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
+}
+
+// arrays is the storage of a pooled matrix and of its incident view,
+// kept at the capacity it grew to.
+type arrays struct {
+	rowOff, col, off, peer []int32
+	val, out, in           []float64
+}
+
+// arraysPool holds the storage of released matrices; see pooledCap.
+var arraysPool = sync.Pool{New: func() any { return new(arrays) }}
+
+// Release ends m's life: its slices and its incident view's become nil,
+// so a late read panics instead of reading storage another matrix now
+// uses, and the arrays a pattern built m in go back to the pool (a
+// Builder.Build matrix is only cleared). The caller must own m solely,
+// and nothing may read m, its rows or its view afterwards.
+func (m *Matrix) Release() {
+	a := m.arrays
+	m.rowOff, m.col, m.val, m.arrays = nil, nil, nil, nil
+	if x := m.inc; x != nil {
+		x.off, x.peer, x.out, x.in = nil, nil, nil, nil
+	}
+	if a != nil && cap(a.rowOff) <= pooledCap && cap(a.col) <= pooledCap && cap(a.peer) <= pooledCap {
+		arraysPool.Put(a)
+	}
 }
 
 // Row returns rank r's peers ascending with the bytes r sends to each
@@ -247,10 +290,10 @@ func newPooledBuilder(n int) *Builder {
 	return b
 }
 
-// buildPooled builds b's matrix and returns b's entry buffer to the pool:
-// b must not be used again.
+// buildPooled builds b's matrix in pooled arrays and returns b's entry
+// buffer to the pool: b must not be used again.
 func (b *Builder) buildPooled() *Matrix {
-	m := b.Build()
+	m := b.build(arraysPool.Get().(*arrays))
 	if cap(b.ent) <= pooledCap {
 		b.ent = b.ent[:0]
 		builderPool.Put(b)
@@ -273,12 +316,17 @@ func (b *Builder) AddSym(i, j int, bytes float64) {
 // Entries are bucketed by row, which keeps their Add order, and each row
 // is then sorted stably by column: O(nnz) when rows arrive in column
 // order, as they do for row-major patterns.
-func (b *Builder) Build() *Matrix {
-	m := &Matrix{
-		n:      b.n,
-		rowOff: make([]int32, b.n+1),
-		col:    make([]int32, len(b.ent)),
-		val:    make([]float64, len(b.ent)),
+func (b *Builder) Build() *Matrix { return b.build(nil) }
+
+// build is Build into a's arrays, or into arrays of their exact size when
+// a is nil.
+func (b *Builder) build(a *arrays) *Matrix {
+	m := &Matrix{n: b.n, arrays: a}
+	if a != nil {
+		m.rowOff, m.col, m.val = grow(&a.rowOff, b.n+1), grow(&a.col, len(b.ent)), grow(&a.val, len(b.ent))
+		clear(m.rowOff)
+	} else {
+		m.rowOff, m.col, m.val = make([]int32, b.n+1), make([]int32, len(b.ent)), make([]float64, len(b.ent))
 	}
 	for _, e := range b.ent {
 		m.rowOff[e.row+1]++

@@ -133,7 +133,9 @@ type Request struct {
 }
 
 // Response is a served placement. Map's slices are shared with the cache
-// — callers must treat them as read-only.
+// — callers must treat them as read-only. A Response Place returns is the
+// caller's to keep: only the /v1/place handler gives a map's storage back
+// (see recycle), and only once it has written the reply.
 type Response struct {
 	Map    core.Map
 	Epoch  uint64
@@ -141,6 +143,20 @@ type Response struct {
 	// entry is the stored run the /v1/place reply is written from, shared
 	// with the cache; nil when the request bypassed the cache.
 	entry *cacheEntry
+	// run is the map the policy returned for an uncached request, which
+	// Map is the whole of and nothing else holds; nil for a cached one.
+	run *core.Map
+}
+
+// recycle gives the storage of an uncached reply's map back to its pool
+// and clears Map, so a late read panics. A map a cache entry holds is
+// left alone. The caller must be done with resp: /v1/place calls it once
+// the reply is written.
+func (resp *Response) recycle() {
+	if resp.run != nil {
+		core.Recycle(resp.run)
+		resp.Map, resp.run = core.Map{}, nil
+	}
 }
 
 // clusterEntry is one registered cluster: the currently published
@@ -166,8 +182,12 @@ func (ce *clusterEntry) current() (*Snapshot, uint64) {
 // whose topology identity or generation changed. Other policies ignore
 // the mapper. The map holds at most maxWorkerMappers entries.
 type worker struct {
-	mappers map[string]*core.Mapper
+	mappers map[mapperKey]*core.Mapper
 }
+
+// mapperKey names a worker's mapper: a cluster and a layout text. A
+// struct key, unlike a joined string, costs a lookup no allocation.
+type mapperKey struct{ cluster, layout string }
 
 // maxWorkerMappers caps a worker's mapper map. Its keys come from request
 // input and a mapper over a 4096-node cluster holds about 0.4 MB, so the
@@ -184,7 +204,7 @@ func (w *worker) mapper(cluster, layout string) *core.Mapper {
 		// would pin the snapshot it last mapped on.
 		layout = "csbnh"
 	}
-	key := cluster + "\x00" + layout
+	key := mapperKey{cluster, layout}
 	mp := w.mappers[key]
 	if mp == nil {
 		if len(w.mappers) >= maxWorkerMappers {
@@ -238,7 +258,7 @@ func New(cfg Config) *Engine {
 		cache:    newLRU(budget, reg),
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		e.workers <- &worker{mappers: map[string]*core.Mapper{}}
+		e.workers <- &worker{mappers: map[mapperKey]*core.Mapper{}}
 	}
 	e.hits = reg.Counter("lama_engine_cache_hits_total")
 	e.prefixHits = reg.Counter("lama_engine_cache_prefix_hits_total")
@@ -426,6 +446,8 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	if cached {
 		resp.entry = newEntry(key, m)
 		e.cache.put(resp.entry)
+	} else {
+		resp.run = m
 	}
 	return resp, nil
 }
@@ -455,7 +477,8 @@ func (e *Engine) shedReq(req *Request, why string) error {
 // place maps np ranks for the request on a pool worker, through the
 // policy registry, with the worker's mapper for the request's cluster and
 // layout. np differs from req.NP only for a prefix-closed policy, which
-// reads no traffic.
+// reads no traffic. The request's traffic matrix is place's alone: no
+// policy keeps it, so its storage goes back to the pool on return.
 func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Request, np int) (*core.Map, error) {
 	policy := req.Policy
 	if policy == "" {
@@ -496,6 +519,7 @@ func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Requ
 				bytes = 1 << 20
 			}
 			preq.Traffic = gen(req.NP, bytes)
+			defer preq.Traffic.Release()
 		}
 	}
 	preq.Mapper = w.mapper(req.Cluster, req.Layout)

@@ -134,6 +134,7 @@ func (e *Engine) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writePlaceReply(w, req.Cluster, resp)
+	resp.recycle()
 }
 
 // writePlaceReply writes a served placement's /v1/place reply with its

@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -18,9 +23,11 @@ var trafficPolicies = []string{"treematch", "torus", "by-node", "scatter", "pack
 // oblivious policies read the topologies' usable-PU and thread-major
 // lists and stop once np slots are filled; treematch works in pooled
 // scratch. A policy that walked or copied every node again would show up
-// here as allocations growing with the node count. GC is off while
-// counting, so a drained scratch pool cannot add to the count; under
-// -race, where sync.Pool drops Puts at random, treematch is left out.
+// here as allocations growing with the node count. Scatter's group list
+// is pooled scratch, so it allocates exactly what by-node does. GC is off
+// while counting, so a drained scratch pool cannot add to the count;
+// under -race, where sync.Pool drops Puts at random, treematch and
+// scatter are left out.
 func TestTrafficPlaceAllocsFlatInCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4096-node cluster")
@@ -34,8 +41,9 @@ func TestTrafficPlaceAllocsFlatInCluster(t *testing.T) {
 		}
 		engines[nodes] = e
 	}
+	byPolicy := map[string]float64{}
 	for _, policy := range trafficPolicies {
-		if raceEnabled && policy == "treematch" {
+		if raceEnabled && (policy == "treematch" || policy == "scatter") {
 			continue
 		}
 		allocs := map[int]float64{}
@@ -46,6 +54,10 @@ func TestTrafficPlaceAllocsFlatInCluster(t *testing.T) {
 		if allocs[4096] != allocs[256] {
 			t.Errorf("%s np=64: %.0f allocs/op on 4096 nodes, %.0f on 256", policy, allocs[4096], allocs[256])
 		}
+		byPolicy[policy] = allocs[256]
+	}
+	if !raceEnabled && byPolicy["scatter"] != byPolicy["by-node"] {
+		t.Errorf("scatter np=64: %.0f allocs/op, by-node %.0f: its group list is not pooled", byPolicy["scatter"], byPolicy["by-node"])
 	}
 }
 
@@ -62,19 +74,21 @@ func placeAllocs(t *testing.T, e *Engine, req *Request) float64 {
 	return testing.AllocsPerRun(20, place)
 }
 
-// treematchPlaceAllocs is what a warm, uncached treematch Engine.Place
-// allocates whatever its np: the core.Map, its placements and PU windows,
-// and the engine's per-request records (6); the request's traffic matrix,
-// its row offsets, columns and volumes (4); and the matrix's incident
-// view, its offsets, peers and volumes (4).
-const treematchPlaceAllocs = 14
+// treematchPlaceAllocs is what a warm, uncached treematch request
+// allocates whatever its np, Engine.Place and the recycle after its reply
+// together: the Response and the place.Request (2); the core.Map header,
+// and the one that carries its storage back to the pool on recycle (2);
+// and the structs of the traffic matrix and of its incident view (2).
+// Every array is pooled: the map's placements and PU windows, the
+// matrix's rows and the view's, and the builder's and partitioner's
+// scratch.
+const treematchPlaceAllocs = 6
 
-// TestTreematchPlaceAllocsConstant pins a warm treematch Engine.Place to
-// treematchPlaceAllocs at np 64 and 512: the traffic is generated and its
-// incident view merged in pooled scratch, and the partitioner works in a
-// pooled scratch too, so only what the request returns or keeps is
-// allocated. GC is off while counting, so a drained pool cannot add to
-// the count.
+// TestTreematchPlaceAllocsConstant pins a warm, uncached treematch
+// request, served as /v1/place serves it, to treematchPlaceAllocs at np
+// 64 and 512: Engine.Place releases the traffic once the policy returns,
+// and the recycle returns the map's storage. GC is off while counting, so
+// a drained pool cannot add to the count.
 func TestTreematchPlaceAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -84,8 +98,18 @@ func TestTreematchPlaceAllocsConstant(t *testing.T) {
 	if err := e.Register("c", nehalemSnap(t, 256)); err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, np := range []int{64, 512} {
-		got := placeAllocs(t, e, &Request{Cluster: "c", NP: np, Policy: "treematch", Pattern: "gtc", NoCache: true})
+		req := &Request{Cluster: "c", NP: np, Policy: "treematch", Pattern: "gtc", NoCache: true}
+		serve := func() {
+			r, err := e.Place(ctx, req)
+			if err != nil {
+				t.Fatalf("treematch np=%d: %v", np, err)
+			}
+			r.recycle()
+		}
+		serve()
+		got := testing.AllocsPerRun(20, serve)
 		t.Logf("treematch np=%d: %.0f allocs/op", np, got)
 		if got != treematchPlaceAllocs {
 			t.Errorf("treematch np=%d: %.0f allocs/op, want %d", np, got, treematchPlaceAllocs)
@@ -158,11 +182,85 @@ func TestTrafficPoliciesShareSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecycledRepliesMatchFresh sends uncached treematch, scatter, torus
+// and no_cache lama requests from 8 goroutines at once through the
+// /v1/place handler, which recycles each reply's map and traffic as soon
+// as the reply is written, so the next requests build theirs on the same
+// storage. Under -race it proves that no storage is handed on while a
+// reply is still being encoded from it, and every reply must be byte-equal
+// to the reply a fresh engine computes alone.
+func TestRecycledRepliesMatchFresh(t *testing.T) {
+	fresh := func() *Engine {
+		e := New(Config{Workers: 4, QueueDepth: 64})
+		if err := e.Register("c", nehalemSnap(t, 16)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	var reqs []Request
+	for _, policy := range []string{"treematch", "scatter", "torus", "lama"} {
+		for _, pattern := range []string{"gtc", "ring"} {
+			for _, np := range []int{16, 100, 256} {
+				reqs = append(reqs, Request{Cluster: "c", NP: np, Policy: policy, Pattern: pattern, NoCache: true})
+			}
+		}
+	}
+	want := make([][]byte, len(reqs))
+	for i := range reqs {
+		r, err := fresh().Place(context.Background(), &reqs[i])
+		if err != nil {
+			t.Fatalf("%s np=%d: %v", reqs[i].Policy, reqs[i].NP, err)
+		}
+		want[i] = appendPlaceResponse(nil, "c", r.Epoch, r.Cached, &r.Map)
+	}
+	mux := http.NewServeMux()
+	fresh().Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(reqs); k++ {
+				i := (g*5 + k) % len(reqs)
+				body, err := json.Marshal(&reqs[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, err := http.Post(ts.URL+"/v1/place", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("%s np=%d: status %d, %v: %s", reqs[i].Policy, reqs[i].NP, resp.StatusCode, err, got)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					errs <- fmt.Errorf("%s %s np=%d: served reply differs from a lone fresh one", reqs[i].Policy, reqs[i].Pattern, reqs[i].NP)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // BenchmarkEngineTrafficMix places the traffic-aware mix lamad serves,
 // uncached: the five trafficPolicies × gtc, ring and stencil2d × np 64,
-// 128, …, 512 on 256×nehalem-ep, each through Engine.Place and the
-// /v1/place reply encoding. One op is one request of the 120-request
-// cycle.
+// 128, …, 512 on 256×nehalem-ep, each as /v1/place serves it past the
+// request decode: Engine.Place, writePlaceReply to a writer that drops the
+// bytes, and the recycle. One op is one request of the 120-request cycle,
+// and its B/op is what lamad allocates for it beyond the HTTP layer.
 func BenchmarkEngineTrafficMix(b *testing.B) {
 	e := New(Config{Workers: 1})
 	if err := e.Register("c", nehalemSnap(b, 256)); err != nil {
@@ -177,7 +275,7 @@ func BenchmarkEngineTrafficMix(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
-	var buf []byte
+	w := &discardWriter{h: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,6 +284,7 @@ func BenchmarkEngineTrafficMix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf = appendPlaceResponse(buf[:0], req.Cluster, r.Epoch, r.Cached, &r.Map)
+		writePlaceReply(w, req.Cluster, r)
+		r.recycle()
 	}
 }

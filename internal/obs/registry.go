@@ -28,6 +28,8 @@ type Registry struct {
 	histograms map[string]*Histogram
 	//lama:guards mu
 	infos map[string]map[string]string
+	//lama:guards mu
+	samplers []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -59,6 +61,20 @@ func (r *Registry) SetInfo(name string, labels map[string]string) {
 		copied[k] = v
 	}
 	r.infos[name] = copied
+}
+
+// OnSnapshot registers f to run at the start of every Snapshot, and so of
+// every /metrics and /metrics.json scrape: it sets gauges whose values
+// are read off the process when asked for rather than pushed by the code
+// they describe. f must be safe for concurrent use. A nil registry is a
+// no-op.
+func (r *Registry) OnSnapshot(f func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.samplers = append(r.samplers, f)
 }
 
 // Counter is a monotonically increasing count.
@@ -231,10 +247,17 @@ type MetricsSnapshot struct {
 	Infos      map[string]map[string]string `json:"infos,omitempty"`
 }
 
-// Snapshot freezes the registry (nil registry gives a nil snapshot).
+// Snapshot runs the OnSnapshot samplers, then freezes the registry (nil
+// registry gives a nil snapshot).
 func (r *Registry) Snapshot() *MetricsSnapshot {
 	if r == nil {
 		return nil
+	}
+	r.mu.Lock()
+	samplers := r.samplers
+	r.mu.Unlock()
+	for _, f := range samplers {
+		f()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

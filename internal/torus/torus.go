@@ -124,6 +124,9 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 		maxT = max(maxT, node.Topo.NumUsablePUs())
 		total += node.Topo.NumUsablePUs()
 	}
+	if np > total {
+		return nil, fmt.Errorf("torus: only %d of %d ranks placeable", total, np)
+	}
 	order = strings.ToLower(order)
 	// widths and coord are indexed by a letter's position in order, and
 	// x, y, z and t name the positions of the letters.
@@ -131,11 +134,7 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 	x, y, z, t := strings.IndexByte(order, 'x'), strings.IndexByte(order, 'y'),
 		strings.IndexByte(order, 'z'), strings.IndexByte(order, 't')
 	widths[x], widths[y], widths[z], widths[t] = dims.X, dims.Y, dims.Z, maxT
-
-	// Placements and their one-PU windows are sized once, capped at the
-	// usable PUs so an np past capacity allocates no more than the cluster.
-	m := &core.Map{Placements: make([]core.Placement, 0, min(np, total)), Sweeps: 1}
-	pus := make([]int, 0, min(np, total))
+	m, placed := core.NewPUMap(np), 0
 	var iterate func(pos int) bool // returns true when np ranks placed
 	iterate = func(pos int) bool {
 		if pos < 0 {
@@ -144,16 +143,9 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 			if coord[t] >= len(ups) {
 				return false // node has fewer PUs than maxT: skip
 			}
-			pu, rank := ups[coord[t]], len(m.Placements)
-			pus = append(pus, pu.OS)
-			m.Placements = append(m.Placements, core.Placement{
-				Rank:     rank,
-				Node:     node,
-				NodeName: c.Node(node).Name,
-				Leaf:     pu,
-				PUs:      pus[rank : rank+1 : rank+1],
-			})
-			return len(m.Placements) == np
+			m.SetPU(placed, node, c.Node(node).Name, ups[coord[t]])
+			placed++
+			return placed == np
 		}
 		for v := 0; v < widths[pos]; v++ {
 			coord[pos] = v
@@ -164,9 +156,8 @@ func Map(c *cluster.Cluster, dims Dims, order string, np int) (*core.Map, error)
 		return false
 	}
 	// Right-most letter is the outermost loop, mirroring the LAMA layout
-	// convention and the BlueGene documentation.
-	if !iterate(len(order)-1) && len(m.Placements) < np {
-		return nil, fmt.Errorf("torus: only %d of %d ranks placeable", len(m.Placements), np)
-	}
+	// convention and the BlueGene documentation. The walk visits every
+	// usable PU once, so it places np <= total ranks.
+	iterate(len(order) - 1)
 	return m, nil
 }

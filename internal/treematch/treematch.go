@@ -59,7 +59,7 @@ func Map(c *cluster.Cluster, tm *commpat.Matrix, np int) (*core.Map, error) {
 		s.node = top.bins[bi].idx
 		s.assign(c.Node(s.node).Topo.Root, ranks)
 	}
-	m := &core.Map{Placements: s.placements, Sweeps: 1}
+	m := s.m
 	s.release()
 	return m, nil
 }
@@ -93,11 +93,10 @@ type scratch struct {
 	// them run.
 	levels [hw.NumLevels + 1]level
 
-	// The output: rank r's placement and its one-PU window of pus.
-	c          *cluster.Cluster
-	node       int // the node being filled
-	placements []core.Placement
-	pus        []int
+	// The output, a core.NewPUMap filled rank by rank.
+	c    *cluster.Cluster
+	node int // the node being filled
+	m    *core.Map
 }
 
 // level is one depth's partition: its bins and the groups it made, every
@@ -131,14 +130,13 @@ func (s *scratch) reset(c *cluster.Cluster, tm *commpat.Matrix, np int) {
 		}
 		s.total[r] = t
 	}
-	s.placements = make([]core.Placement, np)
-	s.pus = make([]int, np)
+	s.m = core.NewPUMap(np)
 }
 
 // release drops the scratch's pointers to the call's inputs and result
 // and returns it to the pool.
 func (s *scratch) release() {
-	s.c, s.inc, s.placements, s.pus = nil, nil, nil, nil
+	s.c, s.inc, s.m = nil, nil, nil
 	scratchPool.Put(s)
 }
 
@@ -160,15 +158,7 @@ func (s *scratch) assign(obj *hw.Object, ranks []int) {
 	}
 	if obj.Level == hw.LevelPU {
 		// Exactly one rank can land here (capacities guarantee it).
-		rank := ranks[0]
-		s.pus[rank] = obj.OS
-		s.placements[rank] = core.Placement{
-			Rank:     rank,
-			Node:     s.node,
-			NodeName: s.c.Node(s.node).Name,
-			Leaf:     obj,
-			PUs:      s.pus[rank : rank+1 : rank+1],
-		}
+		s.m.SetPU(ranks[0], s.node, s.c.Node(s.node).Name, obj)
 		return
 	}
 	// One bin per child with usable PUs; a bin's idx is the child's rank.
