@@ -18,9 +18,9 @@
 // ranks, written from placements bytes encoded once. A mutation event swaps the
 // cluster's snapshot copy-on-write (in-flight requests keep the one they
 // started with) and purges only that cluster's stale cache entries.
-// /metrics, /metrics.json, /events, and /debug/pprof come from the same
-// obs.Server every CLI shares, so the daemon is scrapeable and
-// profileable out of the box.
+// The daemon serves through the obs.Server every CLI's -listen uses, so
+// /metrics, /metrics.json, /events, and /debug/pprof come on the
+// placement port, and SIGTERM drains in-flight replies before exit 0.
 package main
 
 import (
@@ -28,27 +28,31 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strconv"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"lama/internal/cluster"
 	"lama/internal/engine"
-	"lama/internal/hw"
 	"lama/internal/obs"
 
 	_ "lama/internal/place/all"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "lamad:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run serves until stop fires or serving fails, then stops the server
+// through obs.Server.Close: in-flight requests finish their replies, and
+// run returns nil unless serving failed or the drain ran out of time.
+func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("lamad", flag.ContinueOnError)
 	listen := fs.String("listen", ":8080", "host:port the daemon binds (port 0 picks a free one)")
 	clusters := fs.String("clusters", "default=4xnehalem-ep", "comma-separated name=<nodes>x<spec> cluster definitions")
@@ -64,51 +68,44 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	eng, handler, err := buildDaemon(*clusters, engine.Config{
+	eng, srv, err := buildDaemon(*clusters, engine.Config{
 		Workers: *workers, QueueDepth: *queue, CacheBytes: *cacheMB << 20,
 	})
 	if err != nil {
 		return err
 	}
-
-	srv, err := newHTTPServer(*listen, handler)
+	addr, err := srv.Start(*listen)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "lamad: serving placements on http://%s\n", srv.addr)
+	fmt.Fprintf(out, "lamad: serving placements on http://%s\n", addr)
 	for _, name := range eng.Clusters() {
 		s := eng.Snapshot(name)
 		fmt.Fprintf(out, "lamad: cluster %s: %d nodes, epoch %d, sig %s\n",
 			name, s.Clu.NumNodes(), s.Clu.Epoch(), s.Clu.Sig())
 	}
-	return srv.serve()
+	select {
+	case <-stop:
+	case <-srv.Done():
+	}
+	return srv.Close()
 }
 
-// buildDaemon assembles the daemon's engine and HTTP surface: the
-// placement /v1 API mounted next to the always-on telemetry plane (the
-// engine's counters, the GC gauges, the event ring, and the pprof
-// endpoints all share the placement port).
-func buildDaemon(clusters string, cfg engine.Config) (*engine.Engine, http.Handler, error) {
-	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg)
-	obs.RegisterGCGauges(reg)
-	ring := obs.NewRingSink(obs.DefaultRingCapacity)
-	ring.DropCounter = reg.Counter("lama_obs_events_dropped_total")
-	o := &obs.Observer{Metrics: reg, Sink: ring, Phases: obs.NewPhaseTimer()}
-	o.Phases.EnablePprofLabels()
-
-	cfg.Obs = o
+// buildDaemon assembles the daemon's engine and its server: the live
+// telemetry plane every -listen serves, with the GC gauges added, and
+// the engine's /v1 API mounted on the same routing table (the engine's
+// counters, the event ring and the pprof endpoints all share the
+// placement port).
+func buildDaemon(clusters string, cfg engine.Config) (*engine.Engine, *obs.Server, error) {
+	srv := obs.NewLiveServer("lamad")
+	obs.RegisterGCGauges(srv.Registry)
+	cfg.Obs = &obs.Observer{Metrics: srv.Registry, Sink: srv.Ring}
 	eng := engine.New(cfg)
 	if err := registerClusters(eng, clusters); err != nil {
 		return nil, nil, err
 	}
-
-	telemetry := obs.NewServer(reg, ring)
-	telemetry.Tool = "lamad"
-	mux := http.NewServeMux()
-	eng.Mount(mux)
-	mux.Handle("/", telemetry.Handler())
-	return eng, mux, nil
+	eng.Mount(srv.Handler())
+	return eng, srv, nil
 }
 
 // errDuplicateCluster rejects a -clusters list that defines one name
@@ -132,11 +129,11 @@ func registerClusters(eng *engine.Engine, defs string) error {
 			return fmt.Errorf("%w: %q", errDuplicateCluster, name)
 		}
 		seen[name] = true
-		snap, err := buildCluster(spec)
+		n, sp, err := cluster.ParseNodesSpec(spec, "cluster")
 		if err != nil {
 			return fmt.Errorf("cluster %q: %v", name, err)
 		}
-		if err := eng.Register(name, &engine.Snapshot{Clu: snap}); err != nil {
+		if err := eng.Register(name, &engine.Snapshot{Clu: cluster.HomogeneousSnapshot(n, sp)}); err != nil {
 			return err
 		}
 	}
@@ -144,22 +141,4 @@ func registerClusters(eng *engine.Engine, defs string) error {
 		return fmt.Errorf("no clusters defined")
 	}
 	return nil
-}
-
-// buildCluster parses "<nodes>x<spec>" exactly like lamamap's -cluster,
-// into a snapshot whose nodes share one topology.
-func buildCluster(spec string) (*cluster.Snapshot, error) {
-	nStr, specStr, ok := strings.Cut(spec, "x")
-	if !ok {
-		return nil, fmt.Errorf("bad cluster %q: want <nodes>x<spec>", spec)
-	}
-	n, err := strconv.Atoi(nStr)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("bad node count in %q", spec)
-	}
-	sp, err := hw.ParseSpec(specStr)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.HomogeneousSnapshot(n, sp), nil
 }

@@ -1,32 +1,40 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
+	"lama/internal/core"
 	"lama/internal/engine"
+	"lama/internal/obs"
+	"lama/internal/place"
 )
 
 func testServer(t *testing.T) (*engine.Engine, *httptest.Server) {
 	t.Helper()
-	eng, handler, err := buildDaemon("smoke=4xnehalem-ep", engine.Config{
+	eng, srv, err := buildDaemon("smoke=4xnehalem-ep", engine.Config{
 		Workers: 4, QueueDepth: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(handler)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return eng, ts
 }
@@ -259,7 +267,7 @@ func TestLamadRejectsDuplicateClusterNames(t *testing.T) {
 
 func TestLamadVersionFlag(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-version"}, &buf); err != nil {
+	if err := run([]string{"-version"}, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "lamad go") {
@@ -271,23 +279,23 @@ func TestLamadVersionFlag(t *testing.T) {
 // handler until shutdown has begun, then lets it finish: the caller must
 // still get its full 200 reply, and the server must then stop cleanly.
 func TestLamadDrainsInFlightOnShutdown(t *testing.T) {
-	_, handler, err := buildDaemon("smoke=4xnehalem-ep", engine.Config{})
+	_, daemon, err := buildDaemon("smoke=4xnehalem-ep", engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	handler := daemon.Handler()
 	started, draining := make(chan struct{}), make(chan struct{})
-	srv, err := newHTTPServer("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := obs.NewServer(nil, nil)
+	srv.Handler().Handle("/v1/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		close(started)
 		<-draining
 		handler.ServeHTTP(w, r)
 	}))
+	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.srv.RegisterOnShutdown(func() { close(draining) })
-	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
-	go func() { done <- srv.serveUntil(stop) }()
 
 	type reply struct {
 		status int
@@ -296,7 +304,7 @@ func TestLamadDrainsInFlightOnShutdown(t *testing.T) {
 	}
 	got := make(chan reply, 1)
 	go func() {
-		resp, err := http.Post("http://"+srv.addr+"/v1/place", "application/json",
+		resp, err := http.Post("http://"+addr+"/v1/place", "application/json",
 			strings.NewReader(`{"cluster":"smoke","np":32}`))
 		if err != nil {
 			got <- reply{err: err}
@@ -307,7 +315,9 @@ func TestLamadDrainsInFlightOnShutdown(t *testing.T) {
 		got <- reply{resp.StatusCode, body, err}
 	}()
 	<-started
-	stop <- syscall.SIGTERM
+	go func() { done <- srv.Close() }()
+	waitRefused(t, addr)
+	close(draining)
 	r := <-got
 	if r.err != nil {
 		t.Fatalf("in-flight request dropped by shutdown: %v", r.err)
@@ -324,5 +334,147 @@ func TestLamadDrainsInFlightOnShutdown(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// waitRefused returns once addr refuses connections: the listener is
+// closed, so the stop path has begun.
+func waitRefused(t *testing.T, addr string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		conn.Close()
+	}
+	t.Fatalf("%s still accepts connections 5s after the stop", addr)
+}
+
+// startLamad runs lamad on a free port with args and returns its
+// address, the channel main feeds SIGTERM into, and run's result.
+func startLamad(t *testing.T, args ...string) (string, chan<- os.Signal, <-chan error) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	stop, done := make(chan os.Signal, 1), make(chan error, 1)
+	go func() {
+		err := run(append([]string{"-listen", "127.0.0.1:0"}, args...), pw, stop)
+		pw.Close()
+		done <- err
+	}()
+	sc := bufio.NewScanner(pr)
+	if !sc.Scan() {
+		t.Fatalf("lamad printed no address: %v", <-done)
+	}
+	addr, ok := strings.CutPrefix(sc.Text(), "lamad: serving placements on http://")
+	if !ok {
+		t.Fatalf("first line %q does not announce the address", sc.Text())
+	}
+	go io.Copy(io.Discard, pr) // the cluster lines
+	return addr, stop, done
+}
+
+// TestLamadStopEndsEventFollowers: an /events follower (follow is the
+// default) must not hold up the stop. run returns nil at once, and the
+// follower reads the end of its stream.
+func TestLamadStopEndsEventFollowers(t *testing.T) {
+	addr, stop, done := startLamad(t, "-clusters", "smoke=4xnehalem-ep")
+	resp, err := http.Get("http://" + addr + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("run still draining 1s after the stop with a follower attached")
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("follower did not read EOF: %v", err)
+	}
+	if !strings.Contains(string(body), `"event":"register"`) {
+		t.Fatalf("follower stream = %q, want the register event", body)
+	}
+}
+
+// holdPolicy is by-slot behind a gate: each Place reports on entered,
+// then waits for release.
+type holdPolicy struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (holdPolicy) Name() string { return "test-hold" }
+
+func (p holdPolicy) Place(ctx context.Context, req *place.Request) (*core.Map, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	bySlot, _ := place.Lookup("by-slot")
+	return bySlot.Place(ctx, req)
+}
+
+// TestLamadDrainsUnderLoad fires the stop while 48 placements are in
+// flight, each held inside its policy: every one must still get its
+// complete 200 reply with the np it asked for, and run must return nil.
+func TestLamadDrainsUnderLoad(t *testing.T) {
+	const callers = 48
+	hold := holdPolicy{make(chan struct{}, callers), make(chan struct{})}
+	place.Register(hold)
+	addr, stop, done := startLamad(t, "-clusters", "smoke=8xnehalem-ep",
+		"-workers", strconv.Itoa(callers), "-queue", strconv.Itoa(2*callers))
+
+	type reply struct {
+		np, status int
+		body       []byte
+		err        error
+	}
+	replies := make(chan reply, callers)
+	for i := 0; i < callers; i++ {
+		np := 8 + i
+		go func() {
+			resp, err := http.Post("http://"+addr+"/v1/place", "application/json", strings.NewReader(
+				fmt.Sprintf(`{"cluster":"smoke","np":%d,"policy":"test-hold","no_cache":true}`, np)))
+			if err != nil {
+				replies <- reply{np: np, err: err}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			replies <- reply{np, resp.StatusCode, body, err}
+		}()
+	}
+	for entered := 0; entered < callers; {
+		select {
+		case <-hold.entered:
+			entered++
+		case r := <-replies:
+			t.Fatalf("np %d answered before the stop: status %d, err %v: %s", r.np, r.status, r.err, r.body)
+		}
+	}
+	stop <- syscall.SIGTERM
+	waitRefused(t, addr)
+	close(hold.release)
+	for i := 0; i < callers; i++ {
+		r := <-replies
+		if r.err != nil {
+			t.Errorf("np %d: in-flight request dropped by the stop: %v", r.np, r.err)
+			continue
+		}
+		var out engine.PlaceResponseJSON
+		if r.status != http.StatusOK {
+			t.Errorf("np %d: status %d: %s", r.np, r.status, r.body)
+		} else if err := json.Unmarshal(r.body, &out); err != nil {
+			t.Errorf("np %d: truncated reply: %v", r.np, err)
+		} else if out.NP != r.np || len(out.Placements) != r.np {
+			t.Errorf("reply np=%d placements=%d, want %d", out.NP, len(out.Placements), r.np)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
@@ -218,15 +217,7 @@ func buildCluster(spec, hostfile string) (*cluster.Cluster, error) {
 		def, _ := hw.Preset("nehalem-ep")
 		return cluster.ParseHostfile(string(text), def)
 	}
-	nStr, specStr, ok := strings.Cut(spec, "x")
-	if !ok {
-		return nil, fmt.Errorf("bad -cluster %q: want <nodes>x<spec>", spec)
-	}
-	n, err := strconv.Atoi(nStr)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("bad node count in -cluster %q", spec)
-	}
-	sp, err := hw.ParseSpec(specStr)
+	n, sp, err := cluster.ParseNodesSpec(spec, "-cluster")
 	if err != nil {
 		return nil, err
 	}

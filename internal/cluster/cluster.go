@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lama/internal/hw"
@@ -52,6 +53,23 @@ func (n *Node) EffectiveSlots() int {
 // numbering ("n" level) used by mapping algorithms.
 type Cluster struct {
 	Nodes []*Node
+}
+
+// ParseNodesSpec parses "<nodes>x<spec>": a positive node count, then a
+// preset name or colon form for hw.ParseSpec. It is the one parse of
+// lamamap's -cluster and lamad's -clusters entries; what names the input
+// in the error text.
+func ParseNodesSpec(text, what string) (int, hw.Spec, error) {
+	nStr, specStr, ok := strings.Cut(text, "x")
+	if !ok {
+		return 0, hw.Spec{}, fmt.Errorf("bad %s %q: want <nodes>x<spec>", what, text)
+	}
+	n, err := strconv.Atoi(nStr)
+	if err != nil || n <= 0 {
+		return 0, hw.Spec{}, fmt.Errorf("bad node count in %s %q", what, text)
+	}
+	sp, err := hw.ParseSpec(specStr)
+	return n, sp, err
 }
 
 // Homogeneous builds a cluster of n identical nodes from a spec. Nodes are

@@ -238,3 +238,26 @@ func TestFailPUs(t *testing.T) {
 		t.Fatalf("node 1 should be fully failed, has %d usable PUs", got)
 	}
 }
+
+// TestParseNodesSpecMalformed: each malformed "<nodes>x<spec>" is refused
+// with the text lamamap (-cluster) and lamad (-clusters) print.
+func TestParseNodesSpecMalformed(t *testing.T) {
+	for _, tc := range []struct{ in, lamamap, lamad string }{
+		{"x4", `bad node count in -cluster "x4"`, `bad node count in cluster "x4"`},
+		{"0xfig2", `bad node count in -cluster "0xfig2"`, `bad node count in cluster "0xfig2"`},
+		{"-1xfig2", `bad node count in -cluster "-1xfig2"`, `bad node count in cluster "-1xfig2"`},
+		{"4x", `hw: bad spec "": element ""`, `hw: bad spec "": element ""`},
+		{"4xnope", `hw: bad spec "nope": element "nope"`, `hw: bad spec "nope": element "nope"`},
+		{"4", `bad -cluster "4": want <nodes>x<spec>`, `bad cluster "4": want <nodes>x<spec>`},
+	} {
+		for what, want := range map[string]string{"-cluster": tc.lamamap, "cluster": tc.lamad} {
+			if _, _, err := ParseNodesSpec(tc.in, what); err == nil || err.Error() != want {
+				t.Errorf("ParseNodesSpec(%q, %q) = %v, want %q", tc.in, what, err, want)
+			}
+		}
+	}
+	n, sp, err := ParseNodesSpec("4xfig2", "-cluster")
+	if want, _ := hw.Preset("fig2"); err != nil || n != 4 || sp != want {
+		t.Fatalf("ParseNodesSpec(4xfig2) = %d, %+v, %v", n, sp, err)
+	}
+}

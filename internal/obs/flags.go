@@ -99,18 +99,13 @@ func (f *CLIFlags) Observer(stderr io.Writer) (*Observer, func() error, error) {
 	if f.Verbose {
 		sinks = append(sinks, NewTextSink(stderr))
 	}
-	if f.MetricsOut != "" || f.Listen != "" {
-		o.Metrics = NewRegistry()
-		o.Phases = NewPhaseTimer()
-		RegisterBuildInfo(o.Metrics)
-	}
 	var server *Server
-	if f.Listen != "" {
-		ring := NewRingSink(DefaultRingCapacity)
-		ring.DropCounter = o.Metrics.Counter("lama_obs_events_dropped_total")
-		sinks = append(sinks, ring)
+	switch {
+	case f.Listen != "":
+		server = NewLiveServer("")
+		o.Metrics, o.Phases = server.Registry, NewPhaseTimer()
 		o.Phases.EnablePprofLabels()
-		server = NewServer(o.Metrics, ring)
+		sinks = append(sinks, server.Ring)
 		addr, err := server.Start(f.Listen)
 		if err != nil {
 			for _, file := range files {
@@ -120,6 +115,9 @@ func (f *CLIFlags) Observer(stderr io.Writer) (*Observer, func() error, error) {
 		}
 		f.server = server
 		fmt.Fprintf(stderr, "obs: serving telemetry on http://%s\n", addr)
+	case f.MetricsOut != "":
+		o.Metrics, o.Phases = NewRegistry(), NewPhaseTimer()
+		RegisterBuildInfo(o.Metrics)
 	}
 	switch len(sinks) {
 	case 0:
@@ -130,7 +128,7 @@ func (f *CLIFlags) Observer(stderr io.Writer) (*Observer, func() error, error) {
 	}
 	closer := func() error {
 		if server != nil {
-			server.Close() // best effort: stop serving before sinks close
+			server.Close() // best effort: drain telemetry requests before the sinks close
 		}
 		err := o.Close()
 		for _, file := range files {

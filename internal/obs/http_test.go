@@ -3,9 +3,12 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime/trace"
 	"strings"
 	"testing"
 	"time"
@@ -204,5 +207,104 @@ func TestServerStartClose(t *testing.T) {
 	var unstarted Server
 	if err := unstarted.Close(); err != nil {
 		t.Fatal("Close without Start should be nil")
+	}
+}
+
+// TestServerDropsStalledHeader: every server carries the connection
+// bounds, and a client that sends part of its header and stalls is
+// disconnected once ReadHeaderTimeout passes, without a reply.
+func TestServerDropsStalledHeader(t *testing.T) {
+	s := NewServer(nil, nil)
+	got := [4]time.Duration{s.srv.ReadHeaderTimeout, s.srv.ReadTimeout, s.srv.WriteTimeout, s.srv.IdleTimeout}
+	if want := [4]time.Duration{readHeaderTimeout, readTimeout, writeTimeout, idleTimeout}; got != want {
+		t.Fatalf("server timeouts = %v, want %v", got, want)
+	}
+	s.srv.ReadHeaderTimeout = 100 * time.Millisecond
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("stalled client read %d bytes, err %v; want EOF", n, err)
+	}
+}
+
+// TestServerFollowOutlivesWriteTimeout: an /events follow keeps
+// delivering long after the server's read and write timeouts have
+// passed, since each write moves its own deadline.
+func TestServerFollowOutlivesWriteTimeout(t *testing.T) {
+	s := NewServer(nil, NewRingSink(8))
+	s.srv.ReadTimeout, s.srv.WriteTimeout = 100*time.Millisecond, 200*time.Millisecond
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	resp, err := http.Get("http://" + addr + "/events?replay=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for i := 0; i < 3; i++ {
+		time.Sleep(300 * time.Millisecond)
+		s.Ring.Emit(Event{Source: SrcEngine, Name: "tick", Fields: []Field{F("i", i)}})
+		if !sc.Scan() || !strings.Contains(sc.Text(), fmt.Sprintf(`"i":%d`, i)) {
+			t.Fatalf("event %d after %d ms: %q, err %v", i, 300*(i+1), sc.Text(), sc.Err())
+		}
+	}
+}
+
+// TestServerCloseEndsTrace: Close ends a running ?seconds=N trace, which
+// replies with what it has, instead of waiting out its span or the
+// drain.
+func TestServerCloseEndsTrace(t *testing.T) {
+	s := NewServer(nil, nil)
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		code int
+		n    int
+		err  error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/debug/pprof/trace?seconds=30")
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		got <- reply{resp.StatusCode, len(body), err}
+	}()
+	for !trace.IsEnabled() {
+		select {
+		case r := <-got:
+			t.Fatalf("trace ended before Close: status %d, err %v", r.code, r.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close with a trace running: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a trace running", took)
+	}
+	if r := <-got; r.err != nil || r.code != 200 || r.n == 0 {
+		t.Fatalf("trace reply: status %d, %d bytes, err %v", r.code, r.n, r.err)
 	}
 }
