@@ -12,10 +12,10 @@ import (
 // shared, supposedly-frozen state: a cluster.Snapshot, the hw.Topology
 // trees it shares with sibling snapshots, and the dense pruned shapes the
 // mapping engine memoizes across mappers. One stray write corrupts every
-// holder at once — and, because topology mutations are also how the
-// generation-counter cache invalidation works, a direct field write can
-// leave caches silently serving pre-mutation state. The analyzer enforces
-// three rules:
+// holder at once. Topology mutators panic on a frozen topology
+// (hw.Topology.Freeze), but a direct field write bypasses that run-time
+// check and can leave caches silently serving pre-mutation state. The
+// analyzer enforces three rules:
 //
 //   - Writes into a frozen type's fields or elements (cluster.Snapshot,
 //     hw.Topology, hw.Object, and any in-package struct annotated

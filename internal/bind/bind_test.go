@@ -196,9 +196,11 @@ func TestCheckDetectsEscape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Restrict after planning: the plan is now invalid.
-	c.Node(0).Topo.Restrict(hw.NewCPUSet(11))
-	if err := plan.Check(c); err == nil {
+	// The same cluster built with a restriction the plan did not see.
+	sp, _ := hw.Preset("fig2")
+	restricted := cluster.Homogeneous(2, sp)
+	restricted.Node(0).Topo.Restrict(hw.NewCPUSet(11))
+	if err := plan.Check(restricted); err == nil {
 		t.Fatal("Check should detect escape")
 	}
 	plan.Bindings[0].Node = 42

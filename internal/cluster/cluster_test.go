@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -185,57 +184,6 @@ func TestHostfileSlotValidation(t *testing.T) {
 	}
 	if c.Nodes[0].Slots != 2 || c.Nodes[0].MaxSlots != 2 {
 		t.Fatalf("node = %+v", c.Nodes[0])
-	}
-}
-
-func TestFailNode(t *testing.T) {
-	c := Homogeneous(3, specNehalem(t))
-	if got := fmt.Sprint(usablePUs(c)); got != "[16 16 16]" {
-		t.Fatalf("fresh cluster should be healthy: usable PUs %s", got)
-	}
-	if !c.FailNode(1) {
-		t.Fatal("FailNode(1) should succeed")
-	}
-	if got := fmt.Sprint(usablePUs(c)); got != "[16 0 16]" {
-		t.Fatalf("only node 1 should be failed: usable PUs %s", got)
-	}
-	if c.Nodes[1].EffectiveSlots() != 0 {
-		t.Fatalf("failed node slots = %d", c.Nodes[1].EffectiveSlots())
-	}
-	// Idempotent; out-of-range rejected.
-	if !c.FailNode(1) || c.FailNode(7) || c.FailNode(-1) {
-		t.Fatal("FailNode bounds")
-	}
-	if got := fmt.Sprint(usablePUs(c)); got != "[16 0 16]" {
-		t.Fatalf("idempotent and out-of-range FailNode changed the cluster: usable PUs %s", got)
-	}
-}
-
-func TestFailPUs(t *testing.T) {
-	c := Homogeneous(2, specNehalem(t)) // 16 PUs per node
-	n := c.Node(0)
-	before := n.Topo.NumUsablePUs()
-	got := c.FailPUs(0, hw.NewCPUSet(0, 1, 2))
-	if got != 3 {
-		t.Fatalf("FailPUs = %d, want 3", got)
-	}
-	if n.Topo.NumUsablePUs() != before-3 {
-		t.Fatalf("usable = %d", n.Topo.NumUsablePUs())
-	}
-	// Re-failing the same PUs is a no-op; unknown node is a no-op.
-	if c.FailPUs(0, hw.NewCPUSet(1, 2)) != 0 || c.FailPUs(9, hw.NewCPUSet(0)) != 0 {
-		t.Fatal("no-op cases")
-	}
-	if c.FailPUs(0, nil) != 0 {
-		t.Fatal("nil set")
-	}
-	if n.Topo.NumUsablePUs() == 0 {
-		t.Fatal("partial failure must not fail the node")
-	}
-	// Failing every PU fails the node.
-	c.FailPUs(1, hw.CPUSetRange(0, 15))
-	if got := c.Node(1).Topo.NumUsablePUs(); got != 0 {
-		t.Fatalf("node 1 should be fully failed, has %d usable PUs", got)
 	}
 }
 

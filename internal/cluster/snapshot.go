@@ -11,12 +11,12 @@ import (
 
 // Snapshot is a frozen, availability-stamped view of a cluster: the node
 // set and every node's topology (with its current availability), captured
-// atomically. A snapshot is immutable by contract — nothing may call
-// mutating methods on its Cluster or its topologies. Mutation events (node
-// failure, partial PU failure, an added node) instead derive a NEW
-// snapshot via copy-on-write: only the touched node's topology is cloned;
-// every untouched *Node — and therefore its *hw.Topology pointer — is
-// shared with the parent snapshot.
+// atomically. A snapshot is immutable: every topology it holds is frozen
+// (hw.Topology.Freeze), so a mutator called on one panics, and nothing may
+// write its Cluster. Mutation events (node failure, partial PU failure, an
+// added node) instead derive a NEW snapshot via copy-on-write: only the
+// touched node's topology is cloned; every untouched *Node — and therefore
+// its *hw.Topology pointer — is shared with the parent snapshot.
 //
 // Topologies are shared within a snapshot, too: SnapshotOf gives the nodes
 // whose trees are interchangeable one frozen clone, so a homogeneous site
@@ -26,23 +26,26 @@ import (
 //
 // Sharing across siblings is what keeps a swap cheap. A mapper's dense
 // maximal tree (internal/core/dense.go) records each node's topology
-// pointer and generation, so a mapper handed a sibling snapshot refreshes
-// its tree in place: every node whose pointer and generation still match
-// keeps its view untouched, and only the touched or appended nodes are
-// resolved through the view cache, which holds one view per distinct
-// topology. The shared pruned shape (keyed by ShapeSig, which availability
+// pointer, so a mapper handed a sibling snapshot refreshes its tree in
+// place: every node whose pointer still matches keeps its view untouched,
+// and only the touched or appended nodes are resolved through the view
+// cache, which holds one view per distinct topology. The shared pruned shape (keyed by ShapeSig, which availability
 // mutations never change) is reused even for the touched node.
 //
 // Each derived snapshot carries an epoch, one greater than its parent's.
+// An event that removes no usable PU derives nothing: the receiver comes
+// back unchanged, at its own epoch.
 // Epochs order the snapshots of one logical cluster, and a request
 // carrying a stale epoch is detectably out of date. They do not name a
 // snapshot: a rollback can republish an earlier one and derive a second
 // snapshot at an epoch already used, so the engine keys its placement
 // cache by its own publication number instead (internal/engine).
 //
-// lamavet's snapfrozen analyzer enforces the contract: writes into a
-// Snapshot are only legal in the //lama:mutator functions below, and
-// mutating a topology reached through a snapshot is a finding anywhere.
+// lamavet's snapfrozen analyzer checks the contract statically: writes
+// into a Snapshot are only legal in the //lama:mutator functions below,
+// and mutating a topology reached through a snapshot is a finding
+// anywhere. The freeze is the run-time half, for what the analyzer cannot
+// follow.
 //
 //lama:frozen
 type Snapshot struct {
@@ -51,10 +54,10 @@ type Snapshot struct {
 }
 
 // SnapshotOf atomically captures a live cluster into an immutable snapshot
-// at epoch 1. The snapshot holds copies, so the caller is free to keep
-// mutating its cluster. Nodes whose topologies are interchangeable (equal
-// hw.Topology.AppendStateKey) share one frozen clone; derived snapshots
-// are copy-on-write and clone only the node they touch.
+// at epoch 1. The snapshot holds frozen copies, so the caller is free to
+// keep mutating its cluster. Nodes whose topologies are interchangeable
+// (equal hw.Topology.AppendStateKey) share one frozen clone; derived
+// snapshots are copy-on-write and clone only the node they touch.
 //
 //lama:mutator
 //lama:cow Snapshot
@@ -69,6 +72,7 @@ func SnapshotOf(c *Cluster) *Snapshot {
 		t, ok := shared[string(key)]
 		if !ok {
 			t = n.Topo.Clone()
+			t.Freeze()
 			shared[string(key)] = t
 		}
 		s.c.Nodes[i] = &Node{Name: n.Name, Topo: t, Slots: n.Slots, MaxSlots: n.MaxSlots}
@@ -92,6 +96,7 @@ func HomogeneousSnapshot(n int, sp hw.Spec) *Snapshot {
 	}
 	s := &Snapshot{epoch: 1, c: &Cluster{Nodes: make([]*Node, n)}}
 	topo := hw.New(sp)
+	topo.Freeze()
 	for i := range s.c.Nodes {
 		s.c.Nodes[i] = &Node{Name: fmt.Sprintf("node%d", i), Topo: topo, Slots: 0, MaxSlots: 0}
 	}
@@ -158,7 +163,8 @@ func (s *Snapshot) derive() *Snapshot {
 // i's topology is cloned; healthy nodes — including ShapeSig twins of the
 // failed node — keep their exact *hw.Topology pointers, so their cached
 // pruned views stay live. The second result is false when i is out of
-// range (the receiver is returned unchanged).
+// range. The receiver is returned unchanged then, and when node i has no
+// usable PU left to lose.
 //
 //lama:mutator
 //lama:cow Node
@@ -167,9 +173,13 @@ func (s *Snapshot) FailNode(i int) (*Snapshot, bool) {
 	if n == nil {
 		return s, false
 	}
+	if n.Topo.NumUsablePUs() == 0 {
+		return s, true
+	}
 	child := s.derive()
 	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
 	nn.Topo.SetAvailable(hw.LevelMachine, 0, false)
+	nn.Topo.Freeze()
 	child.c.Nodes[i] = nn
 	return child, true
 }
@@ -186,14 +196,21 @@ func (s *Snapshot) FailPUs(i int, pus *hw.CPUSet) (*Snapshot, int) {
 	if n == nil {
 		return s, 0
 	}
-	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
-	changed := nn.Topo.Offline(pus)
-	if changed == 0 {
+	lost := 0
+	for _, pu := range n.Topo.UsablePUs() {
+		if pus.Contains(pu.OS) {
+			lost++
+		}
+	}
+	if lost == 0 {
 		return s, 0
 	}
 	child := s.derive()
+	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
+	nn.Topo.Offline(pus)
+	nn.Topo.Freeze()
 	child.c.Nodes[i] = nn
-	return child, changed
+	return child, lost
 }
 
 // AppendNode derives a snapshot grown by one node. The node is
@@ -204,6 +221,7 @@ func (s *Snapshot) FailPUs(i int, pus *hw.CPUSet) (*Snapshot, int) {
 func (s *Snapshot) AppendNode(n *Node) *Snapshot {
 	child := s.derive()
 	nn := &Node{Name: n.Name, Topo: n.Topo.Clone(), Slots: n.Slots, MaxSlots: n.MaxSlots}
+	nn.Topo.Freeze()
 	child.c.Nodes = append(child.c.Nodes, nn)
 	return child
 }

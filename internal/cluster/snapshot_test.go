@@ -17,7 +17,7 @@ func TestSnapshotCaptureIsDeep(t *testing.T) {
 		t.Fatalf("fresh epoch = %d, want 1", s.Epoch())
 	}
 	// Mutating the live cluster must not leak into the snapshot.
-	c.FailNode(0)
+	c.Nodes[0].Topo.SetAvailable(hw.LevelMachine, 0, false)
 	if s.Cluster().Node(0).Topo.NumUsablePUs() == 0 {
 		t.Fatal("snapshot saw a post-capture mutation")
 	}
@@ -38,6 +38,87 @@ func usablePUs(c *Cluster) []int {
 		out[i] = n.Topo.NumUsablePUs()
 	}
 	return out
+}
+
+// TestFailNode: failing a node empties it and nothing else; failing it
+// again, or failing a node that does not exist, returns the receiver.
+func TestFailNode(t *testing.T) {
+	s := SnapshotOf(Homogeneous(3, specNehalem(t)))
+	if got := fmt.Sprint(usablePUs(s.Cluster())); got != "[16 16 16]" {
+		t.Fatalf("fresh cluster should be healthy: usable PUs %s", got)
+	}
+	s, ok := s.FailNode(1)
+	if !ok || s.Epoch() != 2 {
+		t.Fatalf("FailNode(1) = epoch %d, %v; want epoch 2, true", s.Epoch(), ok)
+	}
+	if got := fmt.Sprint(usablePUs(s.Cluster())); got != "[16 0 16]" {
+		t.Fatalf("only node 1 should be failed: usable PUs %s", got)
+	}
+	if got := s.Cluster().Nodes[1].EffectiveSlots(); got != 0 {
+		t.Fatalf("failed node slots = %d", got)
+	}
+	// Idempotent; out-of-range rejected. Neither derives a snapshot.
+	for _, tc := range []struct {
+		node int
+		ok   bool
+	}{{1, true}, {7, false}, {-1, false}} {
+		if got, ok := s.FailNode(tc.node); got != s || ok != tc.ok {
+			t.Fatalf("FailNode(%d) = epoch %d, %v; want the receiver, %v", tc.node, got.Epoch(), ok, tc.ok)
+		}
+	}
+	// A node with no usable PU left has nothing to lose either.
+	emptied, _ := s.FailPUs(2, hw.CPUSetRange(0, 15))
+	if got, _ := emptied.FailNode(2); got != emptied {
+		t.Fatal("FailNode of a node without usable PUs must return the receiver")
+	}
+}
+
+// TestFailPUs: a partial failure counts the usable PUs it removes; PUs
+// already gone, an unknown node and a nil set remove none and return the
+// receiver; failing every PU empties the node.
+func TestFailPUs(t *testing.T) {
+	s := SnapshotOf(Homogeneous(2, specNehalem(t))) // 16 PUs per node
+	before := s.Cluster().Node(0).Topo.NumUsablePUs()
+	s, got := s.FailPUs(0, hw.NewCPUSet(0, 1, 2))
+	if got != 3 {
+		t.Fatalf("FailPUs = %d, want 3", got)
+	}
+	if n := s.Cluster().Node(0).Topo.NumUsablePUs(); n != before-3 {
+		t.Fatalf("usable = %d", n)
+	}
+	for _, tc := range []struct {
+		what string
+		node int
+		pus  *hw.CPUSet
+	}{
+		{"re-failed PUs", 0, hw.NewCPUSet(1, 2)},
+		{"unknown node", 9, hw.NewCPUSet(0)},
+		{"nil set", 0, nil},
+	} {
+		if got, n := s.FailPUs(tc.node, tc.pus); got != s || n != 0 {
+			t.Fatalf("%s: FailPUs = epoch %d, %d; want the receiver, 0", tc.what, got.Epoch(), n)
+		}
+	}
+	if s.Cluster().Node(0).Topo.NumUsablePUs() == 0 {
+		t.Fatal("partial failure must not fail the node")
+	}
+	// PUs under a failed ancestor are not usable, so failing them loses
+	// nothing even though their own flags are still set.
+	dead, _ := s.FailNode(1)
+	if got, n := dead.FailPUs(1, hw.NewCPUSet(0, 1)); got != dead || n != 0 {
+		t.Fatalf("FailPUs on a failed node = %d, want the receiver, 0", n)
+	}
+	// Failing every PU fails the node.
+	s, got = s.FailPUs(1, hw.CPUSetRange(0, 15))
+	if got != 16 {
+		t.Fatalf("FailPUs(every PU) = %d, want 16", got)
+	}
+	if n := s.Cluster().Node(1).Topo.NumUsablePUs(); n != 0 {
+		t.Fatalf("node 1 should be fully failed, has %d usable PUs", n)
+	}
+	if n := s.Cluster().Node(1).EffectiveSlots(); n != 0 {
+		t.Fatalf("fully failed node slots = %d", n)
+	}
 }
 
 func TestSnapshotFailNodeCOW(t *testing.T) {

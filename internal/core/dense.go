@@ -22,9 +22,10 @@ import (
 //   - nodeView binds a prunedShape to one concrete topology: leaf ID ->
 //     hardware object, and a per-leaf cache of usable PU OS indices in the
 //     exact order Object.UsablePUs would return them. Views are memoized
-//     per (topology identity, levels) and validated against the topology's
-//     generation counter, so availability mutations (SetAvailable,
-//     Restrict, Offline, FailNode/FailPUs) rebuild them lazily.
+//     per (topology identity, levels). viewFor freezes a topology before
+//     it caches a view of it (hw.Topology.Freeze), so a cached view can
+//     never go stale: availability changes come as new topologies, which
+//     is how cluster.Snapshot derivations deliver them.
 //   - denseTree is the per-mapper union of one view per cluster node plus
 //     the maximal widths — the iteration-driving maximal tree of §IV-B.
 
@@ -105,15 +106,13 @@ func buildShape(t *hw.Topology, levels []hw.Level) *prunedShape {
 }
 
 // nodeView is one topology's pruned view: the shared shape plus the
-// per-leaf object and usable-PU caches. A view is a snapshot of the
-// topology at generation gen; it is immutable once built — views are
-// cached by (topology, generation) and shared across mappers, so writes
-// are held to the buildView whitelist.
+// per-leaf object and usable-PU caches. It is immutable once built — views
+// are cached by topology and shared across mappers, so writes are held to
+// the buildView whitelist.
 //
 //lama:frozen
 type nodeView struct {
 	shape   *prunedShape
-	gen     uint64
 	leafObj []*hw.Object // leaf ID -> hardware object
 	puOff   []int32      // leaf ID -> offset into pus (numLeaves+1 entries)
 	pus     []int32      // usable PU OS indices, grouped by leaf, tree order
@@ -137,7 +136,6 @@ func (v *nodeView) usable(leaf int32) []int32 {
 func buildView(t *hw.Topology, shape *prunedShape) *nodeView {
 	v := &nodeView{
 		shape:   shape,
-		gen:     t.Generation(),
 		leafObj: make([]*hw.Object, 0, shape.numLeaves),
 		puOff:   make([]int32, 1, shape.numLeaves+1),
 	}
@@ -196,11 +194,11 @@ func levelsSig(levels []hw.Level) string {
 // structurally identical topologies (keyed by hw.Topology.ShapeSig), so a
 // homogeneous cluster builds ONE pruned tree per level set no matter how
 // many nodes it has. viewCache shares nodeViews across mappers by
-// (topology identity, levels), revalidated against the topology's
-// generation counter. A cluster.Snapshot gives interchangeable nodes one
-// topology, so a snapshot needs one view per distinct topology, not one
-// per node: a homogeneous site of thousands of nodes resolves to a single
-// entry. Both are bounded: on overflow the whole map is dropped, which
+// (topology identity, levels); the topology is frozen when its first view
+// is cached, so an entry never goes stale. A cluster.Snapshot gives
+// interchangeable nodes one topology, so a snapshot needs one view per
+// distinct topology, not one per node: a homogeneous site of thousands of
+// nodes resolves to a single entry. Both are bounded: on overflow the whole map is dropped, which
 // also releases the *hw.Topology keys of clusters that are no longer in
 // use.
 const (
@@ -225,14 +223,15 @@ var (
 )
 
 // viewFor returns the (possibly cached) pruned view of a topology for the
-// given canonical intra-node levels.
+// given canonical intra-node levels, freezing the topology on a miss.
 func viewFor(t *hw.Topology, levels []hw.Level, sig string) *nodeView {
 	treeCacheMu.Lock()
 	defer treeCacheMu.Unlock()
 	vk := viewKey{topo: t, levels: sig}
-	if v, ok := viewCache[vk]; ok && v.gen == t.Generation() {
+	if v, ok := viewCache[vk]; ok {
 		return v
 	}
+	t.Freeze()
 	sk := shapeKey{shape: t.ShapeSig(), levels: sig}
 	shape, ok := shapeCache[sk]
 	if !ok {
@@ -262,18 +261,17 @@ type denseTree struct {
 	widths      []int
 	leafBase    []int32
 	totalLeaves int
-	gens        []uint64       // per node: topology generation the view captured
 	topos       []*hw.Topology // per node: topology identity the view was built from
 }
 
 // refresh brings the tree up to date with a cluster's per-node topologies
 // for the given intra-node levels; a zero denseTree is an empty tree, so a
 // first build is a refresh that keeps nothing. A node keeps its view when
-// its topology identity and generation are what the tree recorded — under
-// copy-on-write snapshots that is every node a swap did not touch — and
-// only changed or appended nodes go through viewFor. Leaf numbering and
-// widths are recomputed over all nodes; the per-node arrays are reused
-// when their capacity allows.
+// its topology is the one the tree recorded — under copy-on-write
+// snapshots that is every node a swap did not touch — and only changed or
+// appended nodes go through viewFor. Leaf numbering and widths are
+// recomputed over all nodes; the per-node arrays are reused when their
+// capacity allows.
 func (dt *denseTree) refresh(c *cluster.Cluster, levels []hw.Level) {
 	n := c.NumNodes()
 	keep := min(len(dt.views), n)
@@ -287,16 +285,14 @@ func (dt *denseTree) refresh(c *cluster.Cluster, levels []hw.Level) {
 		clear(dt.topos[n:])
 	}
 	dt.views = resized(dt.views, n)
-	dt.gens = resized(dt.gens, n)
 	dt.topos = resized(dt.topos, n)
 	dt.leafBase = resized(dt.leafBase, n)
 	dt.widths = resized(dt.widths, len(levels))
 	clear(dt.widths)
 	dt.totalLeaves = 0
 	for i, node := range c.Nodes {
-		if i >= keep || node.Topo != dt.topos[i] || node.Topo.Generation() != dt.gens[i] {
-			v := viewFor(node.Topo, levels, dt.sig)
-			dt.views[i], dt.gens[i], dt.topos[i] = v, v.gen, node.Topo
+		if i >= keep || node.Topo != dt.topos[i] {
+			dt.views[i], dt.topos[i] = viewFor(node.Topo, levels, dt.sig), node.Topo
 		}
 		shape := dt.views[i].shape
 		dt.leafBase[i] = int32(dt.totalLeaves)
@@ -320,19 +316,17 @@ func resized[T any](s []T, n int) []T {
 	return grown
 }
 
-// freshFor reports whether every view still matches its topology — same
-// topology identity AND same generation — i.e. no availability or
-// structural mutation happened on the cluster since the tree was built.
-// The identity check matters under copy-on-write snapshots: a mapper
-// re-pointed at a sibling snapshot sees a cloned topology for the touched
-// node whose generation can coincide with the cached one (Clone resets the
-// counter), and generations alone would silently reuse the stale view.
+// freshFor reports whether every node still holds the topology its view
+// was built from. Topologies are frozen once viewed, so identity is the
+// whole check; it is still needed because Cluster.Nodes is an exported
+// slice, and a mapper re-pointed at a sibling snapshot sees a cloned
+// topology for every node the derivation touched.
 func (dt *denseTree) freshFor(c *cluster.Cluster) bool {
 	if len(dt.views) != c.NumNodes() {
 		return false
 	}
 	for i, node := range c.Nodes {
-		if node.Topo != dt.topos[i] || node.Topo.Generation() != dt.gens[i] {
+		if node.Topo != dt.topos[i] {
 			return false
 		}
 	}

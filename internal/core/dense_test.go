@@ -10,53 +10,53 @@ import (
 	"lama/internal/hw"
 )
 
-// failSomething applies a random availability mutation through the
-// cluster's failure API: a whole node or a handful of its PUs.
-func failSomething(r *rand.Rand, c *cluster.Cluster) {
-	node := r.Intn(c.NumNodes())
+// failSomething derives a snapshot with a random availability loss: a
+// whole node or a handful of its PUs. It returns s itself when the event
+// removes no usable PU.
+func failSomething(r *rand.Rand, s *cluster.Snapshot) *cluster.Snapshot {
+	node := r.Intn(s.NumNodes())
 	if r.Intn(2) == 0 {
-		c.FailNode(node)
-		return
-	}
-	pus := c.Node(node).Topo.Root.UsablePUs()
-	if len(pus) == 0 {
-		return
+		next, _ := s.FailNode(node)
+		return next
 	}
 	set := &hw.CPUSet{}
-	for _, pu := range pus {
+	for _, pu := range s.Cluster().Node(node).Topo.UsablePUs() {
 		if r.Intn(3) == 0 {
 			set.Set(pu.OS)
 		}
 	}
-	c.FailPUs(node, set)
+	next, _ := s.FailPUs(node, set)
+	return next
 }
 
 // TestQuickMapMatchesReferenceAfterFailures is the differential property
-// test of the optimized engine's cache invalidation: one Mapper is reused
-// across FailNode/FailPUs mutations (so its dense trees, pruned-shape
-// cache entries, and usable-PU lists must be revalidated via the topology
-// generation counter), and after every mutation its output must equal the
-// naive cache-free reference built from scratch.
+// test of the optimized engine's cache reuse: one Mapper is re-pointed at
+// each snapshot derived by FailNode/FailPUs (so its dense trees,
+// pruned-shape cache entries, and usable-PU lists must follow the new
+// topologies), and after every derivation its output must equal the naive
+// cache-free reference built from scratch.
 func TestQuickMapMatchesReferenceAfterFailures(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := randomCluster(r)
+		s := cluster.SnapshotOf(randomCluster(r))
 		layout := randomLayout(r)
 		opts := Options{
 			Oversubscribe: r.Intn(2) == 1,
 			PEsPerProc:    1 + r.Intn(2),
 		}
-		m, err := NewMapper(c, layout, opts)
+		m, err := NewMapper(s.Cluster(), layout, opts)
 		if err != nil {
 			return false
 		}
 		rounds := 1 + r.Intn(3)
 		for round := 0; round < rounds; round++ {
 			if round > 0 {
-				failSomething(r, c)
+				s = failSomething(r, s)
+				m.Cluster = s.Cluster()
 			}
+			c := s.Cluster()
 			np := 1 + r.Intn(2*c.TotalUsablePUs()+2)
-			got, errA := m.Map(np) // reused mapper: cached state + invalidation
+			got, errA := m.Map(np) // reused mapper: cached state, refreshed
 			fresh, err := NewMapper(c, layout, opts)
 			if err != nil {
 				return false
@@ -142,44 +142,60 @@ func TestHomogeneousNodesShareShape(t *testing.T) {
 	}
 }
 
-// TestViewInvalidatedByFailure: a view cached for a topology is rebuilt
-// after the topology's generation changes, and stale usable-PU lists never
-// leak into a new mapping.
-func TestViewInvalidatedByFailure(t *testing.T) {
+// topologyMutators calls each hw.Topology mutator once on t.
+var topologyMutators = map[string]func(t *hw.Topology){
+	"SetAvailable":  func(t *hw.Topology) { t.SetAvailable(hw.LevelCore, 0, false) },
+	"Restrict":      func(t *hw.Topology) { t.Restrict(hw.NewCPUSet(0)) },
+	"Offline":       func(t *hw.Topology) { t.Offline(hw.NewCPUSet(0)) },
+	"RemoveObject":  func(t *hw.Topology) { t.RemoveObject(hw.LevelCore, 0) },
+	"UnmarshalJSON": func(t *hw.Topology) { _ = t.UnmarshalJSON([]byte(`{"level":"machine"}`)) },
+}
+
+// TestFrozenTopologyFailsLoudly: a topology a Mapper has mapped, or one
+// reached through a snapshot however it was made, panics on every
+// mutator and is left as it was; its Clone is mutable.
+func TestFrozenTopologyFailsLoudly(t *testing.T) {
 	sp, ok := hw.Preset("nehalem-ep")
 	if !ok {
 		t.Fatal("preset missing")
 	}
-	c := cluster.Homogeneous(2, sp)
-	m, err := NewMapper(c, MustParseLayout("scbnh"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := m.Map(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen0 := c.Node(0).Topo.Generation()
-	if !c.FailNode(0) {
-		t.Fatal("FailNode returned false")
-	}
-	if g := c.Node(0).Topo.Generation(); g == gen0 {
-		t.Fatal("FailNode did not advance the generation counter")
-	}
-	after, err := m.Map(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range after.Placements {
-		if after.Placements[i].Node == 0 {
-			t.Fatal("rank placed on failed node: stale cached view")
+	mapped := cluster.Homogeneous(2, sp)
+	mustMap(t, mapped, "csbnh", Options{}, 8)
+	captured := cluster.SnapshotOf(cluster.Homogeneous(2, sp))
+	homog := cluster.HomogeneousSnapshot(2, sp)
+	failedNode, _ := homog.FailNode(0)
+	failedPUs, _ := homog.FailPUs(0, hw.NewCPUSet(3))
+	grown := homog.AppendNode(&cluster.Node{Name: "spare", Topo: hw.New(sp)})
+	for name, topo := range map[string]*hw.Topology{
+		"mapped":              mapped.Node(0).Topo,
+		"SnapshotOf":          captured.Cluster().Node(0).Topo,
+		"HomogeneousSnapshot": homog.Cluster().Node(0).Topo,
+		"FailNode":            failedNode.Cluster().Node(0).Topo,
+		"FailPUs":             failedPUs.Cluster().Node(0).Topo,
+		"AppendNode":          grown.Cluster().Node(2).Topo,
+	} {
+		usable, shape := topo.NumUsablePUs(), topo.ShapeSig()
+		for op, mutate := range topologyMutators {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s on a frozen topology did not panic", name, op)
+					}
+				}()
+				mutate(topo)
+			}()
 		}
-	}
-	if sameMaps(before, after) {
-		t.Fatal("map unchanged after failing a node")
-	}
-	if err := after.Validate(c); err != nil {
-		t.Fatal(err)
+		if topo.NumUsablePUs() != usable || topo.ShapeSig() != shape {
+			t.Errorf("%s: a refused mutation changed the topology", name)
+		}
+		for _, mutate := range topologyMutators {
+			mutate(topo.Clone()) // a clone is never frozen: must not panic
+		}
+		clone := topo.Clone()
+		clone.RemoveObject(hw.LevelSocket, 0)
+		if clone.ShapeSig() == shape || topo.ShapeSig() != shape {
+			t.Errorf("%s: RemoveObject on the clone did not change the clone alone", name)
+		}
 	}
 }
 

@@ -25,12 +25,13 @@ var ErrNoResources = errors.New("core: no mappable resources")
 // maximal tree, per-leaf usable-PU caches, and the claim/scratch arrays.
 // Repeated Map/MapTraced calls on one Mapper therefore run with near-zero
 // allocation, and the cached state is revalidated on every call against
-// the layout, the options, and each node topology's generation counter —
-// mutating availability (SetAvailable, Restrict, Offline, FailNode,
-// FailPUs) between calls is safe and picked up automatically. Because of
-// that reusable state a Mapper must NOT be used from multiple goroutines
-// at once; create one Mapper per goroutine (as place.SweepEach does for
-// each pool worker).
+// the layout, the options, and each node's topology identity. Map freezes
+// every topology it caches against (hw.Topology.Freeze): availability is
+// fixed before the first Map, and a changed cluster is a new one, such as
+// a derived cluster.Snapshot, that the Mapper may be re-pointed at.
+// Because of that reusable state a Mapper must NOT be used from multiple
+// goroutines at once; create one Mapper per goroutine (as place.SweepEach
+// does for each pool worker).
 type Mapper struct {
 	Cluster *cluster.Cluster
 	Layout  Layout
@@ -126,7 +127,7 @@ func levelsEqual(a, b []hw.Level) bool {
 }
 
 // ensure revalidates (or builds) the mapper's reusable state for the
-// current layout, options, and topology generations, then resets the
+// current layout, options, and node topologies, then resets the
 // per-run fields for a run of np ranks. The layout is checked whenever the
 // state is rebuilt, which every layout change forces, so a Mapper literal
 // with a node-less layout fails like NewMapper does.

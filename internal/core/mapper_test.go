@@ -484,12 +484,13 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}
 	}
 
-	// Claimed but unusable PU.
+	// Claimed but unusable PU: the map checked against its cluster as
+	// built with a restriction the mapper did not see.
+	m2 := mustMap(t, fig2Cluster(t, 1), "scbnh", Options{}, 4)
 	c2 := fig2Cluster(t, 1)
-	m2 := mustMap(t, c2, "scbnh", Options{}, 4)
 	c2.Node(0).Topo.Restrict(hw.NewCPUSet(11))
-	if m2.Validate(c2) == nil {
-		t.Fatal("unusable PU claim undetected")
+	if err := m2.Validate(c2); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("unusable PU claim undetected: %v", err)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 // on every call, keeps its claim counters in maps keyed by (node, hardware
 // object), and re-walks the topology for every usable-PU query. It shares
 // NOTHING with the optimized engine in mapper.go — no dense trees, no
-// shape/view caches, no generation counters — so the two can only agree by
+// shape/view caches, no freshness checks — so the two can only agree by
 // actually computing the same mapping. MapReference also iterates with an
 // explicit odometer instead of the paper's recursive loop nest, giving an
 // independent traversal of the same resource space. Experiment E2 and the
 // differential property tests require Map and MapReference to produce
 // identical plans for any cluster, layout, options, and rank count,
-// including after availability mutations (FailNode/FailPUs).
+// including on snapshots derived by failures (FailNode/FailPUs).
 
 // refRun holds the state of one reference mapping execution.
 type refRun struct {

@@ -131,13 +131,13 @@ func TestQuickCoordsNameTheLeaf(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCluster(r)
-		if r.Intn(2) == 0 {
-			failSomething(r, c)
-		}
 		for _, n := range c.Nodes {
 			if r.Intn(3) == 0 {
 				n.Slots = r.Intn(9)
 			}
+		}
+		if r.Intn(2) == 0 {
+			c = failSomething(r, cluster.SnapshotOf(c)).Cluster()
 		}
 		layout := randomLayout(r)
 		opts := Options{
@@ -308,7 +308,7 @@ func TestQuickPrefixMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCluster(r)
 		if r.Intn(2) == 0 {
-			failSomething(r, c)
+			c = failSomething(r, cluster.SnapshotOf(c)).Cluster()
 		}
 		opts := Options{Oversubscribe: r.Intn(2) == 1, PEsPerProc: 1 + r.Intn(2)}
 		m, err := NewMapper(c, randomLayout(r), opts)

@@ -63,9 +63,8 @@ func TestFreshForDetectsSnapshotSwapByIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Derive a sibling snapshot with node 1 failed. The clone's topology
-	// generation can collide with the cached one, so freshness must hinge
-	// on topology identity, not generation counters alone.
+	// Derive a sibling snapshot with node 1 failed. Freshness hinges on
+	// topology identity: the failed node's topology is a new clone.
 	s2, _ := s1.FailNode(1)
 	if !m.state.tree.freshFor(s1.Cluster()) {
 		t.Fatal("tree must stay fresh for the snapshot it was built from")

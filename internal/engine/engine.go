@@ -177,9 +177,9 @@ func (ce *clusterEntry) current() (*Snapshot, uint64) {
 // worker is one pool slot: reusable Mapper state keyed by (cluster,
 // layout), handed to the policy as place.Request.Mapper. The lama policy
 // re-points a mapper at each request's snapshot cluster; core's dense-tree
-// freshness check (topology identity + generation) revalidates it, and a
-// stale tree is refreshed in place, resolving views only for the nodes
-// whose topology identity or generation changed. Other policies ignore
+// freshness check (topology identity) revalidates it, and a stale tree is
+// refreshed in place, resolving views only for the nodes whose topology
+// changed. Other policies ignore
 // the mapper. The map holds at most maxWorkerMappers entries.
 type worker struct {
 	mappers map[mapperKey]*core.Mapper

@@ -29,9 +29,9 @@ type Event struct {
 
 // ApplyEvent derives the named cluster's next snapshot from an event and
 // publishes it, purging the cluster's cache entries of earlier
-// publications. It returns the new epoch and the purge count. A fail-pus
-// event that changes nothing is a no-op: no new epoch is minted and the
-// cache is untouched.
+// publications. It returns the new epoch and the purge count. A fail event
+// that removes no usable PU is a no-op: it returns the current epoch, no
+// new epoch is minted and the cache is untouched.
 func (e *Engine) ApplyEvent(name string, ev *Event) (uint64, int, error) {
 	if ev == nil {
 		return 0, 0, fmt.Errorf("engine: nil event")
@@ -46,6 +46,9 @@ func (e *Engine) ApplyEvent(name string, ev *Event) (uint64, int, error) {
 		s, ok := cur.Clu.FailNode(ev.Node)
 		if !ok {
 			return 0, 0, fmt.Errorf("engine: fail-node: no node %d in %q", ev.Node, name)
+		}
+		if s == cur.Clu {
+			return cur.Clu.Epoch(), 0, nil
 		}
 		next = s
 	case "fail-pus":

@@ -61,6 +61,57 @@ func TestApplyEventAllocsFlatInCluster(t *testing.T) {
 	}
 }
 
+// TestEngineEventsThatLoseNoPUAreNoOps: a fail event that removes no
+// usable PU (a node failed twice, PUs of a failed node, PUs already
+// failed) is acknowledged at the current epoch, purges nothing and mints
+// no publication, so the placements cached before it are still hits.
+func TestEngineEventsThatLoseNoPUAreNoOps(t *testing.T) {
+	e := New(Config{})
+	registerHomogeneous(t, e, 8)
+	ctx := context.Background()
+	reqs := []*Request{{Cluster: "c", NP: 16}, {Cluster: "c", NP: 24, Layout: "ncsbh"}, {Cluster: "c", NP: 40, Layout: "scbnh"}}
+	// place caches every request at the current epoch, then serves each
+	// again and checks that the repeat is a hit there.
+	place := func(step string, epoch uint64) {
+		t.Helper()
+		for _, req := range reqs {
+			for _, wantCached := range []bool{false, true} {
+				r, err := e.Place(ctx, req)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if r.Epoch != epoch || r.Cached != wantCached {
+					t.Fatalf("%s: np %d: epoch %d cached %v, want epoch %d cached %v", step, req.NP, r.Epoch, r.Cached, epoch, wantCached)
+				}
+			}
+		}
+	}
+	apply := func(ev Event, wantEpoch uint64, wantPurged int) {
+		t.Helper()
+		epoch, purged, err := e.ApplyEvent("c", &ev)
+		if err != nil || epoch != wantEpoch || purged != wantPurged {
+			t.Fatalf("%+v: epoch %d, purged %d, err %v; want epoch %d, purged %d", ev, epoch, purged, err, wantEpoch, wantPurged)
+		}
+	}
+	place("fresh", 1)
+	apply(Event{Type: "fail-node", Node: 1}, 2, len(reqs))
+	place("node 1 failed", 2)
+	apply(Event{Type: "fail-node", Node: 1}, 2, 0)
+	apply(Event{Type: "fail-pus", Node: 1, PUs: []int{0}}, 2, 0)
+	apply(Event{Type: "fail-pus", Node: 2, PUs: []int{0, 1}}, 3, len(reqs))
+	place("node 2 PUs 0-1 failed", 3)
+	apply(Event{Type: "fail-pus", Node: 2, PUs: []int{1, 0}}, 3, 0)
+	for _, req := range reqs {
+		r, err := e.Place(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Cached || r.Epoch != 3 {
+			t.Fatalf("np %d after the no-op events: cached %v epoch %d; want a hit at epoch 3", req.NP, r.Cached, r.Epoch)
+		}
+	}
+}
+
 // TestRollbackLatePutNeverServed: a request that missed on snapshot A at
 // epoch 2 puts its run after a rollback Register has republished the
 // epoch-1 snapshot and a replayed event has reached a snapshot equal to A,

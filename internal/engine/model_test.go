@@ -18,7 +18,7 @@ import (
 
 // modelApply derives the reference model's next snapshot for one event,
 // through the cluster package's own derivations: the engine must mint the
-// same epochs. A fail-pus that changes nothing returns cur.
+// same epochs. A fail event that removes no usable PU returns cur.
 func modelApply(t *testing.T, cur *cluster.Snapshot, ev *Event) *cluster.Snapshot {
 	switch ev.Type {
 	case "fail-node":
@@ -39,8 +39,9 @@ func modelApply(t *testing.T, cur *cluster.Snapshot, ev *Event) *cluster.Snapsho
 
 // modelOp is one writer step of the model test: a cluster event through
 // ApplyEvent, or (ev nil) a Register replacing the cluster's snapshot.
-// A re-register either jumps ahead (one node failed in place, one epoch
-// past the current) or, when lower is set, rolls back
+// A re-register either jumps ahead (one node failed, one epoch past the
+// current, or the current snapshot again when that node had no usable PU
+// left) or, when lower is set, rolls back
 // to an earlier published snapshot; pick chooses which.
 type modelOp struct {
 	ev    *Event

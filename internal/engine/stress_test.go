@@ -45,10 +45,10 @@ func TestSwapUnderLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer: alternately fail one of the first nodes in place and add a
-	// healthy node, so usable nodes never drop below nodes-1 and every
-	// epoch is placeable. Each derivation chains off the published
-	// snapshot.
+	// Writer: alternately fail the lowest healthy node and add a healthy
+	// node, so usable nodes never drop below nodes-1 and every epoch is
+	// placeable. Each derivation chains off the published snapshot, and
+	// each fails a node that still has usable PUs, so none is a no-op.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -57,9 +57,9 @@ func TestSwapUnderLoad(t *testing.T) {
 			cur := e.Snapshot("stress")
 			var next *cluster.Snapshot
 			if i%2 == 0 {
-				target := i % nodes
+				target := i / 2
 				s, ok := cur.Clu.FailNode(target)
-				if !ok {
+				if !ok || s == cur.Clu {
 					t.Errorf("swap %d: FailNode(%d) refused", i, target)
 					return
 				}

@@ -70,6 +70,7 @@ func (t *Topology) MarshalJSON() ([]byte, error) {
 //
 //lama:mutator
 func (t *Topology) UnmarshalJSON(data []byte) error {
+	t.mustMutate("UnmarshalJSON")
 	var d objectDTO
 	if err := json.Unmarshal(data, &d); err != nil {
 		return err

@@ -83,20 +83,23 @@ func (sp Spec) String() string {
 
 // Topology is a single node's hardware tree plus per-level indexes.
 //
-// Mutations must go through Topology methods (SetAvailable, Restrict,
-// Offline, RemoveObject, UnmarshalJSON): each of them advances the
-// topology's generation counter, which is how downstream caches (the
-// mapping engine's pruned-tree and usable-PU caches) learn that their
-// snapshot is stale. Writing Object.Available directly bypasses that
-// contract and may leave caches serving pre-mutation state.
+// Mutation is a build-time act (paper §III-A: availability is a fact of
+// the grant, fixed when the job launches). Mutations go through Topology
+// methods (SetAvailable, Restrict, Offline, RemoveObject, UnmarshalJSON)
+// until the topology is frozen, which happens when something first
+// caches against it: a mapper's pruned view (internal/core) or a
+// cluster.Snapshot. Calling a mutator on a frozen topology is a
+// programming error and panics; Clone returns a mutable copy. Writing
+// Object.Available directly bypasses the check, and lamavet's snapfrozen
+// analyzer reports it.
 type Topology struct {
 	// Root is the machine object.
 	Root *Object
 
 	byLevel [NumLevels][]*Object
 
-	// gen counts availability and structural mutations; see Generation.
-	gen uint64
+	// frozen is set by Freeze and never cleared; see Freeze.
+	frozen bool
 	// shapeSig is the structural signature, recomputed by New and
 	// reindex; see ShapeSig.
 	shapeSig string
@@ -110,17 +113,23 @@ type Topology struct {
 	roundEnds   []int
 }
 
-// Generation returns the topology's mutation counter. It starts at zero
-// and increases on every availability or structural change made through
-// the Topology API, so holders of derived data (pruned trees, usable-PU
-// lists) can cheaply detect staleness by comparing generations.
-func (t *Topology) Generation() uint64 { return t.gen }
-
-// bump records a mutation: caches keyed by the previous generation are now
-// stale. Structural mutations additionally recompute the shape signature.
+// Freeze makes the topology immutable: every later call to one of its
+// mutators panics. Holders of derived data (pruned views, snapshots)
+// freeze a topology before they cache against it, so what they derived
+// can never go stale. Freezing is idempotent. It is not synchronized:
+// concurrent freezers must hold a common lock, as the mapper's view cache
+// does.
 //
 //lama:mutator
-func (t *Topology) bump() { t.gen++ }
+func (t *Topology) Freeze() { t.frozen = true }
+
+// mustMutate panics when t is frozen. Every mutator calls it before it
+// changes anything.
+func (t *Topology) mustMutate(op string) {
+	if t.frozen {
+		panic("hw: " + op + " on a frozen topology; mutate a Clone instead")
+	}
+}
 
 // New builds a regular topology tree from the spec. It panics if the spec
 // is invalid (programmer error); use Spec.Validate to check first.
@@ -339,12 +348,12 @@ func (t *Topology) CommonAncestorLevel(a, b int) Level {
 //
 //lama:mutator
 func (t *Topology) SetAvailable(level Level, logical int, avail bool) bool {
+	t.mustMutate("SetAvailable")
 	o := t.ObjectAt(level, logical)
 	if o == nil {
 		return false
 	}
 	o.Available = avail
-	t.bump()
 	t.refreshUsable()
 	return true
 }
@@ -356,12 +365,12 @@ func (t *Topology) SetAvailable(level Level, logical int, avail bool) bool {
 //
 //lama:mutator
 func (t *Topology) Restrict(allowed *CPUSet) {
+	t.mustMutate("Restrict")
 	for _, pu := range t.byLevel[LevelPU] {
 		if !allowed.Contains(pu.OS) {
 			pu.Available = false
 		}
 	}
-	t.bump()
 	t.refreshUsable()
 }
 
@@ -372,6 +381,7 @@ func (t *Topology) Restrict(allowed *CPUSet) {
 //
 //lama:mutator
 func (t *Topology) Offline(pus *CPUSet) int {
+	t.mustMutate("Offline")
 	if pus == nil {
 		return 0
 	}
@@ -383,7 +393,6 @@ func (t *Topology) Offline(pus *CPUSet) int {
 		}
 	}
 	if changed > 0 {
-		t.bump()
 		t.refreshUsable()
 	}
 	return changed
@@ -405,6 +414,7 @@ func (t *Topology) AllowedSet() *CPUSet {
 //
 //lama:mutator
 func (t *Topology) RemoveObject(level Level, logical int) bool {
+	t.mustMutate("RemoveObject")
 	o := t.ObjectAt(level, logical)
 	if o == nil || o.Parent == nil {
 		return false
@@ -428,7 +438,6 @@ func (t *Topology) RemoveObject(level Level, logical int) bool {
 //
 //lama:mutator
 func (t *Topology) reindex() {
-	t.bump()
 	for l := range t.byLevel {
 		t.byLevel[l] = nil
 	}
@@ -447,16 +456,15 @@ func (t *Topology) reindex() {
 }
 
 // Clone returns a deep copy of the topology (objects, availability,
-// numbering). The clone starts at generation zero: it has no cache entries
-// of its own yet, so resetting rather than copying the counter is the
-// correct copy.
+// numbering). The clone is never frozen: nothing has cached against it
+// yet, so it may be mutated whether or not t is frozen.
 //
 //lama:mutator
 //lama:cow Topology
 //lama:cow Object
 func (t *Topology) Clone() *Topology {
 	c := &Topology{}
-	c.gen = 0 // excluded from the copy: a fresh tree has no stale caches
+	c.frozen = false // not copied: nothing caches against c yet
 	var copyObj func(o *Object, parent *Object) *Object
 	copyObj = func(o *Object, parent *Object) *Object {
 		n := &Object{

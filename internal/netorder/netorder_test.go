@@ -187,15 +187,15 @@ func TestOrderNodesImprovesShuffledStencil(t *testing.T) {
 // off-line, keeps every PU's own availability flag, yet offers a group
 // fewer usable PUs than a healthy node of the same shape. OrderNodes must
 // never move a group onto it, and every rank it moves must take its leaf
-// from the new node's tree. Node 0 is left free and the job's groups are
-// shuffled over nodes 1-7, so the greedy assignment is tempted by node 0
-// first.
+// from the new node's tree. The job is mapped on a healthy cluster and its
+// groups are shuffled over nodes 1-7 of one whose node 0 was built with
+// the fault, so the greedy assignment is tempted by node 0 first.
 func TestOrderNodesAvoidsUnusableNodes(t *testing.T) {
 	faults := []struct {
 		name  string
 		apply func(c *cluster.Cluster)
 	}{
-		{"fail-node", func(c *cluster.Cluster) { c.FailNode(0) }},
+		{"fail-node", func(c *cluster.Cluster) { c.Node(0).Topo.SetAvailable(hw.LevelMachine, 0, false) }},
 		{"offline-socket", func(c *cluster.Cluster) { c.Node(0).Topo.SetAvailable(hw.LevelSocket, 0, false) }},
 	}
 	const np = 84 // nodes 0-6 full: 12 PUs per fig2 node
@@ -206,7 +206,8 @@ func TestOrderNodesAvoidsUnusableNodes(t *testing.T) {
 				mo := netsim.NewModel(netsim.NewFatTree(arity))
 				for seed := int64(0); seed < 8; seed++ {
 					c := testCluster(t, 8)
-					mapper, err := core.NewMapper(c, core.MustParseLayout("hcsbn"), core.Options{})
+					f.apply(c)
+					mapper, err := core.NewMapper(testCluster(t, 8), core.MustParseLayout("hcsbn"), core.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -219,7 +220,6 @@ func TestOrderNodesAvoidsUnusableNodes(t *testing.T) {
 						perm[i]++
 					}
 					moveGroups(c, m, perm)
-					f.apply(c)
 					if err := m.Validate(c); err != nil {
 						t.Fatalf("input map: %v", err)
 					}

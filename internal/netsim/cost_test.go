@@ -112,8 +112,8 @@ func testClusters(t *testing.T) map[string]*cluster.Cluster {
 	neh, _ := hw.Preset("nehalem-ep")
 	hetero := cluster.FromSpecs(fig2, neh, fig2, neh, fig2, neh)
 	failed := cluster.Homogeneous(6, fig2)
-	if !failed.FailNode(2) {
-		t.Fatal("FailNode")
+	if !failed.Node(2).Topo.SetAvailable(hw.LevelMachine, 0, false) {
+		t.Fatal("SetAvailable")
 	}
 	return map[string]*cluster.Cluster{
 		"homog":  cluster.Homogeneous(6, fig2),

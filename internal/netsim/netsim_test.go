@@ -185,8 +185,8 @@ func TestLCATablesMatchTopology(t *testing.T) {
 	fig2, _ := hw.Preset("fig2")
 	neh, _ := hw.Preset("nehalem-ep")
 	failed := cluster.Homogeneous(3, neh)
-	if failed.FailPUs(1, hw.NewCPUSet(0, 3, 5, 8)) == 0 {
-		t.Fatal("FailPUs changed nothing")
+	if failed.Node(1).Topo.Offline(hw.NewCPUSet(0, 3, 5, 8)) == 0 {
+		t.Fatal("Offline changed nothing")
 	}
 	for name, c := range map[string]*cluster.Cluster{
 		"fig2":       cluster.Homogeneous(2, fig2),

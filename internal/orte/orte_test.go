@@ -144,9 +144,12 @@ func TestLaunchErrors(t *testing.T) {
 	if _, err := rt.Launch(&bad, plan, 10); err == nil {
 		t.Fatal("invalid map")
 	}
-	// Plan that escapes the allowed set (restrict after planning).
-	c.Node(0).Topo.Restrict(hw.NewCPUSet(0))
-	if _, err := rt.Launch(m, plan, 10); err == nil {
+	// Plan that escapes the allowed set: the same cluster built with a
+	// restriction the plan did not see.
+	sp, _ := hw.Preset("fig2")
+	restricted := cluster.Homogeneous(2, sp)
+	restricted.Node(0).Topo.Restrict(hw.NewCPUSet(0))
+	if _, err := NewRuntime(restricted).Launch(m, plan, 10); err == nil {
 		t.Fatal("unsatisfiable plan")
 	}
 }

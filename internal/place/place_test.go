@@ -176,8 +176,8 @@ func TestCrossPolicyProperties(t *testing.T) {
 	neh, _ := hw.Preset("nehalem-ep")
 
 	failed := nehalemCluster(t, 4)
-	if !failed.FailNode(1) {
-		t.Fatal("FailNode(1) refused")
+	if !failed.Node(1).Topo.SetAvailable(hw.LevelMachine, 0, false) {
+		t.Fatal("SetAvailable refused")
 	}
 	clusters := []struct {
 		name string
@@ -228,8 +228,8 @@ func TestCrossPolicyProperties(t *testing.T) {
 // may land on the failed node at all.
 func TestPolicyAvoidsFailedNode(t *testing.T) {
 	c := nehalemCluster(t, 4)
-	if !c.FailNode(2) {
-		t.Fatal("FailNode(2) refused")
+	if !c.Node(2).Topo.SetAvailable(hw.LevelMachine, 0, false) {
+		t.Fatal("SetAvailable refused")
 	}
 	req := requestFor(t, c, 12)
 	for _, name := range place.Names() {

@@ -54,6 +54,27 @@ func TestSweepLayoutsMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSweepFreezesOneLiveCluster: the workers of one sweep over a live,
+// never-mapped cluster all freeze its topologies at once (run it with
+// -race). Afterwards every topology is frozen and refuses a mutation.
+func TestSweepFreezesOneLiveCluster(t *testing.T) {
+	c := nehalemCluster(t, 8)
+	texts := []string{"scbnh", "ncsbh", "csbnh", "hnbcs", "bnsch", "nbsNL3L2L1ch", "shcbn", "cnbsh"}
+	if _, err := place.Sweep(context.Background(), lamaJobs(t, c, 64, texts...), 4); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range c.Nodes {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("node %d: SetAvailable after the sweep did not panic", i)
+				}
+			}()
+			n.Topo.SetAvailable(hw.LevelCore, 0, false)
+		}()
+	}
+}
+
 // TestSweepLayoutsError: a layout without the node level is rejected even
 // on a worker's reused Mapper, and an unmappable rank count fails with the
 // mapper's error.
@@ -80,16 +101,18 @@ func TestSweepCanceled(t *testing.T) {
 
 // TestRequestMapperChangesNothing places a chain of requests twice: once
 // through one Mapper carried in every Request, once with a fresh Mapper
-// per request. The chain switches clusters, layouts and options, fails a
-// node in place between steps, and passes the Mapper to a policy that
-// ignores it. Every pair of maps must be deeply equal.
+// per request. The chain switches clusters, layouts and options, moves on
+// to a snapshot derived by failing a node, and passes the Mapper to a
+// policy that ignores it. Every pair of maps must be deeply equal.
 func TestRequestMapperChangesNothing(t *testing.T) {
 	fig2, ok := hw.Preset("fig2")
 	if !ok {
 		t.Fatal("fig2 preset missing")
 	}
 	nehSpec, _ := hw.Preset("nehalem-ep")
-	neh := cluster.Homogeneous(4, nehSpec)
+	healthy := cluster.HomogeneousSnapshot(4, nehSpec)
+	failed, _ := healthy.FailNode(1)
+	neh, nehFailed := healthy.Cluster(), failed.Cluster()
 	other := cluster.Homogeneous(3, fig2)
 	mixed := cluster.FromSpecs(fig2, nehSpec)
 	steps := []struct {
@@ -98,23 +121,19 @@ func TestRequestMapperChangesNothing(t *testing.T) {
 		np     int
 		opts   core.Options
 		policy string
-		fail   int // node of c to fail before the step, or -1
 	}{
-		{neh, "csbnh", 40, core.Options{}, "lama", -1},
-		{neh, "ncsbh", 40, core.Options{}, "lama", -1},
-		{other, "ncsbh", 20, core.Options{}, "lama", -1},
-		{neh, "csbn", 24, core.Options{PEsPerProc: 2}, "lama", -1},
-		{neh, "csbn", 24, core.Options{PEsPerProc: 2}, "lama", 1},
-		{mixed, "", 16, core.Options{}, "lama", -1},
-		{neh, "csbnh", 100, core.Options{Oversubscribe: true}, "lama", -1},
-		{neh, "csbnh", 16, core.Options{}, "by-node", -1},
-		{neh, "nbsNL3L2L1ch", 30, core.Options{}, "lama", -1},
+		{neh, "csbnh", 40, core.Options{}, "lama"},
+		{neh, "ncsbh", 40, core.Options{}, "lama"},
+		{other, "ncsbh", 20, core.Options{}, "lama"},
+		{neh, "csbn", 24, core.Options{PEsPerProc: 2}, "lama"},
+		{nehFailed, "csbn", 24, core.Options{PEsPerProc: 2}, "lama"},
+		{mixed, "", 16, core.Options{}, "lama"},
+		{nehFailed, "csbnh", 100, core.Options{Oversubscribe: true}, "lama"},
+		{nehFailed, "csbnh", 16, core.Options{}, "by-node"},
+		{nehFailed, "nbsNL3L2L1ch", 30, core.Options{}, "lama"},
 	}
 	shared := &core.Mapper{}
 	for i, s := range steps {
-		if s.fail >= 0 && !s.c.FailNode(s.fail) {
-			t.Fatalf("step %d: FailNode(%d) refused", i, s.fail)
-		}
 		req := place.Request{Cluster: s.c, NP: s.np, Opts: s.opts}
 		if s.layout != "" {
 			req.Layout = core.MustParseLayout(s.layout)

@@ -30,9 +30,9 @@ func goldenClusters() []goldenCluster {
 	sp, _ := hw.Preset("nehalem-ep")
 	fig2, _ := hw.Preset("fig2")
 	failed := cluster.Homogeneous(8, sp)
-	failed.FailPUs(1, hw.NewCPUSet(0, 1, 2))
-	failed.FailPUs(4, hw.CPUSetRange(8, 15))
-	failed.FailPUs(6, hw.CPUSetRange(0, 15))
+	failed.Node(1).Topo.Offline(hw.NewCPUSet(0, 1, 2))
+	failed.Node(4).Topo.Offline(hw.CPUSetRange(8, 15))
+	failed.Node(6).Topo.Offline(hw.CPUSetRange(0, 15))
 	return []goldenCluster{
 		{"nehalem-ep-x8", cluster.Homogeneous(8, sp)},
 		{"nehalem-ep-x32", cluster.Homogeneous(32, sp)},
