@@ -224,7 +224,6 @@ var DeterministicPkgNames = map[string]bool{
 	"baseline":  true,
 	"torus":     true,
 	"rankfile":  true,
-	"reorder":   true,
 	"permute":   true,
 	"hw":        true,
 	"netorder":  true,

@@ -11,9 +11,9 @@ import (
 	"lama/internal/hw"
 	"lama/internal/metrics"
 	"lama/internal/msgsim"
+	"lama/internal/netorder"
 	"lama/internal/netsim"
 	"lama/internal/place"
-	"lama/internal/reorder"
 )
 
 func init() {
@@ -141,7 +141,7 @@ func runE19(o Options) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := reorder.Optimize(c, m, mo, p.tm, 0)
+		_, res, err := netorder.RefineMap(context.Background(), c, mo, p.tm, m, netorder.AllPairs, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -154,10 +154,10 @@ func runE19(o Options) ([]*metrics.Table, error) {
 			return nil, err
 		}
 		t.AddRow(p.name,
-			metrics.F(res.Before/1000, 3),
-			metrics.F(res.After/1000, 3),
+			metrics.F(res.JBefore/1000, 3),
+			metrics.F(res.JAfter/1000, 3),
 			metrics.F(tmRep.TotalTime/1000, 3),
-			metrics.Pct(res.After, res.Before),
+			metrics.Pct(res.JAfter, res.JBefore),
 			metrics.I(res.Swaps))
 	}
 	return []*metrics.Table{t}, nil
@@ -214,7 +214,7 @@ func runE20(o Options) ([]*metrics.Table, error) {
 			return nil, err
 		}
 		roMs, err := bestOf3(func() error {
-			_, err := reorder.Optimize(c, m, mo, tm, 1)
+			_, _, err := netorder.RefineMap(context.Background(), c, mo, tm, m, netorder.AllPairs, 1)
 			return err
 		})
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // netsimExhibits names the tables whose numbers come from netsim pricing
-// (Model.Evaluate, Cost, coll, reorder, appsim, msgsim). None has a timing
+// (Model.Evaluate, Cost, coll, netorder, appsim, msgsim). None has a timing
 // column, so every byte is reproducible; E9a is left out because it
 // prices nothing.
 var netsimExhibits = []struct{ id, titlePrefix string }{

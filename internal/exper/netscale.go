@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -107,7 +108,7 @@ func NetScale(netSpec string, nps []int, refine bool, o *obs.Observer) ([]NetCos
 
 		if refine {
 			t0 = time.Now()
-			_, rres, err := netorder.RefineMap(c, mo, tm, ordered, 0)
+			_, rres, err := netorder.RefineMap(context.Background(), c, mo, tm, ordered, netorder.PartnerNode, 0)
 			if err != nil {
 				return nil, err
 			}

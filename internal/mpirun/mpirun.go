@@ -84,7 +84,7 @@ type Request struct {
 	// "lama" otherwise.
 	Policy string
 	// Traffic is the application communication matrix, consumed by
-	// traffic-aware policies ("treematch") and the reorder stage. Set
+	// traffic-aware policies ("treematch") and the netorder stages. Set
 	// programmatically (CLIs lower their -pattern/-traffic flags onto it).
 	Traffic *commpat.Matrix
 	// Seed, TorusDims, TorusOrder, BlockSize, and PackLevel feed the
@@ -95,7 +95,7 @@ type Request struct {
 	BlockSize  int
 	PackLevel  hw.Level
 	// Stages are post-pass pipeline stages applied between place and bind
-	// (e.g. a reorder.Pass). Set programmatically.
+	// (e.g. netorder.Stage and netorder.Refine). Set programmatically.
 	Stages []place.Stage
 }
 

@@ -2,13 +2,15 @@
 // which physical node hosts each mapped node-group so heavily
 // communicating groups land topologically near each other, then (see
 // refine.go) polishes rank placements with greedy pairwise swaps priced
-// by the O(degree) delta-J evaluator. Each pass compiles one flat
-// netsim.Pricing and runs over it and the sparse traffic matrix, so they stay
-// usable at 100k+ ranks where per-pair interface dispatch and dense
-// matrices are out of the question. They compose as place.Stage
-// post-passes with any registered policy — lama, treematch, torus, ... —
-// mirroring how Schulz & Träff separate intra-node ordering from
-// inter-node assignment (PAPERS.md).
+// by the O(degree) delta-J evaluator, either against each rank's partner
+// node or, as communicator rank reordering on a fixed mapping, over all
+// rank pairs. Each pass compiles one flat netsim.Pricing and runs over it
+// and the sparse traffic matrix, so the node ordering and the
+// partner-node search stay usable at 100k+ ranks where per-pair
+// interface dispatch and dense matrices are out of the question. They
+// compose as place.Stage post-passes with any registered policy — lama,
+// treematch, torus, ... — mirroring how Schulz & Träff separate
+// intra-node ordering from inter-node assignment (PAPERS.md).
 package netorder
 
 import (
@@ -332,8 +334,6 @@ func nodeClassKey(nd *cluster.Node) string {
 type Stage struct {
 	// Net is the inter-node network to order against.
 	Net netsim.Network
-	// OnResult, when set, receives the ordering outcome.
-	OnResult func(*Result)
 }
 
 // StageName returns the registered netorder span label.
@@ -351,9 +351,6 @@ func (s *Stage) Apply(_ context.Context, req *place.Request, m *core.Map) (*core
 	out, res, err := OrderNodes(req.Cluster, netsim.NewModel(s.Net), req.Traffic, m)
 	if err != nil {
 		return nil, err
-	}
-	if s.OnResult != nil {
-		s.OnResult(res)
 	}
 	if o := req.Opts.Obs; o.Enabled() {
 		o.Emit(obs.SrcNetSim, obs.EvOrder,

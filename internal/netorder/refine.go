@@ -12,11 +12,23 @@ import (
 	"lama/internal/place"
 )
 
-// DefaultMaxSweeps bounds the refinement sweeps when the caller does not
-// set a limit. Greedy pairwise refinement converges in a handful of
-// sweeps on the standard patterns; the cap only guards pathological
-// cases.
-const DefaultMaxSweeps = 8
+// Search selects which rank pairs RefineMap prices and which improving
+// swap it takes.
+type Search int
+
+const (
+	// PartnerNode pairs each rank with every rank on the node of its
+	// heaviest off-node partner (first wins ties) and takes the pair's
+	// most J-lowering swap: O(nnz · ranks-per-node) per sweep, so the
+	// per-swap cost is independent of np.
+	PartnerNode Search = iota
+	// AllPairs pairs each rank a with every rank b > a and takes each
+	// improving swap as it is found: O(np² · degree) per sweep. This is
+	// communicator rank reordering (MPI's reorder-enabled communicator
+	// constructors), which also finds the intra-node swaps PartnerNode
+	// never looks at.
+	AllPairs
+)
 
 // swapEps is the strict-improvement threshold: a swap is taken only when
 // it lowers J by more than this, so float noise can neither churn the
@@ -32,25 +44,19 @@ type RefineResult struct {
 	Swaps, Sweeps int
 }
 
-// RefineMap polishes rank placements with greedy pairwise swaps: each
-// rank in turn looks at its heaviest off-node communication partner and
-// evaluates swapping itself with every rank on that partner's node,
-// taking the most J-lowering swap if any strictly improves. Every
-// candidate is priced by Cost.DeltaSwap in O(degree), so a full sweep is
-// O(nnz · ranks-per-node) and per-swap cost is independent of np. Sweeps
-// repeat until none improves or maxSweeps (DefaultMaxSweeps when <= 0)
-// is hit. Swapping placements wholesale is always valid — the two ranks
-// exchange complete processor claims — so no compatibility classes are
-// needed. The input map is returned unchanged when no swap helps.
-func RefineMap(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
-	return RefineMapContext(context.Background(), c, mo, tm, m, maxSweeps)
-}
-
-// RefineMapContext is RefineMap with cooperative cancellation, checked
-// between refinement sweeps (never inside the per-rank delta loop, which
-// must stay allocation-free). A canceled refinement returns the best map
-// found so far together with the cancellation error.
-func RefineMapContext(ctx context.Context, c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map, maxSweeps int) (*core.Map, *RefineResult, error) {
+// RefineMap lowers m's J under the traffic with a deterministic pairwise
+// swap search: each sweep visits the ranks in order and prices the
+// search's candidate swaps for each with Cost.DeltaSwap in O(degree).
+// Swapping placements wholesale is always valid — the two ranks exchange
+// complete processor claims, every field but Rank — so no compatibility
+// classes are needed. Sweeps repeat until one applies no swap or
+// maxSweeps is hit; maxSweeps <= 0 means at most np sweeps.
+//
+// Cancellation is checked between sweeps, never inside the per-rank delta
+// loop, which must stay allocation-free: a canceled refinement returns
+// the best map found so far together with ctx.Err(). The input map is
+// returned unchanged when no swap helps.
+func RefineMap(ctx context.Context, c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *core.Map, search Search, maxSweeps int) (*core.Map, *RefineResult, error) {
 	pr, err := mo.Pricing(c)
 	if err != nil {
 		return nil, nil, err
@@ -59,79 +65,112 @@ func RefineMapContext(ctx context.Context, c *cluster.Cluster, mo *netsim.Model,
 	if err != nil {
 		return nil, nil, err
 	}
-	if maxSweeps <= 0 {
-		maxSweeps = DefaultMaxSweeps
-	}
-	res := &RefineResult{JBefore: cost.J(), JAfter: cost.J()}
 	np := m.NumRanks()
+	if maxSweeps <= 0 {
+		maxSweeps = np
+	}
+	res := &RefineResult{JBefore: cost.J()}
+	out := &core.Map{Layout: m.Layout, Sweeps: m.Sweeps,
+		Placements: append([]core.Placement(nil), m.Placements...)}
 
-	// Ranks per node, ascending (ranks are visited in order, so the
-	// lists build sorted).
-	byNode := make([][]int32, c.NumNodes())
-	cnt := make([]int, c.NumNodes())
+	// Candidate lists: all ranks ascending (AllPairs reads the suffix
+	// past a), or the ranks on each node ascending (PartnerNode).
+	var ranks []int32
+	var byNode [][]int32
+	if search == AllPairs {
+		ranks = make([]int32, np)
+		for r := range ranks {
+			ranks[r] = int32(r)
+		}
+	} else {
+		byNode = ranksByNode(cost, c.NumNodes(), np)
+	}
+	swap := func(a, b int) {
+		if byNode != nil {
+			na, nb := cost.NodeOf(a), cost.NodeOf(b)
+			replaceSorted(byNode[na], int32(a), int32(b))
+			replaceSorted(byNode[nb], int32(b), int32(a))
+		}
+		cost.ApplySwap(a, b)
+		pa, pb := &out.Placements[a], &out.Placements[b]
+		*pa, *pb = *pb, *pa
+		pa.Rank, pb.Rank = a, b
+		res.Swaps++
+	}
+
+	for res.Sweeps < maxSweeps {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		res.Sweeps++
+		swaps := res.Swaps
+		for a := 0; a < np; a++ {
+			var cands []int32
+			if search == AllPairs {
+				cands = ranks[a+1:]
+			} else if n := partnerNode(cost, a); n >= 0 {
+				cands = byNode[n]
+			}
+			// PartnerNode keeps the first minimal candidate (ties stay
+			// deterministic); AllPairs swaps at every improving one.
+			best, bestD := -1, -swapEps
+			for _, b := range cands {
+				d := cost.DeltaSwap(a, int(b))
+				switch {
+				case d >= bestD: // no improvement on the best so far
+				case search == AllPairs:
+					swap(a, int(b))
+				default:
+					best, bestD = int(b), d
+				}
+			}
+			if best >= 0 {
+				swap(a, best)
+			}
+		}
+		if res.Swaps == swaps {
+			break
+		}
+	}
+	res.JAfter = cost.J()
+	if res.Swaps == 0 {
+		return m, res, err
+	}
+	return out, res, err
+}
+
+// ranksByNode lists the ranks on each node, ascending.
+func ranksByNode(cost *netsim.Cost, nodes, np int) [][]int32 {
+	cnt := make([]int, nodes)
 	for r := 0; r < np; r++ {
 		cnt[cost.NodeOf(r)]++
 	}
+	byNode := make([][]int32, nodes)
 	for n := range byNode {
 		byNode[n] = make([]int32, 0, cnt[n])
 	}
 	for r := 0; r < np; r++ {
 		byNode[cost.NodeOf(r)] = append(byNode[cost.NodeOf(r)], int32(r))
 	}
+	return byNode
+}
 
-	out := &core.Map{Layout: m.Layout, Sweeps: m.Sweeps,
-		Placements: append([]core.Placement(nil), m.Placements...)}
-
-	for res.Sweeps < maxSweeps {
-		if err := ctx.Err(); err != nil {
-			break
+// partnerNode returns the node of r's heaviest off-node partner (the
+// first wins ties), or -1 when all of r's traffic stays on its node.
+func partnerNode(cost *netsim.Cost, r int) int {
+	peers, outB, inB := cost.Neighbors(r)
+	rNode := cost.NodeOf(r)
+	node, w := -1, 0.0
+	for k, p := range peers {
+		pn := cost.NodeOf(int(p))
+		if pn == rNode {
+			continue
 		}
-		res.Sweeps++
-		improved := false
-		for r := 0; r < np; r++ {
-			peers, outB, inB := cost.Neighbors(r)
-			// Heaviest off-node partner (first wins ties — deterministic).
-			bt, btW := -1, 0.0
-			rNode := cost.NodeOf(r)
-			for k, p := range peers {
-				if cost.NodeOf(int(p)) == rNode {
-					continue
-				}
-				if w := outB[k] + inB[k]; w > btW {
-					bt, btW = int(p), w
-				}
-			}
-			if bt < 0 {
-				continue
-			}
-			// Best strictly-improving swap with a rank on the partner's
-			// node (first minimal candidate wins ties — deterministic).
-			best, bestD := -1, -swapEps
-			for _, s := range byNode[cost.NodeOf(bt)] {
-				if d := cost.DeltaSwap(r, int(s)); d < bestD {
-					best, bestD = int(s), d
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			sNode := cost.NodeOf(best)
-			cost.ApplySwap(r, best)
-			swapPlacements(out, r, best)
-			replaceSorted(byNode[rNode], int32(r), int32(best))
-			replaceSorted(byNode[sNode], int32(best), int32(r))
-			res.Swaps++
-			improved = true
-		}
-		if !improved {
-			break
+		if v := outB[k] + inB[k]; v > w {
+			node, w = pn, v
 		}
 	}
-	res.JAfter = cost.J()
-	if res.Swaps == 0 {
-		return m, res, nil
-	}
-	return out, res, nil
+	return node
 }
 
 // replaceSorted substitutes new for old in a sorted slice and re-sorts
@@ -154,33 +193,20 @@ func replaceSorted(l []int32, old, new int32) {
 	}
 }
 
-// swapPlacements exchanges everything but the Rank field between two
-// placements: rank order stays canonical while the processor assignment
-// moves.
-func swapPlacements(m *core.Map, a, b int) {
-	pa, pb := &m.Placements[a], &m.Placements[b]
-	*pa, *pb = *pb, *pa
-	pa.Rank, pb.Rank = a, b
-}
-
 // Refine is the delta-J pairwise-swap refinement post-pass
-// (place.Stage). It composes after Stage (node ordering) or alone.
+// (place.Stage), running the PartnerNode search to convergence. It
+// composes after Stage (node ordering) or alone.
 type Refine struct {
 	// Net is the inter-node network, priced with default intra-node
 	// parameters.
 	Net netsim.Network
-	// MaxSweeps bounds the refinement sweeps; <= 0 means
-	// DefaultMaxSweeps.
-	MaxSweeps int
-	// OnResult, when set, receives the refinement outcome.
-	OnResult func(*RefineResult)
 }
 
 // StageName returns the registered netrefine span label.
 func (s *Refine) StageName() string { return obs.SpanNetRefine }
 
 // Apply runs the refinement and emits a "netsim"/"refine" event with the
-// J before/after.
+// J before/after. A canceled refinement fails the stage.
 func (s *Refine) Apply(ctx context.Context, req *place.Request, m *core.Map) (*core.Map, error) {
 	if s.Net == nil {
 		return nil, fmt.Errorf("netorder: refine stage needs a network model")
@@ -188,12 +214,9 @@ func (s *Refine) Apply(ctx context.Context, req *place.Request, m *core.Map) (*c
 	if req.Traffic == nil {
 		return nil, fmt.Errorf("netorder: refine stage needs req.Traffic")
 	}
-	out, res, err := RefineMapContext(ctx, req.Cluster, netsim.NewModel(s.Net), req.Traffic, m, s.MaxSweeps)
+	out, res, err := RefineMap(ctx, req.Cluster, netsim.NewModel(s.Net), req.Traffic, m, PartnerNode, 0)
 	if err != nil {
 		return nil, err
-	}
-	if s.OnResult != nil {
-		s.OnResult(res)
 	}
 	if o := req.Opts.Obs; o.Enabled() {
 		o.Emit(obs.SrcNetSim, obs.EvRefine,

@@ -11,9 +11,9 @@ import (
 // objective J(C,D,Π) — the same volume-weighted latency + bytes/bandwidth
 // sum Model.Evaluate reports as TotalTime — held as mutable flat state so
 // candidate placement changes are priced in O(degree) instead of O(nnz).
-// NewCost computes the full J once over the sparse traffic; DeltaSwap and
-// DeltaMove then price a swap or move by re-costing only the edges
-// incident to the affected ranks, and ApplySwap/ApplyMove commit one.
+// NewCost computes the full J once over the sparse traffic; DeltaSwap
+// then prices a swap by re-costing only the edges incident to the two
+// ranks, and ApplySwap commits one.
 //
 // Every edge is priced by the shared Pricing (per-shape LCA tables
 // intra-node, the flat Distances inter-node), so the steady-state methods
@@ -27,7 +27,6 @@ type Cost struct {
 
 	// Per-rank placement state: flat int32 mirrors of core.Map.
 	node  []int32 // rank -> node index
-	puOS  []int32 // rank -> representative PU OS index
 	puIdx []int32 // rank -> dense PU ordinal in the node's LCA table (Pricing.Locate)
 
 	j float64
@@ -48,11 +47,7 @@ func NewCost(pr *Pricing, tm *commpat.Matrix, m *core.Map) (*Cost, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &Cost{pr: *pr, tm: tm, adj: tm.Incident(), node: node, puIdx: puIdx, puOS: make([]int32, np)}
-	for r := range m.Placements {
-		cs.puOS[r] = int32(m.Placements[r].PU())
-	}
-
+	cs := &Cost{pr: *pr, tm: tm, adj: tm.Incident(), node: node, puIdx: puIdx}
 	tm.Each(func(i, j int, bytes float64) {
 		cs.j += pr.Edge(cs.node[i], cs.puIdx[i], cs.node[j], cs.puIdx[j], bytes)
 	})
@@ -66,9 +61,6 @@ func (cs *Cost) J() float64 { return cs.j }
 //
 //lama:hotpath
 func (cs *Cost) NodeOf(r int) int { return int(cs.node[r]) }
-
-// PUOf returns rank r's current representative PU OS index.
-func (cs *Cost) PUOf(r int) int { return int(cs.puOS[r]) }
 
 // Neighbors returns rank r's row of the traffic's Incident view: peers
 // ascending with the outgoing and incoming volume per peer. The slices
@@ -129,61 +121,15 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 	return delta
 }
 
-// DeltaMove returns the change in J if rank r moved to the given PU (an
-// OS index) on the given node, and whether that PU exists there, in
-// O(degree(r)).
-//
-//lama:hotpath
-func (cs *Cost) DeltaMove(r, node, pu int) (float64, bool) {
-	idx := cs.pr.ordinal(node, pu)
-	if idx < 0 {
-		return 0, false
-	}
-	nr, pr := cs.node[r], cs.puIdx[r]
-	nn, pn := int32(node), idx
-	if nr == nn && pr == pn {
-		return 0, true
-	}
-	delta := 0.0
-	peers, out, in := cs.adj.Row(r)
-	for k, p := range peers {
-		po, pi := cs.node[p], cs.puIdx[p]
-		if v := out[k]; v > 0 {
-			delta += cs.pr.Edge(nn, pn, po, pi, v) - cs.pr.Edge(nr, pr, po, pi, v)
-		}
-		if v := in[k]; v > 0 {
-			delta += cs.pr.Edge(po, pi, nn, pn, v) - cs.pr.Edge(po, pi, nr, pr, v)
-		}
-	}
-	return delta, true
-}
-
 // ApplySwap commits the swap and returns its delta.
 //
 //lama:hotpath
 func (cs *Cost) ApplySwap(a, b int) float64 {
 	d := cs.DeltaSwap(a, b)
 	cs.node[a], cs.node[b] = cs.node[b], cs.node[a]
-	cs.puOS[a], cs.puOS[b] = cs.puOS[b], cs.puOS[a]
 	cs.puIdx[a], cs.puIdx[b] = cs.puIdx[b], cs.puIdx[a]
 	cs.j += d
 	return d
-}
-
-// ApplyMove commits the move and returns its delta; a false second
-// return means the PU does not exist on the node and nothing changed.
-//
-//lama:hotpath
-func (cs *Cost) ApplyMove(r, node, pu int) (float64, bool) {
-	d, ok := cs.DeltaMove(r, node, pu)
-	if !ok {
-		return 0, false
-	}
-	cs.node[r] = int32(node)
-	cs.puOS[r] = int32(pu)
-	cs.puIdx[r] = cs.pr.ordinal(node, pu)
-	cs.j += d
-	return d, true
 }
 
 // Recompute re-derives J from scratch in O(nnz) without modifying state

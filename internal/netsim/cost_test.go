@@ -221,71 +221,6 @@ func TestDeltaSwapDifferential(t *testing.T) {
 	}
 }
 
-func TestDeltaMoveDifferential(t *testing.T) {
-	for cname, c := range testClusters(t) {
-		np := c.TotalSlots() / 2 // leave headroom so moves have free PUs
-		if np > 24 {
-			np = 24
-		}
-		m := mapJob(t, c, "csbnh", np)
-		for nname, net := range testNetworks(c.NumNodes()) {
-			mo := NewModel(net)
-			tm := commpat.RandomPairs(np, 2*np, 1024, 5)
-			cost, err := NewCost(mustPricing(t, mo, c), tm, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := cloneMap(m)
-			r := rand.New(rand.NewSource(17))
-			moved := 0
-			for step := 0; step < 60; step++ {
-				rk := r.Intn(np)
-				node := r.Intn(c.NumNodes())
-				pus := c.Node(node).Topo.Objects(hw.LevelPU)
-				pu := pus[r.Intn(len(pus))].OS
-				d, ok := cost.DeltaMove(rk, node, pu)
-				if !ok {
-					continue
-				}
-				if got, ok2 := cost.ApplyMove(rk, node, pu); !ok2 || got != d {
-					t.Fatalf("ApplyMove mismatch")
-				}
-				moved++
-				oracle.Placements[rk].Node = node
-				oracle.Placements[rk].NodeName = c.Nodes[node].Name
-				oracle.Placements[rk].PUs = []int{pu}
-				rep, err := mo.Evaluate(c, oracle, tm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !relClose(cost.J(), rep.TotalTime, 1e-9) {
-					t.Fatalf("%s/%s step %d move(%d->%d/%d): J = %g, oracle = %g",
-						cname, nname, step, rk, node, pu, cost.J(), rep.TotalTime)
-				}
-			}
-			if moved == 0 {
-				t.Fatalf("%s/%s: no move applied", cname, nname)
-			}
-		}
-	}
-}
-
-func TestDeltaMoveRejectsUnknownPU(t *testing.T) {
-	c := testClusters(t)["homog"]
-	m := mapJob(t, c, "csbnh", 12)
-	tm := commpat.Ring(12, 100)
-	cost, err := NewCost(mustPricing(t, NewModel(NewFlat()), c), tm, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cost.DeltaMove(0, 0, 9999); ok {
-		t.Fatal("unknown PU accepted")
-	}
-	if _, ok := cost.DeltaMove(0, -1, 0); ok {
-		t.Fatal("bad node accepted")
-	}
-}
-
 func TestDeltaSwapTrivial(t *testing.T) {
 	c := testClusters(t)["homog"]
 	m := mapJob(t, c, "csbnh", 12)
@@ -316,7 +251,7 @@ func TestCostErrors(t *testing.T) {
 }
 
 // TestDeltaAllocationFree pins the hot path: pricing and applying swaps
-// and moves allocates nothing in steady state.
+// allocates nothing in steady state.
 func TestDeltaAllocationFree(t *testing.T) {
 	c := testClusters(t)["homog"]
 	np := 24
@@ -332,7 +267,6 @@ func TestDeltaAllocationFree(t *testing.T) {
 		cost.DeltaSwap(a, b)
 		cost.ApplySwap(a, b)
 		cost.ApplySwap(a, b) // undo, keeping state bounded
-		cost.DeltaMove(a, cost.NodeOf(b), cost.PUOf(b))
 		i++
 	})
 	if allocs != 0 {

@@ -15,8 +15,8 @@ import (
 // intra-node pairs read a per-shape table of PU-pair lowest-common-ancestor
 // levels and the model's IntraParams. Both halves hold exact latencies
 // and bandwidths, and Edge prices every exchange as lat + bytes/bw, so
-// Model.Evaluate, Cost, and the simulators built on them (coll, reorder,
-// appsim, msgsim) agree bit for bit. A Pricing is immutable once built
+// Model.Evaluate, Cost, and the passes and simulators built on them
+// (netorder, coll, appsim, msgsim) agree bit for bit. A Pricing is immutable once built
 // and may be shared by any number of evaluators.
 //
 // Endpoints are (node index, dense PU ordinal) pairs; Locate turns a

@@ -69,7 +69,7 @@ const (
 )
 
 // Phase span names (PhaseTimer labels). Pipeline stages span under their
-// own StageName (e.g. the reorder pass's SpanReorder).
+// own StageName (e.g. the refinement pass's SpanNetRefine).
 const (
 	// SpanPrune and SpanBuildShape are the mapper's one-off build phases.
 	SpanPrune      = "prune"
@@ -81,8 +81,6 @@ const (
 	// SpanBind and SpanLaunch are the downstream pipeline steps.
 	SpanBind   = "bind"
 	SpanLaunch = "launch"
-	// SpanReorder is the communicator-reorder post-pass stage.
-	SpanReorder = "reorder"
 	// SpanGenerate is topogen's cluster construction phase.
 	SpanGenerate = "generate"
 	// SpanNetOrder is the network-aware node-ordering post-pass stage.
@@ -126,7 +124,7 @@ var vocab = []VocabEntry{
 // spanNames is the registered phase-span label set.
 var spanNames = []string{
 	SpanPrune, SpanBuildShape, SpanSweep, SpanPlace,
-	SpanBind, SpanLaunch, SpanReorder, SpanGenerate,
+	SpanBind, SpanLaunch, SpanGenerate,
 	SpanNetOrder, SpanNetRefine,
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // Stage is a composable post-pass applied to an already-placed map while
-// the processors stay fixed — communicator rank reordering is the
-// canonical one (reorder.Pass). Stages run between the place and bind
-// steps of a pipeline, each under its own phase span.
+// the processors stay fixed — netorder's node ordering (netorder.Stage)
+// and rank-swap refinement (netorder.Refine) are the canonical ones.
+// Stages run between the place and bind steps of a pipeline, each under
+// its own phase span.
 type Stage interface {
 	// StageName labels the stage's phase span and events.
 	StageName() string

@@ -51,7 +51,7 @@ type Request struct {
 	// falls back to "csbnh", the Level-1 default of the paper's §V.
 	Layout core.Layout
 	// Traffic is the application communication matrix (traffic-aware
-	// policies such as "treematch", and the reorder post-pass stage).
+	// policies such as "treematch", and the netorder post-pass stages).
 	Traffic *commpat.Matrix
 	// TorusDims is the X, Y, Z shape of the torus ("torus" policy). All
 	// zero means "derive a near-cubic shape from the node count".

@@ -40,7 +40,6 @@ import (
 	"lama/internal/place"
 	_ "lama/internal/place/all" // link every built-in placement policy
 	"lama/internal/rankfile"
-	"lama/internal/reorder"
 	"lama/internal/rm"
 	"lama/internal/torus"
 )
@@ -236,8 +235,9 @@ func NewRuntime(c *Cluster) *Runtime { return orte.NewRuntime(c) }
 
 // Policy is one named placement strategy; PlaceRequest bundles every input
 // any strategy may consume; PlaceStage is a composable post-pass (e.g.
-// rank reordering) and PlacePipeline the place→stages execution path;
-// PlaceJob pairs a policy with a request for cross-policy sweeps.
+// network-aware node ordering or rank-swap refinement) and PlacePipeline
+// the place→stages execution path; PlaceJob pairs a policy with a request
+// for cross-policy sweeps.
 type (
 	Policy        = place.Policy
 	PlaceRequest  = place.Request
@@ -261,10 +261,6 @@ func Place(ctx context.Context, name string, req *PlaceRequest) (*Map, error) {
 func PlaceSweep(ctx context.Context, jobs []PlaceJob, workers int) ([]*Map, error) {
 	return place.Sweep(ctx, jobs, workers)
 }
-
-// ReorderPass is the rank-reordering post-pass stage for PlacePipeline /
-// LaunchRequest.Stages.
-type ReorderPass = reorder.Pass
 
 // ---- Torus shapes (§II comparators) ----
 
