@@ -87,7 +87,7 @@ var frozenMutatingMethods = map[[2]string]map[string]bool{
 	{"hw", "Topology"}: {
 		"SetAvailable": true, "Restrict": true, "Offline": true,
 		"RemoveObject": true, "UnmarshalJSON": true,
-		"reindex": true, "bump": true,
+		"reindex": true,
 	},
 }
 

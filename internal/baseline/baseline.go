@@ -10,7 +10,6 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"lama/internal/cluster"
 	"lama/internal/core"
@@ -112,9 +111,9 @@ func ByNode(c *cluster.Cluster, np int) (*core.Map, error) {
 
 // Pack fills each object of the given level completely (all its usable
 // PUs) before moving to the next object — MPICH2's "pack at a level".
-// An object's usable PUs are one contiguous run of the node's DFS-ordered
-// usable PUs, so the slots are those PUs that sit under some object of
-// the level, in order.
+// The objects of a level are in DFS order and their subtrees disjoint, so
+// the slots are the node's usable PUs that sit under some object of the
+// level, in order.
 func Pack(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 	if !level.Valid() {
 		return nil, fmt.Errorf("baseline: invalid level")
@@ -124,9 +123,11 @@ func Pack(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 		return nil, err
 	}
 	for i, node := range c.Nodes {
-		for _, pu := range node.Topo.UsablePUs() {
-			if pu.Ancestor(level) != nil && p.add(i, pu) {
-				return p.m, nil
+		for _, obj := range node.Topo.Objects(level) {
+			for _, pu := range node.Topo.UsableUnder(obj) {
+				if p.add(i, pu) {
+					return p.m, nil
+				}
 			}
 		}
 	}
@@ -134,9 +135,9 @@ func Pack(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 }
 
 // Scatter deals ranks round-robin across the objects of the given level,
-// cluster-wide — MPICH2's "scatter at a level". The first round places
-// each object's first PU as the object is found, so a job smaller than
-// the level's object count never looks past its last object.
+// cluster-wide — MPICH2's "scatter at a level". Round r places usable PU
+// r of every object that has one, so a job smaller than the level's
+// object count never looks past its last object.
 func Scatter(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 	if !level.Valid() {
 		return nil, fmt.Errorf("baseline: invalid level")
@@ -145,65 +146,21 @@ func Scatter(c *cluster.Cluster, level hw.Level, np int) (*core.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Round one places one rank per group as it is found, so it returns
-	// before finding more than np groups. The list is pooled scratch.
-	gp := groupPool.Get().(*[]group)
-	groups := (*gp)[:0]
-	defer func() { putGroups(gp, groups) }()
-	for i, node := range c.Nodes {
-		ups := node.Topo.UsablePUs()
-		for start, end := 0, 0; start < len(ups); start = end {
-			obj := ups[start].Ancestor(level)
-			end = start + 1
-			for end < len(ups) && ups[end].Ancestor(level) == obj {
-				end++
-			}
-			if obj == nil {
-				continue // PUs under no object of the level
-			}
-			groups = append(groups, group{node: i, pus: ups[start:end]})
-			if p.add(i, ups[start]) {
-				return p.m, nil
-			}
-		}
-	}
-	for round := 1; ; round++ {
+	for round := 0; ; round++ {
 		progressed := false
-		for _, g := range groups {
-			if round < len(g.pus) {
-				if p.add(g.node, g.pus[round]) {
-					return p.m, nil
+		for i, node := range c.Nodes {
+			for _, obj := range node.Topo.Objects(level) {
+				if pus := node.Topo.UsableUnder(obj); round < len(pus) {
+					if p.add(i, pus[round]) {
+						return p.m, nil
+					}
+					progressed = true
 				}
-				progressed = true
 			}
 		}
 		if !progressed {
 			return nil, p.exhausted("scatter")
 		}
-	}
-}
-
-// group is one of Scatter's objects: its usable PUs, a run of its node's
-// list.
-type group struct {
-	node int
-	pus  []*hw.Object
-}
-
-// groupPool holds Scatter's idle group lists.
-var groupPool = sync.Pool{New: func() any { return new([]group) }}
-
-// maxPooledGroups bounds the group list groupPool keeps: a scatter over
-// more objects builds its list in fresh memory that is dropped afterwards.
-const maxPooledGroups = 1 << 12
-
-// putGroups returns a group list to groupPool, cleared so that the pool
-// holds no topology.
-func putGroups(gp *[]group, groups []group) {
-	if cap(groups) <= maxPooledGroups {
-		clear(groups)
-		*gp = groups[:0]
-		groupPool.Put(gp)
 	}
 }
 

@@ -72,7 +72,7 @@ type Plan struct {
 // is deeper than the leaf (e.g. binding to hardware threads after mapping
 // to cores). For Limited, level is ignored and each rank is bound to the
 // union of the job's claimed PUs on its node. For None, no restriction is
-// produced.
+// produced. Specific is ComputeWidth with a count of 1.
 func Compute(c *cluster.Cluster, m *core.Map, policy Policy, level hw.Level) (*Plan, error) {
 	if m == nil || m.NumRanks() == 0 {
 		return nil, fmt.Errorf("bind: empty map")
@@ -103,26 +103,15 @@ func Compute(c *cluster.Cluster, m *core.Map, policy Policy, level hw.Level) (*P
 			})
 		}
 	case Specific:
-		if !level.Valid() {
-			return nil, fmt.Errorf("bind: invalid binding level %d", int(level))
-		}
-		for i := range m.Placements {
-			p := &m.Placements[i]
-			set, err := specificSet(c, p, level)
-			if err != nil {
-				return nil, err
-			}
-			plan.Bindings = append(plan.Bindings, Binding{
-				Rank: p.Rank, Node: p.Node, CPUs: set, Width: set.Count(),
-			})
-		}
+		return ComputeWidth(c, m, level, 1)
 	default:
 		return nil, fmt.Errorf("bind: unknown policy %v", policy)
 	}
 	return plan, nil
 }
 
-// specificSet computes the Specific-policy CPU set for one placement.
+// specificSet computes the Specific-policy CPU set for one placement, a
+// fresh set the caller may extend.
 func specificSet(c *cluster.Cluster, p *core.Placement, level hw.Level) (*hw.CPUSet, error) {
 	node := c.Node(p.Node)
 	if node == nil {
@@ -146,7 +135,8 @@ func specificSet(c *cluster.Cluster, p *core.Placement, level hw.Level) (*hw.CPU
 	if anc == nil {
 		return nil, fmt.Errorf("bind: rank %d has no ancestor at %s", p.Rank, level)
 	}
-	set := anc.UsablePUSet()
+	set := &hw.CPUSet{}
+	set.SetPUs(node.Topo.UsableUnder(anc))
 	if set.Empty() {
 		return nil, fmt.Errorf("bind: rank %d binding target %v has no usable PUs", p.Rank, anc)
 	}
@@ -217,21 +207,17 @@ func ComputeWidth(c *cluster.Cluster, m *core.Map, level hw.Level, count int) (*
 	plan := &Plan{Policy: Specific, Level: level}
 	for i := range m.Placements {
 		p := &m.Placements[i]
-		base, err := specificSet(c, p, level)
+		set, err := specificSet(c, p, level)
 		if err != nil {
 			return nil, err
 		}
-		set := base.Clone()
 		if count > 1 && p.Leaf != nil {
 			if anchor := p.Leaf.Ancestor(level); anchor != nil && anchor.Parent != nil {
-				sibs := anchor.Parent.Children
+				topo, sibs := c.Node(p.Node).Topo, anchor.Parent.Children
 				for k := 1; k < count && anchor.Rank+k < len(sibs); k++ {
-					set.Or(sibs[anchor.Rank+k].UsablePUSet())
+					set.SetPUs(topo.UsableUnder(sibs[anchor.Rank+k]))
 				}
 			}
-		}
-		if set.Empty() {
-			return nil, fmt.Errorf("bind: rank %d width binding is empty", p.Rank)
 		}
 		plan.Bindings = append(plan.Bindings, Binding{
 			Rank: p.Rank, Node: p.Node, CPUs: set, Width: set.Count(),

@@ -37,13 +37,7 @@ func (n *Node) EffectiveSlots() int {
 	if n.Slots > 0 {
 		return n.Slots
 	}
-	cores := 0
-	for _, c := range n.Topo.Objects(hw.LevelCore) {
-		if c.Usable() && len(c.UsablePUs()) > 0 {
-			cores++
-		}
-	}
-	if cores > 0 {
+	if cores := len(n.Topo.ThreadRound(0)); cores > 0 {
 		return cores
 	}
 	return n.Topo.NumUsablePUs()

@@ -128,8 +128,8 @@ func (v *nodeView) usable(leaf int32) []int32 {
 
 // buildView binds a shape to a concrete topology, walking it once in the
 // same breadth-first order as buildShape to collect leaf objects, then
-// caching each leaf's usable PUs (ancestor-availability included, matching
-// Object.UsablePUs).
+// caching the OS indices of each leaf's usable PUs, its window of the
+// topology's usable-PU list.
 //
 //lama:coldpath one-off per-node view construction
 //lama:mutator
@@ -138,6 +138,7 @@ func buildView(t *hw.Topology, shape *prunedShape) *nodeView {
 		shape:   shape,
 		leafObj: make([]*hw.Object, 0, shape.numLeaves),
 		puOff:   make([]int32, 1, shape.numLeaves+1),
+		pus:     make([]int32, 0, t.NumUsablePUs()),
 	}
 	levels := shape.levels
 	type item struct {
@@ -158,27 +159,12 @@ func buildView(t *hw.Topology, shape *prunedShape) *nodeView {
 		}
 	}
 	for _, leaf := range v.leafObj {
-		if leaf.Usable() {
-			v.pus = appendUsablePUs(v.pus, leaf)
+		for _, pu := range t.UsableUnder(leaf) {
+			v.pus = append(v.pus, int32(pu.OS))
 		}
 		v.puOff = append(v.puOff, int32(len(v.pus)))
 	}
 	return v
-}
-
-// appendUsablePUs appends the OS indices of o's usable PUs in tree order
-// (o itself already verified usable up to the root).
-func appendUsablePUs(dst []int32, o *hw.Object) []int32 {
-	if !o.Available {
-		return dst
-	}
-	if o.Level == hw.LevelPU {
-		return append(dst, int32(o.OS))
-	}
-	for _, c := range o.Children {
-		dst = appendUsablePUs(dst, c)
-	}
-	return dst
 }
 
 // levelsSig encodes a level list as a compact cache-key string.

@@ -103,14 +103,14 @@ type runState struct {
 	skippedOversub bool  // a leaf was skipped due to the oversubscribe rule
 
 	// trace, when non-nil, is invoked at every visited coordinate
-	// (MapTraced); rank is -1 for skip events.
-	trace func(action TraceAction, rank int)
+	// (MapTraced); rank is -1 for skip events. Every run sets it.
+	trace func(r *runState, action TraceAction, rank int)
 }
 
 // emit reports a trace event if tracing is enabled.
 func (r *runState) emit(action TraceAction, rank int) {
 	if r.trace != nil {
-		r.trace(action, rank)
+		r.trace(r, action, rank)
 	}
 }
 
@@ -243,7 +243,6 @@ func (m *Mapper) resetRun(r *runState, np int) error {
 	r.sweeps = 0
 	r.sweepEnds = nil
 	r.skippedOversub = false
-	r.trace = nil
 	for i := range r.claims {
 		r.claims[i] = 0
 	}
@@ -335,6 +334,12 @@ func (m *Mapper) Map(np int) (*Map, error) {
 //
 //lama:hotpath
 func (m *Mapper) MapContext(ctx context.Context, np int) (*Map, error) {
+	return m.run(ctx, np, nil)
+}
+
+// run is the mapping loop of MapContext and, with a trace hook invoked at
+// every visited coordinate, of MapTracedContext.
+func (m *Mapper) run(ctx context.Context, np int, trace func(r *runState, action TraceAction, rank int)) (*Map, error) {
 	o := m.Opts.Obs
 	var t0 time.Time
 	if o != nil {
@@ -346,6 +351,7 @@ func (m *Mapper) MapContext(ctx context.Context, np int) (*Map, error) {
 		endPlace()
 		return nil, err
 	}
+	r.trace = trace
 	for len(r.placements) < np {
 		if ctx.Err() != nil {
 			endPlace()

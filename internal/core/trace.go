@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"lama/internal/hw"
 	"lama/internal/obs"
@@ -92,19 +91,9 @@ func (m *Mapper) MapTraced(np, maxEvents int) (*Map, []TraceEvent, error) {
 // sweep boundaries exactly like Mapper.MapContext.
 func (m *Mapper) MapTracedContext(ctx context.Context, np, maxEvents int) (*Map, []TraceEvent, error) {
 	o := m.Opts.Obs
-	var t0 time.Time
-	if o != nil {
-		t0 = time.Now() //lama:nondet-ok latency observability only, never reaches mapping output
-	}
-	endPlace := o.StartSpan(obs.SpanPlace)
-	r, err := m.ensure(np)
-	if err != nil {
-		endPlace()
-		return nil, nil, err
-	}
-	var events []TraceEvent
 	emitVisits := o.Enabled()
-	r.trace = func(action TraceAction, rank int) {
+	var events []TraceEvent
+	out, err := m.run(ctx, np, func(r *runState, action TraceAction, rank int) {
 		coords := NoCoords()
 		for i, l := range r.iterLevels {
 			coords[l] = r.coords[i]
@@ -122,22 +111,6 @@ func (m *Mapper) MapTracedContext(ctx context.Context, np, maxEvents int) (*Map,
 		events = append(events, TraceEvent{
 			Coords: coords, Action: action, Rank: rank, Sweep: r.sweeps,
 		})
-	}
-	defer func() { r.trace = nil }()
-	for len(r.placements) < np {
-		if ctx.Err() != nil {
-			endPlace()
-			return nil, events, mapCanceled(ctx, np, len(r.placements))
-		}
-		if !r.sweep(m, o) {
-			err := stallError(m.Layout, np, len(r.placements), r.skippedOversub)
-			endPlace()
-			m.observeStall(o, np, len(r.placements), err)
-			return nil, events, err
-		}
-	}
-	out := r.finish(m)
-	endPlace()
-	m.observeDone(o, np, out, t0)
-	return out, events, nil
+	})
+	return out, events, err
 }

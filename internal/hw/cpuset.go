@@ -64,6 +64,13 @@ func (s *CPUSet) Set(pu int) {
 	s.words[w] |= 1 << uint(pu%wordBits)
 }
 
+// SetPUs adds the OS index of every PU in pus to the set.
+func (s *CPUSet) SetPUs(pus []*Object) {
+	for _, pu := range pus {
+		s.Set(pu.OS)
+	}
+}
+
 // Clear removes pu from the set.
 func (s *CPUSet) Clear(pu int) {
 	if pu < 0 {

@@ -8,8 +8,9 @@ type Object struct {
 	// Level is the resource level of this object.
 	Level Level
 	// Logical is the machine-wide logical index of the object among all
-	// objects of the same level (0-based, breadth-first order). Logical
-	// indices are what mapping algorithms and users reason about.
+	// objects of the same level (0-based, depth-first preorder, so the
+	// PUs under any object have consecutive indices). Logical indices are
+	// what mapping algorithms and users reason about.
 	Logical int
 	// Rank is the object's index within its parent's Children slice.
 	Rank int
@@ -79,7 +80,9 @@ func (o *Object) addPUs(s *CPUSet) {
 }
 
 // UsablePUs returns the PUs in o's subtree whose entire ancestor chain is
-// available. The returned slice is in ascending logical order.
+// available, in ascending logical order, by walking the tree. It is the
+// reference that Topology.UsableUnder, the table every placement path
+// reads, is checked against.
 func (o *Object) UsablePUs() []*Object {
 	var out []*Object
 	var walk func(x *Object)
@@ -101,13 +104,4 @@ func (o *Object) UsablePUs() []*Object {
 	}
 	walk(o)
 	return out
-}
-
-// UsablePUSet returns the CPUSet of UsablePUs.
-func (o *Object) UsablePUSet() *CPUSet {
-	s := &CPUSet{}
-	for _, pu := range o.UsablePUs() {
-		s.Set(pu.OS)
-	}
-	return s
 }

@@ -33,7 +33,9 @@ func (t *Topology) RenderTree() string {
 		}
 		if o.Level == LevelCore {
 			fmt.Fprintf(&sb, "%s%s (pus %s)", strings.Repeat("  ", depth), label, o.PUSet())
-			if usable := o.UsablePUSet(); !usable.Equal(o.PUSet()) {
+			usable := &CPUSet{}
+			usable.SetPUs(t.UsableUnder(o))
+			if !usable.Equal(o.PUSet()) {
 				fmt.Fprintf(&sb, " [usable %s]", usable)
 			}
 			sb.WriteByte('\n')

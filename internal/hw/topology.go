@@ -106,6 +106,10 @@ type Topology struct {
 	// usable is the usable PUs in DFS order, set by every mutator as its
 	// last step and never on read; see UsablePUs.
 	usable []*Object
+	// usableSpan[l][i] is the window of usable that holds the usable PUs
+	// under the object of level l and logical index i, set with usable.
+	// See UsableUnder.
+	usableSpan [NumLevels][][2]int32
 	// threadMajor is the usable PUs that sit on a core in thread-major
 	// order, and roundEnds[r] the end of its thread round r; both are set
 	// with usable. See ThreadMajorPUs.
@@ -183,69 +187,80 @@ func New(sp Spec) *Topology {
 	return t
 }
 
-// refreshUsable recomputes the usable-PU list and its thread-major order
-// after a mutation. When every object is available, which is how every
-// spec-built node starts, the usable list is the PU index itself: no copy,
-// no allocation. Otherwise it is a fresh slice, and so is the thread-major
-// list always, so a list handed out before the mutation is never
-// rewritten.
+// refreshUsable recomputes the usable-PU list, every object's window of
+// it, and its thread-major order after a mutation. When every PU is
+// usable, which is how every spec-built node starts, the usable list is
+// the PU index itself: no copy. Otherwise it is a fresh slice, and so are
+// the windows and the thread-major list always, so a list handed out
+// before the mutation is never rewritten.
 //
 //lama:mutator
 func (t *Topology) refreshUsable() {
+	n := 0
+	for _, objs := range t.byLevel {
+		n += len(objs)
+	}
+	spans := make([][2]int32, n)
+	for l, objs := range t.byLevel {
+		t.usableSpan[l], spans = spans[:len(objs):len(objs)], spans[len(objs):]
+	}
+	k := t.spanUsable(t.Root, true, 0)
 	pus := t.byLevel[LevelPU]
-	if t.allAvailable() {
-		t.usable = pus[:len(pus):len(pus)]
+	if k == len(pus) {
+		t.usable = pus[:k:k]
 	} else {
-		usable := make([]*Object, 0, len(pus))
+		usable := make([]*Object, 0, k)
 		for _, pu := range pus {
-			if pu.Usable() {
+			if s := t.usableSpan[LevelPU][pu.Logical]; s[0] < s[1] {
 				usable = append(usable, pu)
 			}
 		}
-		t.usable = usable[:len(usable):len(usable)]
+		t.usable = usable
 	}
-	t.threadMajor, t.roundEnds = threadMajor(t.usable)
+	t.threadMajor, t.roundEnds = t.threadMajorOrder()
 }
 
-// threadMajor orders ups, a topology's usable PUs in DFS order, thread
-// round by thread round: usable hardware thread r of every core, in core
-// order, is round r. A core's usable PUs form one contiguous run of ups;
-// PUs that do not sit on a core (decoded trees may omit the level) are in
-// no round. Rounds stop at the first empty one, so they are ragged only
-// when cores differ in usable thread count.
-func threadMajor(ups []*Object) (order []*Object, ends []int) {
-	order = make([]*Object, 0, len(ups))
-	for r := 0; ; r++ {
-		n := len(order)
-		var run *Object
-		k := 0 // pu's index within its run
-		for _, pu := range ups {
-			if pu.Parent != run {
-				run, k = pu.Parent, 0
-			} else {
-				k++
-			}
-			if k == r && run.Level == LevelCore {
-				order = append(order, pu)
-			}
-		}
-		if len(order) == n {
-			return order[:n:n], ends
-		}
-		ends = append(ends, len(order))
+// spanUsable sets the usable-PU window of every object in o's subtree,
+// given whether o's ancestors are all available and that k usable PUs
+// precede o in DFS order, and returns the count after o's subtree. A PU's
+// own window holds the PU exactly when it is usable.
+//
+//lama:mutator
+func (t *Topology) spanUsable(o *Object, avail bool, k int) int {
+	start := k
+	if avail = avail && o.Available; avail && o.Level == LevelPU {
+		k++
 	}
+	for _, c := range o.Children {
+		k = t.spanUsable(c, avail, k)
+	}
+	t.usableSpan[o.Level][o.Logical] = [2]int32{int32(start), int32(k)}
+	return k
 }
 
-// allAvailable reports whether no object of the tree is unavailable.
-func (t *Topology) allAvailable() bool {
-	for _, objs := range t.byLevel {
-		for _, o := range objs {
-			if !o.Available {
-				return false
+// threadMajorOrder deals the cores' usable PUs out thread round by thread
+// round: round r is usable hardware thread r of every core, in core
+// order. PUs that do not sit on a core (decoded trees may omit the level)
+// are in no round. Rounds are ragged only when cores differ in usable
+// thread count.
+func (t *Topology) threadMajorOrder() (order []*Object, ends []int) {
+	cores := t.byLevel[LevelCore]
+	n, rounds := 0, 0
+	for _, c := range cores {
+		w := len(t.UsableUnder(c))
+		n, rounds = n+w, max(rounds, w)
+	}
+	order = make([]*Object, 0, n)
+	ends = make([]int, rounds)
+	for r := range ends {
+		for _, c := range cores {
+			if w := t.UsableUnder(c); r < len(w) {
+				order = append(order, w[r])
 			}
 		}
+		ends[r] = len(order)
 	}
-	return true
+	return order, ends
 }
 
 // Objects returns all objects at the given level in logical order. The
@@ -286,6 +301,17 @@ func (t *Topology) ThreadRound(r int) []*Object {
 
 // NumUsablePUs returns the number of PUs whose ancestor chain is available.
 func (t *Topology) NumUsablePUs() int { return len(t.usable) }
+
+// UsableUnder returns the usable PUs in o's subtree, in DFS order: exactly
+// what o.UsablePUs() yields, read as a window of UsablePUs without walking
+// the tree. o must be an object of t. Like UsablePUs the window is shared
+// and read-only.
+//
+//lama:hotpath
+func (t *Topology) UsableUnder(o *Object) []*Object {
+	s := t.usableSpan[o.Level][o.Logical]
+	return t.usable[s[0]:s[1]:s[1]]
+}
 
 // ObjectAt returns the object with the given machine-wide logical index at
 // a level, or nil if out of range.
@@ -401,9 +427,7 @@ func (t *Topology) Offline(pus *CPUSet) int {
 // AllowedSet returns the CPUSet of usable PU OS indices.
 func (t *Topology) AllowedSet() *CPUSet {
 	s := &CPUSet{}
-	for _, pu := range t.usable {
-		s.Set(pu.OS)
-	}
+	s.SetPUs(t.usable)
 	return s
 }
 
@@ -486,6 +510,7 @@ func (t *Topology) Clone() *Topology {
 	c.shapeSig = t.shapeSig
 	// Excluded from the copy: they hold t's objects; rebuilt below.
 	c.usable, c.threadMajor, c.roundEnds = nil, nil, nil
+	c.usableSpan = [NumLevels][][2]int32{}
 	c.refreshUsable()
 	return c
 }

@@ -432,12 +432,20 @@ func TestQuickTopologyInvariants(t *testing.T) {
 }
 
 // sameUsable reports whether the topology's usable-PU list holds exactly
-// the objects, in the order, that walking the tree from Root finds, and
-// whether its thread-major list and rounds deal the cores' usable PUs out
-// thread by thread.
+// the objects, in the order, that walking the tree from Root finds,
+// whether every object's window of it holds what walking from the object
+// finds, and whether its thread-major list and rounds deal the cores'
+// usable PUs out thread by thread.
 func sameUsable(t *Topology) bool {
 	if !slices.Equal(t.UsablePUs(), t.Root.UsablePUs()) {
 		return false
+	}
+	for _, objs := range t.byLevel {
+		for _, o := range objs {
+			if !slices.Equal(t.UsableUnder(o), o.UsablePUs()) {
+				return false
+			}
+		}
 	}
 	var cores [][]*Object // every core's usable PUs, in core order
 	for _, c := range t.Objects(LevelCore) {

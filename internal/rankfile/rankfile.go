@@ -178,7 +178,7 @@ func Apply(f *File, c *cluster.Cluster) (*core.Map, error) {
 						e.Rank, ci, e.Socket, e.Host)
 				}
 				core := coresInSocket[ci]
-				ups := core.UsablePUs()
+				ups := node.Topo.UsableUnder(core)
 				if len(ups) == 0 {
 					return nil, fmt.Errorf("rankfile: rank %d: core %d in socket %d on %s is unavailable",
 						e.Rank, ci, e.Socket, e.Host)

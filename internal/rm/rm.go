@@ -80,7 +80,7 @@ func (m *Manager) FreeCores(i int) int {
 	}
 	free := 0
 	for _, c := range n.Topo.Objects(hw.LevelCore) {
-		if c.Usable() && len(c.UsablePUs()) > 0 && !m.busy[i][c.Logical] {
+		if len(n.Topo.UsableUnder(c)) > 0 && !m.busy[i][c.Logical] {
 			free++
 		}
 	}
@@ -112,7 +112,7 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 		}
 		var freeCores []int
 		for _, c := range node.Topo.Objects(hw.LevelCore) {
-			if c.Usable() && len(c.UsablePUs()) > 0 && !m.busy[i][c.Logical] {
+			if len(node.Topo.UsableUnder(c)) > 0 && !m.busy[i][c.Logical] {
 				freeCores = append(freeCores, c.Logical)
 			}
 		}
@@ -122,7 +122,7 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 		switch policy {
 		case WholeNode:
 			// A whole-node grant requires every core of the node free.
-			if len(freeCores) == m.usableCores(i) {
+			if len(freeCores) == len(node.Topo.ThreadRound(0)) {
 				plan[i] = freeCores
 				need -= len(freeCores)
 			}
@@ -164,17 +164,6 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 	}
 	m.live[alloc.ID] = alloc
 	return alloc, nil
-}
-
-// usableCores counts usable cores on pool node i regardless of busyness.
-func (m *Manager) usableCores(i int) int {
-	n := 0
-	for _, c := range m.pool.Node(i).Topo.Objects(hw.LevelCore) {
-		if c.Usable() && len(c.UsablePUs()) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Release returns an allocation's cores to the pool. Releasing an unknown

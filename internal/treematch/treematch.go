@@ -150,8 +150,8 @@ func resize[T any](buf []T, n int) []T {
 }
 
 // assign recursively partitions ranks across obj's children by usable
-// capacity, bottoming out by pairing ranks with PUs. obj is usable: its
-// ancestors are available.
+// capacity, read off the node's usable-PU windows, bottoming out by
+// pairing ranks with PUs.
 func (s *scratch) assign(obj *hw.Object, ranks []int) {
 	if len(ranks) == 0 {
 		return
@@ -164,8 +164,9 @@ func (s *scratch) assign(obj *hw.Object, ranks []int) {
 	// One bin per child with usable PUs; a bin's idx is the child's rank.
 	lv := &s.levels[obj.Level+1]
 	lv.bins = lv.bins[:0]
+	topo := s.c.Node(s.node).Topo
 	for i, ch := range obj.Children {
-		if n := usableCount(ch); n > 0 {
+		if n := len(topo.UsableUnder(ch)); n > 0 {
 			lv.bins = append(lv.bins, bin{idx: i, capacity: n})
 		}
 	}
@@ -177,22 +178,6 @@ func (s *scratch) assign(obj *hw.Object, ranks []int) {
 	for bi, group := range s.partition(lv, ranks) {
 		s.assign(obj.Children[lv.bins[bi].idx], group)
 	}
-}
-
-// usableCount returns how many usable PUs o's subtree holds, given that
-// o's ancestors are available, without collecting them.
-func usableCount(o *hw.Object) int {
-	if !o.Available {
-		return 0
-	}
-	if o.Level == hw.LevelPU {
-		return 1
-	}
-	n := 0
-	for _, ch := range o.Children {
-		n += usableCount(ch)
-	}
-	return n
 }
 
 // partition splits ranks (ascending) into groups, one per bin of lv,
