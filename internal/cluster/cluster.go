@@ -67,16 +67,18 @@ func ParseNodesSpec(text, what string) (int, hw.Spec, error) {
 }
 
 // Homogeneous builds a cluster of n identical nodes from a spec. Nodes are
-// named node0..node(n-1).
+// named node0..node(n-1). Each node's tree is a clone of one built tree,
+// so all of them share one hierarchy table (hw.Hierarchy).
 func Homogeneous(n int, sp hw.Spec) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive node count %d", n))
 	}
 	c := &Cluster{}
+	topo := hw.New(sp)
 	for i := 0; i < n; i++ {
 		c.Nodes = append(c.Nodes, &Node{
 			Name: fmt.Sprintf("node%d", i),
-			Topo: hw.New(sp),
+			Topo: topo.Clone(),
 		})
 	}
 	return c

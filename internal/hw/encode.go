@@ -28,7 +28,7 @@ func toDTO(o *Object) objectDTO {
 // fromDTO rebuilds one object subtree from its decoded form.
 //
 //lama:mutator
-func fromDTO(d objectDTO, parent *Object, t *Topology) (*Object, error) {
+func fromDTO(d objectDTO, parent *Object) (*Object, error) {
 	level, ok := LevelByName(d.Level)
 	if !ok {
 		return nil, fmt.Errorf("hw: unknown level %q", d.Level)
@@ -47,7 +47,7 @@ func fromDTO(d objectDTO, parent *Object, t *Topology) (*Object, error) {
 		return nil, fmt.Errorf("hw: PU objects cannot have children")
 	}
 	for _, cd := range d.Children {
-		c, err := fromDTO(cd, o, t)
+		c, err := fromDTO(cd, o)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,10 @@ func (t *Topology) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a topology from the MarshalJSON form. The root
-// object must be a machine. Note: unlike Spec-built trees, decoded trees
+// object must be a machine, and every PU needs its own OS index in
+// [0, MaxSpecPUs); a tree that breaks either, or whose path code would
+// need more than 64 bits (see Hierarchy), is an error and leaves t as it
+// was. Note: unlike Spec-built trees, decoded trees
 // may omit levels entirely; all hw queries handle that, but such trees
 // should be normalized with a Spec when a full 9-level tree is required.
 //
@@ -75,14 +78,12 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return err
 	}
-	root, err := fromDTO(d, nil, t)
+	root, err := fromDTO(d, nil)
 	if err != nil {
 		return err
 	}
 	if root.Level != LevelMachine {
 		return fmt.Errorf("hw: topology root must be a machine, got %s", root.Level)
 	}
-	t.Root = root
-	t.reindex()
-	return nil
+	return t.reindex(root)
 }

@@ -100,9 +100,9 @@ type Topology struct {
 
 	// frozen is set by Freeze and never cleared; see Freeze.
 	frozen bool
-	// shapeSig is the structural signature, recomputed by New and
-	// reindex; see ShapeSig.
-	shapeSig string
+	// hier is the structural table, built by New and reindex and shared
+	// by clones; see Hierarchy.
+	hier *Hierarchy
 	// usable is the usable PUs in DFS order, set by every mutator as its
 	// last step and never on read; see UsablePUs.
 	usable []*Object
@@ -143,47 +143,32 @@ func New(sp Spec) *Topology {
 	if err := sp.Validate(); err != nil {
 		panic(err)
 	}
-	widths := sp.widths()
-	t := &Topology{}
-	counters := [NumLevels]int{}
-	var build func(level Level, parent *Object, rank int) *Object
-	build = func(level Level, parent *Object, rank int) *Object {
-		o := &Object{
-			Level:     level,
-			Logical:   counters[level],
-			Rank:      rank,
-			OS:        -1,
-			Parent:    parent,
-			Available: true,
+	widths, cores := sp.widths(), sp.TotalCores()
+	var built [NumLevels]int // objects built so far, by level
+	var build func(level Level, parent *Object) *Object
+	build = func(level Level, parent *Object) *Object {
+		o := &Object{Level: level, OS: -1, Parent: parent, Available: true}
+		if level == LevelPU {
+			// Sequential OS numbering follows tree order; thread-major
+			// numbers thread r of core c as r·cores + c.
+			o.OS = built[LevelPU]
+			if sp.ThreadMajorOS {
+				o.OS = built[LevelPU]%sp.PUs*cores + built[LevelCore] - 1
+			}
 		}
-		counters[level]++
-		t.byLevel[level] = append(t.byLevel[level], o)
+		built[level]++
 		if level < LevelPU {
-			next := level + 1
-			o.Children = make([]*Object, widths[next])
+			o.Children = make([]*Object, widths[level+1])
 			for i := range o.Children {
-				o.Children[i] = build(next, o, i)
+				o.Children[i] = build(level+1, o)
 			}
 		}
 		return o
 	}
-	t.Root = build(LevelMachine, nil, 0)
-
-	// Assign PU OS indices.
-	pus := t.byLevel[LevelPU]
-	if sp.ThreadMajorOS {
-		cores := len(t.byLevel[LevelCore])
-		for _, pu := range pus {
-			core := pu.Parent
-			pu.OS = pu.Rank*cores + core.Logical
-		}
-	} else {
-		for i, pu := range pus {
-			pu.OS = i
-		}
+	t := &Topology{}
+	if err := t.reindex(build(LevelMachine, nil)); err != nil {
+		panic(err) // a valid spec numbers its PUs densely in at most 28 bits
 	}
-	t.shapeSig = t.structureSig()
-	t.refreshUsable()
 	return t
 }
 
@@ -325,13 +310,15 @@ func (t *Topology) ObjectAt(level Level, logical int) *Object {
 
 // PUByOS returns the PU object with the given OS index, or nil.
 func (t *Topology) PUByOS(os int) *Object {
-	for _, pu := range t.byLevel[LevelPU] {
-		if pu.OS == os {
-			return pu
-		}
+	if i := t.hier.Ordinal(os); i >= 0 {
+		return t.byLevel[LevelPU][i]
 	}
 	return nil
 }
+
+// Hierarchy returns the topology's structural table: PU ordinals by OS
+// index and the level at which two PUs meet.
+func (t *Topology) Hierarchy() *Hierarchy { return t.hier }
 
 // MaxChildren returns the largest number of children any object at the
 // given level has (0 for PUs). This is the per-level width used when
@@ -344,29 +331,6 @@ func (t *Topology) MaxChildren(level Level) int {
 		}
 	}
 	return max
-}
-
-// CommonAncestorLevel returns the level of the lowest common ancestor of
-// the PUs with OS indices a and b. Identical indices return LevelPU.
-// Unknown indices return LevelMachine.
-func (t *Topology) CommonAncestorLevel(a, b int) Level {
-	if a == b {
-		return LevelPU
-	}
-	pa, pb := t.PUByOS(a), t.PUByOS(b)
-	if pa == nil || pb == nil {
-		return LevelMachine
-	}
-	seen := map[*Object]bool{}
-	for x := pa; x != nil; x = x.Parent {
-		seen[x] = true
-	}
-	for x := pb; x != nil; x = x.Parent {
-		if seen[x] {
-			return x.Level
-		}
-	}
-	return LevelMachine
 }
 
 // SetAvailable marks the object at (level, logical) available or not.
@@ -451,32 +415,38 @@ func (t *Topology) RemoveObject(level Level, logical int) bool {
 		}
 	}
 	p.Children = kept
-	t.reindex()
+	if err := t.reindex(t.Root); err != nil {
+		panic(err) // a removal only shrinks a tree the table accepted
+	}
 	return true
 }
 
-// reindex rebuilds per-level indexes, logical numbers, sibling ranks, the
-// shape signature and the usable-PU list after a structural mutation. The
-// indexes are rebuilt into fresh slices, so the old usable-PU list, which
-// may alias the old PU index, is left intact.
+// reindex makes root t's root and rebuilds the per-level indexes, logical
+// numbers, sibling ranks, hierarchy table and usable-PU list for it, after
+// a structural mutation. It fails, leaving t as it was, when newHierarchy
+// rejects the tree. The indexes are rebuilt into fresh slices, so the old
+// usable-PU list, which may alias the old PU index, is left intact.
 //
 //lama:mutator
-func (t *Topology) reindex() {
-	for l := range t.byLevel {
-		t.byLevel[l] = nil
-	}
+func (t *Topology) reindex(root *Object) error {
+	n := Topology{Root: root}
 	var walk func(o *Object, rank int)
 	walk = func(o *Object, rank int) {
 		o.Rank = rank
-		o.Logical = len(t.byLevel[o.Level])
-		t.byLevel[o.Level] = append(t.byLevel[o.Level], o)
+		o.Logical = len(n.byLevel[o.Level])
+		n.byLevel[o.Level] = append(n.byLevel[o.Level], o)
 		for i, c := range o.Children {
 			walk(c, i)
 		}
 	}
-	walk(t.Root, 0)
-	t.shapeSig = t.structureSig()
+	walk(root, 0)
+	h, err := n.newHierarchy()
+	if err != nil {
+		return err
+	}
+	t.Root, t.byLevel, t.hier = root, n.byLevel, h
 	t.refreshUsable()
+	return nil
 }
 
 // Clone returns a deep copy of the topology (objects, availability,
@@ -507,7 +477,7 @@ func (t *Topology) Clone() *Topology {
 		return n
 	}
 	c.Root = copyObj(t.Root, nil)
-	c.shapeSig = t.shapeSig
+	c.hier = t.hier // structural and immutable: shared, not copied
 	// Excluded from the copy: they hold t's objects; rebuilt below.
 	c.usable, c.threadMajor, c.roundEnds = nil, nil, nil
 	c.usableSpan = [NumLevels][][2]int32{}
@@ -522,7 +492,7 @@ func (t *Topology) Clone() *Topology {
 // between them — the nodes of a homogeneous cluster all report the same
 // signature. It is computed when the structure is built or changed, never
 // on read, so concurrent readers (the workers of one sweep) do not race.
-func (t *Topology) ShapeSig() string { return t.shapeSig }
+func (t *Topology) ShapeSig() string { return t.hier.shapeSig }
 
 // AppendStateKey appends to dst a key that two topologies share exactly
 // when they are interchangeable: the same structure (ShapeSig), the same
@@ -531,7 +501,7 @@ func (t *Topology) ShapeSig() string { return t.shapeSig }
 // so frozen copies of them may be one tree. Appending lets a caller key
 // many topologies through one reused buffer.
 func (t *Topology) AppendStateKey(dst []byte) []byte {
-	dst = append(dst, t.shapeSig...)
+	dst = append(dst, t.hier.shapeSig...)
 	for _, objs := range t.byLevel {
 		for _, o := range objs {
 			avail := int64(0)

@@ -178,25 +178,6 @@ func TestObjectQueries(t *testing.T) {
 	}
 }
 
-func TestCommonAncestorLevel(t *testing.T) {
-	topo := nehalem(t) // thread-major: PUs k and k+8 share a core
-	cases := []struct {
-		a, b int
-		want Level
-	}{
-		{0, 0, LevelPU},
-		{0, 8, LevelCore},  // same core, two threads
-		{0, 1, LevelL3},    // neighbor cores share L3 (L2/L1 private)
-		{0, 4, LevelBoard}, // different sockets: LCA is the board
-		{0, 99, LevelMachine},
-	}
-	for _, c := range cases {
-		if got := topo.CommonAncestorLevel(c.a, c.b); got != c.want {
-			t.Errorf("LCA(%d,%d) = %s, want %s", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestAvailabilityAndRestrict(t *testing.T) {
 	topo := nehalem(t)
 	// Off-line socket 1: 8 PUs become unusable.
@@ -395,7 +376,8 @@ func TestQuickTopologyInvariants(t *testing.T) {
 			return false
 		}
 		// Every mutator, and Clone, leaves the topology's usable-PU list
-		// equal to the tree walk it replaces on the read path.
+		// equal to the tree walk it replaces on the read path, and its
+		// hierarchy table agreeing with the ancestor-chain oracle.
 		for step := 0; step < 8; step++ {
 			switch r.Intn(6) {
 			case 0:
@@ -420,7 +402,7 @@ func TestQuickTopologyInvariants(t *testing.T) {
 					return false
 				}
 			}
-			if !sameUsable(topo) || topo.NumUsablePUs() != len(topo.Root.UsablePUs()) {
+			if !sameUsable(topo) || topo.NumUsablePUs() != len(topo.Root.UsablePUs()) || checkHierarchy(topo) != nil {
 				return false
 			}
 		}

@@ -57,8 +57,9 @@ func Summarize(c *cluster.Cluster, m *core.Map) MapSummary {
 }
 
 // neighborLocality is the mean LCA depth of consecutive ranks placed on
-// the same node, 0 when no such pairs exist. Depths and pairs are summed
-// as integers, so the value is exact.
+// the same node, 0 when no such pairs exist. A PU the node lacks meets
+// any other at LevelMachine. Depths and pairs are summed as integers, so
+// the value is exact.
 func neighborLocality(c *cluster.Cluster, m *core.Map) float64 {
 	depth, pairs := 0, 0
 	for i := 1; i < m.NumRanks(); i++ {
@@ -66,7 +67,12 @@ func neighborLocality(c *cluster.Cluster, m *core.Map) float64 {
 		if a.Node != b.Node {
 			continue
 		}
-		depth += c.Node(a.Node).Topo.CommonAncestorLevel(a.PU(), b.PU()).Depth()
+		h := c.Node(a.Node).Topo.Hierarchy()
+		level := hw.LevelMachine
+		if pa, pb := h.Ordinal(a.PU()), h.Ordinal(b.PU()); pa >= 0 && pb >= 0 {
+			level = h.LCALevel(pa, pb)
+		}
+		depth += level.Depth()
 		pairs++
 	}
 	if pairs == 0 {

@@ -173,5 +173,8 @@ func TestNeighborLocalityGolden(t *testing.T) {
 		if got := neighborLocality(tc.c, m); got != tc.want {
 			t.Errorf("%s: neighborLocality = %v, want %v", tc.name, got, tc.want)
 		}
+		if allocs := testing.AllocsPerRun(20, func() { neighborLocality(tc.c, m) }); allocs != 0 {
+			t.Errorf("%s: neighborLocality allocates %v per call, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // then prices a swap by re-costing only the edges incident to the two
 // ranks, and ApplySwap commits one.
 //
-// Every edge is priced by the shared Pricing (per-shape LCA tables
-// intra-node, the flat Distances inter-node), so the steady-state methods
+// Every edge is priced by the shared Pricing (each node's hierarchy
+// table intra-node, the flat Distances inter-node), so the steady-state methods
 // never touch the topology tree or the Network interface: they are
 // allocation-free (//lama:hotpath, enforced by lamavet, pinned by
 // TestDeltaAllocationFree), and J equals Model.Evaluate's TotalTime.
@@ -27,7 +27,7 @@ type Cost struct {
 
 	// Per-rank placement state: flat int32 mirrors of core.Map.
 	node  []int32 // rank -> node index
-	puIdx []int32 // rank -> dense PU ordinal in the node's LCA table (Pricing.Locate)
+	puIdx []int32 // rank -> PU ordinal on its node (Pricing.Locate)
 
 	j float64
 }

@@ -177,10 +177,39 @@ func TestPairCostLocality(t *testing.T) {
 	}
 }
 
+// lcaOracle climbs two PUs' ancestor chains to the object where they
+// meet and returns its level.
+func lcaOracle(a, b *hw.Object) hw.Level {
+	for a != b {
+		if a.Level >= b.Level {
+			a = a.Parent
+		} else {
+			b = b.Parent
+		}
+	}
+	return a.Level
+}
+
+// irregularNode decodes a node that omits levels and has ragged widths,
+// sparse PU OS indices and a PU with no core above it.
+func irregularNode(t *testing.T) *cluster.Node {
+	t.Helper()
+	topo := &hw.Topology{}
+	if err := topo.UnmarshalJSON([]byte(`{"level":"machine","children":[
+		{"level":"socket","children":[
+			{"level":"core","children":[{"level":"pu","os":7},{"level":"pu","os":2},{"level":"pu","os":11}]},
+			{"level":"l2","children":[{"level":"core","children":[{"level":"pu","os":0}]}]},
+			{"level":"pu","os":5}]},
+		{"level":"numa","children":[{"level":"core","children":[{"level":"pu","os":3},{"level":"pu","os":9}]}]}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	return &cluster.Node{Name: "irregular", Topo: topo}
+}
+
 // TestLCATablesMatchTopology pins the only intra-node pricing: for every
-// PU pair of every node, the compiled level equals
-// Topology.CommonAncestorLevel, on homogeneous, heterogeneous and
-// partially failed topologies.
+// PU pair of every node, the priced level equals the ancestor-chain
+// walk, on homogeneous, heterogeneous, partially failed and decoded
+// irregular topologies.
 func TestLCATablesMatchTopology(t *testing.T) {
 	fig2, _ := hw.Preset("fig2")
 	neh, _ := hw.Preset("nehalem-ep")
@@ -188,11 +217,14 @@ func TestLCATablesMatchTopology(t *testing.T) {
 	if failed.Node(1).Topo.Offline(hw.NewCPUSet(0, 3, 5, 8)) == 0 {
 		t.Fatal("Offline changed nothing")
 	}
+	irregular := cluster.Homogeneous(1, fig2)
+	irregular.Nodes = append(irregular.Nodes, irregularNode(t))
 	for name, c := range map[string]*cluster.Cluster{
 		"fig2":       cluster.Homogeneous(2, fig2),
 		"nehalem-ep": cluster.Homogeneous(2, neh),
 		"hetero":     cluster.FromSpecs(fig2, neh, fig2),
 		"failed-pus": failed,
+		"irregular":  irregular,
 	} {
 		pr := mustPricing(t, NewModel(NewFlat()), c)
 		for ni, nd := range c.Nodes {
@@ -204,7 +236,7 @@ func TestLCATablesMatchTopology(t *testing.T) {
 						t.Fatalf("%s node %d: PU %d or %d not in the table", name, ni, a.OS, b.OS)
 					}
 					_, _, got := pr.Link(int32(ni), pa, int32(ni), pb)
-					if want := nd.Topo.CommonAncestorLevel(a.OS, b.OS); got != want {
+					if want := lcaOracle(a, b); got != want {
 						t.Fatalf("%s node %d PUs (%d,%d): level %s, want %s", name, ni, a.OS, b.OS, got, want)
 					}
 				}
