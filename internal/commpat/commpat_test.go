@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -43,9 +42,9 @@ func TestMatrixBasics(t *testing.T) {
 	if sum != 170 {
 		t.Fatal("Each wrong")
 	}
-	cols, vals := m.Row(2)
-	if len(cols) != 1 || cols[0] != 3 || vals[0] != 10 {
-		t.Fatalf("Row(2) = %v %v", cols, vals)
+	peers, out, in := m.Row(2)
+	if len(peers) != 1 || peers[0] != 3 || out[0] != 10 || in[0] != 10 {
+		t.Fatalf("Row(2) = %v %v %v", peers, out, in)
 	}
 }
 
@@ -114,16 +113,18 @@ func TestSparseAccessors(t *testing.T) {
 	if m.Bytes(-1, 0) != 0 || m.Bytes(0, 99) != 0 {
 		t.Fatal("out-of-range bytes should be 0")
 	}
-	cols, vals := m.Row(0)
-	if len(cols) != 2 || len(vals) != 2 || cols[0] != 1 || cols[1] != 7 {
-		t.Fatalf("row 0 = %v, want [1 7]", cols)
+	peers, out, in := m.Row(0)
+	if len(peers) != 2 || len(out) != 2 || len(in) != 2 || peers[0] != 1 || peers[1] != 7 {
+		t.Fatalf("row 0 = %v, want [1 7]", peers)
 	}
 }
 
 // sameTraffic asserts m holds exactly the traffic of the dense n×n
-// reference: Bytes agrees on every pair, zeros included, and Each and Row
-// yield the nonzero entries once each, rows ascending and columns
-// ascending within a row.
+// reference: Bytes agrees on every pair, zeros included; Each and the
+// rows' out volumes yield the nonzero entries once each, rows ascending
+// and columns ascending within a row; and row i lists, peers strictly
+// ascending, exactly the ranks i sends to or receives from, each with
+// both directions' bytes.
 func sameTraffic(t *testing.T, name string, dense [][]float64, m *Matrix) {
 	t.Helper()
 	n := len(dense)
@@ -146,9 +147,23 @@ func sameTraffic(t *testing.T, name string, dense [][]float64, m *Matrix) {
 				total += dense[i][j]
 			}
 		}
-		cols, vals := m.Row(i)
-		for k := range cols {
-			rows = append(rows, ent{i, int(cols[k]), vals[k]})
+		peers, out, in := m.Row(i)
+		var partners []int32
+		for j := 0; j < n; j++ {
+			if dense[i][j] != 0 || dense[j][i] != 0 {
+				partners = append(partners, int32(j))
+			}
+		}
+		if fmt.Sprint(peers) != fmt.Sprint(partners) || len(out) != len(peers) || len(in) != len(peers) {
+			t.Fatalf("%s: row %d peers %v (%d out, %d in), want %v", name, i, peers, len(out), len(in), partners)
+		}
+		for k, p := range peers {
+			if out[k] != dense[i][p] || in[k] != dense[p][i] {
+				t.Fatalf("%s: row %d peer %d: out %g in %g, want %g %g", name, i, p, out[k], in[k], dense[i][p], dense[p][i])
+			}
+			if out[k] != 0 {
+				rows = append(rows, ent{i, int(p), out[k]})
+			}
 		}
 	}
 	m.Each(func(i, j int, b float64) { got = append(got, ent{i, j, b}) })
@@ -456,10 +471,10 @@ func TestQuickStencilDegreeBounds(t *testing.T) {
 	}
 }
 
-// TestIncidentMatchesSymmetricRebuild holds Incident to the construction
-// it replaced, every entry added both ways into a second Builder: the same
-// peers per row, out+in bit-identical to the symmetric weight, and each
-// direction equal to Bytes. The inputs cover peers sent to only, received
+// TestIncidentMatchesSymmetricRebuild holds the rows to the symmetric
+// construction treematch once partitioned on, every entry added both ways
+// into a second Builder: the same peers per row, out+in bit-identical to
+// the symmetric weight, and each direction equal to Bytes. The inputs cover peers sent to only, received
 // from only, and both, ranks with no partners, and parsed traffic whose
 // entries repeat.
 func TestIncidentMatchesSymmetricRebuild(t *testing.T) {
@@ -494,10 +509,10 @@ func TestIncidentMatchesSymmetricRebuild(t *testing.T) {
 	for mi, m := range ms {
 		b := NewBuilder(m.Ranks())
 		m.Each(b.AddSym)
-		sym, inc := b.Build(), m.Incident()
+		sym := b.Build()
 		for rank := 0; rank < m.Ranks(); rank++ {
-			cols, ws := sym.Row(rank)
-			peers, out, in := inc.Row(rank)
+			cols, ws, _ := sym.Row(rank)
+			peers, out, in := m.Row(rank)
 			if len(peers) != len(out) || len(peers) != len(in) || fmt.Sprint(peers) != fmt.Sprint(cols) {
 				t.Fatalf("matrix %d rank %d: peers %v (%d out, %d in), want %v", mi, rank, peers, len(out), len(in), cols)
 			}
@@ -528,40 +543,15 @@ func TestIncidentMatchesSymmetricRebuild(t *testing.T) {
 	}
 }
 
-// TestIncidentBuiltOnce: concurrent first calls to Incident on one matrix
-// all get the one view.
-func TestIncidentBuiltOnce(t *testing.T) {
-	for _, p := range Patterns() {
-		m := p.Gen(48, 1<<20)
-		views := make([]*Incident, 8)
-		var wg sync.WaitGroup
-		for g := range views {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				views[g] = m.Incident()
-			}(g)
-		}
-		wg.Wait()
-		for g, x := range views {
-			if x != views[0] || x != m.Incident() {
-				t.Fatalf("%s: goroutine %d got a view of its own", p.Name, g)
-			}
-		}
-	}
-}
-
-// TestPooledScratchNotShared: the patterns build in pooled entry buffers
-// and Incident in pooled scratch, so a matrix and its view must keep
-// their contents while every other pattern is built after them, at a
-// smaller and a larger size.
+// TestPooledScratchNotShared: the patterns build in pooled entry and
+// scratch buffers, so a matrix must keep its contents while every other
+// pattern is built after it, at a smaller and a larger size.
 func TestPooledScratchNotShared(t *testing.T) {
 	render := func(m *Matrix) string {
 		var sb strings.Builder
 		sb.WriteString(FormatMatrix(m))
-		x := m.Incident()
 		for r := 0; r < m.Ranks(); r++ {
-			peers, out, in := x.Row(r)
+			peers, out, in := m.Row(r)
 			fmt.Fprintln(&sb, peers, out, in)
 		}
 		return sb.String()
@@ -571,26 +561,25 @@ func TestPooledScratchNotShared(t *testing.T) {
 		want := render(m)
 		for _, q := range Patterns() {
 			for _, n := range []int{16, 96} {
-				q.Gen(n, 7).Incident()
+				q.Gen(n, 7)
 			}
 		}
 		if render(m) != want {
-			t.Fatalf("%s: matrix or incident view changed when later matrices were built", p.Name)
+			t.Fatalf("%s: matrix changed when later matrices were built", p.Name)
 		}
 	}
 }
 
 // TestReleasedStorageReused: every pattern built on storage released by
 // larger and smaller matrices renders exactly as the same traffic built
-// by Builder.Build, rows and incident view alike, so no stale entry or
-// offset of a reused array survives into a new matrix.
+// by Builder.Build, entries and rows alike, so no stale entry or offset
+// of a reused array survives into a new matrix.
 func TestReleasedStorageReused(t *testing.T) {
 	render := func(m *Matrix) string {
 		var sb strings.Builder
 		sb.WriteString(FormatMatrix(m))
-		x := m.Incident()
 		for r := 0; r < m.Ranks(); r++ {
-			peers, out, in := x.Row(r)
+			peers, out, in := m.Row(r)
 			fmt.Fprintln(&sb, peers, out, in)
 		}
 		return sb.String()
@@ -608,17 +597,15 @@ func TestReleasedStorageReused(t *testing.T) {
 	}
 }
 
-// TestReleasedMatrixPanics: a released matrix's rows and incident view
-// are nil, so a late read panics rather than reading storage a later
-// matrix now uses.
+// TestReleasedMatrixPanics: a released matrix's rows are nil, so a late
+// read panics rather than reading storage a later matrix now uses.
 func TestReleasedMatrixPanics(t *testing.T) {
-	for name, read := range map[string]func(m *Matrix, x *Incident){
-		"Row":          func(m *Matrix, _ *Incident) { m.Row(0) },
-		"Bytes":        func(m *Matrix, _ *Incident) { m.Bytes(0, 1) },
-		"Incident.Row": func(_ *Matrix, x *Incident) { x.Row(0) },
+	for name, read := range map[string]func(m *Matrix){
+		"Row":   func(m *Matrix) { m.Row(0) },
+		"Bytes": func(m *Matrix) { m.Bytes(0, 1) },
+		"Each":  func(m *Matrix) { m.Each(func(int, int, float64) {}) },
 	} {
 		m := Ring(8, 1)
-		x := m.Incident()
 		m.Release()
 		func() {
 			defer func() {
@@ -626,7 +613,7 @@ func TestReleasedMatrixPanics(t *testing.T) {
 					t.Errorf("%s on a released matrix did not panic", name)
 				}
 			}()
-			read(m, x)
+			read(m)
 		}()
 	}
 }

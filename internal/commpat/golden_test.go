@@ -71,7 +71,9 @@ func TestParseMatrixDuplicatesGolden(t *testing.T) {
 
 // TestBuildSumsDuplicatesInAddOrder pins Build's contract: a pair added
 // several times holds its volumes summed in Add order, the running total
-// an accumulate-as-you-go reference computes.
+// an accumulate-as-you-go reference computes. Build sums each row's
+// received volumes itself, so every row's in volumes are held to the same
+// reference as Each's pairs.
 func TestBuildSumsDuplicatesInAddOrder(t *testing.T) {
 	const n = 20
 	for seed := int64(0); seed < 50; seed++ {
@@ -86,8 +88,9 @@ func TestBuildSumsDuplicatesInAddOrder(t *testing.T) {
 				ref[[2]int{i, j}] += v
 			}
 		}
+		m := b.Build()
 		nnz, last := 0, [2]int{-1, -1}
-		b.Build().Each(func(i, j int, bytes float64) {
+		m.Each(func(i, j int, bytes float64) {
 			nnz++
 			if k := [2]int{i, j}; k[0] < last[0] || (k[0] == last[0] && k[1] <= last[1]) {
 				t.Fatalf("seed %d: pair %v after %v", seed, k, last)
@@ -99,6 +102,24 @@ func TestBuildSumsDuplicatesInAddOrder(t *testing.T) {
 		})
 		if nnz != len(ref) {
 			t.Fatalf("seed %d: %d pairs, want %d", seed, nnz, len(ref))
+		}
+		adj := map[[2]int]bool{}
+		for k := range ref {
+			adj[k], adj[[2]int{k[1], k[0]}] = true, true
+		}
+		entries := 0
+		for r := 0; r < n; r++ {
+			peers, out, in := m.Row(r)
+			entries += len(peers)
+			for k, p := range peers {
+				if out[k] != ref[[2]int{r, int(p)}] || in[k] != ref[[2]int{int(p), r}] {
+					t.Fatalf("seed %d: row %d peer %d: out %v in %v, want %v %v",
+						seed, r, p, out[k], in[k], ref[[2]int{r, int(p)}], ref[[2]int{int(p), r}])
+				}
+			}
+		}
+		if entries != len(adj) {
+			t.Fatalf("seed %d: rows hold %d entries, want %d", seed, entries, len(adj))
 		}
 	}
 }

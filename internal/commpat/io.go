@@ -14,7 +14,7 @@ import (
 //
 // Lines starting with '#' are comments; duplicate edges accumulate in file
 // order. The "ranks" header must come first so the matrix can be sized
-// even when high ranks have no traffic.
+// even when high ranks have no traffic; it may name at most maxParseRanks.
 func ParseMatrix(text string) (*Matrix, error) {
 	var b *Builder
 	for lineNo, raw := range strings.Split(text, "\n") {
@@ -30,6 +30,9 @@ func ParseMatrix(text string) (*Matrix, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("commpat:%d: bad rank count %q", lineNo+1, fields[1])
+			}
+			if n > maxParseRanks {
+				return nil, fmt.Errorf("commpat:%d: %d ranks, above the limit of %d", lineNo+1, n, maxParseRanks)
 			}
 			b = NewBuilder(n)
 			continue
@@ -49,7 +52,7 @@ func ParseMatrix(text string) (*Matrix, error) {
 		if src == dst {
 			return nil, fmt.Errorf("commpat:%d: self traffic in %q", lineNo+1, line)
 		}
-		if bytes <= 0 {
+		if !(bytes > 0) { // NaN included
 			return nil, fmt.Errorf("commpat:%d: non-positive bytes in %q", lineNo+1, line)
 		}
 		b.Add(src, dst, bytes)
@@ -59,6 +62,11 @@ func ParseMatrix(text string) (*Matrix, error) {
 	}
 	return b.Build(), nil
 }
+
+// maxParseRanks bounds a parsed header's rank count, the job size lamad
+// accepts (engine.MaxNP): the matrix is sized from the header before any
+// edge is read, so a short text must not ask for gigabytes.
+const maxParseRanks = 1 << 20
 
 // FormatMatrix renders a matrix in the ParseMatrix edge-list form, edges
 // in (src, dst) order.

@@ -33,6 +33,7 @@ func TestParseMatrixErrors(t *testing.T) {
 		"no header":      "0 1 100",
 		"bad header":     "ranks x",
 		"zero ranks":     "ranks 0",
+		"too many ranks": "ranks 1048577\n0 1 5",
 		"short edge":     "ranks 2\n0 1",
 		"bad numbers":    "ranks 2\na b c",
 		"out of range":   "ranks 2\n0 5 10",
@@ -40,6 +41,7 @@ func TestParseMatrixErrors(t *testing.T) {
 		"self traffic":   "ranks 2\n1 1 10",
 		"zero bytes":     "ranks 2\n0 1 0",
 		"negative bytes": "ranks 2\n0 1 -5",
+		"NaN bytes":      "ranks 2\n0 1 NaN",
 	} {
 		if _, err := ParseMatrix(text); err == nil {
 			t.Errorf("%s: ParseMatrix(%q) should fail", name, text)

@@ -67,9 +67,12 @@ var ErrOverloaded = errors.New("engine: overloaded, request shed")
 const MaxNP = 1 << 20
 
 // maxTrafficPairs bounds the traffic a request's pattern may generate:
-// np·(np−1) ordered pairs, the most any pattern has, at np = 4096. That is
-// a ~200 MB matrix at 12 bytes a pair. Traffic is generated only for a
-// place.TrafficAware policy, and only for a request within this bound.
+// np·(np−1) ordered pairs, the most any pattern has, at np = 4096. A
+// pattern builds its matrix in 56 bytes a pair, ~940 MB there: the
+// builder's 16-byte entry, and a 20-byte CSR slot (peer, out and in
+// bytes) for each direction of the pair, which the matrix keeps until it
+// is released. Traffic is generated only for a place.TrafficAware policy,
+// and only for a request within this bound.
 const maxTrafficPairs = 4096 * 4095
 
 // ErrUnknownCluster is returned for requests naming an unregistered

@@ -217,6 +217,33 @@ func TestHTTPNodelessLayout400(t *testing.T) {
 	}
 }
 
+// TestHTTPPEsPerProc400: a policy that places one PU per rank answers a
+// request for two with 400 rather than serve one PU each; the LAMA
+// serves it, cached or not.
+func TestHTTPPEsPerProc400(t *testing.T) {
+	e, _ := newTestEngine(t, Config{})
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	for _, c := range []struct {
+		body   string
+		status int
+	}{
+		{`{"cluster":"test","np":8,"policy":"treematch","pattern":"ring","pes_per_proc":2,"no_cache":true}`, http.StatusBadRequest},
+		{`{"cluster":"test","np":8,"policy":"torus","pattern":"ring","pes_per_proc":2,"no_cache":true}`, http.StatusBadRequest},
+		{`{"cluster":"test","np":8,"policy":"by-node","pes_per_proc":2}`, http.StatusBadRequest},
+		{`{"cluster":"test","np":8,"policy":"scatter","pes_per_proc":2}`, http.StatusBadRequest},
+		{`{"cluster":"test","np":8,"policy":"pack","pes_per_proc":2}`, http.StatusBadRequest},
+		{`{"cluster":"test","np":8,"layout":"csbn","pes_per_proc":2}`, http.StatusOK},
+		{`{"cluster":"test","np":8,"layout":"csbn","pes_per_proc":2,"no_cache":true}`, http.StatusOK},
+	} {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/place", strings.NewReader(c.body)))
+		if w.Code != c.status {
+			t.Errorf("%s: status %d, want %d: %s", c.body, w.Code, c.status, w.Body.Bytes())
+		}
+	}
+}
+
 // TestHTTPOversizedBody413 sends bodies past maxBodyBytes to both POST
 // endpoints.
 func TestHTTPOversizedBody413(t *testing.T) {

@@ -78,11 +78,10 @@ func placeAllocs(t *testing.T, e *Engine, req *Request) float64 {
 // allocates whatever its np, Engine.Place and the recycle after its reply
 // together: the Response and the place.Request (2); the core.Map header,
 // and the one that carries its storage back to the pool on recycle (2);
-// and the structs of the traffic matrix and of its incident view (2).
-// Every array is pooled: the map's placements and PU windows, the
-// matrix's rows and the view's, and the builder's and partitioner's
-// scratch.
-const treematchPlaceAllocs = 6
+// and the traffic matrix's struct (1). Every array is pooled: the map's
+// placements and PU windows, the matrix's rows, and the builder's and
+// partitioner's scratch.
+const treematchPlaceAllocs = 5
 
 // TestTreematchPlaceAllocsConstant pins a warm, uncached treematch
 // request, served as /v1/place serves it, to treematchPlaceAllocs at np
@@ -119,12 +118,11 @@ func TestTreematchPlaceAllocsConstant(t *testing.T) {
 
 // TestTrafficPoliciesShareSnapshot runs all five traffic-aware policies
 // from 8 goroutines at once on one published snapshot. Every goroutine's
-// first request is the same cold one: they generate its traffic and
-// merge its incident view at once, each from the pooled builder and
-// incident scratch. Under -race it proves that no read path of theirs
-// writes to the shared topologies and that no two of them are handed one
-// scratch, and every goroutine must get the placement a lone request to
-// a fresh engine gets.
+// first request is the same cold one: they generate its traffic at once,
+// each from the pooled builder and arrays. Under -race it proves that no
+// read path of theirs writes to the shared topologies and that no two of
+// them are handed one scratch, and every goroutine must get the placement
+// a lone request to a fresh engine gets.
 func TestTrafficPoliciesShareSnapshot(t *testing.T) {
 	fresh := func() *Engine {
 		e := New(Config{Workers: 4, QueueDepth: 64})

@@ -247,7 +247,7 @@ func TestRefineConverges(t *testing.T) {
 				// PartnerNode's candidates: the ranks on the node of a's
 				// heaviest off-node partner, first wins ties.
 				node, w := -1, 0.0
-				peers, outB, inB := cost.Neighbors(a)
+				peers, outB, inB := gc.tm.Row(a)
 				for k, p := range peers {
 					if n := cost.NodeOf(int(p)); n != cost.NodeOf(a) && outB[k]+inB[k] > w {
 						node, w = n, outB[k]+inB[k]

@@ -108,7 +108,7 @@ func RefineMap(ctx context.Context, c *cluster.Cluster, mo *netsim.Model, tm *co
 			var cands []int32
 			if search == AllPairs {
 				cands = ranks[a+1:]
-			} else if n := partnerNode(cost, a); n >= 0 {
+			} else if n := partnerNode(cost, tm, a); n >= 0 {
 				cands = byNode[n]
 			}
 			// PartnerNode keeps the first minimal candidate (ties stay
@@ -157,8 +157,8 @@ func ranksByNode(cost *netsim.Cost, nodes, np int) [][]int32 {
 
 // partnerNode returns the node of r's heaviest off-node partner (the
 // first wins ties), or -1 when all of r's traffic stays on its node.
-func partnerNode(cost *netsim.Cost, r int) int {
-	peers, outB, inB := cost.Neighbors(r)
+func partnerNode(cost *netsim.Cost, tm *commpat.Matrix, r int) int {
+	peers, outB, inB := tm.Row(r)
 	rNode := cost.NodeOf(r)
 	node, w := -1, 0.0
 	for k, p := range peers {

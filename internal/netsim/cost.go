@@ -21,9 +21,8 @@ import (
 // allocation-free (//lama:hotpath, enforced by lamavet, pinned by
 // TestDeltaAllocationFree), and J equals Model.Evaluate's TotalTime.
 type Cost struct {
-	pr  Pricing // held by value: one less pointer hop per priced edge
-	tm  *commpat.Matrix
-	adj *commpat.Incident // tm around each rank: the edges a delta re-costs
+	pr Pricing         // held by value: one less pointer hop per priced edge
+	tm *commpat.Matrix // its rows are the edges a delta re-costs
 
 	// Per-rank placement state: flat int32 mirrors of core.Map.
 	node  []int32 // rank -> node index
@@ -47,7 +46,7 @@ func NewCost(pr *Pricing, tm *commpat.Matrix, m *core.Map) (*Cost, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &Cost{pr: *pr, tm: tm, adj: tm.Incident(), node: node, puIdx: puIdx}
+	cs := &Cost{pr: *pr, tm: tm, node: node, puIdx: puIdx}
 	tm.Each(func(i, j int, bytes float64) {
 		cs.j += pr.Edge(cs.node[i], cs.puIdx[i], cs.node[j], cs.puIdx[j], bytes)
 	})
@@ -61,13 +60,6 @@ func (cs *Cost) J() float64 { return cs.j }
 //
 //lama:hotpath
 func (cs *Cost) NodeOf(r int) int { return int(cs.node[r]) }
-
-// Neighbors returns rank r's row of the traffic's Incident view: peers
-// ascending with the outgoing and incoming volume per peer. The slices
-// alias the evaluator's state — read only.
-//
-//lama:hotpath
-func (cs *Cost) Neighbors(r int) (peers []int32, out, in []float64) { return cs.adj.Row(r) }
 
 // DeltaSwap returns the change in J if ranks a and b exchanged their
 // placements, without applying it, in O(degree(a)+degree(b)).
@@ -84,7 +76,7 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 	}
 	delta := 0.0
 	b32 := int32(b)
-	peers, out, in := cs.adj.Row(a)
+	peers, out, in := cs.tm.Row(a)
 	for k, p := range peers {
 		if p == b32 {
 			// The a<->b edges keep both endpoints, exchanged.
@@ -105,7 +97,7 @@ func (cs *Cost) DeltaSwap(a, b int) float64 {
 		}
 	}
 	a32 := int32(a)
-	peers, out, in = cs.adj.Row(b)
+	peers, out, in = cs.tm.Row(b)
 	for k, p := range peers {
 		if p == a32 {
 			continue // priced from a's side

@@ -2,12 +2,14 @@ package all_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
+	"lama/internal/core"
 	"lama/internal/hw"
 	"lama/internal/place"
 	"lama/internal/place/all"
@@ -91,6 +93,53 @@ func TestJobsErrors(t *testing.T) {
 	for _, list := range []string{"", ",", " , "} {
 		if _, err := all.Jobs(list, base(t)); err == nil || !strings.Contains(err.Error(), "selects no policies") {
 			t.Errorf("Jobs(%q) err = %v, want an empty-selection error", list, err)
+		}
+	}
+}
+
+// TestPEsPerProcHonouredOrRejected pins, for every registered policy,
+// what a request for two PUs per rank gets: the LAMA claims two PUs for
+// each rank; every other policy decides each rank's PUs itself and
+// refuses the request with place.ErrPEsPerProc rather than place one PU
+// per rank. At PEsPerProc 1 every policy places one PU per rank.
+func TestPEsPerProcHonouredOrRejected(t *testing.T) {
+	honours := map[string]bool{
+		"lama": true, "by-slot": false, "by-node": false, "pack": false, "scatter": false,
+		"random": false, "plane": false, "torus": false, "treematch": false, "rankfile": false,
+	}
+	if got := place.Names(); len(got) != len(honours) {
+		t.Fatalf("registered %v: pin every policy", got)
+	}
+	for _, name := range place.Names() {
+		want, ok := honours[name]
+		if !ok {
+			t.Fatalf("policy %q is not pinned", name)
+		}
+		for _, pes := range []int{1, 2} {
+			b := base(t)
+			b.Layout = core.MustParseLayout("csbn") // cores hold two PUs
+			b.Opts.PEsPerProc = pes
+			jobs, err := all.Jobs(name, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := place.Run(context.Background(), jobs[0].Policy, jobs[0].Req)
+			switch {
+			case pes > 1 && !want:
+				if !errors.Is(err, place.ErrPEsPerProc) {
+					t.Errorf("%s pes=%d: err %v, want place.ErrPEsPerProc", name, pes, err)
+				}
+				continue
+			case err != nil:
+				t.Errorf("%s pes=%d: %v", name, pes, err)
+				continue
+			}
+			for _, p := range m.Placements {
+				if len(p.PUs) != pes {
+					t.Errorf("%s pes=%d: rank %d claims %v", name, pes, p.Rank, p.PUs)
+					break
+				}
+			}
 		}
 	}
 }

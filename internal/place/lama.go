@@ -26,6 +26,9 @@ func (lamaPolicy) SelfObserving() {}
 // PrefixClosed marks that np is only the LAMA's stop test (paper Fig. 1).
 func (lamaPolicy) PrefixClosed() {}
 
+// PEsAware marks that the LAMA claims Opts.PEsPerProc PUs per rank.
+func (lamaPolicy) PEsAware() {}
+
 // Place maps via the LAMA using req.Layout (default "csbnh") and the full
 // option set, on req.Mapper when the caller keeps one.
 func (lamaPolicy) Place(ctx context.Context, req *Request) (*core.Map, error) {

@@ -25,6 +25,7 @@ package place
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -121,6 +122,19 @@ type TrafficAware interface {
 	TrafficAware()
 }
 
+// PEsAware marks policies that claim Opts.PEsPerProc PUs for each rank.
+// Every other policy decides each rank's PUs itself (one PU for the
+// baselines, torus and treematch; the slot list for a rankfile), so Run
+// refuses it a request for more than one PU per rank with ErrPEsPerProc
+// rather than silently placing one.
+type PEsAware interface {
+	PEsAware()
+}
+
+// ErrPEsPerProc is returned by Run for a request whose Opts.PEsPerProc is
+// above 1 when the policy is not PEsAware.
+var ErrPEsPerProc = errors.New("place: policy does not claim PEsPerProc PUs per rank")
+
 // PrefixClosed marks policies whose map of np ranks is the first np
 // ranks of their map of any N >= np on the same cluster and request:
 // np only tells them when to stop. A caller may then serve np ranks from
@@ -188,17 +202,23 @@ func Place(ctx context.Context, name string, req *Request) (*core.Map, error) {
 }
 
 // Run executes one policy under the uniform observation contract: the
-// request is validated, and unless the policy is SelfObserving the call is
-// wrapped in a "place" phase span, a "map"/"done" (or "map"/"stall")
-// event, and the placement latency metrics — exactly the vocabulary
-// core.Mapper.Map emits — so rankfile and baseline runs are no longer
-// silently missing the mapping phase from traces and run reports. With
-// profiling labels on (the -listen telemetry server enables them), every
-// policy execution — SelfObserving included — additionally runs under the
-// lama_policy pprof label, so CPU profiles attribute samples per strategy.
+// request is validated, a PEsPerProc the policy cannot claim is refused,
+// and unless the policy is SelfObserving the call is wrapped in a "place"
+// phase span, a "map"/"done" (or "map"/"stall") event, and the placement
+// latency metrics — exactly the vocabulary core.Mapper.Map emits — so
+// rankfile and baseline runs are no longer silently missing the mapping
+// phase from traces and run reports. With profiling labels on (the
+// -listen telemetry server enables them), every policy execution —
+// SelfObserving included — additionally runs under the lama_policy pprof
+// label, so CPU profiles attribute samples per strategy.
 func Run(ctx context.Context, p Policy, req *Request) (*core.Map, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
+	}
+	if pes := req.Opts.PEsPerProc; pes > 1 {
+		if _, ok := p.(PEsAware); !ok {
+			return nil, fmt.Errorf("%w: %q asked for %d", ErrPEsPerProc, p.Name(), pes)
+		}
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -73,10 +73,10 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // calls it holds no pointer into a cluster, a matrix or a map, and its
 // per-rank state is clean: free all false, gain all zero, touched empty.
 type scratch struct {
-	// The symmetric view partition works on: row r of inc lists every rank
-	// r exchanges traffic with, in either direction, peers ascending, and
+	// The traffic partition works on: row r of tm lists every rank r
+	// exchanges traffic with, in either direction, peers ascending, and
 	// the pair's symmetric weight is out + in, C[r][o] + C[o][r].
-	inc   *commpat.Incident
+	tm    *commpat.Matrix
 	total []float64 // each rank's traffic to all others, summed over ascending peers
 
 	free    []bool    // in the current partition and not yet grouped
@@ -116,14 +116,14 @@ type bin struct {
 // reset readies the scratch for a Map of np ranks over tm on c.
 func (s *scratch) reset(c *cluster.Cluster, tm *commpat.Matrix, np int) {
 	s.c = c
-	s.inc = tm.Incident()
+	s.tm = tm
 	s.total = resize(s.total, np)
 	s.free = resize(s.free, np)
 	s.gain = resize(s.gain, np)
 	s.ranks = resize(s.ranks, np)
 	for r := range s.ranks {
 		s.ranks[r] = r
-		_, out, in := s.inc.Row(r)
+		_, out, in := s.tm.Row(r)
 		t := 0.0
 		for k := range out {
 			t += out[k] + in[k]
@@ -136,7 +136,7 @@ func (s *scratch) reset(c *cluster.Cluster, tm *commpat.Matrix, np int) {
 // release drops the scratch's pointers to the call's inputs and result
 // and returns it to the pool.
 func (s *scratch) release() {
-	s.c, s.inc, s.m = nil, nil, nil
+	s.c, s.tm, s.m = nil, nil, nil
 	scratchPool.Put(s)
 }
 
@@ -246,7 +246,7 @@ func (s *scratch) partition(lv *level, ranks []int) [][]int {
 			}
 			s.free[r] = false
 			groups[i] = append(groups[i], r)
-			peers, out, in := s.inc.Row(r)
+			peers, out, in := s.tm.Row(r)
 			for k, p := range peers {
 				if s.free[p] {
 					if s.gain[p] == 0 {
