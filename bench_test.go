@@ -78,8 +78,9 @@ func BenchmarkMap256Nodes4096Ranks(b *testing.B) { benchMapper(b, 256, 4096, "sc
 func BenchmarkMapFullLayout(b *testing.B)        { benchMapper(b, 16, 256, "nbsNL3L2L1ch") }
 
 // BenchmarkMapReuse measures the steady-state hot path: one Mapper reused
-// across runs, so the pruned trees, usable-PU caches, and claim arrays are
-// all warm (the deployment pattern of a mapping agent serving a cluster).
+// across runs, so the pruned trees and claim arrays are warm and each
+// leaf's usable PUs are read from its topology's window table (the
+// deployment pattern of a mapping agent serving a cluster).
 func BenchmarkMapReuse64Nodes1024Ranks(b *testing.B) {
 	c := benchCluster(b, 64)
 	mapper, err := lama.NewMapper(c, lama.MustParseLayout("scbnh"), lama.Options{})

@@ -28,7 +28,7 @@
 // shared-state discipline into compile-time checks:
 //
 //   - snapfrozen: published-immutability for cluster.Snapshot, hw.Topology
-//     views, and the dense pruned shapes — writes to frozen-type fields
+//     trees, and the dense pruned shapes — writes to frozen-type fields
 //     are legal only inside the //lama:mutator constructor/derivation
 //     whitelist of the defining package, mutations reached through a
 //     Snapshot (s.Cluster().Nodes[i] = ..., snapshot-held topology

@@ -24,7 +24,7 @@ import (
 //     FailNode/FailPUs/AppendNode, hw's mutating methods, the dense-tree
 //     builders).
 //   - Calling a topology-mutating method (SetAvailable, Restrict,
-//     Offline, RemoveObject) on a receiver reached THROUGH a
+//     Offline, UnmarshalJSON) on a receiver reached THROUGH a
 //     cluster.Snapshot is a finding everywhere: snapshots share node and
 //     topology pointers with their siblings, so the only legal mutation
 //     is deriving a copy-on-write child. Mutating a scratch clone that
@@ -86,8 +86,7 @@ var snapshotContainers = map[[2]string]bool{
 var frozenMutatingMethods = map[[2]string]map[string]bool{
 	{"hw", "Topology"}: {
 		"SetAvailable": true, "Restrict": true, "Offline": true,
-		"RemoveObject": true, "UnmarshalJSON": true,
-		"reindex": true,
+		"UnmarshalJSON": true, "reindex": true,
 	},
 }
 

@@ -490,9 +490,9 @@ func sameResult(got *core.Map, gotErr error, want *core.Map, wantErr error) stri
 }
 
 // randomTopology returns one node's topology: spec-built (possibly then
-// restricted, off-lined, marked unavailable on interior objects, or cut
-// down by RemoveObject), or decoded from JSON with levels skipped at
-// random, the core level included.
+// restricted, off-lined, marked unavailable on interior objects, or
+// decoded again with an object cut out), or decoded from JSON with levels
+// skipped at random, the core level included.
 func randomTopology(r *rand.Rand) *hw.Topology {
 	if r.Intn(4) == 0 {
 		return randomDecoded(r)
@@ -519,11 +519,44 @@ func randomTopology(r *rand.Rand) *hw.Topology {
 		case 2:
 			topo.Offline(hw.NewCPUSet(r.Intn(topo.NumPUs() + 1)))
 		case 3:
-			l := hw.Level(1 + r.Intn(hw.NumLevels-1))
-			topo.RemoveObject(l, r.Intn(topo.NumObjects(l)+1))
+			topo = cutObject(r, topo)
 		}
 	}
 	return topo
+}
+
+// cutObject decodes topo's wire form with one random non-root object and
+// its subtree left out: a ragged tree whose PUs keep every level above
+// them.
+func cutObject(r *rand.Rand, topo *hw.Topology) *hw.Topology {
+	data, err := json.Marshal(topo)
+	if err != nil {
+		panic(err)
+	}
+	var root map[string]any
+	if err := json.Unmarshal(data, &root); err != nil {
+		panic(err)
+	}
+	for obj := root; ; {
+		kids, _ := obj["children"].([]any)
+		if len(kids) == 0 {
+			break
+		}
+		i := r.Intn(len(kids))
+		if r.Intn(4) == 0 {
+			obj["children"] = slices.Delete(kids, i, i+1)
+			break
+		}
+		obj = kids[i].(map[string]any)
+	}
+	if data, err = json.Marshal(root); err != nil {
+		panic(err)
+	}
+	cut := &hw.Topology{}
+	if err := cut.UnmarshalJSON(data); err != nil {
+		panic(err)
+	}
+	return cut
 }
 
 // randomDecoded builds a random irregular tree as JSON and decodes it:

@@ -43,6 +43,26 @@ func (n *Node) EffectiveSlots() int {
 	return n.Topo.NumUsablePUs()
 }
 
+// CheckSlots rejects slot counts the node's hardware cannot honour:
+// Slots and MaxSlots must lie in [0, usable PUs], and a MaxSlots hard cap
+// may not be below Slots. Such a node describes impossible placements.
+// Every path that takes slot counts from outside (a hostfile line, an
+// add-node event) checks its node with it.
+func (n *Node) CheckSlots() error {
+	usable := n.Topo.NumUsablePUs()
+	switch {
+	case n.Slots < 0 || n.MaxSlots < 0:
+		return fmt.Errorf("node %q declares slots=%d maxslots=%d; counts may not be negative", n.Name, n.Slots, n.MaxSlots)
+	case n.Slots > usable:
+		return fmt.Errorf("node %q declares slots=%d but has only %d usable PUs", n.Name, n.Slots, usable)
+	case n.MaxSlots > usable:
+		return fmt.Errorf("node %q declares maxslots=%d but has only %d usable PUs", n.Name, n.MaxSlots, usable)
+	case n.MaxSlots > 0 && n.MaxSlots < n.Slots:
+		return fmt.Errorf("node %q declares maxslots=%d < slots=%d", n.Name, n.MaxSlots, n.Slots)
+	}
+	return nil
+}
+
 // Cluster is an ordered set of nodes. Node order is the logical node
 // numbering ("n" level) used by mapping algorithms.
 type Cluster struct {

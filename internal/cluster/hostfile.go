@@ -18,11 +18,12 @@ import (
 // node's usable PUs. Lines starting with '#' are comments. A missing spec
 // defaults to defSpec.
 //
-// Slot counts are validated against the node's hardware: slots (and
-// maxslots, the Open MPI "max_slots" hard cap) may not exceed the node's
-// usable PU count, and maxslots may not be smaller than slots — such
-// hostfiles describe impossible placements and are rejected with a clear
-// error instead of silently producing unmappable nodes.
+// Slot counts are validated against the node's hardware by
+// Node.CheckSlots: slots (and maxslots, the Open MPI "max_slots" hard cap)
+// may not be negative or exceed the node's usable PU count, and maxslots
+// may not be smaller than slots — such hostfiles describe impossible
+// placements and are rejected with a clear error instead of silently
+// producing unmappable nodes.
 //
 // Example:
 //
@@ -55,13 +56,13 @@ func ParseHostfile(text string, defSpec hw.Spec) (*Cluster, error) {
 			switch key {
 			case "slots":
 				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
+				if err != nil {
 					return nil, fmt.Errorf("hostfile:%d: bad slots %q", lineNo+1, val)
 				}
 				node.Slots = n
 			case "maxslots":
 				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
+				if err != nil {
 					return nil, fmt.Errorf("hostfile:%d: bad maxslots %q", lineNo+1, val)
 				}
 				node.MaxSlots = n
@@ -88,20 +89,8 @@ func ParseHostfile(text string, defSpec hw.Spec) (*Cluster, error) {
 		if allowed != nil {
 			node.Topo.Restrict(allowed)
 		}
-		usable := node.Topo.NumUsablePUs()
-		if node.Slots > usable {
-			return nil, fmt.Errorf("hostfile:%d: node %q declares slots=%d but has only %d usable PUs",
-				lineNo+1, name, node.Slots, usable)
-		}
-		if node.MaxSlots > 0 {
-			if node.MaxSlots > usable {
-				return nil, fmt.Errorf("hostfile:%d: node %q declares maxslots=%d but has only %d usable PUs",
-					lineNo+1, name, node.MaxSlots, usable)
-			}
-			if node.MaxSlots < node.Slots {
-				return nil, fmt.Errorf("hostfile:%d: node %q declares maxslots=%d < slots=%d",
-					lineNo+1, name, node.MaxSlots, node.Slots)
-			}
+		if err := node.CheckSlots(); err != nil {
+			return nil, fmt.Errorf("hostfile:%d: %v", lineNo+1, err)
 		}
 		c.Nodes = append(c.Nodes, node)
 	}

@@ -27,10 +27,11 @@ import (
 // Sharing across siblings is what keeps a swap cheap. A mapper's dense
 // maximal tree (internal/core/dense.go) records each node's topology
 // pointer, so a mapper handed a sibling snapshot refreshes its tree in
-// place: every node whose pointer still matches keeps its view untouched,
-// and only the touched or appended nodes are resolved through the view
-// cache, which holds one view per distinct topology. The shared pruned shape (keyed by ShapeSig, which availability
-// mutations never change) is reused even for the touched node.
+// place: every node whose pointer still matches is kept untouched, and
+// only the touched or appended nodes are resolved through the shape
+// cache. The shared pruned shape (keyed by ShapeSig, which availability
+// mutations never change) is reused even for the touched node, whose
+// availability the tree reads from its new topology.
 //
 // Each derived snapshot carries an epoch, one greater than its parent's.
 // An event that removes no usable PU derives nothing: the receiver comes
@@ -161,10 +162,10 @@ func (s *Snapshot) derive() *Snapshot {
 
 // FailNode derives a snapshot in which node i is fully failed. Only node
 // i's topology is cloned; healthy nodes — including ShapeSig twins of the
-// failed node — keep their exact *hw.Topology pointers, so their cached
-// pruned views stay live. The second result is false when i is out of
-// range. The receiver is returned unchanged then, and when node i has no
-// usable PU left to lose.
+// failed node — keep their exact *hw.Topology pointers, so a mapper's
+// dense tree keeps them as they are. The second result is false when i is
+// out of range. The receiver is returned unchanged then, and when node i
+// has no usable PU left to lose.
 //
 //lama:mutator
 //lama:cow Node

@@ -16,34 +16,39 @@ import (
 // mapping loop does no pointer chasing, no hashing, and no allocation:
 //
 //   - prunedShape is the availability-independent structure of a pruned
-//     tree (child counts and dense leaf IDs). It depends only on the
-//     topology's shape, so the nodes of a homogeneous cluster share one
-//     prunedShape (the "build one tree instead of N" memoization).
-//   - nodeView binds a prunedShape to one concrete topology: leaf ID ->
-//     hardware object, and a per-leaf cache of usable PU OS indices in the
-//     exact order Object.UsablePUs would return them. Views are memoized
-//     per (topology identity, levels). viewFor freezes a topology before
-//     it caches a view of it (hw.Topology.Freeze), so a cached view can
-//     never go stale: availability changes come as new topologies, which
-//     is how cluster.Snapshot derivations deliver them.
-//   - denseTree is the per-mapper union of one view per cluster node plus
-//     the maximal widths — the iteration-driving maximal tree of §IV-B.
+//     tree (child counts, dense leaf IDs, and each leaf's level and
+//     logical index). It depends only on the topology's shape, so the
+//     nodes of a homogeneous cluster share one prunedShape (the "build one
+//     tree instead of N" memoization).
+//   - denseTree is the per-mapper union of one shape per cluster node plus
+//     the maximal widths — the iteration-driving maximal tree of §IV-B. It
+//     records each node's topology, whose usable-PU window table answers
+//     the availability check (§IV-A) for a leaf (hw.Topology.UsableAt).
+//     shapeFor freezes a topology before the tree records it
+//     (hw.Topology.Freeze), so that answer can never go stale:
+//     availability changes come as new topologies, which is how
+//     cluster.Snapshot derivations deliver them.
 
 // prunedShape is the flattened structure of a pruned tree: node i's
 // children occupy indices firstKid[i] .. firstKid[i]+kidCount[i]-1, the
 // root is node 0, and nodes at the deepest pruned level carry a dense leaf
-// ID in leafID (-1 elsewhere). Shapes are immutable once built — they are
-// shared across every topology with the same ShapeSig, so lamavet's
-// snapfrozen analyzer holds writes to the buildShape whitelist.
+// ID in leafID (-1 elsewhere). Leaf l is the object of level leafLevel
+// and logical index leafLogical[l]; logical indices follow the structure,
+// so they name the same leaf on every topology with the same ShapeSig.
+// Shapes are immutable once built — they are shared across every such
+// topology, so lamavet's snapfrozen analyzer holds writes to the
+// buildShape whitelist.
 //
 //lama:frozen
 type prunedShape struct {
-	levels    []hw.Level
-	firstKid  []int32
-	kidCount  []int32
-	leafID    []int32
-	widths    []int // per depth: max child count of any node at that depth
-	numLeaves int
+	levels      []hw.Level
+	firstKid    []int32
+	kidCount    []int32
+	leafID      []int32
+	leafLevel   hw.Level // the deepest pruned level, or the machine when none
+	leafLogical []int32  // leaf ID -> logical index at leafLevel
+	widths      []int    // per depth: max child count of any node at that depth
+	numLeaves   int
 }
 
 // lookup resolves per-depth child indices (canonical order) to a dense
@@ -63,15 +68,18 @@ func (ps *prunedShape) lookup(coords []int) int32 {
 
 // buildShape flattens the pruned view of one topology. The traversal is
 // breadth-first so every node's children are contiguous; leaf IDs are
-// assigned in visit order, which is the same deterministic order
-// buildView uses to enumerate the corresponding objects.
+// assigned in visit order.
 //
 //lama:coldpath one-off shape construction per (topology, layout)
 //lama:mutator
 func buildShape(t *hw.Topology, levels []hw.Level) *prunedShape {
 	ps := &prunedShape{
-		levels: levels,
-		widths: make([]int, len(levels)),
+		levels:    levels,
+		leafLevel: hw.LevelMachine,
+		widths:    make([]int, len(levels)),
+	}
+	if len(levels) > 0 {
+		ps.leafLevel = levels[len(levels)-1]
 	}
 	type item struct {
 		obj   *hw.Object
@@ -86,6 +94,7 @@ func buildShape(t *hw.Topology, levels []hw.Level) *prunedShape {
 		it := queue[head]
 		if it.depth == len(levels) {
 			ps.leafID[head] = int32(ps.numLeaves)
+			ps.leafLogical = append(ps.leafLogical, int32(it.obj.Logical))
 			ps.numLeaves++
 			continue
 		}
@@ -105,68 +114,6 @@ func buildShape(t *hw.Topology, levels []hw.Level) *prunedShape {
 	return ps
 }
 
-// nodeView is one topology's pruned view: the shared shape plus the
-// per-leaf object and usable-PU caches. It is immutable once built — views
-// are cached by topology and shared across mappers, so writes are held to
-// the buildView whitelist.
-//
-//lama:frozen
-type nodeView struct {
-	shape   *prunedShape
-	leafObj []*hw.Object // leaf ID -> hardware object
-	puOff   []int32      // leaf ID -> offset into pus (numLeaves+1 entries)
-	pus     []int32      // usable PU OS indices, grouped by leaf, tree order
-}
-
-// usable reports the PU list of a leaf: empty when the resource is
-// off-lined or all of its PUs are.
-//
-//lama:hotpath
-func (v *nodeView) usable(leaf int32) []int32 {
-	return v.pus[v.puOff[leaf]:v.puOff[leaf+1]]
-}
-
-// buildView binds a shape to a concrete topology, walking it once in the
-// same breadth-first order as buildShape to collect leaf objects, then
-// caching the OS indices of each leaf's usable PUs, its window of the
-// topology's usable-PU list.
-//
-//lama:coldpath one-off per-node view construction
-//lama:mutator
-func buildView(t *hw.Topology, shape *prunedShape) *nodeView {
-	v := &nodeView{
-		shape:   shape,
-		leafObj: make([]*hw.Object, 0, shape.numLeaves),
-		puOff:   make([]int32, 1, shape.numLeaves+1),
-		pus:     make([]int32, 0, t.NumUsablePUs()),
-	}
-	levels := shape.levels
-	type item struct {
-		obj   *hw.Object
-		depth int
-	}
-	queue := []item{{t.Root, 0}}
-	var kids []*hw.Object
-	for head := 0; head < len(queue); head++ {
-		it := queue[head]
-		if it.depth == len(levels) {
-			v.leafObj = append(v.leafObj, it.obj)
-			continue
-		}
-		kids = appendDescendantsAt(kids[:0], it.obj, levels[it.depth])
-		for _, k := range kids {
-			queue = append(queue, item{k, it.depth + 1})
-		}
-	}
-	for _, leaf := range v.leafObj {
-		for _, pu := range t.UsableUnder(leaf) {
-			v.pus = append(v.pus, int32(pu.OS))
-		}
-		v.puOff = append(v.puOff, int32(len(v.pus)))
-	}
-	return v
-}
-
 // levelsSig encodes a level list as a compact cache-key string.
 func levelsSig(levels []hw.Level) string {
 	b := make([]byte, len(levels))
@@ -176,47 +123,28 @@ func levelsSig(levels []hw.Level) string {
 	return string(b)
 }
 
-// The two memoization layers. shapeCache shares prunedShapes across
-// structurally identical topologies (keyed by hw.Topology.ShapeSig), so a
-// homogeneous cluster builds ONE pruned tree per level set no matter how
-// many nodes it has. viewCache shares nodeViews across mappers by
-// (topology identity, levels); the topology is frozen when its first view
-// is cached, so an entry never goes stale. A cluster.Snapshot gives
-// interchangeable nodes one topology, so a snapshot needs one view per
-// distinct topology, not one per node: a homogeneous site of thousands of
-// nodes resolves to a single entry. Both are bounded: on overflow the whole map is dropped, which
-// also releases the *hw.Topology keys of clusters that are no longer in
-// use.
-const (
-	shapeCacheMax = 512
-	viewCacheMax  = 4096
-)
+// shapeCache shares prunedShapes across structurally identical topologies
+// (keyed by hw.Topology.ShapeSig), so a homogeneous cluster builds ONE
+// pruned tree per level set no matter how many nodes it has. It is
+// bounded: on overflow the whole map is dropped.
+const shapeCacheMax = 512
 
 type shapeKey struct {
 	shape  string
 	levels string
 }
 
-type viewKey struct {
-	topo   *hw.Topology
-	levels string
-}
-
 var (
 	treeCacheMu sync.Mutex
 	shapeCache  = map[shapeKey]*prunedShape{}
-	viewCache   = map[viewKey]*nodeView{}
 )
 
-// viewFor returns the (possibly cached) pruned view of a topology for the
-// given canonical intra-node levels, freezing the topology on a miss.
-func viewFor(t *hw.Topology, levels []hw.Level, sig string) *nodeView {
+// shapeFor returns the (possibly cached) pruned shape of a topology for
+// the given canonical intra-node levels. It freezes the topology first:
+// the caller reads the topology's availability from then on.
+func shapeFor(t *hw.Topology, levels []hw.Level, sig string) *prunedShape {
 	treeCacheMu.Lock()
 	defer treeCacheMu.Unlock()
-	vk := viewKey{topo: t, levels: sig}
-	if v, ok := viewCache[vk]; ok {
-		return v
-	}
 	t.Freeze()
 	sk := shapeKey{shape: t.ShapeSig(), levels: sig}
 	shape, ok := shapeCache[sk]
@@ -227,50 +155,45 @@ func viewFor(t *hw.Topology, levels []hw.Level, sig string) *nodeView {
 		}
 		shapeCache[sk] = shape
 	}
-	v := buildView(t, shape)
-	if len(viewCache) >= viewCacheMax {
-		viewCache = map[viewKey]*nodeView{}
-	}
-	viewCache[vk] = v
-	return v
+	return shape
 }
 
-// denseTree is the engine's maximal tree (paper §IV-B): one pruned view
-// per cluster node plus the per-depth maximum widths that drive iteration,
-// and a dense global leaf numbering (node n's leaf l has global ID
-// leafBase[n]+l) for index-addressed claim counting. A tree belongs to one
-// Mapper and is brought up to date in place by refresh.
+// denseTree is the engine's maximal tree (paper §IV-B): one pruned shape
+// and one frozen topology per cluster node, the per-depth maximum widths
+// that drive iteration, and a dense global leaf numbering (node n's leaf l
+// has global ID leafBase[n]+l) for index-addressed claim counting. A tree
+// belongs to one Mapper and is brought up to date in place by refresh.
 type denseTree struct {
 	levels      []hw.Level
-	sig         string // levelsSig(levels), the view-cache key part
-	views       []*nodeView
+	sig         string // levelsSig(levels), the shape-cache key part
+	shapes      []*prunedShape
+	topos       []*hw.Topology // per node: the topology the tree reads availability from
 	widths      []int
 	leafBase    []int32
 	totalLeaves int
-	topos       []*hw.Topology // per node: topology identity the view was built from
 }
 
 // refresh brings the tree up to date with a cluster's per-node topologies
 // for the given intra-node levels; a zero denseTree is an empty tree, so a
-// first build is a refresh that keeps nothing. A node keeps its view when
-// its topology is the one the tree recorded — under copy-on-write
-// snapshots that is every node a swap did not touch — and only changed or
-// appended nodes go through viewFor. Leaf numbering and widths are
+// first build is a refresh that keeps nothing. A node is kept when its
+// topology is the one the tree recorded — under copy-on-write snapshots
+// that is every node a swap did not touch — and only changed or appended
+// nodes go through shapeFor. Leaf numbering and widths are
 // recomputed over all nodes; the per-node arrays are reused when their
 // capacity allows.
 func (dt *denseTree) refresh(c *cluster.Cluster, levels []hw.Level) {
 	n := c.NumNodes()
-	keep := min(len(dt.views), n)
+	keep := min(len(dt.topos), n)
 	if !levelsEqual(dt.levels, levels) {
 		dt.levels, dt.sig = levels, levelsSig(levels)
 		keep = 0
 	}
-	if n < len(dt.views) {
-		// Release the dropped nodes' views and topologies.
-		clear(dt.views[n:])
+	if n < len(dt.topos) {
+		// Release the dropped nodes' shapes and topologies.
+		clear(dt.shapes[n:])
 		clear(dt.topos[n:])
 	}
-	dt.views = resized(dt.views, n)
+	dt.shapes = resized(dt.shapes, n)
 	dt.topos = resized(dt.topos, n)
 	dt.leafBase = resized(dt.leafBase, n)
 	dt.widths = resized(dt.widths, len(levels))
@@ -278,9 +201,9 @@ func (dt *denseTree) refresh(c *cluster.Cluster, levels []hw.Level) {
 	dt.totalLeaves = 0
 	for i, node := range c.Nodes {
 		if i >= keep || node.Topo != dt.topos[i] {
-			dt.views[i], dt.topos[i] = viewFor(node.Topo, levels, dt.sig), node.Topo
+			dt.shapes[i], dt.topos[i] = shapeFor(node.Topo, levels, dt.sig), node.Topo
 		}
-		shape := dt.views[i].shape
+		shape := dt.shapes[i]
 		dt.leafBase[i] = int32(dt.totalLeaves)
 		dt.totalLeaves += shape.numLeaves
 		for d, w := range shape.widths {
@@ -302,13 +225,13 @@ func resized[T any](s []T, n int) []T {
 	return grown
 }
 
-// freshFor reports whether every node still holds the topology its view
-// was built from. Topologies are frozen once viewed, so identity is the
-// whole check; it is still needed because Cluster.Nodes is an exported
+// freshFor reports whether every node still holds the topology the tree
+// recorded. Recorded topologies are frozen, so identity is the whole
+// check; it is still needed because Cluster.Nodes is an exported
 // slice, and a mapper re-pointed at a sibling snapshot sees a cloned
 // topology for every node the derivation touched.
 func (dt *denseTree) freshFor(c *cluster.Cluster) bool {
-	if len(dt.views) != c.NumNodes() {
+	if len(dt.topos) != c.NumNodes() {
 		return false
 	}
 	for i, node := range c.Nodes {

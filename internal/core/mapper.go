@@ -22,7 +22,8 @@ var ErrNoResources = errors.New("core: no mappable resources")
 // Mapper plans process placements for one cluster using one process layout.
 //
 // A Mapper keeps reusable execution state between calls: the pruned
-// maximal tree, per-leaf usable-PU caches, and the claim/scratch arrays.
+// maximal tree and the claim/scratch arrays; each leaf's usable PUs are
+// read from its node's topology (hw.Topology.UsableAt).
 // Repeated Map/MapTraced calls on one Mapper therefore run with near-zero
 // allocation, and the cached state is revalidated on every call against
 // the layout, the options, and each node's topology identity. Map freezes
@@ -173,8 +174,8 @@ func (m *Mapper) ensure(np int) (*runState, error) {
 
 // buildState brings the reusable state up to date with the current
 // cluster and layout, starting from prev (nil on a mapper's first run):
-// it refreshes prev's dense maximal tree in place (through the shape and
-// view caches, for the nodes that changed), rebuilds the layout-derived
+// it refreshes prev's dense maximal tree in place (through the shape
+// cache, for the nodes that changed), rebuilds the layout-derived
 // iteration arrays when the layout changed, and reuses the claim arrays.
 // It reports whether any iteration width changed, which invalidates the
 // cached visiting orders. The two one-off phases are observable as spans:
@@ -449,9 +450,9 @@ func (r *runState) inner(m *Mapper, levelIdx int) {
 // tryMap attempts to place the next rank at the current coordinates,
 // skipping coordinates that do not exist on the node, are unavailable,
 // are capped, or would oversubscribe when that is disallowed. Steady
-// state, this performs only slice indexing: leaf existence and the usable
-// PUs come from the cached pruned view, claims and caps are dense
-// counters.
+// state, this performs only slice indexing: leaf existence comes from the
+// node's pruned shape, its usable PUs from the node's topology window
+// table, and claims and caps are dense counters.
 func (r *runState) tryMap(m *Mapper) {
 	node := 0
 	if r.machineIdx >= 0 {
@@ -462,13 +463,14 @@ func (r *runState) tryMap(m *Mapper) {
 			r.canonCoords[p] = c
 		}
 	}
-	view := r.tree.views[node]
-	leaf := view.shape.lookup(r.canonCoords)
+	shape, topo := r.tree.shapes[node], r.tree.topos[node]
+	leaf := shape.lookup(r.canonCoords)
 	if leaf < 0 {
 		r.emit(SkipNonexistent, -1)
 		return // resource does not exist on this node
 	}
-	ups := view.usable(leaf)
+	logical := int(shape.leafLogical[leaf])
+	ups := topo.UsableAt(shape.leafLevel, logical)
 	if len(ups) == 0 {
 		r.emit(SkipUnavailable, -1)
 		return // resource unavailable (off-lined / disallowed)
@@ -482,6 +484,7 @@ func (r *runState) tryMap(m *Mapper) {
 	}
 	// ALPS-style per-resource rank caps, checked before the
 	// oversubscription rule: a capped resource is unmappable regardless.
+	leafObj := topo.ObjectAt(shape.leafLevel, logical)
 	r.capHits = r.capHits[:0]
 	for ci := range r.caps {
 		cs := &r.caps[ci]
@@ -492,7 +495,7 @@ func (r *runState) tryMap(m *Mapper) {
 			}
 			continue
 		}
-		obj := view.leafObj[leaf].Ancestor(cs.level)
+		obj := leafObj.Ancestor(cs.level)
 		if obj == nil {
 			continue
 		}
@@ -515,13 +518,13 @@ func (r *runState) tryMap(m *Mapper) {
 	at := len(r.placements) * r.pes
 	pus := r.pusBacking[at : at+r.pes : at+r.pes]
 	for j := 0; j < r.pes; j++ {
-		pus[j] = int(ups[(base+j)%len(ups)])
+		pus[j] = ups[(base+j)%len(ups)].OS
 	}
 	r.placements = append(r.placements, Placement{
 		Rank:           len(r.placements),
 		Node:           node,
 		NodeName:       m.Cluster.Node(node).Name,
-		Leaf:           view.leafObj[leaf],
+		Leaf:           leafObj,
 		PUs:            pus,
 		Oversubscribed: oversub,
 	})

@@ -11,8 +11,8 @@ import (
 // on every call, keeps its claim counters in maps keyed by (node, hardware
 // object), and re-walks the topology for every usable-PU query. It shares
 // NOTHING with the optimized engine in mapper.go — no dense trees, no
-// shape/view caches, no freshness checks — so the two can only agree by
-// actually computing the same mapping. MapReference also iterates with an
+// shape cache, no usable-PU window table, no freshness checks — so the
+// two can only agree by actually computing the same mapping. MapReference also iterates with an
 // explicit odometer instead of the paper's recursive loop nest, giving an
 // independent traversal of the same resource space. Experiment E2 and the
 // differential property tests require Map and MapReference to produce

@@ -13,7 +13,10 @@ import (
 )
 
 // randomCluster builds a small random, possibly heterogeneous and
-// restricted, cluster.
+// restricted, cluster. Some nodes are decoded irregular trees
+// (randomDecoded): ragged widths, and levels omitted so that some PUs
+// have no core above them, which the maximal-tree iteration must skip
+// rather than trip over.
 func randomCluster(r *rand.Rand) *cluster.Cluster {
 	n := 1 + r.Intn(4)
 	specs := make([]hw.Spec, n)
@@ -33,17 +36,49 @@ func randomCluster(r *rand.Rand) *cluster.Cluster {
 				node.Topo.SetAvailable(lvl, r.Intn(cnt), false)
 			}
 		}
-		// Occasionally remove an object entirely: a structurally
-		// irregular tree (ragged widths), which the maximal-tree
-		// iteration must skip rather than trip over.
 		if r.Intn(3) == 0 {
-			lvl := hw.Level(1 + r.Intn(hw.NumLevels-1))
-			if cnt := node.Topo.NumObjects(lvl); cnt > 1 {
-				node.Topo.RemoveObject(lvl, r.Intn(cnt))
-			}
+			node.Topo = randomDecoded(r)
 		}
 	}
 	return c
+}
+
+// randomDecoded builds a random irregular tree as JSON and decodes it:
+// every child sits at a random level below its parent, so some PUs have
+// no core above them, some objects have no PUs at all, and some objects
+// are unavailable.
+func randomDecoded(r *rand.Rand) *hw.Topology {
+	os := 0
+	var obj func(l hw.Level, depth int) string
+	obj = func(l hw.Level, depth int) string {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, `{"level":%q`, l.String())
+		if l == hw.LevelPU {
+			fmt.Fprintf(&sb, `,"os":%d`, os)
+			os++
+		}
+		if depth > 0 && r.Intn(8) == 0 {
+			sb.WriteString(`,"available":false`)
+		}
+		if l < hw.LevelPU {
+			var kids []string
+			for k := r.Intn(4); k >= 0; k-- {
+				next := hw.LevelPU
+				if depth < 4 && r.Intn(3) != 0 {
+					next = l + 1 + hw.Level(r.Intn(int(hw.LevelPU-l)))
+				}
+				kids = append(kids, obj(next, depth+1))
+			}
+			fmt.Fprintf(&sb, `,"children":[%s]`, strings.Join(kids, ","))
+		}
+		sb.WriteString("}")
+		return sb.String()
+	}
+	topo := &hw.Topology{}
+	if err := topo.UnmarshalJSON([]byte(obj(hw.LevelMachine, 0))); err != nil {
+		panic(err)
+	}
+	return topo
 }
 
 // randomLayout builds a random valid layout containing the node level.
@@ -240,13 +275,25 @@ func TestQuickNoOversubscribeBijective(t *testing.T) {
 }
 
 // TestQuickFullLayoutsCoverEverything: a full 9-level layout with
-// np == usable capacity uses every usable PU exactly once.
+// np == usable capacity uses every usable PU exactly once. On a decoded
+// tree that omits levels, the capacity is the usable PUs with an object of
+// every level above them: a full layout reaches no other.
 func TestQuickFullLayoutsCoverEverything(t *testing.T) {
 	full := []string{"scbnhNL1L2L3", "hcL1L2L3Nsbn", "nbsNL3L2L1ch", "L2hsL1cNnL3b"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCluster(r)
-		np := c.TotalUsablePUs()
+		np := 0
+		reachable := make([]*hw.CPUSet, c.NumNodes())
+		for i, node := range c.Nodes {
+			reachable[i] = hw.NewCPUSet()
+			for _, pu := range node.Topo.UsablePUs() {
+				if fullChain(pu) {
+					reachable[i].Set(pu.OS)
+					np++
+				}
+			}
+		}
 		if np == 0 {
 			return true
 		}
@@ -269,8 +316,8 @@ func TestQuickFullLayoutsCoverEverything(t *testing.T) {
 			}
 			used[p.Node].Set(p.PU())
 		}
-		for i, node := range c.Nodes {
-			if !used[i].Equal(node.Topo.AllowedSet()) {
+		for i := range c.Nodes {
+			if !reachable[i].Equal(used[i]) {
 				return false
 			}
 		}
@@ -279,6 +326,17 @@ func TestQuickFullLayoutsCoverEverything(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fullChain reports whether o has an ancestor at every level above its
+// own.
+func fullChain(o *hw.Object) bool {
+	for l := hw.LevelMachine; l < o.Level; l++ {
+		if o.Ancestor(l) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // TestQuickLayoutRoundTrip: parse(String()) is the identity on random

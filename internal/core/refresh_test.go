@@ -13,8 +13,8 @@ import (
 )
 
 // These tests pin the in-place dense-tree refresh: a Mapper re-pointed at
-// a copy-on-write sibling snapshot keeps every untouched node's view and
-// rebuilds only what the derivation changed, and what it then serves is
+// a copy-on-write sibling snapshot keeps every untouched node and
+// resolves only what the derivation changed, and what it then serves is
 // exactly what a brand-new Mapper computes.
 
 // deriveRandom applies one copy-on-write event of the given kind to s and
@@ -151,26 +151,31 @@ func refreshSiblings(t *testing.T, n, k int) (*Mapper, func()) {
 	return m, swap
 }
 
-// TestRefreshRebuildsOnlyTouchedViews: after a swap to a sibling that
-// differs in node k, every other node keeps the very view it had, the
-// tree and its arrays are refreshed in place, and the cost of a swap does
-// not grow with the node count.
-func TestRefreshRebuildsOnlyTouchedViews(t *testing.T) {
+// TestRefreshResolvesOnlyTouchedNodes: after a swap to a sibling that
+// differs in node k, every other node keeps the topology and the shared
+// shape it had, node k reads its new topology, the tree and its arrays
+// are refreshed in place, and the cost of a swap does not grow with the
+// node count.
+func TestRefreshResolvesOnlyTouchedNodes(t *testing.T) {
 	const n, k = 4096, 1234
 	m, swap := refreshSiblings(t, n, k)
 	tree := m.state.tree
-	before := append([]*nodeView(nil), tree.views...)
+	topos := append([]*hw.Topology(nil), tree.topos...)
+	shape := tree.shapes[0]
 	swap()
-	if m.state.tree != tree || &m.state.tree.views[0] != &tree.views[0] {
+	if m.state.tree != tree || &m.state.tree.topos[0] != &tree.topos[0] || &m.state.tree.shapes[0] != &tree.shapes[0] {
 		t.Error("swap replaced the dense tree instead of refreshing it in place")
 	}
-	for i, v := range m.state.tree.views {
+	for i, topo := range m.state.tree.topos {
+		if m.state.tree.shapes[i] != shape {
+			t.Fatalf("node %d lost the shared shape", i)
+		}
 		if i == k {
-			if v == before[i] {
-				t.Fatal("touched node kept its stale view")
+			if topo == topos[i] || topo != m.Cluster.Node(k).Topo {
+				t.Fatal("touched node kept its stale topology")
 			}
-		} else if v != before[i] {
-			t.Fatalf("untouched node %d got a new view", i)
+		} else if topo != topos[i] {
+			t.Fatalf("untouched node %d got a new topology", i)
 		}
 	}
 

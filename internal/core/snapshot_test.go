@@ -8,10 +8,10 @@ import (
 )
 
 // These tests pin the copy-on-write contract between cluster.Snapshot and
-// the dense-tree caches: deriving a snapshot by failing one node must split
-// ONLY that node's view, while every healthy ShapeSig twin keeps both its
-// cached *prunedShape and its cached *nodeView pointers (the PR-9 fix for
-// FailNode double-invalidating shared shapes).
+// the dense tree: deriving a snapshot by failing one node must give ONLY
+// that node a new topology, while every healthy ShapeSig twin keeps its
+// topology and every node, the failed one included, keeps the cached
+// *prunedShape (failing a node must not invalidate shared shapes).
 
 func nehalem(t *testing.T) hw.Spec {
 	t.Helper()
@@ -22,7 +22,7 @@ func nehalem(t *testing.T) hw.Spec {
 	return sp
 }
 
-func TestSnapshotTwinsKeepCachedShapeAndViews(t *testing.T) {
+func TestSnapshotTwinsKeepCachedShape(t *testing.T) {
 	s1 := cluster.SnapshotOf(cluster.Homogeneous(4, nehalem(t)))
 	layout := MustParseLayout("csbnh")
 	intra := layout.IntraNode()
@@ -38,16 +38,16 @@ func TestSnapshotTwinsKeepCachedShapeAndViews(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		if i == 2 {
-			if t1.views[i] == t2.views[i] {
-				t.Fatal("failed node must get a fresh view")
+			if t1.topos[i] == t2.topos[i] {
+				t.Fatal("failed node must read a fresh topology")
 			}
-		} else if t1.views[i] != t2.views[i] {
-			t.Fatalf("healthy twin %d lost its cached view across the snapshot", i)
+		} else if t1.topos[i] != t2.topos[i] {
+			t.Fatalf("healthy twin %d lost its topology across the snapshot", i)
 		}
 		// The availability-independent pruned shape is shared by every
 		// node of the homogeneous cluster — including the failed one —
 		// across both snapshots.
-		if t1.views[i].shape != t1.views[0].shape || t2.views[i].shape != t1.views[0].shape {
+		if t1.shapes[i] != t1.shapes[0] || t2.shapes[i] != t1.shapes[0] {
 			t.Fatalf("node %d does not share the pruned shape", i)
 		}
 	}
@@ -80,7 +80,7 @@ func TestFreshForDetectsSnapshotSwapByIdentity(t *testing.T) {
 	}
 	for _, p := range mp2.Placements {
 		if p.Node == 1 {
-			t.Fatalf("rank %d placed on the failed node via a stale view", p.Rank)
+			t.Fatalf("rank %d placed on the failed node via a stale tree", p.Rank)
 		}
 	}
 	// Sanity: the first map did use node 1.

@@ -11,9 +11,9 @@
 // requests never observe a half-applied mutation (they hold a snapshot
 // pointer for their whole run), and mutation events mint a new snapshot
 // via copy-on-write. A pooled mapper re-pointed at the new snapshot
-// refreshes its dense tree in place: it keeps the pruned view of every
-// node whose topology the event did not touch and builds views only for
-// the touched or appended nodes, so an event costs each mapper one O(n)
+// refreshes its dense tree in place: it keeps every node whose topology
+// the event did not touch and resolves a pruned shape only for the
+// touched or appended nodes, so an event costs each mapper one O(n)
 // identity walk rather than a rebuild.
 //
 // The cache key's cluster, publication, policy, layout, pes and
@@ -181,9 +181,9 @@ func (ce *clusterEntry) current() (*Snapshot, uint64) {
 // layout), handed to the policy as place.Request.Mapper. The lama policy
 // re-points a mapper at each request's snapshot cluster; core's dense-tree
 // freshness check (topology identity) revalidates it, and a stale tree is
-// refreshed in place, resolving views only for the nodes whose topology
-// changed. Other policies ignore
-// the mapper. The map holds at most maxWorkerMappers entries.
+// refreshed in place, resolving shapes only for the nodes whose topology
+// changed. Other policies ignore the mapper. The map holds at most
+// maxWorkerMappers entries.
 type worker struct {
 	mappers map[mapperKey]*core.Mapper
 }

@@ -20,10 +20,12 @@ type Event struct {
 	// PUs lists OS PU indices to off-line (fail-pus).
 	PUs []int `json:"pus,omitempty"`
 	// Preset names the hardware preset for the new node (add-node), e.g.
-	// "nehalem-ep". Name optionally overrides the generated host name.
+	// "nehalem-ep". Name optionally overrides the generated host name
+	// node<count>; either way the name must be new to the cluster.
 	Preset string `json:"preset,omitempty"`
 	Name   string `json:"name,omitempty"`
-	// Slots optionally sets the new node's scheduler slot count (add-node).
+	// Slots optionally sets the new node's scheduler slot count
+	// (add-node), checked like a hostfile's (cluster.Node.CheckSlots).
 	Slots int `json:"slots,omitempty"`
 }
 
@@ -73,13 +75,17 @@ func (e *Engine) ApplyEvent(name string, ev *Event) (uint64, int, error) {
 		if !ok {
 			return 0, 0, fmt.Errorf("engine: add-node: unknown preset %q", ev.Preset)
 		}
-		nodeName := ev.Name
-		if nodeName == "" {
-			nodeName = fmt.Sprintf("node%d", cur.Clu.NumNodes())
+		node := &cluster.Node{Name: ev.Name, Topo: hw.New(sp), Slots: ev.Slots}
+		if node.Name == "" {
+			node.Name = fmt.Sprintf("node%d", cur.Clu.NumNodes())
 		}
-		next = cur.Clu.AppendNode(&cluster.Node{
-			Name: nodeName, Topo: hw.New(sp), Slots: ev.Slots,
-		})
+		if _, i := cur.Clu.Cluster().NodeByName(node.Name); i >= 0 {
+			return 0, 0, fmt.Errorf("engine: add-node: %q already has a node %q", name, node.Name)
+		}
+		if err := node.CheckSlots(); err != nil {
+			return 0, 0, fmt.Errorf("engine: add-node: %v", err)
+		}
+		next = cur.Clu.AppendNode(node)
 	default:
 		return 0, 0, fmt.Errorf("engine: unknown event type %q", ev.Type)
 	}

@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lama/internal/cluster"
@@ -108,6 +113,50 @@ func TestEngineEventsThatLoseNoPUAreNoOps(t *testing.T) {
 		}
 		if !r.Cached || r.Epoch != 3 {
 			t.Fatalf("np %d after the no-op events: cached %v epoch %d; want a hit at epoch 3", req.NP, r.Cached, r.Epoch)
+		}
+	}
+}
+
+// TestAddNodeChecksLikeAHostfile: an add-node event is held to the rules
+// a hostfile line is. A name the cluster already has, given by the client
+// or made by the node%d default, and slot counts outside [0, usable PUs]
+// are refused through ApplyEvent and with 400 over HTTP, and publish
+// nothing; a node at exactly its usable PU count is accepted.
+func TestAddNodeChecksLikeAHostfile(t *testing.T) {
+	e := New(Config{})
+	registerHomogeneous(t, e, 2) // node0, node1; 16 usable PUs each
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/clusters/c/events",
+		strings.NewReader(`{"type":"add-node","preset":"nehalem-ep","name":"node3","slots":16}`)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("add-node node3 with slots=16: status %d, want 200: %s", w.Code, w.Body.Bytes())
+	}
+	epoch, nodes := e.Snapshot("c").Clu.Epoch(), e.Snapshot("c").Clu.NumNodes()
+	for _, c := range []struct {
+		why string
+		ev  Event
+	}{
+		{"client's name taken", Event{Type: "add-node", Preset: "nehalem-ep", Name: "node0"}},
+		{"default name taken", Event{Type: "add-node", Preset: "nehalem-ep"}}, // 3 nodes, so the default is node3
+		{"negative slots", Event{Type: "add-node", Preset: "nehalem-ep", Name: "neg", Slots: -7}},
+		{"slots past usable PUs", Event{Type: "add-node", Preset: "nehalem-ep", Name: "big", Slots: 1 << 30}},
+	} {
+		if _, _, err := e.ApplyEvent("c", &c.ev); err == nil {
+			t.Errorf("%s: ApplyEvent(%+v) accepted", c.why, c.ev)
+		}
+		body, err := json.Marshal(c.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/clusters/c/events", bytes.NewReader(body)))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", c.why, w.Code, w.Body.Bytes())
+		}
+		if s := e.Snapshot("c").Clu; s.Epoch() != epoch || s.NumNodes() != nodes {
+			t.Fatalf("%s: published epoch %d with %d nodes, want %d with %d", c.why, s.Epoch(), s.NumNodes(), epoch, nodes)
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Hierarchy is a topology's structural table: which PU has a given OS
-// index, and at which level two PUs meet. New, UnmarshalJSON and
-// RemoveObject build it; it is immutable, and clones share it.
+// index, and at which level two PUs meet. New and UnmarshalJSON build it;
+// it is immutable, and clones share it.
 //
 // Every ancestor of a PU writes the Rank of its child on the PU's path
 // into a bit field its level owns, outer levels in higher bits, each

@@ -132,9 +132,8 @@ func randomDecoded(r *rand.Rand) *Topology {
 }
 
 // TestQuickHierarchy holds the table to its oracles on spec-built and
-// decoded irregular trees, after RemoveObject, and on clones. A clone
-// shares its source's table; RemoveObject on a clone builds a fresh one
-// and leaves the source's answers alone.
+// decoded irregular trees, each decoded again with an object cut out, and
+// on clones. A clone shares its source's table.
 func TestQuickHierarchy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -153,23 +152,7 @@ func TestQuickHierarchy(t *testing.T) {
 				return false
 			}
 			l := Level(1 + r.Intn(NumLevels-1))
-			if n := c.NumObjects(l); n > 0 {
-				before := topo.Hierarchy()
-				c.RemoveObject(l, r.Intn(n))
-				if c.Hierarchy() == before || topo.Hierarchy() != before {
-					t.Logf("seed %d: RemoveObject on a clone kept or moved the table", seed)
-					return false
-				}
-				if err := checkHierarchy(c); err != nil {
-					t.Logf("seed %d after RemoveObject: %v", seed, err)
-					return false
-				}
-			}
-			if err := checkHierarchy(topo); err != nil {
-				t.Logf("seed %d, source after its clone's removal: %v", seed, err)
-				return false
-			}
-			topo = c
+			topo = withoutObject(c, l, r.Intn(c.NumObjects(l)+1))
 		}
 		return true
 	}
@@ -179,7 +162,7 @@ func TestQuickHierarchy(t *testing.T) {
 }
 
 // TestPUByOS compares the OS index lookup with a scan on a thread-major
-// preset, a decoded irregular tree, and both after RemoveObject.
+// preset, a decoded irregular tree, and both decoded again without one PU.
 func TestPUByOS(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	irregular := randomDecoded(r)
@@ -190,11 +173,12 @@ func TestPUByOS(t *testing.T) {
 		if err := checkHierarchy(topo); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !topo.RemoveObject(LevelPU, topo.NumPUs()/2) {
-			t.Fatalf("%s: RemoveObject failed", name)
+		cut := withoutObject(topo, LevelPU, topo.NumPUs()/2)
+		if cut.NumPUs() != topo.NumPUs()-1 {
+			t.Fatalf("%s: cut %d of %d PUs", name, topo.NumPUs()-cut.NumPUs(), topo.NumPUs())
 		}
-		if err := checkHierarchy(topo); err != nil {
-			t.Fatalf("%s after RemoveObject: %v", name, err)
+		if err := checkHierarchy(cut); err != nil {
+			t.Fatalf("%s without one PU: %v", name, err)
 		}
 	}
 }

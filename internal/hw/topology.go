@@ -85,13 +85,12 @@ func (sp Spec) String() string {
 //
 // Mutation is a build-time act (paper §III-A: availability is a fact of
 // the grant, fixed when the job launches). Mutations go through Topology
-// methods (SetAvailable, Restrict, Offline, RemoveObject, UnmarshalJSON)
-// until the topology is frozen, which happens when something first
-// caches against it: a mapper's pruned view (internal/core) or a
-// cluster.Snapshot. Calling a mutator on a frozen topology is a
-// programming error and panics; Clone returns a mutable copy. Writing
-// Object.Available directly bypasses the check, and lamavet's snapfrozen
-// analyzer reports it.
+// methods (SetAvailable, Restrict, Offline, UnmarshalJSON) until the
+// topology is frozen, which happens when something first caches against
+// it: a mapper's dense tree (internal/core) or a cluster.Snapshot.
+// Calling a mutator on a frozen topology is a programming error and
+// panics; Clone returns a mutable copy. Writing Object.Available directly
+// bypasses the check, and lamavet's snapfrozen analyzer reports it.
 type Topology struct {
 	// Root is the machine object.
 	Root *Object
@@ -118,11 +117,11 @@ type Topology struct {
 }
 
 // Freeze makes the topology immutable: every later call to one of its
-// mutators panics. Holders of derived data (pruned views, snapshots)
-// freeze a topology before they cache against it, so what they derived
-// can never go stale. Freezing is idempotent. It is not synchronized:
-// concurrent freezers must hold a common lock, as the mapper's view cache
-// does.
+// mutators panics. Holders of derived data (a mapper's dense tree,
+// snapshots) freeze a topology before they cache against it, so what they
+// derived can never go stale. Freezing is idempotent. It is not
+// synchronized: concurrent freezers must hold a common lock, as the
+// mapper's shape cache does.
 //
 //lama:mutator
 func (t *Topology) Freeze() { t.frozen = true }
@@ -294,7 +293,16 @@ func (t *Topology) NumUsablePUs() int { return len(t.usable) }
 //
 //lama:hotpath
 func (t *Topology) UsableUnder(o *Object) []*Object {
-	s := t.usableSpan[o.Level][o.Logical]
+	return t.UsableAt(o.Level, o.Logical)
+}
+
+// UsableAt is UsableUnder of the object with the given level and logical
+// index, read without the object: the mapper's per-coordinate
+// availability check. The object must exist.
+//
+//lama:hotpath
+func (t *Topology) UsableAt(level Level, logical int) []*Object {
+	s := t.usableSpan[level][logical]
 	return t.usable[s[0]:s[1]:s[1]]
 }
 
@@ -395,37 +403,12 @@ func (t *Topology) AllowedSet() *CPUSet {
 	return s
 }
 
-// RemoveObject structurally removes the object at (level, logical) and its
-// subtree, renumbering logical indices and sibling ranks, to model truly
-// irregular hardware (e.g. a board with a missing socket). The machine root
-// cannot be removed. It returns false if no such object exists.
-//
-//lama:mutator
-func (t *Topology) RemoveObject(level Level, logical int) bool {
-	t.mustMutate("RemoveObject")
-	o := t.ObjectAt(level, logical)
-	if o == nil || o.Parent == nil {
-		return false
-	}
-	p := o.Parent
-	kept := p.Children[:0]
-	for _, c := range p.Children {
-		if c != o {
-			kept = append(kept, c)
-		}
-	}
-	p.Children = kept
-	if err := t.reindex(t.Root); err != nil {
-		panic(err) // a removal only shrinks a tree the table accepted
-	}
-	return true
-}
-
-// reindex makes root t's root and rebuilds the per-level indexes, logical
-// numbers, sibling ranks, hierarchy table and usable-PU list for it, after
-// a structural mutation. It fails, leaving t as it was, when newHierarchy
-// rejects the tree. The indexes are rebuilt into fresh slices, so the old
-// usable-PU list, which may alias the old PU index, is left intact.
+// reindex makes root t's root and builds the per-level indexes, logical
+// numbers, sibling ranks, hierarchy table and usable-PU list for it: the
+// last step of New and UnmarshalJSON. It fails, leaving t as it was, when
+// newHierarchy rejects the tree. The indexes are built into fresh slices,
+// so the old usable-PU list, which may alias the old PU index, is left
+// intact.
 //
 //lama:mutator
 func (t *Topology) reindex(root *Object) error {
@@ -490,8 +473,8 @@ func (t *Topology) Clone() *Topology {
 // topologies with equal signatures are structurally identical, so derived
 // availability-independent data (pruned iteration trees) can be shared
 // between them — the nodes of a homogeneous cluster all report the same
-// signature. It is computed when the structure is built or changed, never
-// on read, so concurrent readers (the workers of one sweep) do not race.
+// signature. It is computed when the structure is built, never on read,
+// so concurrent readers (the workers of one sweep) do not race.
 func (t *Topology) ShapeSig() string { return t.hier.shapeSig }
 
 // AppendStateKey appends to dst a key that two topologies share exactly

@@ -209,33 +209,6 @@ func TestAvailabilityAndRestrict(t *testing.T) {
 	}
 }
 
-func TestRemoveObjectIrregular(t *testing.T) {
-	topo := nehalem(t)
-	if !topo.RemoveObject(LevelCore, 3) {
-		t.Fatal("RemoveObject failed")
-	}
-	if topo.NumObjects(LevelCore) != 7 || topo.NumPUs() != 14 {
-		t.Fatalf("after removal: cores=%d pus=%d", topo.NumObjects(LevelCore), topo.NumPUs())
-	}
-	// Logical renumbering is dense again.
-	for i, c := range topo.Objects(LevelCore) {
-		if c.Logical != i {
-			t.Fatalf("core logical %d at %d", c.Logical, i)
-		}
-	}
-	// MaxChildren reflects irregularity: some L1 has 1 core, all do... here
-	// each L1 had exactly 1 core, so one L1 now has 0.
-	if got := topo.MaxChildren(LevelL1); got != 1 {
-		t.Fatalf("MaxChildren(L1) = %d", got)
-	}
-	if topo.RemoveObject(LevelMachine, 0) {
-		t.Fatal("must not remove root")
-	}
-	if topo.RemoveObject(LevelCore, 99) {
-		t.Fatal("must not remove missing object")
-	}
-}
-
 func TestClone(t *testing.T) {
 	topo := nehalem(t)
 	topo.SetAvailable(LevelCore, 2, false)
@@ -389,7 +362,7 @@ func TestQuickTopologyInvariants(t *testing.T) {
 				topo.Offline(randomSet(r, topo.NumPUs()+1))
 			case 3:
 				l := Level(1 + r.Intn(NumLevels-1))
-				topo.RemoveObject(l, r.Intn(topo.NumObjects(l)+1))
+				topo = withoutObject(topo, l, r.Intn(topo.NumObjects(l)+1))
 			case 4:
 				topo = topo.Clone()
 			case 5:
@@ -519,10 +492,36 @@ func TestShapeSigSetWithStructure(t *testing.T) {
 	if back.ShapeSig() != want {
 		t.Fatal("JSON round trip changed the signature")
 	}
-	topo.RemoveObject(LevelCore, 3)
-	if got := topo.ShapeSig(); got == want || got != topo.structureSig() {
-		t.Fatalf("after RemoveObject: ShapeSig = %q, structure %q", got, topo.structureSig())
+	cut := withoutObject(topo, LevelCore, 3)
+	if got := cut.ShapeSig(); got == want || got != cut.structureSig() {
+		t.Fatalf("without core 3: ShapeSig = %q, structure %q", got, cut.structureSig())
 	}
+}
+
+// withoutObject decodes t's wire form with the object at (level, logical)
+// and its subtree left out: a ragged tree, built the way every irregular
+// tree is. Without such an object it is a plain JSON round trip.
+func withoutObject(t *Topology, level Level, logical int) *Topology {
+	cut := t.ObjectAt(level, logical)
+	var dto func(o *Object) objectDTO
+	dto = func(o *Object) objectDTO {
+		d := toDTO(&Object{Level: o.Level, OS: o.OS, Available: o.Available})
+		for _, c := range o.Children {
+			if c != cut {
+				d.Children = append(d.Children, dto(c))
+			}
+		}
+		return d
+	}
+	data, err := json.Marshal(dto(t.Root))
+	if err != nil {
+		panic(err)
+	}
+	out := &Topology{}
+	if err := out.UnmarshalJSON(data); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // TestObjectSize pins hw.Object at 72 bytes, which the allocator serves

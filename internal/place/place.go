@@ -76,7 +76,7 @@ type Request struct {
 	Opts core.Options
 	// Mapper is caller-owned LAMA state to reuse across runs ("lama"
 	// policy): the policy re-points it at Cluster, Layout and Opts, so a
-	// Mapper kept across requests keeps its pruned views and scratch
+	// Mapper kept across requests keeps its dense tree and scratch
 	// arrays. Nil means a fresh Mapper per run. The output is the same
 	// either way. Like any Mapper it must not run two requests at once.
 	Mapper *core.Mapper

@@ -26,7 +26,7 @@ type Job struct {
 //
 // Each pool worker keeps one core.Mapper and sets it as Request.Mapper on
 // every job it runs, so a layout sweep of "lama" jobs over one cluster
-// rebuilds only the per-layout iteration state, not the pruned views. The
+// rebuilds only the per-layout iteration state, not the dense tree. The
 // caller's own Request.Mapper is ignored.
 //
 // The sweep-level observer is taken from the first job carrying one; the
