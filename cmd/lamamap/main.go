@@ -189,7 +189,11 @@ func run(args []string, out io.Writer) error {
 		if req.Level == 4 {
 			return fmt.Errorf("-trace requires a LAMA mapping (Levels 1-3)")
 		}
-		mapper, err := core.NewMapper(c, req.Layout, req.Opts)
+		// The listing re-maps; without the observer it stays out of the
+		// run report, which already counts the placement above.
+		opts := req.Opts
+		opts.Obs = nil
+		mapper, err := core.NewMapper(c, req.Layout, opts)
 		if err != nil {
 			return err
 		}

@@ -131,6 +131,30 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
+// TestTraceCountsOneMap checks that -trace's re-run for the iteration
+// listing stays out of the run report: one placement, one map counted.
+func TestTraceCountsOneMap(t *testing.T) {
+	reportPath := filepath.Join(t.TempDir(), "m.json")
+	var out bytes.Buffer
+	if err := run([]string{"-np", "8", "-cluster", "2xnehalem-ep", "-trace", "3",
+		"-metrics-out", reportPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Metrics struct{ Counters map[string]int64 }
+	}
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Metrics.Counters; got["lama_maps_total"] != 1 || got["lama_ranks_placed_total"] != 8 {
+		t.Fatalf("counters = %v, want 1 map of 8 ranks", got)
+	}
+}
+
 // TestObservabilityFlags checks the shared -trace-out/-metrics-out wiring:
 // the mapping and bind phases land in the report and the trace carries the
 // map completion event.

@@ -1,7 +1,7 @@
 // Command lamavet runs the repository's static-analysis suite (see
 // internal/analysis): mapiter, nodeterm, obsvocab, hotpath, ctxfirst,
-// and the lamavet/3 concurrency set — snapfrozen, lockcheck,
-// golifecycle, atomicmix.
+// the lamavet/3 concurrency set — snapfrozen, lockcheck, golifecycle,
+// atomicmix — and lamavet/4's deadcode.
 //
 // Standalone, the usual way:
 //
@@ -9,19 +9,19 @@
 //
 // exits 0 when the module is clean, 1 when there are findings (printed
 // one per line as file:line:col: analyzer: message), 2 on a load error.
-// Whole-module checks (obsvocab's dead-vocabulary-entry detection) run
-// only when the ./... pattern is among the arguments, since they are
-// meaningless on a slice of the module.
+// Whole-module checks (obsvocab's dead-vocabulary-entry detection,
+// deadcode) run only when the ./... pattern is among the arguments,
+// since they are meaningless on a slice of the module.
 //
 // With -json, the report is a machine-readable object:
 //
-//	{"version": "lamavet/3",
+//	{"version": "lamavet/4",
 //	 "findings":     [{"analyzer", "file", "line", "col", "message"}, ...],
 //	 "suppressions": [{"analyzer", "file", "line", "col", "kind", "reason"}, ...]}
 //
 // so CI can surface findings as annotations and audit the accepted
-// //lama:*-ok exemption set without grepping the tree. The exit code is
-// the same as in plain mode.
+// //lama:*-ok and //lama:api exemptions without grepping the tree. The
+// exit code is the same as in plain mode.
 //
 // The binary also speaks the go vet -vettool protocol:
 //

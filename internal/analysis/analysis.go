@@ -49,6 +49,10 @@
 //     accessed that way everywhere — mixed atomic and plain loads/stores
 //     on one field are reported at the plain sites.
 //
+// lamavet/4 adds deadcode: on whole-module runs, every exported
+// identifier of a lama/internal/... package must be reached by non-test
+// code of the module or carry a reasoned //lama:api marker.
+//
 // Annotation syntax (line comments, attached to the annotated line or the
 // line directly above; function-level kinds also attach to the doc
 // comment, type-level kinds to the type declaration's doc comment):
@@ -66,6 +70,7 @@
 //	//lama:lock-ok <reason>        accepts one lockcheck finding
 //	//lama:join-ok <reason>        accepts one golifecycle finding
 //	//lama:atomic-ok <reason>      accepts one atomicmix finding
+//	//lama:api <reason>            keeps an exported identifier deadcode finds unreached
 //
 // Suppressions require a reason; a bare annotation is itself reported.
 package analysis
@@ -81,7 +86,7 @@ import (
 // Version identifies the analyzer suite; it is recorded by lamabench's
 // lint provenance field and printed by `lamavet -V=full`. Bump it when an
 // analyzer's findings change.
-const Version = "lamavet/3"
+const Version = "lamavet/4"
 
 // Analyzer is one named static check.
 type Analyzer struct {
@@ -155,7 +160,7 @@ type Suppression struct {
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		MapIter(), NoDeterm(), ObsVocab(), HotPath(), CtxFirst(),
-		SnapFrozen(), LockCheck(), GoLifecycle(), AtomicMix(),
+		SnapFrozen(), LockCheck(), GoLifecycle(), AtomicMix(), DeadCode(),
 	}
 }
 

@@ -50,6 +50,15 @@ func runAnalyzer(t *testing.T, a *Analyzer, pkg *Package) []Diagnostic {
 	return diags
 }
 
+// runFinish applies one analyzer to a loaded package as the whole
+// program: Run, then the Finish hook.
+func runFinish(t *testing.T, a *Analyzer, pkg *Package) []Diagnostic {
+	t.Helper()
+	diags := runAnalyzer(t, a, pkg)
+	a.Finish(func(d Diagnostic) { diags = append(diags, d) })
+	return diags
+}
+
 type wantPattern struct {
 	file string
 	line int
@@ -116,22 +125,40 @@ func TestFixtures(t *testing.T) {
 	cases := []struct {
 		fixture  string
 		analyzer *Analyzer
+		run      func(*testing.T, *Analyzer, *Package) []Diagnostic
 	}{
-		{"mapiter", MapIter()},
-		{"nodeterm", NoDeterm()},
-		{"obsvocab", ObsVocab()},
-		{"hotpath", HotPath()},
-		{"ctxfirst", CtxFirst()},
-		{"snapfrozen", SnapFrozen()},
-		{"lockcheck", LockCheck()},
-		{"golifecycle", GoLifecycle()},
-		{"atomicmix", AtomicMix()},
+		{"mapiter", MapIter(), runAnalyzer},
+		{"nodeterm", NoDeterm(), runAnalyzer},
+		{"obsvocab", ObsVocab(), runAnalyzer},
+		{"hotpath", HotPath(), runAnalyzer},
+		{"ctxfirst", CtxFirst(), runAnalyzer},
+		{"snapfrozen", SnapFrozen(), runAnalyzer},
+		{"lockcheck", LockCheck(), runAnalyzer},
+		{"golifecycle", GoLifecycle(), runAnalyzer},
+		{"atomicmix", AtomicMix(), runAnalyzer},
+		{"deadcode", DeadCode(), runFinish},
 	}
 	for _, c := range cases {
 		t.Run(c.fixture, func(t *testing.T) {
 			pkg := loadFixture(t, l, c.fixture)
-			checkFixture(t, pkg, runAnalyzer(t, c.analyzer, pkg))
+			checkFixture(t, pkg, c.run(t, c.analyzer, pkg))
 		})
+	}
+}
+
+// TestDeadCodeRecordsMarkers checks that a reasoned //lama:api marker is
+// surfaced as a suppression with its reason.
+func TestDeadCodeRecordsMarkers(t *testing.T) {
+	a := DeadCode()
+	pkg := loadFixture(t, fixtureLoader(t), "deadcode")
+	pass := pkg.Pass(a, func(Diagnostic) {})
+	var sups []Suppression
+	pass.ReportSuppression = func(s Suppression) { sups = append(sups, s) }
+	if err := a.Run(pass); err != nil {
+		t.Fatal(err)
+	}
+	if len(sups) != 1 || sups[0].Kind != AnnotAPI || sups[0].Reason != "a separate module's client calls it" {
+		t.Fatalf("suppressions = %+v, want the one reasoned //lama:api marker", sups)
 	}
 }
 

@@ -39,6 +39,10 @@ const (
 	// atomicmix: //lama:atomic-ok <reason> accepts one mixed
 	// atomic-and-plain field access.
 	AnnotAtomicOK = "atomic-ok"
+
+	// deadcode: //lama:api <reason> keeps an exported identifier that no
+	// non-test code of the module reaches and says who uses it.
+	AnnotAPI = "api"
 )
 
 // annotPrefix introduces a lamavet annotation comment (no space after

@@ -152,6 +152,8 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // their dependencies) without analyzing anything, so later LoadDir calls
 // can resolve imports of them. Unresolvable patterns are skipped, not
 // errors (-e).
+//
+//lama:api the fixture harness gathers export data with it
 func (l *Loader) Gather(patterns ...string) error {
 	listed, err := l.goList(patterns...)
 	if err != nil {
@@ -170,6 +172,8 @@ func (l *Loader) Gather(patterns ...string) error {
 // against the export data gathered by previous Load calls, so a fixture
 // may import real module packages (lama/internal/obs) and any standard
 // library package the module itself depends on.
+//
+//lama:api the fixture harness loads each fixture with it
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -143,31 +143,6 @@ func specificSet(c *cluster.Cluster, p *core.Placement, level hw.Level) (*hw.CPU
 	return set, nil
 }
 
-// Width returns the binding width of a rank, or -1 if the rank is unknown.
-func (pl *Plan) WidthOf(rank int) int {
-	if rank < 0 || rank >= len(pl.Bindings) {
-		return -1
-	}
-	return pl.Bindings[rank].Width
-}
-
-// Overlaps returns the pairs of distinct ranks whose Specific bindings
-// share a PU on the same node. Under Specific binding with a
-// non-oversubscribed map at PU granularity this must be empty; coarser
-// levels may legitimately overlap (e.g. two ranks bound to one socket).
-func (pl *Plan) Overlaps() [][2]int {
-	var out [][2]int
-	for i := range pl.Bindings {
-		for j := i + 1; j < len(pl.Bindings); j++ {
-			a, b := &pl.Bindings[i], &pl.Bindings[j]
-			if a.Node == b.Node && a.CPUs.Intersects(b.CPUs) {
-				out = append(out, [2]int{a.Rank, b.Rank})
-			}
-		}
-	}
-	return out
-}
-
 // Check verifies that every binding is satisfiable on its node: non-empty
 // and fully usable. Policy None bindings are always satisfiable.
 func (pl *Plan) Check(c *cluster.Cluster) error {

@@ -73,17 +73,29 @@ func TestPolicySpecificCore(t *testing.T) {
 		}
 	}
 	// Two ranks per core (the two hyperthread passes) overlap at core
-	// granularity; each overlapping pair shares exactly a core.
-	ov := plan.Overlaps()
-	if len(ov) != 12 { // 12 cores, one pair each
-		t.Fatalf("overlaps = %d, want 12", len(ov))
+	// granularity; each overlapping pair shares exactly a core's 2 PUs.
+	if n := sharedPUs(plan); n != 24 { // 12 cores, one pair each
+		t.Fatalf("shared PUs = %d, want 24", n)
 	}
 	if err := plan.Check(c); err != nil {
 		t.Fatal(err)
 	}
-	if plan.WidthOf(0) != 2 || plan.WidthOf(99) != -1 {
-		t.Fatal("WidthOf wrong")
+}
+
+// sharedPUs counts the claims on a (node, PU) beyond its first binding.
+func sharedPUs(plan *Plan) int {
+	seen := map[[2]int]bool{}
+	n := 0
+	for _, b := range plan.Bindings {
+		for _, pu := range b.CPUs.Members() {
+			k := [2]int{b.Node, pu}
+			if seen[k] {
+				n++
+			}
+			seen[k] = true
+		}
 	}
+	return n
 }
 
 func TestPolicySpecificPUNoOverlap(t *testing.T) {
@@ -97,8 +109,8 @@ func TestPolicySpecificPUNoOverlap(t *testing.T) {
 			t.Fatalf("PU width = %d", b.Width)
 		}
 	}
-	if ov := plan.Overlaps(); len(ov) != 0 {
-		t.Fatalf("PU-level bindings overlap: %v", ov)
+	if n := sharedPUs(plan); n != 0 {
+		t.Fatalf("PU-level bindings share %d PUs", n)
 	}
 }
 
@@ -136,8 +148,8 @@ func TestSpecificFinerThanLeaf(t *testing.T) {
 			t.Fatalf("width = %d, want 1 (claimed PU only)", b.Width)
 		}
 	}
-	if ov := plan.Overlaps(); len(ov) != 0 {
-		t.Fatalf("unexpected overlaps: %v", ov)
+	if n := sharedPUs(plan); n != 0 {
+		t.Fatalf("bindings share %d PUs", n)
 	}
 }
 

@@ -30,6 +30,19 @@ type Node struct {
 	MaxSlots int
 }
 
+// AppendStateKey appends to dst a key two nodes share exactly when a
+// mapping run cannot tell them apart: interchangeable topologies
+// (hw.Topology.AppendStateKey: shape, OS numbering, availability) and the
+// same slot limits.
+//
+//lama:cow Node
+func (n *Node) AppendStateKey(dst []byte) []byte {
+	_ = n.Name // excluded: renaming a node does not change how it maps
+	dst = n.Topo.AppendStateKey(dst)
+	dst = strconv.AppendInt(append(dst, '|'), int64(n.Slots), 10)
+	return strconv.AppendInt(append(dst, '/'), int64(n.MaxSlots), 10)
+}
+
 // EffectiveSlots resolves the node's slot count: an explicit count if set,
 // otherwise the number of usable cores (or usable PUs when a core-less
 // decoded topology is in use).
@@ -139,29 +152,11 @@ func (c *Cluster) NodeByName(name string) (*Node, int) {
 	return nil, -1
 }
 
-// TotalPUs returns the cluster-wide PU count (available or not).
-func (c *Cluster) TotalPUs() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.Topo.NumPUs()
-	}
-	return total
-}
-
 // TotalUsablePUs returns the cluster-wide usable PU count.
 func (c *Cluster) TotalUsablePUs() int {
 	total := 0
 	for _, n := range c.Nodes {
 		total += n.Topo.NumUsablePUs()
-	}
-	return total
-}
-
-// TotalSlots returns the sum of effective slots across nodes.
-func (c *Cluster) TotalSlots() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.EffectiveSlots()
 	}
 	return total
 }

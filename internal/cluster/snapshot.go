@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"strings"
 
 	"lama/internal/hw"
 )
@@ -64,6 +64,7 @@ type Snapshot struct {
 //lama:cow Snapshot
 //lama:cow Cluster
 //lama:cow Node
+//lama:api bench/lamaload, a separate module, builds its snapshots with it
 func SnapshotOf(c *Cluster) *Snapshot {
 	s := &Snapshot{epoch: 1, c: &Cluster{Nodes: make([]*Node, len(c.Nodes))}}
 	shared := map[string]*hw.Topology{}
@@ -130,17 +131,17 @@ func (s *Snapshot) Sig() string {
 	}
 	memo := map[stamp]string{}
 	// The digest is order-sensitive: node order is the logical node
-	// numbering. Each node's signature is written NUL-terminated.
+	// numbering. Each node's state key is written length-prefixed.
 	h := sha256.New()
 	var buf []byte
 	for _, n := range s.c.Nodes {
 		k := stamp{n.Topo, n.Slots, n.MaxSlots}
 		sig, ok := memo[k]
 		if !ok {
-			sig = nodeSig(n)
+			sig = string(n.AppendStateKey(nil))
 			memo[k] = sig
 		}
-		buf = append(append(buf[:0], sig...), 0)
+		buf = append(binary.AppendUvarint(buf[:0], uint64(len(sig))), sig...)
 		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:12])
@@ -225,21 +226,4 @@ func (s *Snapshot) AppendNode(n *Node) *Snapshot {
 	nn.Topo.Freeze()
 	child.c.Nodes = append(child.c.Nodes, nn)
 	return child
-}
-
-// nodeSig stamps one node: structural shape, the exact usable PU set
-// (ancestor availability included), and the slot policy. Everything a
-// mapping run can observe about the node is covered.
-//
-//lama:cow Node
-func nodeSig(n *Node) string {
-	_ = n.Name // excluded: renaming a node does not change how it maps
-	var sb strings.Builder
-	sb.WriteString(n.Topo.ShapeSig())
-	sb.WriteByte('|')
-	for _, pu := range n.Topo.UsablePUs() {
-		fmt.Fprintf(&sb, "%x,", pu.OS)
-	}
-	fmt.Fprintf(&sb, "|%d|%d", n.Slots, n.MaxSlots)
-	return sb.String()
 }

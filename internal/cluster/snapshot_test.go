@@ -155,7 +155,7 @@ func TestSnapshotFailNodeCOW(t *testing.T) {
 	if s1.Sig() == s2.Sig() {
 		t.Fatal("Sig must change across a failure")
 	}
-	sig := func(s *Snapshot, i int) string { return nodeSig(s.Cluster().Node(i)) }
+	sig := func(s *Snapshot, i int) string { return stateKey(s.Cluster().Node(i)) }
 	if sig(s1, 0) != sig(s2, 0) || sig(s1, 1) == sig(s2, 1) {
 		t.Fatal("per-node sigs: twins stable, failed node split")
 	}
@@ -303,7 +303,7 @@ func TestSnapshotOfSharesTopologies(t *testing.T) {
 		if got, want := usableOS(n), usableOS(c.Node(i)); got != want {
 			t.Errorf("node %d: snapshot usable PUs %s, live %s", i, got, want)
 		}
-		if got, want := nodeSig(n), nodeSig(c.Node(i)); got != want {
+		if got, want := stateKey(n), stateKey(c.Node(i)); got != want {
 			t.Errorf("node %d: snapshot sig %q, live %q", i, got, want)
 		}
 	}
@@ -353,6 +353,9 @@ func sameSnapshot(t *testing.T, name string, got, want *Snapshot) {
 	}
 }
 
+// stateKey is n's state key as a string.
+func stateKey(n *Node) string { return string(n.AppendStateKey(nil)) }
+
 // nodeState is what a derivation must leave alone on every node it does
 // not touch: the tree, what it offers and its signature.
 type nodeState struct {
@@ -364,7 +367,7 @@ type nodeState struct {
 func nodeStates(s *Snapshot) []nodeState {
 	out := make([]nodeState, s.NumNodes())
 	for i, n := range s.Cluster().Nodes {
-		out[i] = nodeState{n.Topo, usableOS(n), nodeSig(n)}
+		out[i] = nodeState{n.Topo, usableOS(n), stateKey(n)}
 	}
 	return out
 }
@@ -372,7 +375,7 @@ func nodeStates(s *Snapshot) []nodeState {
 // TestQuickDerivationsLeaveSharersAlone: FailNode, FailPUs and AppendNode
 // on a node whose tree other nodes share must leave every other node as it
 // was, in the child and in the parent: the same topology pointer, usable
-// PUs and nodeSig.
+// PUs and state key.
 func TestQuickDerivationsLeaveSharersAlone(t *testing.T) {
 	sp := specNehalem(t)
 	f := func(seed int64) bool {

@@ -58,6 +58,8 @@ func (m *Matrix) Row(r int) (peers []int32, out, in []float64) {
 
 // Bytes returns the traffic from rank i to rank j (0 when absent or out
 // of range), by binary search within row i.
+//
+//lama:api test oracle: the commpat tests hold Row, the parser and the fuzzer to it
 func (m *Matrix) Bytes(i, j int) float64 {
 	if i < 0 || j < 0 || i >= m.n || j >= m.n {
 		return 0
@@ -70,6 +72,8 @@ func (m *Matrix) Bytes(i, j int) float64 {
 }
 
 // Total returns the total bytes in the matrix, summed in Each's order.
+//
+//lama:api test oracle: the commpat tests check built and parsed totals against it
 func (m *Matrix) Total() float64 {
 	t := 0.0
 	for _, v := range m.out {

@@ -127,14 +127,3 @@ func (l Layout) IntraNode() []hw.Level {
 	sort.Slice(intra, func(i, j int) bool { return intra[i] < intra[j] })
 	return intra
 }
-
-// DeepestIntra returns the deepest non-node level of the layout, which is
-// the level of the objects ranks are mapped to after pruning. The boolean
-// is false when the layout is node-only.
-func (l Layout) DeepestIntra() (hw.Level, bool) {
-	intra := l.IntraNode()
-	if len(intra) == 0 {
-		return 0, false
-	}
-	return intra[len(intra)-1], true
-}

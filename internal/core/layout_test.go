@@ -85,12 +85,7 @@ func TestLayoutQueries(t *testing.T) {
 			t.Fatalf("IntraNode[%d] = %s, want %s (canonical order)", i, intra[i], want[i])
 		}
 	}
-	deep, ok := l.DeepestIntra()
-	if !ok || deep != hw.LevelPU {
-		t.Fatalf("DeepestIntra = %v %v", deep, ok)
-	}
-	nodeOnly := MustParseLayout("n")
-	if _, ok := nodeOnly.DeepestIntra(); ok {
-		t.Fatal("node-only layout has no intra levels")
+	if intra := MustParseLayout("n").IntraNode(); len(intra) != 0 {
+		t.Fatalf("node-only layout has intra levels %v", intra)
 	}
 }

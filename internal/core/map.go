@@ -98,14 +98,6 @@ func (m *Map) RanksByNode() map[int][]int {
 	return out
 }
 
-// NodeOf returns the node index for a rank, or -1.
-func (m *Map) NodeOf(rank int) int {
-	if rank < 0 || rank >= len(m.Placements) {
-		return -1
-	}
-	return m.Placements[rank].Node
-}
-
 // Validate checks internal consistency of the map against a cluster:
 // ranks dense and ordered, nodes in range, claimed PUs usable on their
 // node and beneath the rank's leaf (so a leaf belongs to its node's

@@ -423,9 +423,6 @@ func TestMapRendering(t *testing.T) {
 			t.Fatalf("RenderByNode missing %q:\n%s", want, byNode)
 		}
 	}
-	if m.NodeOf(0) != 0 || m.NodeOf(99) != -1 {
-		t.Fatal("NodeOf wrong")
-	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {

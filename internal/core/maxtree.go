@@ -67,9 +67,6 @@ func appendDescendantsAt(dst []*hw.Object, o *hw.Object, level hw.Level) []*hw.O
 	return dst
 }
 
-// Levels returns the pruned tree's level list (canonical order).
-func (pt *PrunedTree) Levels() []hw.Level { return pt.levels }
-
 // Lookup resolves per-depth child indices (canonical order, one per pruned
 // level) to the underlying hardware object. It returns nil when the
 // coordinate does not exist on this node — the "resource exists" half of
@@ -137,9 +134,6 @@ func NewMaximalTree(topos []*hw.Topology, levels []hw.Level) *MaximalTree {
 
 // Width returns the iteration width at pruned depth d.
 func (mt *MaximalTree) Width(d int) int { return mt.widths[d] }
-
-// Levels returns the intra-node levels in canonical order.
-func (mt *MaximalTree) Levels() []hw.Level { return mt.levels }
 
 // Lookup resolves coordinates on the node-th tree; nil if absent.
 func (mt *MaximalTree) Lookup(node int, coords []int) *hw.Object {

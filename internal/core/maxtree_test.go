@@ -25,9 +25,6 @@ func TestPrunedTreeRenumbering(t *testing.T) {
 	if pt.Lookup([]int{4}) != nil || pt.Lookup([]int{-1}) != nil {
 		t.Fatal("out-of-range Lookup should be nil")
 	}
-	if len(pt.Levels()) != 1 {
-		t.Fatal("Levels wrong")
-	}
 }
 
 func TestPrunedTreeDeepPath(t *testing.T) {
@@ -84,8 +81,5 @@ func TestMaximalTreeUnion(t *testing.T) {
 	}
 	if mt.Lookup(5, []int{0}) != nil || mt.Lookup(-1, []int{0}) != nil {
 		t.Fatal("bad node index should be nil")
-	}
-	if len(mt.Levels()) != 3 {
-		t.Fatal("Levels wrong")
 	}
 }

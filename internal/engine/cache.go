@@ -16,8 +16,8 @@ import (
 // new one and none is reused, so an entry is served only for the snapshot
 // it was mapped on, even where a rollback re-register and replayed events
 // reach an epoch, or a snapshot, published before. Policy, layout, pes
-// and oversubscribe select the run; pattern and bytes are kept so that a
-// request naming an unknown pattern still fails rather than hit.
+// and oversubscribe select the run; pattern and bytes do too, but only
+// for a place.TrafficAware policy, the one kind that reads them.
 //
 // np is in the key only for a policy that is not place.PrefixClosed. For
 // a prefix-closed one (the LAMA, whose np is only the stop test of its
@@ -37,15 +37,15 @@ type cacheKey struct {
 
 // keyOf derives the cache key for a request against a publication, folding
 // equivalent spellings together: policy "" is "lama", layout "" is
-// "csbnh" and pes_per_proc <= 0 is 1, as the mapper reads them. It
+// "csbnh" and pes_per_proc <= 0 is 1, as the mapper reads them, and a
+// policy that reads no traffic ignores pattern and bytes. It
 // reports whether the policy is prefix-closed, and so left np out. The
 // caller has rejected a NaN Bytes: it would make a key that equals
 // nothing, not even itself.
 func keyOf(req *Request, pub uint64) (cacheKey, bool) {
 	k := cacheKey{
 		cluster: req.Cluster, pub: pub,
-		policy: req.Policy, layout: req.Layout, pattern: req.Pattern,
-		bytes: req.Bytes, pes: max(req.PEsPerProc, 1),
+		policy: req.Policy, layout: req.Layout, pes: max(req.PEsPerProc, 1),
 		oversubscribe: req.Oversubscribe, np: req.NP,
 	}
 	if k.policy == "" {
@@ -55,6 +55,9 @@ func keyOf(req *Request, pub uint64) (cacheKey, bool) {
 		k.layout = "csbnh"
 	}
 	p, _ := place.Lookup(k.policy)
+	if _, reads := p.(place.TrafficAware); reads {
+		k.pattern, k.bytes = req.Pattern, req.Bytes
+	}
 	_, closed := p.(place.PrefixClosed)
 	if closed {
 		k.np = 0

@@ -382,6 +382,9 @@ func (e *Engine) Place(ctx context.Context, req *Request) (*Response, error) {
 	if math.IsNaN(req.Bytes) || math.IsInf(req.Bytes, 0) {
 		return nil, fmt.Errorf("engine: bytes %g is not finite", req.Bytes)
 	}
+	if _, ok := commpat.ByName(req.Pattern); req.Pattern != "" && !ok {
+		return nil, fmt.Errorf("engine: unknown traffic pattern %q", req.Pattern)
+	}
 	e.mu.RLock()
 	ce := e.clusters[req.Cluster]
 	e.mu.RUnlock()
@@ -503,10 +506,7 @@ func (e *Engine) place(ctx context.Context, w *worker, snap *Snapshot, req *Requ
 		preq.Layout = layout
 	}
 	if req.Pattern != "" {
-		gen, ok := commpat.ByName(req.Pattern)
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown traffic pattern %q", req.Pattern)
-		}
+		gen, _ := commpat.ByName(req.Pattern) // Place rejected an unknown name
 		// Only a policy that reads traffic gets it, and only once np has
 		// passed the capacity check and the pair bound.
 		p, _ := place.Lookup(policy)

@@ -45,6 +45,8 @@ type PlacementJSON struct {
 }
 
 // PlaceResponseJSON is the wire form of a served placement.
+//
+//lama:api bench/lamaload, a separate module, decodes replies into it
 type PlaceResponseJSON struct {
 	Cluster    string          `json:"cluster"`
 	Epoch      uint64          `json:"epoch"`

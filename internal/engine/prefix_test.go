@@ -194,8 +194,14 @@ func TestEngineKeyFoldsDefaults(t *testing.T) {
 	if n := reg.Counter("lama_engine_cache_prefix_hits_total").Value(); n != 1 {
 		t.Fatalf("prefix hits %d, want 1", n)
 	}
+	// The LAMA reads no traffic: pattern and bytes leave its key alone.
+	serve(`{"cluster":"test","np":32,"pattern":"ring","bytes":5}`)
+	if n := reg.Counter("lama_engine_cache_prefix_hits_total").Value(); n != 2 {
+		t.Fatalf("prefix hits %d after a pattern-carrying request, want 2", n)
+	}
 	for _, req := range []Request{
 		{Cluster: "test", NP: 8, Policy: "no-such"},
+		{Cluster: "test", NP: 8, Pattern: "no-such"},
 		{Cluster: "test", NP: 8, Layout: "csbnhx"},
 		{Cluster: "test", NP: 8, Layout: "csbh"},
 	} {

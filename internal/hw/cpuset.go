@@ -71,17 +71,6 @@ func (s *CPUSet) SetPUs(pus []*Object) {
 	}
 }
 
-// Clear removes pu from the set.
-func (s *CPUSet) Clear(pu int) {
-	if pu < 0 {
-		return
-	}
-	w := pu / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << uint(pu%wordBits)
-	}
-}
-
 // Contains reports whether pu is in the set.
 func (s *CPUSet) Contains(pu int) bool {
 	if s == nil || pu < 0 {
@@ -124,46 +113,6 @@ func (s *CPUSet) Or(o *CPUSet) {
 	for i, w := range o.words {
 		s.words[i] |= w
 	}
-}
-
-// And sets s to the intersection of s and o.
-func (s *CPUSet) And(o *CPUSet) {
-	for i := range s.words {
-		if o == nil || i >= len(o.words) {
-			s.words[i] = 0
-		} else {
-			s.words[i] &= o.words[i]
-		}
-	}
-}
-
-// AndNot removes from s every PU present in o.
-func (s *CPUSet) AndNot(o *CPUSet) {
-	if o == nil {
-		return
-	}
-	for i := range s.words {
-		if i < len(o.words) {
-			s.words[i] &^= o.words[i]
-		}
-	}
-}
-
-// Intersects reports whether s and o share at least one PU.
-func (s *CPUSet) Intersects(o *CPUSet) bool {
-	if s == nil || o == nil {
-		return false
-	}
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether s and o contain exactly the same PUs.
@@ -209,19 +158,6 @@ func (s *CPUSet) IsSubset(o *CPUSet) bool {
 		}
 	}
 	return true
-}
-
-// First returns the smallest PU in the set, or -1 if the set is empty.
-func (s *CPUSet) First() int {
-	if s == nil {
-		return -1
-	}
-	for i, w := range s.words {
-		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // Nth returns the n-th smallest PU in the set (0-based), or -1 if the set

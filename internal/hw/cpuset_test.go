@@ -8,7 +8,7 @@ import (
 
 func TestCPUSetBasics(t *testing.T) {
 	s := NewCPUSet()
-	if !s.Empty() || s.Count() != 0 || s.First() != -1 {
+	if !s.Empty() || s.Count() != 0 || s.Nth(0) != -1 {
 		t.Fatalf("empty set misbehaves: %v", s)
 	}
 	s.Set(3)
@@ -20,17 +20,8 @@ func TestCPUSetBasics(t *testing.T) {
 	if !s.Contains(3) || !s.Contains(70) || s.Contains(4) {
 		t.Fatal("Contains wrong")
 	}
-	if s.First() != 3 {
-		t.Fatalf("First = %d, want 3", s.First())
-	}
-	s.Clear(3)
-	if s.Contains(3) || s.Count() != 1 {
-		t.Fatal("Clear failed")
-	}
-	s.Clear(1000) // out of range: no-op
-	s.Clear(-1)   // negative: no-op
-	if s.Count() != 1 {
-		t.Fatal("out-of-range Clear changed the set")
+	if s.Nth(0) != 3 {
+		t.Fatalf("Nth(0) = %d, want 3", s.Nth(0))
 	}
 }
 
@@ -39,8 +30,8 @@ func TestCPUSetNilReceivers(t *testing.T) {
 	if s.Contains(0) || s.Count() != 0 || !s.Empty() {
 		t.Fatal("nil set should behave as empty")
 	}
-	if s.First() != -1 || s.Nth(0) != -1 {
-		t.Fatal("nil First/Nth")
+	if s.Nth(0) != -1 {
+		t.Fatal("nil Nth")
 	}
 	if s.Members() != nil {
 		t.Fatal("nil Members")
@@ -53,9 +44,6 @@ func TestCPUSetNilReceivers(t *testing.T) {
 	}
 	if !s.IsSubset(NewCPUSet(1)) {
 		t.Fatal("nil IsSubset")
-	}
-	if s.Intersects(NewCPUSet(1)) {
-		t.Fatal("nil Intersects")
 	}
 }
 
@@ -103,21 +91,7 @@ func TestCPUSetOps(t *testing.T) {
 		t.Errorf("Or = %q, want %q", got, want)
 	}
 
-	i := a.Clone()
-	i.And(b)
-	if got, want := i.String(), "2,65"; got != want {
-		t.Errorf("And = %q, want %q", got, want)
-	}
-
-	d := a.Clone()
-	d.AndNot(b)
-	if got, want := d.String(), "0-1"; got != want {
-		t.Errorf("AndNot = %q, want %q", got, want)
-	}
-
-	if !a.Intersects(b) || a.Intersects(NewCPUSet(99)) {
-		t.Error("Intersects wrong")
-	}
+	i := NewCPUSet(2, 65)
 	if !i.IsSubset(a) || !i.IsSubset(b) || a.IsSubset(b) {
 		t.Error("IsSubset wrong")
 	}
@@ -125,8 +99,7 @@ func TestCPUSetOps(t *testing.T) {
 
 func TestCPUSetEqualDifferentLengths(t *testing.T) {
 	a := NewCPUSet(1)
-	b := NewCPUSet(1, 300)
-	b.Clear(300) // b now has extra zero words
+	b := &CPUSet{words: []uint64{1 << 1, 0, 0, 0, 0}} // extra zero words
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatal("Equal should ignore trailing zero words")
 	}
@@ -186,32 +159,6 @@ func TestQuickCPUSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickCPUSetDeMorgan(t *testing.T) {
-	// Over a fixed universe U: U \ (A u B) == (U \ A) n (U \ B).
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		u := CPUSetRange(0, 127)
-		a, b := randomSet(r, 128), randomSet(r, 128)
-
-		ab := a.Clone()
-		ab.Or(b)
-		lhs := u.Clone()
-		lhs.AndNot(ab)
-
-		na := u.Clone()
-		na.AndNot(a)
-		nb := u.Clone()
-		nb.AndNot(b)
-		rhs := na.Clone()
-		rhs.And(nb)
-
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickCPUSetMembersSorted(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -245,9 +192,13 @@ func TestQuickCPUSetUnionCount(t *testing.T) {
 		a, b := randomSet(r, 150), randomSet(r, 150)
 		u := a.Clone()
 		u.Or(b)
-		i := a.Clone()
-		i.And(b)
-		return u.Count() == a.Count()+b.Count()-i.Count()
+		both := 0
+		for _, pu := range a.Members() {
+			if b.Contains(pu) {
+				both++
+			}
+		}
+		return u.Count() == a.Count()+b.Count()-both
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -46,17 +46,6 @@ func PresetNames() []string {
 	return names
 }
 
-// FormatSpec renders a spec as the colon form "b:s:N:L3:L2:L1:c:h",
-// e.g. "1:2:1:1:4:1:1:2".
-func FormatSpec(sp Spec) string {
-	w := sp.widths()
-	parts := make([]string, 0, NumLevels-1)
-	for d := 1; d < NumLevels; d++ {
-		parts = append(parts, strconv.Itoa(w[d]))
-	}
-	return strings.Join(parts, ":")
-}
-
 // ParseSpec parses either a preset name ("nehalem-ep"), the full colon form
 // "b:s:N:L3:L2:L1:c:h", or the short colon form "s:c:h" (boards, NUMA and
 // caches default to width 1).

@@ -22,7 +22,6 @@ import (
 	"lama/internal/core"
 	"lama/internal/hw"
 	"lama/internal/obs"
-	"lama/internal/orte"
 	"lama/internal/place"
 	_ "lama/internal/place/all" // link every built-in policy for --policy
 	"lama/internal/rankfile"
@@ -324,12 +323,10 @@ func bindLevel(name string) (hw.Level, bool) {
 	}
 }
 
-// Result is a fully planned launch: map plus binding plan. Job is set
-// only by Launch.
+// Result is a fully planned launch: map plus binding plan.
 type Result struct {
 	Map  *core.Map
 	Plan *bind.Plan
-	Job  *orte.Job
 }
 
 // PolicyName resolves the placement policy the request uses: an explicit
@@ -395,22 +392,4 @@ func Execute(ctx context.Context, req *Request, c *cluster.Cluster) (*Result, er
 		return nil, err
 	}
 	return &Result{Map: m, Plan: plan}, nil
-}
-
-// Launch completes the pipeline: Execute (place → stages → bind), then
-// start the job on the ORTE runtime under a "launch" span and simulate it
-// for the given number of steps.
-func Launch(ctx context.Context, req *Request, c *cluster.Cluster, steps int) (*Result, error) {
-	res, err := Execute(ctx, req, c)
-	if err != nil {
-		return nil, err
-	}
-	endLaunch := req.Opts.Obs.StartSpan(obs.SpanLaunch)
-	job, err := orte.NewRuntime(c).Launch(res.Map, res.Plan, steps)
-	endLaunch()
-	if err != nil {
-		return nil, err
-	}
-	res.Job = job
-	return res, nil
 }

@@ -142,8 +142,9 @@ func TestExecuteHonorsExplicitPolicy(t *testing.T) {
 	}
 }
 
-// TestLaunchRunsFullPipeline drives place → bind → launch in one call.
-func TestLaunchRunsFullPipeline(t *testing.T) {
+// TestExecuteRecordsPipelineSpans drives place → bind in one call and
+// finds both phase spans.
+func TestExecuteRecordsPipelineSpans(t *testing.T) {
 	sp, _ := hw.Preset("fig2")
 	c := cluster.Homogeneous(2, sp)
 	o := &obs.Observer{Phases: obs.NewPhaseTimer()}
@@ -152,18 +153,14 @@ func TestLaunchRunsFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Opts.Obs = o
-	res, err := Launch(context.Background(), req, c, 10)
-	if err != nil {
+	if _, err := Execute(context.Background(), req, c); err != nil {
 		t.Fatal(err)
-	}
-	if res.Job == nil {
-		t.Fatal("Launch returned no job")
 	}
 	phases := map[string]bool{}
 	for _, s := range o.Phases.Spans() {
 		phases[s.Name] = true
 	}
-	for _, want := range []string{"place", "bind", "launch"} {
+	for _, want := range []string{"place", "bind"} {
 		if !phases[want] {
 			t.Errorf("missing %s span (phases %v)", want, phases)
 		}

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"lama/internal/cluster"
 	"lama/internal/commpat"
@@ -82,12 +81,13 @@ func OrderNodes(c *cluster.Cluster, mo *netsim.Model, tm *commpat.Matrix, m *cor
 	// identical.
 	class := make([]int, c.NumNodes())
 	classIDs := map[string]int{}
+	var key []byte
 	for n, nd := range c.Nodes {
-		key := nodeClassKey(nd)
-		id, ok := classIDs[key]
+		key = nd.AppendStateKey(key[:0])
+		id, ok := classIDs[string(key)]
 		if !ok {
 			id = len(classIDs)
-			classIDs[key] = id
+			classIDs[string(key)] = id
 		}
 		class[n] = id
 	}
@@ -314,18 +314,6 @@ func maxAdjacencyOrder(g *nodeAdj) []int {
 		}
 		cur = next
 	}
-}
-
-// nodeClassKey fingerprints what a node offers a rank group: topology
-// shape, PU OS numbering, the availability of every object (a failed node
-// or an off-line socket keeps its PUs' own flags) and slot limits. Groups
-// move only between same-key nodes, so every PU claim stays valid after
-// the move.
-func nodeClassKey(nd *cluster.Node) string {
-	key := nd.Topo.AppendStateKey(nil)
-	key = strconv.AppendInt(append(key, '|'), int64(nd.Slots), 10)
-	key = strconv.AppendInt(append(key, '/'), int64(nd.MaxSlots), 10)
-	return string(key)
 }
 
 // Stage is the node-ordering post-pass (place.Stage). It requires the

@@ -126,6 +126,8 @@ func (cs *Cost) ApplySwap(a, b int) float64 {
 
 // Recompute re-derives J from scratch in O(nnz) without modifying state
 // — the drift guard the differential tests lean on.
+//
+//lama:api test oracle: the delta-J differential tests check drift against it
 func (cs *Cost) Recompute() float64 {
 	j := 0.0
 	cs.tm.Each(func(a, b int, bytes float64) {

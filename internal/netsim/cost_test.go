@@ -135,12 +135,21 @@ func testTraffic(np int) map[string]*commpat.Matrix {
 	return out
 }
 
+// totalSlots sums the effective slots of c's nodes.
+func totalSlots(c *cluster.Cluster) int {
+	n := 0
+	for _, node := range c.Nodes {
+		n += node.EffectiveSlots()
+	}
+	return n
+}
+
 // TestCostMatchesEvaluate pins the single pricing path: a fresh Cost and
 // Model.Evaluate sum the same Pricing edges in the same Each order, so J
 // and TotalTime are equal exactly, not just within a tolerance.
 func TestCostMatchesEvaluate(t *testing.T) {
 	for cname, c := range testClusters(t) {
-		np := c.TotalSlots()
+		np := totalSlots(c)
 		if np > 48 {
 			np = 48
 		}
@@ -183,7 +192,7 @@ func cloneMap(m *core.Map) *core.Map {
 
 func TestDeltaSwapDifferential(t *testing.T) {
 	for cname, c := range testClusters(t) {
-		np := c.TotalSlots()
+		np := totalSlots(c)
 		if np > 36 {
 			np = 36
 		}

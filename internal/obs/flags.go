@@ -21,8 +21,6 @@ type CLIFlags struct {
 	Listen string
 	// Verbose additionally renders every event human-readably on stderr.
 	Verbose bool
-
-	server *Server
 }
 
 // RegisterVersionFlag installs the shared -version flag on a FlagSet.
@@ -58,16 +56,6 @@ func RegisterFlags(fs *flag.FlagSet) *CLIFlags {
 // Enabled reports that any observability output was requested.
 func (f *CLIFlags) Enabled() bool {
 	return f != nil && (f.TraceOut != "" || f.MetricsOut != "" || f.Listen != "" || f.Verbose)
-}
-
-// ListenAddr returns the telemetry server's bound address once Observer
-// has started it ("" when -listen was not given). With -listen :0 this is
-// how callers and tests learn the picked port.
-func (f *CLIFlags) ListenAddr() string {
-	if f == nil || f.server == nil {
-		return ""
-	}
-	return f.server.Addr()
 }
 
 // Observer builds the observer the flags describe, or nil (zero cost) when
@@ -113,7 +101,6 @@ func (f *CLIFlags) Observer(stderr io.Writer) (*Observer, func() error, error) {
 			}
 			return nil, nil, err
 		}
-		f.server = server
 		fmt.Fprintf(stderr, "obs: serving telemetry on http://%s\n", addr)
 	case f.MetricsOut != "":
 		o.Metrics, o.Phases = NewRegistry(), NewPhaseTimer()

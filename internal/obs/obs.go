@@ -170,6 +170,8 @@ type MemorySink struct {
 }
 
 // NewMemorySink returns an empty in-memory sink.
+//
+//lama:api test sink: tests across the module collect events with it
 func NewMemorySink() *MemorySink { return &MemorySink{} }
 
 // Emit appends the event.
@@ -183,6 +185,8 @@ func (s *MemorySink) Emit(e Event) {
 func (s *MemorySink) Close() error { return nil }
 
 // Events returns a snapshot of the collected events.
+//
+//lama:api test sink: tests across the module read collected events with it
 func (s *MemorySink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,6 +195,8 @@ func (s *MemorySink) Events() []Event {
 
 // Names returns the collected "src/event" names in order, optionally
 // filtered to one source — the shape assertions in tests key off this.
+//
+//lama:api test sink: tests across the module assert event order with it
 func (s *MemorySink) Names(source string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,6 +219,8 @@ func (discardSink) Emit(Event) {}
 func (discardSink) Close() error { return nil }
 
 // Discard is a sink that drops every event.
+//
+//lama:api test sink: the enabled-observer benchmarks emit into it
 var Discard Sink = discardSink{}
 
 // multiSink fans events out to several sinks.
@@ -302,9 +310,6 @@ func (o *Observer) StartSpan(name string) func() {
 	}
 	return o.Phases.Start(name)
 }
-
-// Timing reports that phase spans are being recorded.
-func (o *Observer) Timing() bool { return o != nil && o.Phases != nil }
 
 // Close closes the sink, if any.
 func (o *Observer) Close() error {

@@ -112,7 +112,7 @@ func TestMultiSink(t *testing.T) {
 
 func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
-	if o.Enabled() || o.Timing() {
+	if o.Enabled() {
 		t.Fatal("nil observer claims enabled")
 	}
 	o.Emit("map", "done", F("np", 1)) // must not panic
@@ -334,7 +334,7 @@ func TestCLIFlagsObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.Enabled() || !o.Timing() || o.Reg() == nil {
+	if !o.Enabled() || o.Phases == nil || o.Reg() == nil {
 		t.Fatal("observer not fully enabled")
 	}
 	end := o.StartSpan("place")

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultRingCapacity is the event capacity of the ring buffer the -listen
@@ -46,13 +45,8 @@ type RingSub struct {
 	// closed or the subscription is cancelled with Unsubscribe.
 	C <-chan Event
 
-	ch      chan Event
-	dropped atomic.Int64
+	ch chan Event
 }
-
-// Dropped returns the number of events this subscriber lost because its
-// channel was full when they were emitted.
-func (s *RingSub) Dropped() int64 { return s.dropped.Load() }
 
 // NewRingSink returns a ring buffer retaining the newest capacity events
 // (DefaultRingCapacity when capacity <= 0).
@@ -80,7 +74,6 @@ func (s *RingSink) Emit(e Event) {
 		select {
 		case sub.ch <- e:
 		default:
-			sub.dropped.Add(1)
 			s.dropped++
 			s.DropCounter.Inc()
 		}

@@ -78,9 +78,8 @@ const (
 	SpanSweep = "sweep"
 	// SpanPlace envelops one placement run, whichever policy produced it.
 	SpanPlace = "place"
-	// SpanBind and SpanLaunch are the downstream pipeline steps.
-	SpanBind   = "bind"
-	SpanLaunch = "launch"
+	// SpanBind is the downstream binding step.
+	SpanBind = "bind"
 	// SpanGenerate is topogen's cluster construction phase.
 	SpanGenerate = "generate"
 	// SpanNetOrder is the network-aware node-ordering post-pass stage.
@@ -124,7 +123,7 @@ var vocab = []VocabEntry{
 // spanNames is the registered phase-span label set.
 var spanNames = []string{
 	SpanPrune, SpanBuildShape, SpanSweep, SpanPlace,
-	SpanBind, SpanLaunch, SpanGenerate,
+	SpanBind, SpanGenerate,
 	SpanNetOrder, SpanNetRefine,
 }
 
@@ -150,13 +149,6 @@ func VocabRegistered(source, name string) bool {
 		}
 	}
 	return false
-}
-
-// SpanNames returns the registered phase-span labels, sorted.
-func SpanNames() []string {
-	out := append([]string(nil), spanNames...)
-	sort.Strings(out)
-	return out
 }
 
 // SpanRegistered reports whether name is a registered phase-span label.

@@ -49,6 +49,3 @@ func Each(n int, f func(perm []int) bool) {
 		}
 	}
 }
-
-// Count returns the number of permutations Each(n, ...) visits.
-func Count(n int) int { return Factorial(n) }

@@ -37,8 +37,8 @@ func TestEachVisitsAllDistinct(t *testing.T) {
 			seen[fmt.Sprint(perm)] = true
 			return true
 		})
-		if len(seen) != Count(n) {
-			t.Fatalf("n=%d: visited %d distinct, want %d", n, len(seen), Count(n))
+		if len(seen) != Factorial(n) {
+			t.Fatalf("n=%d: visited %d distinct, want %d", n, len(seen), Factorial(n))
 		}
 	}
 }

@@ -25,8 +25,8 @@ type Stage interface {
 
 // Pipeline is the uniform strategy execution path: resolve policy → place
 // → post-pass stages. Binding and launching attach downstream (see
-// mpirun.Execute / mpirun.Launch); they are not stages because their
-// outputs are not maps.
+// mpirun.Execute and orte.Runtime.Launch); they are not stages because
+// their outputs are not maps.
 type Pipeline struct {
 	// Policy produces the initial placement.
 	Policy Policy

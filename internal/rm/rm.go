@@ -72,30 +72,6 @@ func NewManager(pool *cluster.Cluster) *Manager {
 	return m
 }
 
-// FreeCores returns the number of free, usable cores on pool node i.
-func (m *Manager) FreeCores(i int) int {
-	n := m.pool.Node(i)
-	if n == nil {
-		return 0
-	}
-	free := 0
-	for _, c := range n.Topo.Objects(hw.LevelCore) {
-		if len(n.Topo.UsableUnder(c)) > 0 && !m.busy[i][c.Logical] {
-			free++
-		}
-	}
-	return free
-}
-
-// TotalFreeCores sums FreeCores over the pool.
-func (m *Manager) TotalFreeCores() int {
-	total := 0
-	for i := range m.pool.Nodes {
-		total += m.FreeCores(i)
-	}
-	return total
-}
-
 // Alloc grants cores (CoreGranular) or whole nodes (WholeNode) sufficient
 // for the requested number of single-core slots. It returns
 // ErrInsufficient without side effects when the pool cannot satisfy the
@@ -168,6 +144,8 @@ func (m *Manager) Alloc(policy Policy, slots int) (*Allocation, error) {
 
 // Release returns an allocation's cores to the pool. Releasing an unknown
 // or already-released allocation is an error.
+//
+//lama:api the facade's ResourceManager hands allocations back through it
 func (m *Manager) Release(a *Allocation) error {
 	if a == nil {
 		return errors.New("rm: nil allocation")
@@ -183,6 +161,3 @@ func (m *Manager) Release(a *Allocation) error {
 	delete(m.live, a.ID)
 	return nil
 }
-
-// LiveAllocations returns the number of outstanding allocations.
-func (m *Manager) LiveAllocations() int { return len(m.live) }

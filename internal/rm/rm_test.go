@@ -18,6 +18,15 @@ func pool(t *testing.T, nodes int) *cluster.Cluster {
 	return cluster.Homogeneous(nodes, sp)
 }
 
+// busyCores counts the pool's cores held by live allocations.
+func busyCores(m *Manager) int {
+	n := 0
+	for _, busy := range m.busy {
+		n += len(busy)
+	}
+	return n
+}
+
 func TestWholeNodeAllocation(t *testing.T) {
 	m := NewManager(pool(t, 4))
 	a, err := m.Alloc(WholeNode, 12) // needs 2 full 8-core nodes
@@ -35,13 +44,13 @@ func TestWholeNodeAllocation(t *testing.T) {
 			t.Fatalf("slots = %d", n.Slots)
 		}
 	}
-	if m.TotalFreeCores() != 16 {
-		t.Fatalf("free cores = %d, want 16", m.TotalFreeCores())
+	if busyCores(m) != 16 {
+		t.Fatalf("busy cores = %d, want 16", busyCores(m))
 	}
 	if err := m.Release(a); err != nil {
 		t.Fatal(err)
 	}
-	if m.TotalFreeCores() != 32 {
+	if busyCores(m) != 0 {
 		t.Fatal("release did not return cores")
 	}
 }
@@ -68,13 +77,15 @@ func TestCoreGranularSplitsNodes(t *testing.T) {
 	// The two allocations must not overlap.
 	n0a, _ := a1.Granted.NodeByName("node0")
 	n0b, _ := a2.Granted.NodeByName("node0")
-	if n0a.Topo.AllowedSet().Intersects(n0b.Topo.AllowedSet()) {
+	both := n0a.Topo.AllowedSet().Clone()
+	both.Or(n0b.Topo.AllowedSet())
+	if both.Count() != n0a.Topo.AllowedSet().Count()+n0b.Topo.AllowedSet().Count() {
 		t.Fatalf("overlap: %s vs %s", n0a.Topo.AllowedSet(), n0b.Topo.AllowedSet())
 	}
-	if m.TotalFreeCores() != 4 {
-		t.Fatalf("free = %d", m.TotalFreeCores())
+	if busyCores(m) != 12 {
+		t.Fatalf("busy = %d", busyCores(m))
 	}
-	if m.LiveAllocations() != 2 {
+	if len(m.live) != 2 {
 		t.Fatal("live count")
 	}
 }
@@ -85,8 +96,8 @@ func TestAllocInsufficient(t *testing.T) {
 		t.Fatalf("want ErrInsufficient, got %v", err)
 	}
 	// Failed allocation must not leak cores.
-	if m.TotalFreeCores() != 8 {
-		t.Fatalf("free = %d after failed alloc", m.TotalFreeCores())
+	if busyCores(m) != 0 {
+		t.Fatalf("busy = %d after failed alloc", busyCores(m))
 	}
 	if _, err := m.Alloc(WholeNode, 9); !errors.Is(err, ErrInsufficient) {
 		t.Fatal("whole-node over-ask should fail")
@@ -137,12 +148,12 @@ func TestRestrictedPoolRespected(t *testing.T) {
 	m := NewManager(p)
 	// Thread-major numbering: PUs 0-3 are the first threads of cores 0-3,
 	// so exactly 4 cores remain usable.
-	if m.TotalFreeCores() != 4 {
-		t.Fatalf("free = %d, want 4", m.TotalFreeCores())
-	}
 	a, err := m.Alloc(CoreGranular, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := m.Alloc(CoreGranular, 1); !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("fifth core granted: %v", err)
 	}
 	if got := a.Granted.Nodes[0].Topo.AllowedSet(); !got.IsSubset(hw.CPUSetRange(0, 3)) {
 		t.Fatalf("grant %s escapes restriction", got)
